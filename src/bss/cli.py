@@ -269,6 +269,7 @@ def _cmd_equilibrium(args) -> int:
             "a": float(eq.a),
             "s": float(eq.s),
             "entropy": float(entropy(eq.y_bar)),
+            "stats": eq.stats,
         }
     else:
         ym, _ = solve_equilibrium_hetero(par)

@@ -5,10 +5,16 @@ level a = gamma - sum(n y_n) and the choice normalizer s = sum(g(n) y_n).
 Given (a, s) the equilibrium is the birth-death measure with ratios
 rho_k = mu*a / (lam*(1-p) + lam*p*g(k+1)/s), so solving means closing the
 loop on (a, s).
+
+For fixed s the spare-bike equation has exactly one root a(s), found by a
+safeguarded Newton iteration in log a. That leaves the scalar equation
+phi(s) = sum(g y(a(s), s)) - s: a log-grid scan brackets its sign changes
+and Brent's method (Brent 1973, ch. 4) refines each bracket in log s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +45,28 @@ __all__ = [
 
 # residual gate on ||drift(y_bar)||_inf
 RESIDUAL_TOL = 1e-10
-MAX_DAMPED_ITER = 400
-DAMPING = 0.5
+EPS = float(np.finfo(float).eps)
+# inner Newton stops once |a - gamma + m1| <= NOISE_ULPS * eps * gamma,
+# the rounding level of that sum
+NOISE_ULPS = 8.0
+A_MIN = 1e-300
+MAX_NEWTON_ITER = 200
+MAX_BRENT_ITER = 200
 
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Equilibrium measure with its birth-death ratios and the two scalars."""
+    """Equilibrium measure with its birth-death ratios and the two scalars.
+
+    iterations counts the moment evaluations of the whole solve; each is
+    one vectorized inner Newton round. stats reports what the solve did:
+    route ("uninformed" when s does not feed back into rho, else
+    "bracketed"), roots (candidate roots the scan found; 1 on the
+    uninformed route), brent_evals (phi evaluations inside Brent),
+    newton_iters (inner rounds, equal to iterations) and
+    bisection_fallbacks (per-element Newton steps that left their bracket
+    and were replaced by its midpoint).
+    """
 
     y_bar: np.ndarray
     rho: np.ndarray
@@ -53,6 +74,7 @@ class EquilibriumResult:
     s: float
     residual: float
     iterations: int
+    stats: dict
 
 
 def _logsumexp(v: np.ndarray, axis=None):
@@ -70,7 +92,7 @@ def birth_death_stationary(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or rho.size < 1:
         raise ValidationError("rho must be a nonempty vector")
-    if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
+    if not np.all(np.isfinite(rho) & (rho > 0.0)):
         raise ValidationError("rho must be strictly positive and finite")
     logw = np.concatenate(([0.0], np.cumsum(np.log(rho))))
     y = np.exp(logw - _logsumexp(logw))
@@ -103,24 +125,33 @@ def _log_rho(a, s, lam, mu, p, g):
 
 
 def _mixture_moments(a, s, lam, mu, p, g, caps, fracs):
-    """Mean count m1 and refreshed normalizer sum(g y) for the class mixture.
+    """Mean count m1, its log-a derivative and refreshed normalizer sum(g y).
 
     a, s may be vectors (solver grids); conditionals are built per class in
-    log space and mixed with the class fractions.
+    log space and mixed with the class fractions. Every log rho_k moves
+    one-for-one with log a, so each class conditional is an exponential
+    family in n and dm1/dlog(a) = sum_c q_c Var_c(n).
     """
     logrho = _log_rho(a, s, lam, mu, p, g)
     a = np.asarray(a, dtype=float)
     base = np.zeros(a.shape + (1,))
     logw_full = np.concatenate((base, np.cumsum(logrho, axis=-1)), axis=-1)
     m1 = np.zeros_like(a, dtype=float)
+    dm1 = np.zeros_like(a, dtype=float)
     s_new = np.zeros_like(a, dtype=float)
     for k, q in zip(caps, fracs):
         logw = logw_full[..., : k + 1]
         y = np.exp(logw - _logsumexp(logw, axis=-1)[..., None])
         y = y / y.sum(axis=-1, keepdims=True)
-        m1 = m1 + q * (y * np.arange(k + 1)).sum(axis=-1)
+        n = np.arange(k + 1)
+        mean = (y * n).sum(axis=-1)
+        m1 = m1 + q * mean
         s_new = s_new + q * (y * g[: k + 1]).sum(axis=-1)
-    return m1, s_new
+        dev = n - mean[..., None]
+        dev *= dev
+        dev *= y
+        dm1 = dm1 + q * dev.sum(axis=-1)
+    return m1, dm1, s_new
 
 
 def _conditionals(a, s, lam, mu, p, g, caps):
@@ -135,23 +166,108 @@ def _conditionals(a, s, lam, mu, p, g, caps):
     return conds
 
 
-def _solve_a_for_s(s, gamma, lam, mu, p, g, caps, fracs, iters=80):
+def _solve_a_for_s(s, gamma, lam, mu, p, g, caps, fracs):
     """Unique a in (0, gamma] with a = gamma - m1(a, s), vectorized over s.
 
-    m1 is strictly increasing in a (larger up/down ratios shift every class
-    conditional stochastically upward), so H(a) = a - gamma + m1(a, s) is
-    strictly increasing and bisection cannot miss.
+    m1 is strictly increasing in a, so H(u) = e^u - gamma + m1(e^u, s) is
+    strictly increasing in u = log a, with H'(u) = e^u + sum_c q_c Var_c(n).
+    Each element runs Newton in u inside its own bracket [log A_MIN,
+    log gamma]; a step that leaves the bracket (inclusive) is replaced by
+    the bracket midpoint. An element freezes at its current iterate once
+    |H| reaches the noise floor, its bracket holds no float between the
+    ends, or its next iterate would not move.
+
+    Returns (a, sum(g y) at a, rounds, fallbacks): rounds counts the moment
+    evaluations, fallbacks the midpoint substitutions over all elements.
     """
-    s = np.asarray(s, dtype=float)
-    lo = np.full(s.shape, 1e-300)
-    hi = np.full(s.shape, gamma)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        m1, _ = _mixture_moments(mid, s, lam, mu, p, g, caps, fracs)
-        high = mid - gamma + m1 > 0.0
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return 0.5 * (lo + hi)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    floor = NOISE_ULPS * EPS * gamma
+    lo = np.full(s.shape, math.log(A_MIN))
+    hi = np.full(s.shape, math.log(gamma))
+    u = np.full(s.shape, math.log(0.5 * gamma))
+    a_out = np.empty(s.shape)
+    s_out = np.empty(s.shape)
+    live = np.arange(s.size)
+    rounds = fallbacks = 0
+    while live.size:
+        if rounds == MAX_NEWTON_ITER:
+            raise ConvergenceError(
+                f"inner Newton solve for a(s) did not converge in {rounds} rounds"
+            )
+        rounds += 1
+        ul = u[live]
+        a = np.exp(ul)
+        m1, dm1, s_new = _mixture_moments(a, s[live], lam, mu, p, g, caps, fracs)
+        h = a - gamma + m1
+        if not np.all(np.isfinite(h)):
+            raise ConvergenceError(
+                "inner solve for a(s) met non-finite moments; "
+                "choice weights may overflow"
+            )
+        up = h > 0.0
+        lo_l = np.where(up, lo[live], ul)
+        hi_l = np.where(up, ul, hi[live])
+        step = ul - h / (a + dm1)
+        mid = 0.5 * (lo_l + hi_l)
+        inside = (step >= lo_l) & (step <= hi_l)
+        nxt = np.where(inside, step, mid)
+        fallbacks += int(inside.size - np.count_nonzero(inside))
+        collapsed = (mid == lo_l) | (mid == hi_l)
+        done = (np.abs(h) <= floor) | collapsed | (nxt == ul)
+        frozen = live[done]
+        a_out[frozen] = a[done]
+        s_out[frozen] = s_new[done]
+        keep = ~done
+        live = live[keep]
+        lo[live] = lo_l[keep]
+        hi[live] = hi_l[keep]
+        u[live] = nxt[keep]
+    return a_out, s_out, rounds, fallbacks
+
+
+def _brent(f, xa, xb, fa, fb):
+    """Zero of f between xa and xb, where fa and fb have opposite signs.
+
+    Brent's method: inverse quadratic or secant steps while they stay well
+    inside the bracket and shrink it fast enough, bisection otherwise. The
+    resolution is 2 eps in units of max(|x|, 1).
+    """
+    xc, fc = xa, fa
+    d = e = xb - xa
+    for _ in range(MAX_BRENT_ITER):
+        if (fb > 0.0) == (fc > 0.0):
+            xc, fc = xa, fa
+            d = e = xb - xa
+        if abs(fc) < abs(fb):
+            xa, xb, xc = xb, xc, xb
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * EPS * max(abs(xb), 1.0)
+        half = 0.5 * (xc - xb)
+        if abs(half) <= tol or fb == 0.0:
+            return xb
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            r = fb / fa
+            if xa == xc:
+                num, den = 2.0 * half * r, 1.0 - r
+            else:
+                qa, qc = fa / fc, fb / fc
+                num = r * (2.0 * half * qa * (qa - qc) - (xb - xa) * (qc - 1.0))
+                den = (qa - 1.0) * (qc - 1.0) * (r - 1.0)
+            if num > 0.0:
+                den = -den
+            num = abs(num)
+            if 2.0 * num < min(3.0 * half * den - abs(tol * den), abs(e * den)):
+                e, d = d, num / den
+            else:
+                d = e = half
+        else:
+            d = e = half
+        xa, fa = xb, fb
+        xb += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(xb)
+    raise ConvergenceError(
+        f"Brent refinement of s did not converge in {MAX_BRENT_ITER} steps"
+    )
 
 
 def _assemble(a, s, params, caps, fracs, g):
@@ -170,114 +286,85 @@ def _assemble(a, s, params, caps, fracs, g):
 def _solve_scalar_pair(params: SystemParams):
     """Find (a, s) closing both consistency equations.
 
-    Damped fixed-point iteration first (fast when the informed feedback is
-    mild), then a continuation fallback: for every s the inner a is unique
-    and monotone, so the problem reduces to a 1-D root scan of
-    phi(s) = sum(g y(a(s), s)) - s over a log grid of admissible s.
-    Candidates only count once the assembled measure passes the drift
-    residual gate. Returns (a, s, conditionals, residual, work counter).
+    With flat weights or no informed users rho does not couple back to s,
+    so one inner solve settles a and s is read off the measure. Otherwise
+    the inner root a(s) is unique and continuous, so the equilibria are the
+    roots of phi(s) = sum(g y(a(s), s)) - s: a log grid of admissible s
+    brackets every sign change and Brent refines each in log s. Candidates
+    only count once the assembled measure passes the drift residual gate,
+    and the lowest residual wins. Returns (a, s, conditionals, residual,
+    stats).
     """
     lam = _require_constant(params)
     caps, fracs, g = _class_structure(params)
     gamma, mu, p = params.gamma, params.mu, params.p
     g_lo, g_hi = float(g.min()), float(g.max())
-    evals = 0
-
-    def moments(a, s):
-        return _mixture_moments(a, s, lam, mu, p, g, caps, fracs)
+    stats = {"route": "bracketed", "roots": 0, "brent_evals": 0,
+             "newton_iters": 0, "bisection_fallbacks": 0}
 
     def a_for(s):
-        return float(
-            _solve_a_for_s(np.array([s]), gamma, lam, mu, p, g, caps, fracs)[0]
+        a, s_new, rounds, fallbacks = _solve_a_for_s(
+            s, gamma, lam, mu, p, g, caps, fracs
         )
+        stats["newton_iters"] += rounds
+        stats["bisection_fallbacks"] += fallbacks
+        return a, s_new
+
+    def best_of(candidates):
+        best = (None, None, None, math.inf)
+        for a, s in candidates:
+            conds, residual = _assemble(a, s, params, caps, fracs, g)
+            if residual < best[3]:
+                best = (a, s, conds, residual)
+        if not (best[3] <= RESIDUAL_TOL):
+            raise ConvergenceError(
+                f"equilibrium solver did not converge; best residual {best[3]:.3e}"
+            )
+        return best + (stats,)
 
     flat = g_hi - g_lo <= 1e-12 * max(g_hi, 1.0)
     if flat or p == 0.0:
-        # flat weights or uninformed users: rho does not couple back to s,
-        # so one inner solve settles a and s is read off the measure
-        s_probe = g_hi
-        a = a_for(s_probe)
-        _, s_val = moments(np.array([a]), np.array([s_probe]))
-        s = s_probe if flat else float(s_val[0])
-        conds, residual = _assemble(a, s, params, caps, fracs, g)
-        if residual > RESIDUAL_TOL:
-            raise ConvergenceError(
-                f"equilibrium solver did not converge; best residual {residual:.3e}"
-            )
-        return a, s, conds, residual, 81
+        stats.update(route="uninformed", roots=1)
+        a, s_new = a_for(g_hi)
+        s = g_hi if flat else float(s_new[0])
+        return best_of([(float(a[0]), s)])
 
-    # damped fixed-point on (a, s)
-    a = 0.5 * gamma
-    _, s_uniform = moments(np.array([a]), np.array([g_hi]))
-    s = float(max(s_uniform[0], 1e-300))
-    converged = False
-    for _ in range(MAX_DAMPED_ITER):
-        m1, s_new = moments(np.array([a]), np.array([s]))
-        a_t = min(max(gamma - float(m1[0]), 1e-15 * gamma), gamma)
-        s_t = min(max(float(s_new[0]), 1e-300), g_hi)
-        da, ds = a_t - a, s_t - s
-        a += DAMPING * da
-        s += DAMPING * ds
-        evals += 1
-        if abs(da) <= 1e-14 * max(a, 1e-300) and abs(ds) <= 1e-14 * s:
-            converged = True
-            break
-    if converged:
-        conds, residual = _assemble(a, s, params, caps, fracs, g)
-        if residual <= RESIDUAL_TOL:
-            return a, s, conds, residual, evals
-
-    # continuation scan: phi is continuous in s because the inner root is
-    # unique, so equilibria are brackets of a sign change
+    # phi is continuous in s because the inner root is unique, so
+    # equilibria are brackets of a sign change
     lo = max(g_lo * (1.0 - 1e-12), g_hi * 1e-40)
     if lo <= 0.0:
         lo = g_hi * 1e-40
     decades = max(np.log10(g_hi / lo), 1.0)
     n_pts = int(min(max(48 * decades, 400), 4000))
-    s_grid = np.geomspace(lo, g_hi, n_pts)
-    a_grid = _solve_a_for_s(s_grid, gamma, lam, mu, p, g, caps, fracs)
-    _, s_out = moments(a_grid, s_grid)
+    x_grid = np.linspace(math.log(lo), math.log(g_hi), n_pts)
+    s_grid = np.exp(x_grid)
+    _, s_out = a_for(s_grid)
     phi = s_out - s_grid
-    evals += n_pts
 
-    roots = []
-    for i in range(n_pts - 1):
-        if phi[i] == 0.0:
-            roots.append(float(s_grid[i]))
-        elif phi[i] * phi[i + 1] < 0.0:
-            lo_s, hi_s = float(s_grid[i]), float(s_grid[i + 1])
-            for _ in range(100):
-                mid = float(np.sqrt(lo_s * hi_s))
-                a_mid = a_for(mid)
-                _, s_mid = moments(np.array([a_mid]), np.array([mid]))
-                if (float(s_mid[0]) - mid) * phi[i] > 0.0:
-                    lo_s = mid
-                else:
-                    hi_s = mid
-            roots.append(float(np.sqrt(lo_s * hi_s)))
-            evals += 100
-    if phi[-1] == 0.0:
-        roots.append(float(s_grid[-1]))
+    def phi_at(x):
+        s = math.exp(x)
+        stats["brent_evals"] += 1
+        return float(a_for(s)[1][0]) - s
 
-    best = (None, None, np.inf)
-    for s_root in roots:
-        a_root = a_for(s_root)
-        conds, residual = _assemble(a_root, s_root, params, caps, fracs, g)
-        if residual < best[2]:
-            best = ((a_root, s_root), conds, residual)
-    if best[0] is None or best[2] > RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"equilibrium solver did not converge; best residual {best[2]:.3e}"
-        )
-    (a_root, s_root), conds, residual = best
-    return a_root, s_root, conds, residual, evals
+    sign = np.sign(phi)
+    roots = [float(x_grid[i]) for i in np.flatnonzero(sign == 0.0)]
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+        roots.append(_brent(phi_at, float(x_grid[i]), float(x_grid[i + 1]),
+                            float(phi[i]), float(phi[i + 1])))
+    stats["roots"] = len(roots)
+    candidates = []
+    for x in sorted(roots):
+        s_root = math.exp(x)
+        candidates.append((float(a_for(s_root)[0][0]), s_root))
+    return best_of(candidates)
 
 
 def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
     """Equilibrium of the uniform-capacity mean-field ODE.
 
     Returns the measure, the birth-death ratios rho, the reduced scalars
-    (a, s), the drift residual, and a work counter.
+    (a, s), the drift residual, the moment-evaluation count and the solve
+    stats.
     """
     if not params.is_uniform:
         raise ValidationError(
@@ -285,13 +372,13 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
             "use solve_equilibrium_hetero for capacity mixes"
         )
     lam = _require_constant(params)
-    a, s, conds, residual, evals = _solve_scalar_pair(params)
+    a, s, conds, residual, stats = _solve_scalar_pair(params)
     _, _, g = _class_structure(params)
     y = conds[0]
     rho = np.exp(_log_rho(a, s, lam, params.mu, params.p, g))
     return EquilibriumResult(
         y_bar=y, rho=rho, a=float(a), s=float(s),
-        residual=residual, iterations=evals,
+        residual=residual, iterations=stats["newton_iters"], stats=stats,
     )
 
 
@@ -303,7 +390,7 @@ def solve_equilibrium_hetero(params: SystemParams):
     """
     _require_constant(params)
     caps, fracs, _ = _class_structure(params)
-    a, s, conds, residual, evals = _solve_scalar_pair(params)
+    _, _, conds, _, _ = _solve_scalar_pair(params)
     ym = HeterogeneousMeasure.from_conditionals(caps, fracs, conds)
     return ym, ratio_projection(ym)
 
@@ -311,7 +398,7 @@ def solve_equilibrium_hetero(params: SystemParams):
 def entropy(y) -> float:
     """Shannon entropy -sum(y log y) in nats, with 0 log 0 = 0."""
     y = np.asarray(y, dtype=float)
-    if y.min() < -1e-9 or abs(y.sum() - 1.0) > 1e-6:
+    if not (y.min() >= -1e-9 and abs(y.sum() - 1.0) <= 1e-6):
         raise ValidationError("entropy needs a probability vector")
     pos = y[y > 0.0]
     return float(-(pos * np.log(pos)).sum())
@@ -324,11 +411,11 @@ def _reference_measure(y, params: SystemParams):
     y = np.asarray(y, dtype=float)
     if y.shape != (k + 1,):
         raise ValidationError(f"measure must have length {k + 1}, got {y.shape}")
-    if y.min() <= 0.0:
+    if not (y.min() > 0.0):
         raise ValidationError("boundary measure: reference needs interior y")
     g = choice_weight(params.choice, np.arange(k + 1))
     a = params.gamma - float(np.arange(k + 1) @ y)
-    if a <= 0.0:
+    if not (a > 0.0):
         raise ValidationError(
             "docked mean exceeds gamma; reference birth-death chain undefined"
         )

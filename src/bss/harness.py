@@ -8,7 +8,7 @@ the measured values next to the thresholds so drift stays visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,16 +83,7 @@ def _with_n(params: SystemParams, n: int) -> SystemParams:
         raise ValidationError(
             f"gamma {params.gamma} does not give an integer fleet at N={n}"
         )
-    return SystemParams(
-        n_stations=n,
-        fleet=fleet,
-        mu=params.mu,
-        p=params.p,
-        arrival=params.arrival,
-        choice=params.choice,
-        capacity_values=params.capacity_values,
-        capacity_fractions=params.capacity_fractions,
-    )
+    return replace(params, n_stations=n, fleet=fleet)
 
 
 def flln_experiment(
@@ -403,16 +394,7 @@ def sweep(plane: str, x_values, y_values, base: SystemParams):
                         f"gamma {y} does not give an integer fleet at "
                         f"N={base.n_stations}"
                     )
-            par = SystemParams(
-                n_stations=base.n_stations,
-                fleet=fleet,
-                mu=base.mu,
-                p=p,
-                arrival=base.arrival,
-                choice=choice,
-                capacity_values=base.capacity_values,
-                capacity_fractions=base.capacity_fractions,
-            )
+            par = replace(base, fleet=fleet, p=p, choice=choice)
             row = {"x": p, "y": float(y)}
             try:
                 eq = solve_equilibrium(par)

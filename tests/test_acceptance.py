@@ -136,8 +136,9 @@ def test_criterion_01_two_path_supplement_shallow_weighting(p):
                      h=0.005)
     err = float(np.abs(path[-1] - solve_equilibrium(par).y_bar).max())
     elapsed = time.perf_counter() - started
+    ok = err <= 1e-8
     print(f"[criterion 1 supplement/p={p}] theta=0.5 Linf {err:.3e} "
-          f"(tol 1e-8), {elapsed:.1f}s -> PASS")
+          f"(tol 1e-8), {elapsed:.1f}s -> {'PASS' if ok else 'FAIL'}")
     assert err <= 1e-8
 
 
@@ -154,8 +155,9 @@ def test_criterion_02_stationary_average_matches_equilibrium(p):
     avg = stationary_average(par, 500.0, 5000.0, seed=31)
     elapsed = time.perf_counter() - started
     tv = 0.5 * float(np.abs(avg - solve_equilibrium(par).y_bar).sum())
+    ok = tv <= 0.02 and elapsed <= 180.0
     print(f"[criterion 2/p={p}] TV {tv:.4f} (tol 0.02), "
-          f"{elapsed:.0f}s (budget 180s) -> PASS")
+          f"{elapsed:.0f}s (budget 180s) -> {'PASS' if ok else 'FAIL'}")
     assert tv <= 0.02
     assert elapsed <= 180.0
 
@@ -169,8 +171,9 @@ def test_criterion_03_flln_error_ratio():
     elapsed = time.perf_counter() - started
     (ratio,) = rep.metrics["ratios"]
     lo, hi = math.sqrt(10) / 2, 2 * math.sqrt(10)
+    ok = rep.passed is True and lo <= ratio <= hi and elapsed <= 120.0
     print(f"[criterion 3] error ratio {ratio:.2f} in [{lo:.2f}, {hi:.2f}], "
-          f"{elapsed:.0f}s (budget 120s) -> PASS")
+          f"{elapsed:.0f}s (budget 120s) -> {'PASS' if ok else 'FAIL'}")
     assert rep.passed is True
     assert lo <= ratio <= hi
     assert elapsed <= 120.0
@@ -184,9 +187,10 @@ def test_criterion_04_fclt_covariance():
                           seed=202)
     elapsed = time.perf_counter() - started
     rel = rep.metrics["rel_frobenius"]
+    ok = rep.passed is True and rel <= 0.15 and elapsed <= 300.0
     print(f"[criterion 4] rel Frobenius {rel:.4f} (tol 0.15), "
           f"mean z {rep.metrics['max_mean_z']:.2f}, "
-          f"{elapsed:.0f}s (budget 300s) -> PASS")
+          f"{elapsed:.0f}s (budget 300s) -> {'PASS' if ok else 'FAIL'}")
     assert rep.passed is True
     assert rel <= 0.15
     assert elapsed <= 300.0
@@ -229,8 +233,9 @@ def test_criterion_05_jacobian_finite_difference(choice):
         fd, exact = fd_jacobian(y, par)
         worst = max(worst, float(np.abs(fd - exact).max()))
     elapsed = time.perf_counter() - started
+    ok = worst <= 1e-6 and elapsed <= 5.0
     print(f"[criterion 5/{choice['kind']}] max |J - FD| {worst:.2e} "
-          f"(tol 1e-6), {elapsed:.1f}s -> PASS")
+          f"(tol 1e-6), {elapsed:.1f}s -> {'PASS' if ok else 'FAIL'}")
     assert worst <= 1e-6
     assert elapsed <= 5.0
 
@@ -257,8 +262,10 @@ def test_criterion_06_lyapunov_derivative_nonpositive():
         at_eq = abs(lyapunov_derivative(solve_equilibrium(par).y_bar, par))
         assert at_eq <= 1e-10
     elapsed = time.perf_counter() - started
+    ok = worst <= 1e-10 and elapsed <= 30.0
     print(f"[criterion 6] max derivative {worst:.2e} (tol 1e-10), "
-          f"0 at equilibrium, {elapsed:.0f}s (budget 30s) -> PASS")
+          f"0 at equilibrium, {elapsed:.0f}s (budget 30s) "
+          f"-> {'PASS' if ok else 'FAIL'}")
     assert worst <= 1e-10
     assert elapsed <= 30.0
 
@@ -267,8 +274,9 @@ def test_criterion_06_lyapunov_derivative_nonpositive():
 
 def test_criterion_07a_boundary_mass_small_at_quarter_informed():
     yb = solve_equilibrium(base20(0.25)).y_bar
+    ok = yb[0] < 0.02 and yb[-1] < 0.02
     print(f"[criterion 7a] ybar0 {yb[0]:.2e}, ybarK {yb[-1]:.2e} "
-          f"(tol 0.02) -> PASS")
+          f"(tol 0.02) -> {'PASS' if ok else 'FAIL'}")
     assert yb[0] < 0.02
     assert yb[-1] < 0.02
 
@@ -276,7 +284,9 @@ def test_criterion_07a_boundary_mass_small_at_quarter_informed():
 def test_criterion_07b_entropy_nonincreasing_in_p():
     ents = [entropy(solve_equilibrium(base20(p)).y_bar)
             for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    print(f"[criterion 7b] entropies {[round(e, 3) for e in ents]} -> PASS")
+    ok = all(b <= a + 1e-9 for a, b in zip(ents, ents[1:]))
+    print(f"[criterion 7b] entropies {[round(e, 3) for e in ents]} "
+          f"-> {'PASS' if ok else 'FAIL'}")
     assert all(b <= a + 1e-9 for a, b in zip(ents, ents[1:]))
 
 
@@ -286,8 +296,9 @@ def test_criterion_07c_full_mass_insensitive_under_minimum_choice():
     y_p1 = solve_equilibrium(base20(1.0, choice=choice)).y_bar
     d_full = abs(y_p1[-1] - y_p0[-1])
     d_empty = abs(y_p1[0] - y_p0[0])
+    ok = d_full < 0.2 * d_empty
     print(f"[criterion 7c] |d ybarK| {d_full:.2e} < 0.2 |d ybar0| "
-          f"{0.2 * d_empty:.2e} -> PASS")
+          f"{0.2 * d_empty:.2e} -> {'PASS' if ok else 'FAIL'}")
     assert d_full < 0.2 * d_empty
 
 
@@ -305,16 +316,18 @@ def test_criterion_08_fourier_exact_recovery_and_nesting():
             abs(model.sin_coeffs[1]), abs(model.cos_coeffs[1] + 0.4),
             abs(model.sin_coeffs[2] - 0.1), abs(model.cos_coeffs[2])]
     worst = max(errs)
-    print(f"[criterion 8] coefficient error {worst:.2e} (tol 1e-9), "
-          f"R^2 {r2:.15f} -> PASS")
-    assert worst <= 1e-9
-    assert r2 >= 1.0 - 1e-12
 
     # nested models never lose explained variance; real feeds are
     # data-dependent, so only the in-class behavior is checkable
     rng = np.random.default_rng(8)
     noisy = RateSeries(times=ts, rates=np.clip(rates + 0.3 * rng.normal(size=ts.size), 0.0, None))
     r2s = [fit_fourier(noisy, order=j, period=24.0)[1] for j in range(5)]
+    ok = (worst <= 1e-9 and r2 >= 1.0 - 1e-12
+          and all(b >= a - 1e-12 for a, b in zip(r2s, r2s[1:])))
+    print(f"[criterion 8] coefficient error {worst:.2e} (tol 1e-9), "
+          f"R^2 {r2:.15f}, nested R^2 non-decreasing -> {'PASS' if ok else 'FAIL'}")
+    assert worst <= 1e-9
+    assert r2 >= 1.0 - 1e-12
     assert all(b >= a - 1e-12 for a, b in zip(r2s, r2s[1:]))
 
 
@@ -332,8 +345,9 @@ def test_criterion_09_hetero_equilibrium_matches_simulation():
     elapsed = time.perf_counter() - started
     _, rbar = solve_equilibrium_hetero(par)
     tv = 0.5 * float(np.abs(avg - rbar).sum())
+    ok = tv <= 0.03
     print(f"[criterion 9] hetero ratio TV {tv:.4f} (tol 0.03), "
-          f"{elapsed:.0f}s -> PASS")
+          f"{elapsed:.0f}s -> {'PASS' if ok else 'FAIL'}")
     assert tv <= 0.03
 
 
@@ -348,8 +362,9 @@ def test_criterion_09_ratio_projection_preserves_mass():
         ym = HeterogeneousMeasure.from_conditionals(caps, fracs, conds)
         r = ratio_projection(ym)
         worst = max(worst, abs(float(r.sum()) - ym.total()))
+    ok = worst <= 1e-12
     print(f"[criterion 9 mass] worst projection defect {worst:.2e} "
-          f"(tol 1e-12) -> PASS")
+          f"(tol 1e-12) -> {'PASS' if ok else 'FAIL'}")
     assert worst <= 1e-12
 
 
@@ -369,8 +384,10 @@ def test_criterion_10a_fleet_conserved_every_event():
         "choice": {"kind": "exponential", "theta": 1.0},
     })
     htraj = simulate(hpar, 100.0, 10.0, seed=11, check_conservation=True)
+    ok = traj.event_count > 0 and htraj.event_count > 0
     print(f"[criterion 10a] conservation checked after every event "
-          f"({traj.event_count + htraj.event_count} events) -> PASS")
+          f"({traj.event_count + htraj.event_count} events) "
+          f"-> {'PASS' if ok else 'FAIL'}")
     assert traj.event_count > 0 and htraj.event_count > 0
 
 
@@ -386,8 +403,9 @@ def test_criterion_10b_drift_components_sum_to_zero():
             par = base20(float(rng.uniform(0.0, 1.0)), choice=choice)
             y = interior_physical(rng, 21, par.gamma)
             worst = max(worst, abs(float(drift(y, par).sum())))
+    ok = worst <= 1e-12
     print(f"[criterion 10b] worst |sum(drift)| {worst:.2e} over 10^4 points "
-          f"(tol 1e-12) -> PASS")
+          f"(tol 1e-12) -> {'PASS' if ok else 'FAIL'}")
     assert worst <= 1e-12
 
 
@@ -404,8 +422,9 @@ def test_criterion_10c_covariance_psd_and_ones_null(k, theta):
     ones = np.ones(k + 1)
     worst_eig = min(float(np.linalg.eigvalsh(s.sigma).min()) for s in states)
     worst_null = max(float(np.abs(s.sigma @ ones).max()) for s in states)
+    ok = worst_eig >= -1e-10 and worst_null <= 1e-12
     print(f"[criterion 10c/K={k}] min eigenvalue {worst_eig:.2e} "
           f"(tol -1e-10), ones-direction {worst_null:.2e} (tol 1e-12) "
-          f"-> PASS")
+          f"-> {'PASS' if ok else 'FAIL'}")
     assert worst_eig >= -1e-10
     assert worst_null <= 1e-12

@@ -106,6 +106,10 @@ def test_equilibrium_csv_and_manifest(base_cfg, tmp_path):
     assert man["version"]
     assert man["duration_seconds"] >= 0
     assert man["details"]["residual"] <= 1e-9
+    stats = man["details"]["stats"]
+    assert stats["route"] == "bracketed"
+    assert stats["roots"] >= 1
+    assert stats["newton_iters"] == man["details"]["iterations"]
 
 
 def test_equilibrium_capacity_mix_rows_per_class(tmp_path):

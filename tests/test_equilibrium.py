@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bss.model import ValidationError, validate_params
+from bss.model import ConvergenceError, ValidationError, validate_params
 from bss.meanfield import drift, drift_hetero, integrate
 from bss.equilibrium import (
+    _brent,
+    _class_structure,
+    _mixture_moments,
+    _solve_a_for_s,
     birth_death_stationary,
     entropy,
     lyapunov_derivative,
@@ -141,6 +145,100 @@ class TestSolveEquilibrium:
         params = make_params(capacity={"values": [10, 20], "fractions": [0.5, 0.5]}, gamma=5.0)
         with pytest.raises(ValidationError, match="hetero"):
             solve_equilibrium(params)
+
+
+class TestSolverInternals:
+    """The Newton inner solve and the Brent outer refinement."""
+
+    @staticmethod
+    def bisection_a_for_s(s, gamma, lam, mu, p, g, caps, fracs, iters=80, log_a=False):
+        # the earlier inner solve: plain bisection on H(a) = a - gamma + m1
+        # over (0, gamma], optionally in log a to resolve tiny a
+        lo = np.full(s.shape, math.log(1e-300) if log_a else 1e-300)
+        hi = np.full(s.shape, math.log(gamma) if log_a else gamma)
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            a = np.exp(mid) if log_a else mid
+            m1 = _mixture_moments(a, s, lam, mu, p, g, caps, fracs)[0]
+            high = a - gamma + m1 > 0.0
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+        mid = 0.5 * (lo + hi)
+        return np.exp(mid) if log_a else mid
+
+    def check_inner_against_bisection(self, params, log_a=False):
+        caps, fracs, g = _class_structure(params)
+        s = np.geomspace(max(g.min(), g.max() * 1e-40), g.max(), 120)
+        args = (params.gamma, params.arrival.rate, params.mu, params.p, g, caps, fracs)
+        a_ref = self.bisection_a_for_s(s, *args, log_a=log_a)
+        a, s_new, rounds, _ = _solve_a_for_s(s, *args)
+        np.testing.assert_allclose(a, a_ref, rtol=1e-13, atol=0.0)
+        _, _, s_at_a = _mixture_moments(a, s, *args[1:])
+        np.testing.assert_array_equal(s_new, s_at_a)
+        assert rounds < 80
+
+    def test_inner_newton_matches_bisection_one_class(self):
+        self.check_inner_against_bisection(make_params())
+
+    def test_inner_newton_matches_bisection_three_class_mix(self):
+        self.check_inner_against_bisection(make_params(
+            gamma=4.0, capacity={"values": [4, 8, 16], "fractions": [0.25, 0.5, 0.25]},
+            choice={"kind": "exponential", "theta": 1.0},
+        ))
+
+    def test_inner_newton_resolves_tiny_spare_level(self):
+        # a(s) falls to ~1e-13 here, below the resolution of bisection in a,
+        # so the reference bisects in log a
+        self.check_inner_against_bisection(make_params(gamma=5.0, p=1.0), log_a=True)
+
+    def test_inner_derivative_matches_finite_difference(self):
+        params = make_params(
+            gamma=4.0, capacity={"values": [4, 8, 16], "fractions": [0.25, 0.5, 0.25]},
+        )
+        caps, fracs, g = _class_structure(params)
+        args = (1.0, params.mu, params.p, g, caps, fracs)
+        u = np.linspace(-3.0, 1.0, 9)
+        s = np.full(u.shape, 50.0)
+        _, dm1, _ = _mixture_moments(np.exp(u), s, *args)
+        step = 1e-6
+        up = _mixture_moments(np.exp(u + step), s, *args)[0]
+        down = _mixture_moments(np.exp(u - step), s, *args)[0]
+        np.testing.assert_allclose(dm1, (up - down) / (2 * step), rtol=1e-7)
+
+    def test_brent_finds_known_root(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.cos(x) - x
+
+        root = _brent(f, 0.0, 1.0, f(0.0), f(1.0))
+        assert root == pytest.approx(0.7390851332151607, abs=4e-16)
+        assert len(calls) < 15
+
+    def test_informed_solve_work_bound(self):
+        # p=0.5, theta=2, K=20 took 8,662 moment evaluations with nested
+        # bisections; the Newton/Brent route must stay under 120
+        res = solve_equilibrium(make_params())
+        assert res.stats["route"] == "bracketed"
+        assert res.stats["roots"] == 1
+        assert res.iterations == res.stats["newton_iters"]
+        assert res.iterations <= 120
+        assert res.stats["brent_evals"] <= 20
+
+    def test_uninformed_route_reported(self):
+        res = solve_equilibrium(make_params(p=0.0))
+        assert res.stats["route"] == "uninformed"
+        assert res.stats["roots"] == 1
+        assert res.stats["brent_evals"] == 0
+        assert res.iterations == res.stats["newton_iters"] <= 20
+
+    def test_overflowing_weights_raise_instead_of_nan(self):
+        # exp(40 * 20) overflows; the solver used to return an all-NaN measure
+        params = make_params(choice={"kind": "exponential", "theta": 40.0})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError):
+                solve_equilibrium(params)
 
 
 class TestSolveEquilibriumHetero:
