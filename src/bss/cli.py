@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -201,6 +200,7 @@ def _cmd_simulate(args) -> int:
             "horizon": args.horizon,
             "sample_dt": args.sample_dt,
             "events": traj.event_count,
+            "stats": traj.stats,
         },
     )
     return 0
@@ -328,18 +328,10 @@ def _cmd_sweep(args) -> int:
     started = time.perf_counter()
     par = _load_params(args.config)
     x_values, y_values = _parse_grid_spec(args.grid, args.plane)
+    # a node solve holds the interpreter lock almost throughout, so threads
+    # only added overhead; the thread count is still validated and recorded
     threads = _resolve_threads(args)
-    workers = max(1, min(threads, len(x_values)))
-    if workers == 1:
-        rows = sweep(args.plane, x_values, y_values, par)
-    else:
-        # fan out whole grid columns; map preserves submission order so the
-        # CSV is byte-identical for every thread count
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                lambda xv: sweep(args.plane, [xv], y_values, par), x_values
-            )
-            rows = [row for chunk in chunks for row in chunk]
+    rows = sweep(args.plane, x_values, y_values, par)
     header = ("x", "y", "ybar0", "ybar1", "ybarKm1", "ybarK", "entropy",
               "converged")
     _write_csv(args.out, header, ([row[h] for h in header] for row in rows))
@@ -495,7 +487,8 @@ def _build_parser() -> _Parser:
                    help="e.g. 'p=0:1:0.05,theta=0:2:0.1' (endpoints inclusive)")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for grid fan-out (default: BSS_THREADS or cores)")
+                   help="recorded in the manifest; the sweep runs serially "
+                        "(default: BSS_THREADS or cores)")
     p.add_argument("--out", required=True)
 
     p = add("verify", _cmd_verify, "run one verification experiment")

@@ -122,13 +122,24 @@ class ArrivalModel:
         return self.rate is not None
 
     def max_rate(self) -> float:
-        """Upper bound of the rate over one period (exact for constant models)."""
+        """Upper bound of the rate over one period (exact for constant models).
+
+        A grid maximum alone can undershoot between grid points, so this is
+        the smaller of two bounds that always hold: |c0| + sum_j(|b_j| + |c_j|),
+        and the grid maximum plus L*step/2, where L = (2pi/period) *
+        sum_j j(|b_j| + |c_j|) bounds |lambda'| and no instant lies further
+        than step/2 from a grid point.
+        """
         if self.rate is not None:
             return self.rate
         f = self.fourier
-        n = int(math.ceil(f.period / RATE_GRID_STEP)) + 1
-        ts = np.linspace(0.0, f.period, n)
-        return float(np.max(arrival_rate(self, ts)))
+        ts = _period_grid(f)
+        mags = [abs(b) + abs(c) for b, c in zip(f.sin_coeffs, f.cos_coeffs)]
+        analytic = abs(f.intercept) + sum(mags)
+        slope = 2.0 * math.pi / f.period * sum(j * m for j, m in enumerate(mags, 1))
+        step = f.period / (len(ts) - 1)
+        sampled = float(np.max(arrival_rate(self, ts))) + slope * step / 2.0
+        return min(analytic, sampled)
 
 
 @dataclass(frozen=True)
@@ -268,6 +279,11 @@ def arrival_rate(model: ArrivalModel, t):
         + np.sin(w) @ np.asarray(f.sin_coeffs)
         + np.cos(w) @ np.asarray(f.cos_coeffs)
     )
+
+
+def _period_grid(f: FourierRateModel) -> np.ndarray:
+    """One period sampled at a step of at most RATE_GRID_STEP, ends included."""
+    return np.linspace(0.0, f.period, int(math.ceil(f.period / RATE_GRID_STEP)) + 1)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -419,9 +435,10 @@ def validate_params(raw) -> SystemParams:
     choice = _parse_choice(raw["choice"], "choice")
 
     if not arrival.is_constant:
-        f = arrival.fourier
-        n_grid = int(math.ceil(f.period / RATE_GRID_STEP)) + 1
-        ts = np.linspace(0.0, f.period, n_grid)
+        # A grid check can still miss a dip between grid points: a harmonic
+        # whose period is near the grid step (the 1200th over 24 h, sampled
+        # every 0.01 h, is zero at every grid point) can go negative unseen.
+        ts = _period_grid(arrival.fourier)
         vals = arrival_rate(arrival, ts)
         bad = np.nonzero(vals < 0)[0]
         if bad.size:

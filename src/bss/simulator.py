@@ -14,7 +14,7 @@ standard 64-bit mixing finalizer, so runs reproduce across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +93,8 @@ class TrajectorySample:
     y_series: np.ndarray | None
     r_series: np.ndarray
     event_count: int
+    # engine counters: events, thinning_rejections, empty_draws, recomputes
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,12 @@ def ratio_histogram(state: NetworkState, k_max: int) -> np.ndarray:
 
 
 class _Lumped:
-    """Occupancy-table state with incrementally maintained rate aggregates."""
+    """Occupancy-table state with incrementally maintained rate aggregates.
+
+    The rows of w are lists of Python ints and g a list of Python floats: the
+    event loop reads single cells, which is much cheaper on plain scalars than
+    on numpy ones, and float64 arithmetic gives the same bits on either.
+    """
 
     def __init__(self, params: SystemParams, state: NetworkState):
         caps = tuple(int(k) for k in np.unique(state.capacities))
@@ -197,31 +204,31 @@ class _Lumped:
         self.k_max = caps[-1]
         self.n = state.n_stations
         self.fleet = state.fleet
-        self.g = _weights_for(params, self.k_max)
-        self.w = []
-        for k in caps:
-            sel = state.counts[state.capacities == k]
-            self.w.append(np.bincount(sel, minlength=self.k_max + 1).astype(np.int64))
+        self.g = _weights_for(params, self.k_max).tolist()
+        self.w = [
+            np.bincount(state.counts[state.capacities == k],
+                        minlength=self.k_max + 1).tolist()
+            for k in caps
+        ]
         self.recompute()
 
     def recompute(self) -> None:
-        g = self.g
-        self.docked = int(sum(int((w * np.arange(self.k_max + 1)).sum()) for w in self.w))
-        self.big_g = float(sum(float(w @ g) for w in self.w))
-        self.g_pos = float(sum(float(w[1:] @ g[1:]) for w in self.w))
-        self.nonempty = int(sum(int(w[1:].sum()) for w in self.w))
-        self.open = int(
-            sum(int(w[:k].sum()) for w, k in zip(self.w, self.caps))
-        )
+        g = np.asarray(self.g)
+        ws = [np.asarray(w, dtype=np.int64) for w in self.w]
+        self.docked = int(sum(int((w * np.arange(self.k_max + 1)).sum()) for w in ws))
+        self.big_g = float(sum(float(w @ g) for w in ws))
+        self.g_pos = float(sum(float(w[1:] @ g[1:]) for w in ws))
+        self.nonempty = int(sum(int(w[1:].sum()) for w in ws))
+        self.open = int(sum(int(w[:k].sum()) for w, k in zip(ws, self.caps)))
 
     def check(self) -> None:
-        docked = sum(int((w * np.arange(self.k_max + 1)).sum()) for w in self.w)
+        docked = sum(m * v for w in self.w for m, v in enumerate(w))
         if docked != self.docked:
             raise AssertionError("docked-bike counter drifted from the table")
         if not (0 <= self.fleet - docked <= self.fleet):
             raise AssertionError("bikes in circulation out of range")
         for w, k in zip(self.w, self.caps):
-            if int(w.min()) < 0 or int(w[k + 1 :].sum()) != 0:
+            if min(w) < 0 or any(w[k + 1 :]):
                 raise AssertionError("occupancy table escaped its support")
 
     def apply_pickup(self, c: int, n: int) -> None:
@@ -253,13 +260,18 @@ class _Lumped:
             self.open -= 1
 
     def y_vector(self) -> np.ndarray:
-        return self.w[0] / self.n
+        return np.asarray(self.w[0]) / self.n
 
     def r_vector(self, bin_maps) -> np.ndarray:
-        r = np.zeros(self.k_max + 1)
-        for w, k, bins in zip(self.w, self.caps, bin_maps):
-            np.add.at(r, bins, w[: k + 1] / self.n)
-        return r
+        return _project(self.w, self.caps, bin_maps, self.n)
+
+
+def _project(rows, caps, bin_maps, scale) -> np.ndarray:
+    """Ratio histogram of per-class rows over counts, each divided by scale."""
+    r = np.zeros(len(rows[0]))
+    for row, k, bins in zip(rows, caps, bin_maps):
+        np.add.at(r, bins, np.asarray(row[: k + 1]) / scale)
+    return r
 
 
 def _prepare_initial(params: SystemParams, initial: NetworkState | None) -> NetworkState:
@@ -281,28 +293,50 @@ def _run_engine(
     initial: NetworkState | None,
     on_grid=None,
     times: np.ndarray | None = None,
-    on_interval=None,
+    occupancy_from: float | None = None,
     check_conservation: bool = False,
 ):
-    """Shared event loop. on_grid(idx, lumped) fires at grid instants with the
-    pre-event state; on_interval(t0, t1, lumped) covers constant-state spans."""
+    """Shared event loop; returns (stats, occ).
+
+    on_grid(idx, lumped) fires at grid instants with the pre-event state.
+    With occupancy_from=b, occ[c][m] is the integral over [b, horizon] of the
+    number of class-c stations holding m bikes (occ is None otherwise). An
+    event changes two cells, so only those are credited before it, each from
+    its own timestamp up to max(event time, b); every cell is credited once
+    more up to the horizon at the end.
+    """
     state = _prepare_initial(params, initial)
     lump = _Lumped(params, state)
     rng = np.random.default_rng(seed)
     p, mu = params.p, params.mu
     n, fleet = lump.n, lump.fleet
+    g, rows = lump.g, lump.w
     if params.arrival.is_constant:
         lam_bound = float(params.arrival.rate)
         thinning = False
     else:
-        lam_bound = params.arrival.max_rate() * 1.001
+        lam_bound = params.arrival.max_rate()
         thinning = True
 
-    cells = [(c, m) for c, k in enumerate(lump.caps) for m in range(k + 1)]
-    t = 0.0
+    # both scans walk the cells class-major; a pickup needs m >= 1 and a
+    # dropoff m < K_c
+    pick_cells = [(c, m, rows[c]) for c, k in enumerate(lump.caps) for m in range(1, k + 1)]
+    drop_cells = [(c, m, rows[c]) for c, k in enumerate(lump.caps) for m in range(k)]
+    occ = stamp = None
+    if occupancy_from is not None:
+        lo = occupancy_from
+        occ = [[0.0] * len(row) for row in rows]
+        stamp = [[lo] * len(row) for row in rows]
+
+    def credit(c, m, until):
+        occ[c][m] += rows[c][m] * (until - stamp[c][m])
+        stamp[c][m] = until
+
+    grid = [] if times is None else times.tolist()
+    n_grid = len(grid)
     grid_idx = 0
-    n_grid = 0 if times is None else len(times)
-    events = 0
+    t = 0.0
+    events = rejections = empty_draws = recomputes = 0
     exp_block = rng.standard_exponential(BLOCK)
     uni_block = rng.random((BLOCK, 2))
     cursor = 0
@@ -322,42 +356,37 @@ def _run_engine(
             exp_block = rng.standard_exponential(BLOCK)
             uni_block = rng.random((BLOCK, 2))
             cursor = 0
-        dt = exp_block[cursor] / total
-        u1, u2 = uni_block[cursor]
+        dt = exp_block.item(cursor) / total
+        u1 = uni_block.item(cursor, 0)
+        u2 = uni_block.item(cursor, 1)
         cursor += 1
         t_new = t + dt
 
-        while grid_idx < n_grid and times[grid_idx] <= min(t_new, horizon):
+        while grid_idx < n_grid and grid[grid_idx] <= min(t_new, horizon):
             on_grid(grid_idx, lump)
             grid_idx += 1
         if t_new >= horizon:
-            if on_interval is not None and t < horizon:
-                on_interval(t, horizon, lump)
-            t = horizon
             break
-        if on_interval is not None:
-            on_interval(t, t_new, lump)
         t = t_new
 
         x = u1 * total
+        c_hit = n_hit = -1
         if x < pick_bound:
             if thinning:
                 # x/pick_bound is uniform given the branch; accept at lam(t)/bound
                 if (x / pick_bound) * lam_bound >= arrival_rate(params.arrival, t):
+                    rejections += 1
                     continue
             w_un = (1.0 - p) * lump.nonempty
             w_in = 0.0
             if p > 0.0 and lump.big_g > TINY_DENOM:
                 w_in = p * n * (lump.g_pos / lump.big_g)
             y = u2 * (w_un + w_in)
-            c_hit = n_hit = -1
+            acc = 0.0
             if y < w_un or w_in == 0.0:
                 target = (y / (1.0 - p)) if p < 1.0 else 0.0
-                acc = 0.0
-                for c, m in cells:
-                    if m == 0:
-                        continue
-                    wv = lump.w[c][m]
+                for c, m, row in pick_cells:
+                    wv = row[m]
                     if wv:
                         acc += wv
                         c_hit, n_hit = c, m
@@ -365,48 +394,58 @@ def _run_engine(
                             break
             else:
                 target = (y - w_un) / w_in * lump.g_pos
-                acc = 0.0
-                for c, m in cells:
-                    if m == 0:
-                        continue
-                    wv = lump.w[c][m]
+                for c, m, row in pick_cells:
+                    wv = row[m]
                     if wv:
-                        acc += wv * lump.g[m]
+                        acc += wv * g[m]
                         c_hit, n_hit = c, m
                         if acc > target:
                             break
-            if n_hit < 0:
-                continue
-            lump.apply_pickup(c_hit, n_hit)
+            step = -1
         else:
             target = (x - pick_bound) / drop_tot * lump.open
             acc = 0.0
-            c_hit = n_hit = -1
-            for c, m in cells:
-                if m >= lump.caps[c]:
-                    continue
-                wv = lump.w[c][m]
+            for c, m, row in drop_cells:
+                wv = row[m]
                 if wv:
                     acc += wv
                     c_hit, n_hit = c, m
                     if acc > target:
                         break
-            if n_hit < 0:
-                continue
+            step = 1
+        if n_hit < 0:
+            empty_draws += 1
+            continue
+        if occ is not None:
+            until = t if t > lo else lo
+            credit(c_hit, n_hit, until)
+            credit(c_hit, n_hit + step, until)
+        if step < 0:
+            lump.apply_pickup(c_hit, n_hit)
+        else:
             lump.apply_dropoff(c_hit, n_hit)
         events += 1
         if check_conservation:
             lump.check()
         if events % RECOMPUTE_EVERY == 0:
             lump.recompute()
+            recomputes += 1
 
     # grid instants not reached by any event (absorbing or quiet tail)
-    while grid_idx < n_grid and times[grid_idx] <= horizon:
+    while grid_idx < n_grid and grid[grid_idx] <= horizon:
         on_grid(grid_idx, lump)
         grid_idx += 1
-    if on_interval is not None and t < horizon:
-        on_interval(t, horizon, lump)
-    return lump, events
+    if occ is not None:
+        for c, row in enumerate(rows):
+            for m in range(len(row)):
+                credit(c, m, horizon)
+    stats = {
+        "events": events,
+        "thinning_rejections": rejections,
+        "empty_draws": empty_draws,
+        "recomputes": recomputes,
+    }
+    return stats, occ
 
 
 def _grid(horizon: float, sample_dt: float) -> np.ndarray:
@@ -443,12 +482,12 @@ def simulate(
             y_series[idx] = lump.y_vector()
         r_series[idx] = lump.r_vector(bin_maps)
 
-    _, events = _run_engine(
+    stats, _ = _run_engine(
         params, horizon, seed, initial,
         on_grid=on_grid, times=times,
         check_conservation=check_conservation,
     )
-    return TrajectorySample(times, y_series, r_series, events)
+    return TrajectorySample(times, y_series, r_series, stats["events"], stats)
 
 
 def stationary_average(
@@ -465,21 +504,11 @@ def stationary_average(
     """
     if horizon <= burn_in:
         raise ValidationError("horizon must exceed burn_in")
-    uniform = params.is_uniform
     caps = params.capacity_values
-    k_max = params.k_max
-    bin_maps = [ratio_bins(k, k_max) for k in caps]
-    acc = np.zeros(k_max + 1)
-
-    def on_interval(t0, t1, lump):
-        lo, hi = max(t0, burn_in), min(t1, horizon)
-        if hi <= lo:
-            return
-        vec = lump.y_vector() if uniform else lump.r_vector(bin_maps)
-        acc[:] += (hi - lo) * vec
-
-    _run_engine(params, horizon, seed, initial, on_interval=on_interval)
-    return acc / (horizon - burn_in)
+    # for a uniform capacity the ratio bins are the identity
+    bin_maps = [ratio_bins(k, params.k_max) for k in caps]
+    _, occ = _run_engine(params, horizon, seed, initial, occupancy_from=burn_in)
+    return _project(occ, caps, bin_maps, params.n_stations) / (horizon - burn_in)
 
 
 def ensemble(
@@ -513,7 +542,7 @@ def ensemble(
         lam_bound = float(params.arrival.rate)
         thinning = False
     else:
-        lam_bound = params.arrival.max_rate() * 1.001
+        lam_bound = params.arrival.max_rate()
         thinning = True
     bound = lam_bound * n + mu * fleet
 

@@ -151,6 +151,9 @@ def test_simulate_long_format_and_rerun_bytes(base_cfg, tmp_path):
     man = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert man["seed"] == 42
     assert man["details"]["events"] > 0
+    stats = man["details"]["stats"]
+    assert stats["events"] == man["details"]["events"]
+    assert stats["thinning_rejections"] == 0
 
 
 def test_simulate_seed_changes_output(base_cfg, tmp_path):

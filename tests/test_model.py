@@ -127,6 +127,21 @@ class TestArrivalRate:
         for t, v in zip(ts, vals):
             assert arrival_rate(m, float(t)) == pytest.approx(v, abs=1e-12)
 
+    def test_max_rate_bounds_a_harmonic_the_grid_misses(self):
+        # the 1200th harmonic over 24 h vanishes at every 0.01 h grid point,
+        # so the grid maximum is the intercept 5.0; the true maximum is 9.9
+        m = ArrivalModel(fourier=FourierRateModel(
+            intercept=5.0, sin_coeffs=(0.0,) * 1199 + (4.9,),
+            cos_coeffs=(0.0,) * 1200))
+        dense = arrival_rate(m, np.linspace(0.0, 0.1, 20_001)).max()
+        assert dense == pytest.approx(9.9, abs=1e-6)
+        assert m.max_rate() >= dense
+
+    def test_max_rate_bounds_a_dense_grid(self):
+        m = ArrivalModel(fourier=WEEKDAY_FIT)
+        dense = arrival_rate(m, np.linspace(0.0, 24.0, 240_001)).max()
+        assert dense <= m.max_rate() <= dense + 0.01 * dense
+
     def test_negative_constant_rejected(self):
         with pytest.raises(ValidationError):
             ArrivalModel(rate=-0.1)

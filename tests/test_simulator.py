@@ -221,6 +221,29 @@ def test_simulate_conservation_checks_pass():
     assert docked.max() <= 120 + 1e-9
 
 
+def test_simulate_conservation_checks_pass_capacity_mix_p1():
+    par = make_params(
+        n_stations=40, gamma=3.0, p=1.0,
+        capacity={"values": [2, 6], "fractions": [0.5, 0.5]},
+    )
+    traj = simulate(par, horizon=10.0, sample_dt=0.5, seed=9,
+                    check_conservation=True)
+    assert traj.event_count > 0
+    assert np.abs(traj.r_series.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_simulate_reports_engine_stats():
+    traj = simulate(make_params(), horizon=5.0, sample_dt=1.0, seed=3)
+    assert traj.stats == {"events": traj.event_count, "thinning_rejections": 0,
+                          "empty_draws": 0, "recomputes": 0}
+    # a rate well below its bound most of the period rejects candidates
+    par = make_params(arrival={"fourier": {"intercept": 1.0, "sin": [0.9],
+                                           "cos": [0.0], "period": 24.0}})
+    traj = simulate(par, horizon=24.0, sample_dt=1.0, seed=3)
+    assert traj.stats["events"] == traj.event_count > 0
+    assert traj.stats["thinning_rejections"] > 0
+
+
 def test_simulate_custom_initial_state():
     par = make_params(n_stations=4, capacity=3, gamma=1.5)
     init = state_of([3, 3, 0, 0], [3, 3, 3, 3], 6)
@@ -385,6 +408,27 @@ def test_stationary_average_hetero_ratio():
     ym, rbar = solve_equilibrium_hetero(par)
     tv = 0.5 * np.abs(avg - rbar).sum()
     assert tv < 0.05
+
+
+@pytest.mark.parametrize("capacity", [5, {"values": [3, 6], "fractions": [0.5, 0.5]}])
+def test_stationary_average_split_window_additive(capacity):
+    # a seed's path is a prefix of itself whatever the horizon, so integrals
+    # over adjacent windows add up; the first triple starts at 0, before the
+    # first event, and its first window ends before that event too
+    par = make_params(capacity=capacity, gamma=2.0)
+    seed = 17
+
+    def integral(b, h):
+        return (h - b) * stationary_average(par, b, h, seed)
+
+    for b, h1, h2 in [(0.0, 1e-9, 3.0), (0.0, 2.0, 6.0), (1.5, 4.0, 9.0)]:
+        whole = integral(b, h2)
+        parts = integral(b, h1) + integral(h1, h2)
+        assert np.abs(whole - parts).max() <= 1e-12
+    # nothing happens within the first 1e-9 h: the average is the start state
+    st0 = round_robin_state(par)
+    np.testing.assert_allclose(stationary_average(par, 0.0, 1e-9, seed),
+                               ratio_histogram(st0, par.k_max), rtol=0, atol=1e-12)
 
 
 def test_stationary_average_rejects_bad_window():
