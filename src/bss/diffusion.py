@@ -5,6 +5,10 @@ driven by the drift Jacobian with instantaneous covariance given by the jump
 brackets of the CTMC. This module evaluates both matrices and integrates the
 resulting covariance ODE  Sigma' = J Sigma + Sigma J^T + A  alongside the
 mean-field trajectory.
+
+Both matrices come from the mean-field drift kernel: the product z = M y
+with the shift operators of meanfield._operators that gives the drift also
+gives J and A, and each covariance stage makes that product once.
 """
 
 from __future__ import annotations
@@ -14,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConvergenceError, SystemParams, ValidationError, arrival_rate
-from .meanfield import TINY_DENOM, MIN_STEP, _check_grid_and_step, drift
+from .meanfield import (
+    MIN_STEP,
+    TINY_DENOM,
+    _check_grid_and_step,
+    _drift_into,
+    _Kernel,
+)
 
 __all__ = [
     "CovarianceState",
@@ -39,60 +49,48 @@ def _require_uniform(params: SystemParams) -> int:
     return params.uniform_capacity
 
 
-def _rates(y: np.ndarray, params: SystemParams, t: float):
-    """Down-rates lam*c_n*y_n, up-rate coefficient a, and the pieces needed
-    for the Jacobian. c_n = (1-p) + p*g(n)/sum_j g(j) y_j."""
+def _linearize(y, params: SystemParams, t: float):
+    """Drift at y and the kernel holding z = M y and the block weights; a
+    vanished choice normaliser raises, as J and A need the informed term."""
     k = _require_uniform(params)
-    g = params.choice_weights()
-    lam = arrival_rate(params.arrival, t)
-    p, mu = params.p, params.mu
-    n_idx = np.arange(k + 1, dtype=float)
-    a = mu * (params.gamma - float(n_idx @ y))
-    if p > 0.0:
-        s = float(g @ y)
-        if s <= TINY_DENOM:
-            raise ValidationError(
-                "choice denominator vanished; interior measure required"
-            )
-        c = (1.0 - p) + p * g / s
-    else:
-        s = 0.0
-        c = np.ones(k + 1)
-    return k, g, lam, p, mu, n_idx, a, s, c
+    kern = _Kernel(params)
+    b = _drift_into(y, kern, arrival_rate(params.arrival, t), np.empty(k + 1))
+    if params.p > 0.0 and not (kern.z[-2] > TINY_DENOM):
+        raise ValidationError(
+            "choice denominator vanished; interior measure required"
+        )
+    return b, kern
+
+
+def _jacobian(kern) -> np.ndarray:
+    # J = lam(1-p) D + (lam p/s) DG + a U - mu (Uy) n^T - (lam p/s^2) (DGy) g^T
+    size = kern.stack.shape[1]
+    coef, blocks, (g, n) = kern.coef, kern.blocks, kern.stack[-2:]
+    j = np.dot(coef, kern.stack[: 3 * size].reshape(3, -1)).reshape(size, size)
+    j -= np.outer(blocks[2], kern.mu * n)
+    if coef[1] != 0.0:
+        j -= np.outer(blocks[1], (coef[1] / kern.z[-2]) * g)
+    return j
+
+
+def _bracket(y, kern) -> np.ndarray:
+    # A = D diag(f) D^T + U diag(u) U^T over the pickup flows f and the
+    # dropoff flows u out of each cell
+    size = kern.stack.shape[1]
+    d, u, g = kern.stack[:size], kern.stack[2 * size : 3 * size], kern.stack[-2]
+    coef = kern.coef
+    f = coef[0] * y + coef[1] * (g * y)
+    return (d * f) @ d.T + (u * (coef[2] * y)) @ u.T
 
 
 def jacobian(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
     """Drift Jacobian J[n, i] = d b_n / d y_i, assembled in closed form.
 
-    b_n = (lam*c_{n+1}*y_{n+1} - a*y_n) 1{n<K} + (a*y_{n-1} - lam*c_n*y_n) 1{n>0}
-    with a = mu*(gamma - sum_j j y_j). Differentiating pulls in two dense
-    rank-one pieces: a depends on the mean and c_n on the choice denominator.
+    The drift b = lam(1-p) Dy + (lam p/s) DGy + a Uy is linear in y apart
+    from a = mu(gamma - n.y) and s = g.y, so J is the three shift operators
+    plus two dense rank-one pieces: -mu (Uy) n^T and -(lam p/s^2) (DGy) g^T.
     """
-    y = np.asarray(y, dtype=float)
-    k, g, lam, p, mu, n_idx, a, s, c = _rates(y, params, t)
-    j = np.zeros((k + 1, k + 1))
-    rows = np.arange(k + 1)
-
-    # transition coefficients hit by the Kronecker terms
-    j[rows[:-1], rows[:-1] + 1] += lam * c[1:]
-    j[rows[:-1], rows[:-1]] -= a
-    j[rows[1:], rows[1:] - 1] += a
-    j[rows[1:], rows[1:]] -= lam * c[1:]
-
-    # a(y) varies with the docked mean: da/dy_i = -mu*i
-    lower = np.zeros(k + 1)
-    lower[:-1] = y[:-1]  # coefficient of a in b_n for n<K is -y_n
-    upper = np.zeros(k + 1)
-    upper[1:] = y[:-1]  # coefficient of a in b_n for n>0 is +y_{n-1}
-    j += np.outer(upper - lower, -mu * n_idx)
-
-    if p > 0.0:
-        # c_n varies with the denominator: dc_n/dy_i = -p*g(n)*g(i)/s^2
-        coef = np.zeros(k + 1)
-        coef[:-1] += g[1:] * y[1:]  # +lam*c_{n+1}*y_{n+1} term, n<K
-        coef[1:] -= g[1:] * y[1:]  # -lam*c_n*y_n term, n>0
-        j += np.outer(coef, -lam * p * g / (s * s))
-    return j
+    return _jacobian(_linearize(np.asarray(y, dtype=float), params, t)[1])
 
 
 def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
@@ -100,25 +98,11 @@ def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.nd
 
     Each pickup at a station holding n bikes moves empirical mass n -> n-1,
     each dropoff n -> n+1; the bracket is the sum of rate * (e_to - e_from)
-    (e_to - e_from)^T, a tridiagonal matrix with zero row sums.
+    (e_to - e_from)^T, that is D diag(f) D^T + U diag(u) U^T over the pickup
+    flows f and dropoff flows u: a tridiagonal matrix with zero row sums.
     """
     y = np.asarray(y, dtype=float)
-    k, g, lam, p, mu, n_idx, a, s, c = _rates(y, params, t)
-    down = np.zeros(k + 1)
-    down[1:] = lam * c[1:] * y[1:]
-    up = np.zeros(k + 1)
-    up[:-1] = a * y[:-1]
-
-    mat = np.zeros((k + 1, k + 1))
-    rows = np.arange(k + 1)
-    off = down[1:] + up[:-1]
-    mat[rows[:-1], rows[:-1] + 1] = -off
-    mat[rows[1:], rows[1:] - 1] = -off
-    diag = down + up
-    diag[:-1] += down[1:]
-    diag[1:] += up[:-1]
-    mat[rows, rows] = diag
-    return mat
+    return _bracket(y, _linearize(y, params, t)[1])
 
 
 def _rk4_fixed(fun, z0: np.ndarray, t_grid: np.ndarray, h: float, guard=None):
@@ -186,15 +170,16 @@ def integrate_covariance(
         raise ValidationError(f"sigma0 must be {dim}x{dim}")
     if np.abs(sigma0 - sigma0.T).max() > 1e-10:
         raise ValidationError("sigma0 must be symmetric")
+    # with Sigma exactly symmetric, Sigma J^T is the transpose of J Sigma
+    sigma0 = 0.5 * (sigma0 + sigma0.T)
 
     def fun(t, z):
         y = z[:dim]
-        sig = z[dim:].reshape(dim, dim)
-        dy = drift(y, params, t)
-        jac = jacobian(y, params, t)
-        dsig = jac @ sig + sig @ jac.T
+        dy, kern = _linearize(y, params, t)
+        jsig = _jacobian(kern) @ z[dim:].reshape(dim, dim)
+        dsig = jsig + jsig.T
         if not zero_bracket:
-            dsig = dsig + bracket_matrix(y, params, t)
+            dsig += _bracket(y, kern)
         return np.concatenate([dy, dsig.ravel()])
 
     def guard(z):
@@ -215,8 +200,11 @@ def ratio_covariance(sigmas, capacities, k_max: int | None = None) -> np.ndarray
 
     The ratio fluctuation at bin j sums, over capacity classes k, the
     fluctuation at the unique count n with floor(n*k_max/k) = j (no such n
-    contributes zero). Classes fluctuate independently, so covariances add:
-    out = sum_k P_k Sigma_k P_k^T with P_k the 0/1 bin-assignment map.
+    contributes zero). This sums the per-class blocks only:
+    out = sum_k P_k Sigma_k P_k^T with P_k the 0/1 bin-assignment map. The
+    classes are not independent; they couple through the shared spare-bike
+    level and the choice normaliser, so the joint covariance has cross-class
+    blocks, which this sum omits.
     """
     capacities = [int(k) for k in capacities]
     if len(sigmas) != len(capacities):

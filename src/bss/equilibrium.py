@@ -23,7 +23,7 @@ from .model import (
     ConvergenceError,
     SystemParams,
     ValidationError,
-    choice_weight,
+    choice_weights,
 )
 from .meanfield import (
     TINY_DENOM,
@@ -112,7 +112,7 @@ def _class_structure(params: SystemParams):
     caps = params.capacity_values
     fracs = params.capacity_fractions
     k_max = caps[-1]
-    g = choice_weight(params.choice, np.arange(k_max + 1))
+    g = choice_weights(params.choice, k_max)
     return caps, np.asarray(fracs, dtype=float), g
 
 
@@ -413,7 +413,7 @@ def _reference_measure(y, params: SystemParams):
         raise ValidationError(f"measure must have length {k + 1}, got {y.shape}")
     if not (y.min() > 0.0):
         raise ValidationError("boundary measure: reference needs interior y")
-    g = choice_weight(params.choice, np.arange(k + 1))
+    g = choice_weights(params.choice, k)
     a = params.gamma - float(np.arange(k + 1) @ y)
     if not (a > 0.0):
         raise ValidationError(

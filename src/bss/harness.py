@@ -18,6 +18,7 @@ from .model import (
     SystemParams,
     ValidationError,
     arrival_rate,
+    choice_weights,
 )
 from .meanfield import TINY_DENOM, integrate
 from .diffusion import integrate_covariance
@@ -263,7 +264,7 @@ def _generator_apply(f, y: np.ndarray, par: SystemParams, t: float) -> float:
     """
     k = par.uniform_capacity
     n = par.n_stations
-    g = par.choice_weights()
+    g = choice_weights(par.choice, k)
     lam = arrival_rate(par.arrival, t)
     p = par.p
     denom = float(g @ y)

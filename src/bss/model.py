@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,12 +21,18 @@ __all__ = [
     "ArrivalModel",
     "SystemParams",
     "choice_weight",
+    "choice_weights",
     "arrival_rate",
     "validate_params",
 ]
 
 # Grid step (hours) for the non-negativity scan of time-varying rates.
 RATE_GRID_STEP = 0.01
+
+# Resolution of the non-negativity check of Fourier rates, as a fraction of
+# |c0| + sum_j(|b_j| + |c_j|): only a value below minus this counts as
+# negative, so a minimum of exactly zero passes despite rounding.
+RATE_DIP_RESOLUTION = 1e-9
 
 CHOICE_KINDS = ("exponential", "minimum", "polynomial", "none")
 
@@ -134,9 +141,7 @@ class ArrivalModel:
             return self.rate
         f = self.fourier
         ts = _period_grid(f)
-        mags = [abs(b) + abs(c) for b, c in zip(f.sin_coeffs, f.cos_coeffs)]
-        analytic = abs(f.intercept) + sum(mags)
-        slope = 2.0 * math.pi / f.period * sum(j * m for j, m in enumerate(mags, 1))
+        analytic, slope = _rate_bounds(f)
         step = f.period / (len(ts) - 1)
         sampled = float(np.max(arrival_rate(self, ts))) + slope * step / 2.0
         return min(analytic, sampled)
@@ -193,10 +198,6 @@ class SystemParams:
     def station_capacities(self) -> np.ndarray:
         """Per-station capacities, stations grouped by ascending class."""
         return np.repeat(np.asarray(self.capacity_values), self.class_sizes())
-
-    def choice_weights(self) -> np.ndarray:
-        """g(n) for n = 0..k_max."""
-        return choice_weight(self.choice, np.arange(self.k_max + 1))
 
     def to_config(self) -> dict:
         cap: object
@@ -256,6 +257,16 @@ def choice_weight(spec: ChoiceSpec, n):
     return out
 
 
+@lru_cache(maxsize=128)
+def choice_weights(spec: ChoiceSpec, k_max: int) -> np.ndarray:
+    """g(n) for n = 0..k_max, cached and read-only: the one table of choice
+    weights that the simulator, mean-field, diffusion, equilibrium and
+    harness layers share."""
+    w = choice_weight(spec, np.arange(k_max + 1))
+    w.setflags(write=False)
+    return w
+
+
 def arrival_rate(model: ArrivalModel, t):
     """Rate lambda(t) in trips per station per hour; t may be scalar or array."""
     if model.rate is not None:
@@ -284,6 +295,43 @@ def arrival_rate(model: ArrivalModel, t):
 def _period_grid(f: FourierRateModel) -> np.ndarray:
     """One period sampled at a step of at most RATE_GRID_STEP, ends included."""
     return np.linspace(0.0, f.period, int(math.ceil(f.period / RATE_GRID_STEP)) + 1)
+
+
+def _rate_bounds(f: FourierRateModel) -> tuple[float, float]:
+    """|c0| + sum_j(|b_j| + |c_j|), which bounds |lambda|, and
+    L = (2pi/period) * sum_j j(|b_j| + |c_j|), which bounds |lambda'|."""
+    mags = [abs(b) + abs(c) for b, c in zip(f.sin_coeffs, f.cos_coeffs)]
+    slope = 2.0 * math.pi / f.period * sum(j * m for j, m in enumerate(mags, 1))
+    return abs(f.intercept) + sum(mags), slope
+
+
+def _first_negative(model: ArrivalModel):
+    """(t, rate) of the first negative rate found over one period, or None.
+
+    The period grid comes first. Every instant lies within half a grid step
+    of a grid point and the rate moves by at most L per hour, so only a cell
+    whose centre value is below L times its half-width can hold a negative
+    rate; such cells are halved until a negative value turns up or L times
+    the half-width falls below the resolution.
+    """
+    f = model.fourier
+    scale, slope = _rate_bounds(f)
+    tol = RATE_DIP_RESOLUTION * scale
+    ts = _period_grid(f)
+    block = ts.size  # instants per evaluation, which bounds the temporaries
+    half = f.period / (ts.size - 1) / 2.0
+    while ts.size:
+        vals = np.concatenate([arrival_rate(model, ts[i : i + block])
+                               for i in range(0, ts.size, block)])
+        neg = np.flatnonzero(~(vals >= -tol))  # NaN counts as negative
+        if neg.size:
+            return float(ts[neg[0]]), float(vals[neg[0]])
+        if not (slope * half > tol):
+            return None
+        suspect = ts[vals - slope * half < 0]
+        half /= 2.0
+        ts = np.sort(np.concatenate([suspect - half, suspect + half]) % f.period)
+    return None
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -387,8 +435,9 @@ def validate_params(raw) -> SystemParams:
     """Validate a raw configuration tree (or re-validate a SystemParams).
 
     Reconciles fleet and gamma, normalizes the capacity distribution, and
-    checks the arrival rate is non-negative over one period on a dense grid.
-    Idempotent: passing a SystemParams returns it unchanged.
+    checks the arrival rate is non-negative over one period: on a dense
+    grid, then between grid points wherever the rate's slope bound leaves
+    room for a dip. Idempotent: passing a SystemParams returns it unchanged.
     """
     if isinstance(raw, SystemParams):
         return raw
@@ -435,16 +484,10 @@ def validate_params(raw) -> SystemParams:
     choice = _parse_choice(raw["choice"], "choice")
 
     if not arrival.is_constant:
-        # A grid check can still miss a dip between grid points: a harmonic
-        # whose period is near the grid step (the 1200th over 24 h, sampled
-        # every 0.01 h, is zero at every grid point) can go negative unseen.
-        ts = _period_grid(arrival.fourier)
-        vals = arrival_rate(arrival, ts)
-        bad = np.nonzero(vals < 0)[0]
-        if bad.size:
-            i = int(bad[0])
+        neg = _first_negative(arrival)
+        if neg is not None:
             raise ValidationError(
-                f"arrival rate is negative at t={ts[i]:.2f} h (value {vals[i]:.6g})"
+                f"arrival rate is negative at t={neg[0]:.6g} h (value {neg[1]:.6g})"
             )
 
     return SystemParams(

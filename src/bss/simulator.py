@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SystemParams, ValidationError, arrival_rate
+from .model import SystemParams, ValidationError, arrival_rate, choice_weights
 from .meanfield import TINY_DENOM, HeterogeneousMeasure, ratio_bins
 
 __all__ = [
@@ -130,19 +130,13 @@ def round_robin_state(params: SystemParams) -> NetworkState:
     return NetworkState(counts, caps, m)
 
 
-def _weights_for(params: SystemParams, k_max: int) -> np.ndarray:
-    from .model import choice_weight
-
-    return choice_weight(params.choice, np.arange(k_max + 1))
-
-
 def pickup_rate(state: NetworkState, i: int, params: SystemParams, t: float = 0.0) -> float:
     """Per-station pickup rate at time t; zero at an empty station."""
     x = int(state.counts[i])
     if x <= 0:
         return 0.0
     lam = arrival_rate(params.arrival, t)
-    g = _weights_for(params, int(state.capacities.max()))
+    g = choice_weights(params.choice, int(state.capacities.max()))
     rate = (1.0 - params.p) * lam
     if params.p > 0.0:
         total = float(g[state.counts].sum())
@@ -204,7 +198,7 @@ class _Lumped:
         self.k_max = caps[-1]
         self.n = state.n_stations
         self.fleet = state.fleet
-        self.g = _weights_for(params, self.k_max).tolist()
+        self.g = choice_weights(params.choice, self.k_max).tolist()
         self.w = [
             np.bincount(state.counts[state.capacities == k],
                         minlength=self.k_max + 1).tolist()
@@ -537,7 +531,7 @@ def ensemble(
     state = _prepare_initial(params, initial)
     k = params.uniform_capacity
     n, fleet, p, mu = params.n_stations, params.fleet, params.p, params.mu
-    g = _weights_for(params, k)
+    g = choice_weights(params.choice, k)
     if params.arrival.is_constant:
         lam_bound = float(params.arrival.rate)
         thinning = False

@@ -142,6 +142,29 @@ def test_bracket_support_of_point_mass():
     assert a[3, 3] > 0.0
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_bracket_matches_transition_sum(p):
+    # sum over transitions of rate * (e_to - e_from)(e_to - e_from)^T, with
+    # the rates written out from the model: pickups lam*((1-p) + p*g(n)/s)
+    # per station at n, dropoffs mu*(gamma - mean) per station below K
+    k, lam, gamma = 6, 1.3, 3.0
+    par = make_params(capacity=k, gamma=gamma, p=p, arrival={"constant": lam})
+    y = interior_point(np.random.default_rng(4), k + 1)
+    g = np.exp(np.arange(k + 1.0))  # exponential choice, theta = 1
+    s = float(g @ y)
+    spare = par.mu * (gamma - float(np.arange(k + 1) @ y))
+    eye = np.eye(k + 1)
+    want = np.zeros((k + 1, k + 1))
+    for n in range(k + 1):
+        if n > 0:
+            jump = eye[n - 1] - eye[n]
+            want += lam * ((1 - p) + p * g[n] / s) * y[n] * np.outer(jump, jump)
+        if n < k:
+            jump = eye[n + 1] - eye[n]
+            want += spare * y[n] * np.outer(jump, jump)
+    np.testing.assert_allclose(bracket_matrix(y, par), want, rtol=1e-13, atol=1e-15)
+
+
 def test_bracket_tridiagonal():
     rng = np.random.default_rng(9)
     par = make_params(capacity=9, gamma=4.0)

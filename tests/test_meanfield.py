@@ -226,16 +226,36 @@ class TestIntegrate:
             integrate(y0, params, np.array([0.0, 10.0]), h=0.01)
 
     def test_buffered_and_generic_routes_agree(self):
-        # constant-rate integrations take a buffered fast path; it must
-        # reproduce the generic stepper exactly
-        from bss.meanfield import _rk4_path, drift as _drift
-
-        params = make_params(gamma=5, capacity=10, choice={"kind": "exponential", "theta": 1.0})
-        rng = np.random.default_rng(5)
-        y0 = physical_simplex(rng, 11, params.gamma)
+        # integrate and integrate_hetero take the buffered route; it must
+        # reproduce the generic stepper over drift / drift_hetero exactly,
+        # for a constant rate, a Fourier rate and a capacity mix
         grid = np.linspace(0.0, 20.0, 9)
-        fast = integrate(y0, params, grid, h=0.01)
-        slow = _rk4_path(lambda t, y: _drift(y, params, t), y0, grid, 0.01)
+        fourier = {"fourier": {"intercept": 1.0, "sin": [0.5, 0.2], "cos": [0.3, 0.0]}}
+        for arrival in ({"constant": 1.0}, fourier):
+            params = make_params(
+                gamma=5, capacity=10, arrival=arrival,
+                choice={"kind": "exponential", "theta": 1.0},
+            )
+            rng = np.random.default_rng(5)
+            y0 = physical_simplex(rng, 11, params.gamma)
+            fast = integrate(y0, params, grid, h=0.01)
+            slow = _rk4_path(lambda t, y: drift(y, params, t), y0, grid, 0.01)
+            assert np.array_equal(fast, slow), arrival
+
+        params = make_params(
+            n_stations=100, gamma=4.0,
+            capacity={"values": [4, 10], "fractions": [0.5, 0.5]},
+            choice={"kind": "exponential", "theta": 0.5},
+        )
+        ym0 = builtin_measure(params, "uniform")
+        shape = ym0.table.shape
+
+        def fun(t, flat):
+            ym = HeterogeneousMeasure(params.capacity_values, flat.reshape(shape))
+            return drift_hetero(ym, params, t).ravel()
+
+        fast = integrate_hetero(ym0, params, grid, h=0.01)
+        slow = _rk4_path(fun, ym0.table.ravel(), grid, 0.01).reshape(fast.shape)
         assert np.array_equal(fast, slow)
 
     def test_buffered_route_exact_past_fixed_point(self):
@@ -246,12 +266,14 @@ class TestIntegrate:
         params = make_params(
             gamma=2.0, capacity=5, choice={"kind": "exponential", "theta": 2.0}
         )
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(7)
         y0 = physical_simplex(rng, 6, params.gamma)
         grid = np.array([0.0, 2.5, 35.0, 35.015, 35.385, 50.0])
         fast = integrate(y0, params, grid, h=0.01)
         slow = _rk4_path(lambda t, y: drift(y, params, t), y0, grid, 0.01)
         assert np.array_equal(fast, slow)
+        one_step = integrate(fast[2], params, [0.0, 0.01], h=0.01)[-1]
+        assert one_step.tobytes() == fast[2].tobytes()
         assert fast[3].tobytes() != fast[2].tobytes()
         assert fast[3].tobytes() == fast[-1].tobytes()
 

@@ -180,6 +180,28 @@ class TestValidateParams:
         with pytest.raises(ValidationError, match=r"negative at t=1\.05"):
             validate_params(cfg)
 
+    def test_negative_dip_between_grid_points_rejected(self):
+        # the 1200th harmonic over 24 h is zero at every 0.01 h grid point;
+        # with amplitude 5.1 over an intercept of 5.0 the rate reaches -0.1
+        # between them (first near t = 0.015 h)
+        cfg = base_config(arrival={"fourier": {
+            "intercept": 5.0, "sin": [0.0] * 1199 + [5.1], "cos": [0.0] * 1200}})
+        with pytest.raises(ValidationError, match=r"negative at t=0\.01\d* h"):
+            validate_params(cfg)
+
+    @pytest.mark.parametrize("fourier", [
+        {"intercept": 1.0, "sin": [1.0], "cos": [0.0]},
+        # touches zero near t=14.46 h, where rounding evaluates to -5.6e-17
+        {"intercept": 0.5, "sin": [0.3], "cos": [0.4]},
+    ])
+    def test_zero_minimum_validates(self, fourier):
+        validate_params(base_config(arrival={"fourier": fourier}))
+
+    def test_nan_fourier_rate_rejected(self):
+        cfg = base_config(arrival={"fourier": {"intercept": 1.0, "sin": [math.nan], "cos": [0.0]}})
+        with pytest.raises(ValidationError, match="value nan"):
+            validate_params(cfg)
+
     def test_idempotent(self):
         params = validate_params(base_config())
         assert validate_params(params) is params
