@@ -26,6 +26,7 @@ from . import __version__
 from .model import ConvergenceError, SystemParams, ValidationError, validate_params
 from .meanfield import (
     HeterogeneousMeasure,
+    _sample_grid,
     builtin_measure,
     integrate,
     integrate_hetero,
@@ -58,65 +59,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return FLOAT_FMT % float(v)
+# kind of an array column's dtype -> printf field; "%d" % v equals
+# str(int(v)) for integers and bools
+_CSV_FIELDS = {"b": "%d", "i": "%d", "u": "%d", "f": FLOAT_FMT, "U": "%s"}
+
+# rows formatted per write: one C-level % per block keeps the text of a
+# block, not of the whole file, in memory
+CSV_BLOCK = 4096
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, *columns) -> None:
+    """Write equal-length columns as CSV rows, streamed in blocks.
+
+    A str column is a literal repeated on every row. An array column is
+    printed per value by its dtype: integers and bools with %d, floats with
+    FLOAT_FMT, strings with %s.
+    """
+    fields, arrays = [], []
+    for col in columns:
+        if isinstance(col, str):
+            fields.append(col.replace("%", "%%"))
+            continue
+        arr = np.asarray(col)
+        if arr.ndim != 1 or arr.dtype.kind not in _CSV_FIELDS:
+            raise TypeError(
+                f"CSV column must be a str or a 1-d array, got {arr.dtype} {arr.shape}"
+            )
+        fields.append(_CSV_FIELDS[arr.dtype.kind])
+        arrays.append(arr)
+    sizes = {arr.size for arr in arrays}
+    if len(sizes) != 1:
+        raise ValueError(f"CSV columns need one common length, got {sorted(sizes)}")
+    n_rows = sizes.pop()
+    row = ",".join(fields) + "\n"
+    width = len(arrays)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n_rows, CSV_BLOCK):
+            hi = min(lo + CSV_BLOCK, n_rows)
+            values = [None] * ((hi - lo) * width)
+            for q, arr in enumerate(arrays):
+                values[q::width] = arr[lo:hi].tolist()
+            fh.write(row * (hi - lo) % tuple(values))
 
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _params_to_config(par: SystemParams) -> dict:
-    """JSON-able config equivalent to the validated parameters."""
-    if par.arrival.is_constant:
-        arrival = {"constant": float(par.arrival.rate)}
-    else:
-        f = par.arrival.fourier
-        arrival = {
-            "fourier": {
-                "intercept": float(f.intercept),
-                "sin": [float(v) for v in f.sin_coeffs],
-                "cos": [float(v) for v in f.cos_coeffs],
-                "period": float(f.period),
-            }
-        }
-    choice: dict = {"kind": par.choice.kind}
-    key = {"exponential": "theta", "minimum": "c", "polynomial": "alpha"}.get(
-        par.choice.kind
-    )
-    if key == "c":
-        choice[key] = int(par.choice.param)
-    elif key is not None:
-        choice[key] = float(par.choice.param)
-    if par.is_uniform:
-        capacity: object = int(par.uniform_capacity)
-    else:
-        capacity = {
-            "values": [int(v) for v in par.capacity_values],
-            "fractions": [float(v) for v in par.capacity_fractions],
-        }
-    return {
-        "n_stations": int(par.n_stations),
-        "fleet": int(par.fleet),
-        "mu": float(par.mu),
-        "p": float(par.p),
-        "arrival": arrival,
-        "choice": choice,
-        "capacity": capacity,
-    }
 
 
 def _load_params(path: str) -> SystemParams:
@@ -155,12 +145,6 @@ def _manifest(
     return path
 
 
-def _sample_grid(horizon: float, dt: float) -> np.ndarray:
-    if dt <= 0 or horizon < 0:
-        raise ValidationError("horizon must be >= 0 and sample-dt > 0")
-    return np.arange(int(math.floor(horizon / dt + 1e-9)) + 1) * dt
-
-
 def _parse_y0(par: SystemParams, spec: str):
     """builtin:<name> or a CSV file holding one value per line."""
     if spec.startswith("builtin:"):
@@ -175,26 +159,26 @@ def _parse_y0(par: SystemParams, spec: str):
 
 # ---------------------------------------------------------------- handlers
 
+def _write_series(path: str, times, observable: str, table) -> None:
+    """Long-format rows t,observable,index,value of a (time, index) table."""
+    n_t, width = table.shape
+    _write_csv(
+        path, ("t", "observable", "index", "value"),
+        np.repeat(times, width), observable, np.tile(np.arange(width), n_t),
+        table.ravel(),
+    )
+
+
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     par = _load_params(args.config)
     traj = simulate(par, args.horizon, args.sample_dt, args.seed)
-    rows = []
     if par.is_uniform:
-        for ti, t in enumerate(traj.times):
-            for n, v in enumerate(traj.y_series[ti]):
-                rows.append((t, "y", n, v))
+        _write_series(args.out, traj.times, "y", traj.y_series)
     else:
-        for ti, t in enumerate(traj.times):
-            for b, v in enumerate(traj.r_series[ti]):
-                rows.append((t, "r", b, v))
-    _write_csv(
-        args.out,
-        ("t", "observable", "index", "value"),
-        ((t, obs, i, v) for t, obs, i, v in rows),
-    )
+        _write_series(args.out, traj.times, "r", traj.r_series)
     _manifest(
-        args.out, "simulate", _params_to_config(par), args.seed, [args.out],
+        args.out, "simulate", par.to_config(), args.seed, [args.out],
         started,
         details={
             "horizon": args.horizon,
@@ -211,22 +195,15 @@ def _cmd_meanfield(args) -> int:
     par = _load_params(args.config)
     grid = _sample_grid(args.horizon, args.sample_dt)
     y0 = _parse_y0(par, args.y0)
-    rows = []
     if par.is_uniform:
-        path = integrate(y0, par, grid, h=args.step)
-        for ti, t in enumerate(grid):
-            for n, v in enumerate(path[ti]):
-                rows.append((t, "y", n, v))
+        _write_series(args.out, grid, "y", integrate(y0, par, grid, h=args.step))
     else:
-        tables = integrate_hetero(y0, par, grid, h=args.step)
         caps = tuple(par.capacity_values)
-        for ti, t in enumerate(grid):
-            ym = HeterogeneousMeasure(capacities=caps, table=tables[ti])
-            for b, v in enumerate(ratio_projection(ym)):
-                rows.append((t, "r", b, v))
-    _write_csv(args.out, ("t", "observable", "index", "value"), rows)
+        ratios = [ratio_projection(HeterogeneousMeasure(caps, tab))
+                  for tab in integrate_hetero(y0, par, grid, h=args.step)]
+        _write_series(args.out, grid, "r", np.array(ratios))
     _manifest(
-        args.out, "meanfield", _params_to_config(par), None, [args.out], started,
+        args.out, "meanfield", par.to_config(), None, [args.out], started,
         details={"horizon": args.horizon, "sample_dt": args.sample_dt,
                  "y0": args.y0, "step": args.step},
     )
@@ -240,14 +217,16 @@ def _cmd_diffusion(args) -> int:
     y0 = np.asarray(_parse_y0(par, args.y0), dtype=float)
     dim = par.uniform_capacity + 1
     states = integrate_covariance(y0, np.zeros((dim, dim)), par, grid, h=args.step)
-    rows = []
-    for state in states:
-        for i in range(dim):
-            for j in range(dim):
-                rows.append((state.t, i, j, state.sigma[i, j]))
-    _write_csv(args.out, ("t", "i", "j", "sigma_ij"), rows)
+    n_t = len(states)
+    _write_csv(
+        args.out, ("t", "i", "j", "sigma_ij"),
+        np.repeat([state.t for state in states], dim * dim),
+        np.tile(np.repeat(np.arange(dim), dim), n_t),
+        np.tile(np.arange(dim), n_t * dim),
+        np.array([state.sigma for state in states]).ravel(),
+    )
     _manifest(
-        args.out, "diffusion", _params_to_config(par), None, [args.out], started,
+        args.out, "diffusion", par.to_config(), None, [args.out], started,
         details={"horizon": args.horizon, "sample_dt": args.sample_dt,
                  "y0": args.y0, "step": args.step},
     )
@@ -257,12 +236,9 @@ def _cmd_diffusion(args) -> int:
 def _cmd_equilibrium(args) -> int:
     started = time.perf_counter()
     par = _load_params(args.config)
-    rows = []
     if par.is_uniform:
         eq = solve_equilibrium(par)
-        k = par.uniform_capacity
-        for n, v in enumerate(eq.y_bar):
-            rows.append((k, n, v))
+        table = eq.y_bar[None, :]
         details = {
             "residual": float(eq.residual),
             "iterations": int(eq.iterations),
@@ -273,13 +249,17 @@ def _cmd_equilibrium(args) -> int:
         }
     else:
         ym, _ = solve_equilibrium_hetero(par)
-        for c, k in enumerate(ym.capacities):
-            for n in range(k + 1):
-                rows.append((k, n, ym.table[c, n]))
+        table = ym.table
         details = {"k_max": int(ym.k_max)}
-    _write_csv(args.out, ("capacity", "n", "mass"), rows)
+    # one row per (class, count) cell with count <= capacity, class-major
+    caps = np.asarray(par.capacity_values)
+    live = np.arange(table.shape[1]) <= caps[:, None]
+    _write_csv(
+        args.out, ("capacity", "n", "mass"),
+        np.repeat(caps, caps + 1), np.nonzero(live)[1], table[live],
+    )
     _manifest(
-        args.out, "equilibrium", _params_to_config(par), None, [args.out],
+        args.out, "equilibrium", par.to_config(), None, [args.out],
         started, details=details,
     )
     return 0
@@ -334,10 +314,10 @@ def _cmd_sweep(args) -> int:
     rows = sweep(args.plane, x_values, y_values, par)
     header = ("x", "y", "ybar0", "ybar1", "ybarKm1", "ybarK", "entropy",
               "converged")
-    _write_csv(args.out, header, ([row[h] for h in header] for row in rows))
+    _write_csv(args.out, header, *(np.array([row[h] for row in rows]) for h in header))
     failed = sum(1 for row in rows if row["converged"] == 0)
     _manifest(
-        args.out, "sweep", _params_to_config(par), None, [args.out], started,
+        args.out, "sweep", par.to_config(), None, [args.out], started,
         details={"plane": args.plane, "grid": args.grid, "threads": threads,
                  "nodes": len(rows), "failed_nodes": failed},
     )
@@ -385,7 +365,7 @@ def _cmd_verify(args) -> int:
 
     _write_json(args.out, report.to_dict())
     _manifest(
-        args.out, "verify", _params_to_config(par), args.seed, [args.out],
+        args.out, "verify", par.to_config(), args.seed, [args.out],
         started, details={"suite": args.suite, **{k: opt[k] for k in sorted(opt)}},
     )
     print(f"{args.suite}: {report.status}")
@@ -425,9 +405,12 @@ def _cmd_gbfs_hist(args) -> int:
         info_doc = json.load(fh)
     snap = parse_gbfs(status_doc, info_doc)
     counts, ratios = snapshot_histograms(snap, args.k_max)
-    rows = [("count", n, v) for n, v in enumerate(counts)]
-    rows += [("ratio", b, v) for b, v in enumerate(ratios)]
-    _write_csv(args.out, ("observable", "index", "value"), rows)
+    _write_csv(
+        args.out, ("observable", "index", "value"),
+        np.repeat(["count", "ratio"], [counts.size, ratios.size]),
+        np.concatenate([np.arange(counts.size), np.arange(ratios.size)]),
+        np.concatenate([counts, ratios]),
+    )
     _manifest(
         args.out, "gbfs-hist",
         {"status": args.status, "info": args.info, "k_max": args.k_max},

@@ -49,17 +49,23 @@ def _require_uniform(params: SystemParams) -> int:
     return params.uniform_capacity
 
 
-def _linearize(y, params: SystemParams, t: float):
-    """Drift at y and the kernel holding z = M y and the block weights; a
-    vanished choice normaliser raises, as J and A need the informed term."""
-    k = _require_uniform(params)
-    kern = _Kernel(params)
-    b = _drift_into(y, kern, arrival_rate(params.arrival, t), np.empty(k + 1))
+def _linearize(y, kern: _Kernel, params: SystemParams, t: float):
+    """Drift at y, leaving z = M y and the block weights in kern; a vanished
+    choice normaliser raises, as J and A need the informed term."""
+    b = _drift_into(y, kern, arrival_rate(params.arrival, t), np.empty(y.size))
     if params.p > 0.0 and not (kern.z[-2] > TINY_DENOM):
         raise ValidationError(
             "choice denominator vanished; interior measure required"
         )
-    return b, kern
+    return b
+
+
+def _kernel_at(y, params: SystemParams, t: float) -> _Kernel:
+    """A kernel of its own, linearized at y."""
+    _require_uniform(params)
+    kern = _Kernel(params)
+    _linearize(y, kern, params, t)
+    return kern
 
 
 def _jacobian(kern) -> np.ndarray:
@@ -90,7 +96,7 @@ def jacobian(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
     from a = mu(gamma - n.y) and s = g.y, so J is the three shift operators
     plus two dense rank-one pieces: -mu (Uy) n^T and -(lam p/s^2) (DGy) g^T.
     """
-    return _jacobian(_linearize(np.asarray(y, dtype=float), params, t)[1])
+    return _jacobian(_kernel_at(np.asarray(y, dtype=float), params, t))
 
 
 def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
@@ -102,7 +108,7 @@ def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.nd
     flows f and dropoff flows u: a tridiagonal matrix with zero row sums.
     """
     y = np.asarray(y, dtype=float)
-    return _bracket(y, _linearize(y, params, t)[1])
+    return _bracket(y, _kernel_at(y, params, t))
 
 
 def _rk4_fixed(fun, z0: np.ndarray, t_grid: np.ndarray, h: float, guard=None):
@@ -172,10 +178,12 @@ def integrate_covariance(
         raise ValidationError("sigma0 must be symmetric")
     # with Sigma exactly symmetric, Sigma J^T is the transpose of J Sigma
     sigma0 = 0.5 * (sigma0 + sigma0.T)
+    # each stage overwrites the kernel's scratch before reading it
+    kern = _Kernel(params)
 
     def fun(t, z):
         y = z[:dim]
-        dy, kern = _linearize(y, params, t)
+        dy = _linearize(y, kern, params, t)
         jsig = _jacobian(kern) @ z[dim:].reshape(dim, dim)
         dsig = jsig + jsig.T
         if not zero_bracket:

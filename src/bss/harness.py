@@ -20,7 +20,7 @@ from .model import (
     arrival_rate,
     choice_weights,
 )
-from .meanfield import TINY_DENOM, integrate
+from .meanfield import TINY_DENOM, _sample_grid, integrate
 from .diffusion import integrate_covariance
 from .equilibrium import entropy, solve_equilibrium, solve_equilibrium_hetero
 from .simulator import (
@@ -113,7 +113,7 @@ def flln_experiment(
         par_n = _with_n(params, n)
         init = round_robin_state(par_n)
         y0 = empirical_measure(init)
-        grid = np.arange(int(math.floor(horizon / sample_dt + 1e-9)) + 1) * sample_dt
+        grid = _sample_grid(horizon, sample_dt)
         path = integrate(y0, par_n, grid)
         sups = []
         for _ in range(reps):

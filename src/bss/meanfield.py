@@ -201,6 +201,17 @@ def drift_hetero(ym: HeterogeneousMeasure, params: SystemParams, t: float = 0.0)
     return b.reshape(ym.table.shape)
 
 
+def _sample_grid(horizon: float, sample_dt: float) -> np.ndarray:
+    """Sampling instants 0, dt, 2 dt, ... up to the horizon; a horizon of 0
+    gives the start alone."""
+    if not (0 <= horizon < math.inf and 0 < sample_dt < math.inf):
+        raise ValidationError(
+            f"horizon must be >= 0 and sample_dt > 0, both finite; got "
+            f"{horizon} and {sample_dt}"
+        )
+    return np.arange(math.floor(horizon / sample_dt + 1e-9) + 1) * sample_dt
+
+
 def _check_grid_and_step(t_grid, h: float) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):

@@ -200,39 +200,41 @@ class SystemParams:
         return np.repeat(np.asarray(self.capacity_values), self.class_sizes())
 
     def to_config(self) -> dict:
+        """JSON-able config that validates back to these parameters: rates
+        and coefficients as floats, counts, capacities and c as ints."""
         cap: object
         if self.is_uniform:
-            cap = self.capacity_values[0]
+            cap = int(self.capacity_values[0])
         else:
             cap = {
-                "values": list(self.capacity_values),
-                "fractions": list(self.capacity_fractions),
+                "values": [int(v) for v in self.capacity_values],
+                "fractions": [float(v) for v in self.capacity_fractions],
             }
         if self.arrival.is_constant:
-            arr: dict = {"constant": self.arrival.rate}
+            arr: dict = {"constant": float(self.arrival.rate)}
         else:
             f = self.arrival.fourier
             arr = {
                 "fourier": {
-                    "period": f.period,
-                    "intercept": f.intercept,
-                    "sin": list(f.sin_coeffs),
-                    "cos": list(f.cos_coeffs),
+                    "period": float(f.period),
+                    "intercept": float(f.intercept),
+                    "sin": [float(v) for v in f.sin_coeffs],
+                    "cos": [float(v) for v in f.cos_coeffs],
                 }
             }
         ch: dict = {"kind": self.choice.kind}
         if self.choice.kind == "exponential":
-            ch["theta"] = self.choice.param
+            ch["theta"] = float(self.choice.param)
         elif self.choice.kind == "minimum":
-            ch["c"] = self.choice.param
+            ch["c"] = int(self.choice.param)
         elif self.choice.kind == "polynomial":
-            ch["alpha"] = self.choice.param
+            ch["alpha"] = float(self.choice.param)
         return {
-            "n_stations": self.n_stations,
-            "fleet": self.fleet,
+            "n_stations": int(self.n_stations),
+            "fleet": int(self.fleet),
             "capacity": cap,
-            "mu": self.mu,
-            "p": self.p,
+            "mu": float(self.mu),
+            "p": float(self.p),
             "arrival": arr,
             "choice": ch,
         }

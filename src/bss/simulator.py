@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import SystemParams, ValidationError, arrival_rate, choice_weights
-from .meanfield import TINY_DENOM, HeterogeneousMeasure, ratio_bins
+from .meanfield import TINY_DENOM, HeterogeneousMeasure, _sample_grid, ratio_bins
 
 __all__ = [
     "NetworkState",
@@ -442,13 +442,6 @@ def _run_engine(
     return stats, occ
 
 
-def _grid(horizon: float, sample_dt: float) -> np.ndarray:
-    if horizon <= 0 or sample_dt <= 0:
-        raise ValidationError("horizon and sample_dt must be positive")
-    n_pts = int(np.floor(horizon / sample_dt + 1e-9))
-    return np.arange(n_pts + 1) * sample_dt
-
-
 def simulate(
     params: SystemParams,
     horizon: float,
@@ -463,7 +456,7 @@ def simulate(
     histogram series, and the number of state-changing events. Time-varying
     arrival rates are simulated by thinning against the horizon-wide bound.
     """
-    times = _grid(horizon, sample_dt)
+    times = _sample_grid(horizon, sample_dt)
     uniform = params.is_uniform
     k_max = params.k_max
     caps = params.capacity_values
@@ -527,7 +520,7 @@ def ensemble(
         raise ValidationError("ensemble needs at least 2 replications")
     if not params.is_uniform:
         raise ValidationError("ensemble supports uniform capacities only")
-    times = _grid(horizon, sample_dt)
+    times = _sample_grid(horizon, sample_dt)
     state = _prepare_initial(params, initial)
     k = params.uniform_capacity
     n, fleet, p, mu = params.n_stations, params.fleet, params.p, params.mu

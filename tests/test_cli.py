@@ -4,8 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from bss.cli import main
-from bss.model import ConvergenceError
+from bss.cli import CSV_BLOCK, _write_csv, main
+from bss.diffusion import integrate_covariance
+from bss.equilibrium import solve_equilibrium, solve_equilibrium_hetero
+from bss.harness import sweep
+from bss.ingestion import parse_gbfs, snapshot_histograms
+from bss.meanfield import (
+    HeterogeneousMeasure,
+    builtin_measure,
+    integrate,
+    integrate_hetero,
+    ratio_projection,
+)
+from bss.model import ConvergenceError, validate_params
+from bss.simulator import empirical_measure, round_robin_state, simulate
 
 
 def write_config(path, **overrides):
@@ -33,6 +45,9 @@ def read_csv(path):
 @pytest.fixture
 def base_cfg(tmp_path):
     return write_config(tmp_path / "cfg.json")
+
+
+MIX = {"values": [2, 4], "fractions": [0.5, 0.5]}
 
 
 # ---------------------------------------------------------------- basics
@@ -403,6 +418,10 @@ def test_gbfs_hist_counts_and_manifest(tmp_path):
     assert man["details"]["stations"] == 3
     assert man["details"]["dropped"] == 1
     assert man["details"]["clamped"] == 1
+    counts, ratios = snapshot_histograms(parse_gbfs(status, info), 8)
+    oracle_rows = [("count", n, v) for n, v in enumerate(counts)]
+    oracle_rows += [("ratio", b, v) for b, v in enumerate(ratios)]
+    assert out.read_bytes() == oracle_csv(("observable", "index", "value"), oracle_rows)
 
 
 def test_gbfs_hist_small_kmax_exits_one(tmp_path, capsys):
@@ -416,3 +435,163 @@ def test_gbfs_hist_small_kmax_exits_one(tmp_path, capsys):
                  "--k-max", "4", "--out", str(tmp_path / "h.csv")])
     assert code == 1
     assert "k_max" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- CSV writer
+# The per-value row loop the CLI wrote CSVs with before it wrote whole
+# columns. It is the oracle every CSV is compared with, byte for byte.
+
+def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.17g" % float(v)
+
+
+def oracle_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_edge_values_match_row_oracle(tmp_path):
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+              2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+              0.1, 1.0 / 3.0, 2.0, 1.2345678901234567e17]
+    n = len(floats)
+    ints = (np.arange(n, dtype=np.int64) - 3) * np.int64(2**52 + 1)
+    flags = np.arange(n) % 3 == 0
+    names = np.array([f"s{i}%d" for i in range(n)])
+    header = ("f", "lit", "i", "flag", "name", "pct")
+    path = tmp_path / "edge.csv"
+    _write_csv(str(path), header, floats, "50%d%s", ints, flags, names, "%")
+    rows = [(f, "50%d%s", i, bool(b), str(s), "%")
+            for f, i, b, s in zip(floats, ints, flags, names)]
+    assert path.read_bytes() == oracle_csv(header, rows)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK,
+                                    CSV_BLOCK + 1, 2 * CSV_BLOCK + 3])
+def test_write_csv_streams_every_block(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    t = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    idx = rng.integers(-5, 1000, n_rows)
+    path = tmp_path / "block.csv"
+    _write_csv(str(path), ("t", "observable", "index"), t, "y", idx)
+    rows = [(v, "y", i) for v, i in zip(t, idx)]
+    assert path.read_bytes() == oracle_csv(("t", "observable", "index"), rows)
+
+
+def test_write_csv_rejects_unequal_or_unknown_columns(tmp_path):
+    path = str(tmp_path / "bad.csv")
+    with pytest.raises(ValueError, match="common length"):
+        _write_csv(path, ("a", "b"), np.zeros(3), np.zeros(4))
+    with pytest.raises(TypeError):
+        _write_csv(path, ("a",), np.zeros((2, 2)))
+    with pytest.raises(TypeError):
+        _write_csv(path, ("a",), np.ones(2, dtype=complex))
+
+
+def _grid(horizon, dt):
+    # the sampling grid every site built before it had one builder
+    return np.arange(int(math.floor(horizon / dt + 1e-9)) + 1) * dt
+
+
+def _series_rows(times, observable, table):
+    return [(t, observable, n, v)
+            for t, row in zip(times, table) for n, v in enumerate(row)]
+
+
+def _simulate_case(par):
+    traj = simulate(par, 3.0, 0.5, 4)
+    table = traj.y_series if par.is_uniform else traj.r_series
+    obs = "y" if par.is_uniform else "r"
+    return (["simulate", "--horizon", "3", "--sample-dt", "0.5", "--seed", "4"],
+            ("t", "observable", "index", "value"),
+            _series_rows(traj.times, obs, table))
+
+
+def _meanfield_case(par):
+    grid = _grid(2.0, 0.25)
+    y0 = builtin_measure(par, "uniform")
+    if par.is_uniform:
+        rows = _series_rows(grid, "y", integrate(y0, par, grid, h=0.005))
+    else:
+        caps = par.capacity_values
+        ratios = [ratio_projection(HeterogeneousMeasure(caps, tab))
+                  for tab in integrate_hetero(y0, par, grid, h=0.005)]
+        rows = _series_rows(grid, "r", ratios)
+    return (["meanfield", "--horizon", "2", "--sample-dt", "0.25"],
+            ("t", "observable", "index", "value"), rows)
+
+
+def _diffusion_case(par):
+    dim = par.uniform_capacity + 1
+    states = integrate_covariance(builtin_measure(par, "uniform"),
+                                  np.zeros((dim, dim)), par, _grid(1.0, 0.1))
+    rows = [(s.t, i, j, s.sigma[i, j])
+            for s in states for i in range(dim) for j in range(dim)]
+    return (["diffusion", "--horizon", "1", "--sample-dt", "0.1"],
+            ("t", "i", "j", "sigma_ij"), rows)
+
+
+def _equilibrium_case(par):
+    if par.is_uniform:
+        k = par.uniform_capacity
+        rows = [(k, n, v) for n, v in enumerate(solve_equilibrium(par).y_bar)]
+    else:
+        ym, _ = solve_equilibrium_hetero(par)
+        rows = [(k, n, ym.table[c, n])
+                for c, k in enumerate(ym.capacities) for n in range(k + 1)]
+    return ["equilibrium"], ("capacity", "n", "mass"), rows
+
+
+def _sweep_case(par):
+    header = ("x", "y", "ybar0", "ybar1", "ybarKm1", "ybarK", "entropy",
+              "converged")
+    nodes = sweep("p-theta", [0.0, 0.5, 1.0], [1.0, 2.0], par)
+    return (["sweep", "--plane", "p-theta", "--grid", "p=0:1:0.5,theta=1:2:1"],
+            header, [[row[h] for h in header] for row in nodes])
+
+
+@pytest.mark.parametrize("case, capacity", [
+    (_simulate_case, 3), (_simulate_case, MIX),
+    (_meanfield_case, 3), (_meanfield_case, MIX),
+    (_diffusion_case, 3),
+    (_equilibrium_case, 3), (_equilibrium_case, MIX),
+    (_sweep_case, 3),
+], ids=["simulate", "simulate-mix", "meanfield", "meanfield-mix", "diffusion",
+        "equilibrium", "equilibrium-mix", "sweep"])
+def test_csv_bytes_match_row_oracle(tmp_path, case, capacity):
+    cfg = write_config(tmp_path / "c.json", capacity=capacity)
+    par = validate_params(json.loads((tmp_path / "c.json").read_text()))
+    argv, header, rows = case(par)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle_csv(header, rows)
+
+
+# ---------------------------------------------------------------- time grids
+
+def test_simulate_zero_horizon_writes_start_state(base_cfg, tmp_path):
+    out = tmp_path / "z.csv"
+    assert main(["simulate", "--config", base_cfg, "--horizon", "0",
+                 "--seed", "3", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["0"] * 4
+    par = validate_params(json.loads((tmp_path / "cfg.json").read_text()))
+    start = empirical_measure(round_robin_state(par))
+    assert [float(r[3]) for r in rows] == start.tolist()
+    man = json.loads((tmp_path / "z.csv.manifest.json").read_text())
+    assert man["details"]["events"] == 0
+
+
+@pytest.mark.parametrize("sub", ["simulate", "meanfield", "diffusion"])
+@pytest.mark.parametrize("horizon, dt", [("-1", "1"), ("1", "0"),
+                                         ("nan", "1"), ("inf", "1")])
+def test_bad_horizon_or_sample_dt_exits_one(base_cfg, tmp_path, capsys, sub,
+                                            horizon, dt):
+    code = main([sub, "--config", base_cfg, "--horizon", horizon,
+                 "--sample-dt", dt, "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert "horizon" in capsys.readouterr().err

@@ -300,3 +300,16 @@ def test_ratio_covariance_validation():
         ratio_covariance([np.eye(3)], [4], 4)
     with pytest.raises(ValidationError):
         ratio_covariance([np.eye(5)], [4], 2)
+
+
+def test_covariance_integration_builds_one_kernel(monkeypatch):
+    import bss.diffusion as dif
+
+    built = []
+    kernel = dif._Kernel
+    monkeypatch.setattr(dif, "_Kernel", lambda params: built.append(1) or kernel(params))
+    par = make_params(n_stations=10, gamma=1.5, capacity=3)
+    y0 = np.full(4, 0.25)
+    states = integrate_covariance(y0, np.zeros((4, 4)), par, [0.0, 0.5, 1.0], h=0.01)
+    assert len(built) == 1
+    assert len(states) == 3

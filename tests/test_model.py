@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -216,6 +217,26 @@ class TestValidateParams:
         params = validate_params(cfg)
         assert params.capacity_values == (10, 20)
         assert validate_params(params.to_config()) == params
+
+    @pytest.mark.parametrize("choice, key", [
+        ({"kind": "exponential", "theta": 2}, "theta"),
+        ({"kind": "polynomial", "alpha": 1}, "alpha"),
+    ])
+    def test_to_config_emits_manifest_types(self, choice, key):
+        # integer-valued rates and coefficients come back as floats, so the
+        # manifest's config does not depend on how the input spelled them
+        params = validate_params(base_config(
+            mu=2, p=1, choice=choice,
+            arrival={"fourier": {"intercept": 3, "sin": [1], "cos": [0], "period": 24}},
+        ))
+        cfg = params.to_config()
+        assert json.dumps(cfg, sort_keys=True) == json.dumps({
+            "n_stations": 100, "fleet": 1000, "capacity": 20, "mu": 2.0, "p": 1.0,
+            "arrival": {"fourier": {"intercept": 3.0, "sin": [1.0], "cos": [0.0],
+                                    "period": 24.0}},
+            "choice": {"kind": choice["kind"], key: float(choice[key])},
+        }, sort_keys=True)
+        assert validate_params(cfg) == params
 
     def test_fleet_gamma_conflict(self):
         with pytest.raises(ValidationError, match="gamma"):
