@@ -24,6 +24,7 @@ from .meanfield import TINY_DENOM, _sample_grid, integrate
 from .diffusion import integrate_covariance
 from .equilibrium import entropy, solve_equilibrium, solve_equilibrium_hetero
 from .simulator import (
+    _lockstep,
     child_seed,
     empirical_measure,
     ensemble,
@@ -203,6 +204,8 @@ def fclt_experiment(
             "max_mean_z": mean_z,
             "mean_z_tolerance": 3.0,
             "zero_bracket": zero_bracket,
+            "rounds": res.stats["rounds"],
+            "events": res.stats["events"],
         },
     )
 
@@ -323,10 +326,11 @@ def forward_equation_residual(
         raise ValidationError(f"t must be a multiple of delta={delta}")
     horizon = (t_idx + 1) * delta if not one_sided else 3 * delta
 
+    # replica r is simulate(par_n, horizon, delta, child_seed(seed, r))
+    samples, stats = _lockstep(par_n, horizon, _sample_grid(horizon, delta),
+                               [child_seed(seed, r) for r in range(reps)])
     diffs = np.empty(reps)
-    for r in range(reps):
-        traj = simulate(par_n, horizon, delta, child_seed(seed, r))
-        ys = traj.y_series
+    for r, ys in enumerate(samples):
         if one_sided:
             # third-order forward difference; the transient is steepest at
             # the start, so lower-order stencils leave visible bias
@@ -357,6 +361,8 @@ def forward_equation_residual(
             "mean_residual": mean_diff,
             "standard_error": se,
             "z": abs(mean_diff) / se if se > 0 else math.inf,
+            "rounds": stats["rounds"],
+            "events": stats["events"],
         },
     )
 

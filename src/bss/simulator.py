@@ -8,6 +8,16 @@ holding n bikes; every observable here is a function of W and the table's
 transition rates depend on the state only through W, so trajectories have
 exactly the per-station law projected onto W.
 
+One event law, two drivers. _run_engine steps one replica on Python scalars
+(simulate, stationary_average, flln_experiment). _lockstep advances many
+uniform-capacity replicas at once (ensemble, forward_equation_residual):
+each round, every live replica takes the next candidate event of its own
+scalar run, on its own clock t_r += e_r / total_r with its own total rate,
+so replica r is bitwise simulate on its seed. Both read a generator through
+one stream layout: blocks of BLOCK exponentials, then BLOCK x 2 uniforms,
+one exponential and two uniforms per candidate event, whether it moves a
+bike, is thinned away or finds no cell.
+
 Replication seeding: child seed r = splitmix64(master + (r+1)*GOLDEN), the
 standard 64-bit mixing finalizer, so runs reproduce across platforms.
 """
@@ -41,7 +51,9 @@ _MASK = (1 << 64) - 1
 
 # full aggregate recompute cadence, caps float drift in the running sums
 RECOMPUTE_EVERY = 1_000_000
-BLOCK = 4096
+# candidate events per random block; the lockstep engine holds one block per
+# replica, r * BLOCK * 24 bytes
+BLOCK = 256
 
 
 def _splitmix64(x: int) -> int:
@@ -105,6 +117,8 @@ class EnsembleResult:
     mean: np.ndarray
     cov: np.ndarray
     replications: int
+    # rounds, plus TrajectorySample.stats' counters summed over replications
+    stats: dict = field(default_factory=dict)
 
 
 def round_robin_state(params: SystemParams) -> NetworkState:
@@ -207,13 +221,8 @@ class _Lumped:
         self.recompute()
 
     def recompute(self) -> None:
-        g = np.asarray(self.g)
-        ws = [np.asarray(w, dtype=np.int64) for w in self.w]
-        self.docked = int(sum(int((w * np.arange(self.k_max + 1)).sum()) for w in ws))
-        self.big_g = float(sum(float(w @ g) for w in ws))
-        self.g_pos = float(sum(float(w[1:] @ g[1:]) for w in ws))
-        self.nonempty = int(sum(int(w[1:].sum()) for w in ws))
-        self.open = int(sum(int(w[:k].sum()) for w, k in zip(ws, self.caps)))
+        (self.docked, self.big_g, self.g_pos, self.nonempty,
+         self.open) = _aggregates(self.w, self.g, self.caps)
 
     def check(self) -> None:
         docked = sum(m * v for w in self.w for m, v in enumerate(w))
@@ -260,6 +269,21 @@ class _Lumped:
         return _project(self.w, self.caps, bin_maps, self.n)
 
 
+def _aggregates(rows, g, caps) -> tuple:
+    """(docked, big_g, g_pos, nonempty, open) summed afresh from the table
+    rows of each capacity class in caps."""
+    g = np.asarray(g)
+    ws = [np.asarray(w, dtype=np.int64) for w in rows]
+    counts = np.arange(caps[-1] + 1)
+    return (
+        int(sum(int((w * counts).sum()) for w in ws)),
+        float(sum(float(w @ g) for w in ws)),
+        float(sum(float(w[1:] @ g[1:]) for w in ws)),
+        int(sum(int(w[1:].sum()) for w in ws)),
+        int(sum(int(w[:k].sum()) for w, k in zip(ws, caps))),
+    )
+
+
 def _project(rows, caps, bin_maps, scale) -> np.ndarray:
     """Ratio histogram of per-class rows over counts, each divided by scale."""
     r = np.zeros(len(rows[0]))
@@ -278,6 +302,20 @@ def _prepare_initial(params: SystemParams, initial: NetworkState | None) -> Netw
     if initial.fleet != params.fleet:
         raise ValidationError("initial state fleet does not match params")
     return initial
+
+
+def _draws(rng) -> tuple[np.ndarray, np.ndarray]:
+    """The next block of a replica's stream: BLOCK exponentials, then BLOCK x 2
+    uniforms."""
+    return rng.standard_exponential(BLOCK), rng.random((BLOCK, 2))
+
+
+def _rate_bound(arrival) -> tuple[float, bool]:
+    """The arrival-rate bound candidates are drawn at, and whether pickup
+    candidates are thinned against it (time-varying rates only)."""
+    if arrival.is_constant:
+        return float(arrival.rate), False
+    return arrival.max_rate(), True
 
 
 def _run_engine(
@@ -305,12 +343,7 @@ def _run_engine(
     p, mu = params.p, params.mu
     n, fleet = lump.n, lump.fleet
     g, rows = lump.g, lump.w
-    if params.arrival.is_constant:
-        lam_bound = float(params.arrival.rate)
-        thinning = False
-    else:
-        lam_bound = params.arrival.max_rate()
-        thinning = True
+    lam_bound, thinning = _rate_bound(params.arrival)
 
     # both scans walk the cells class-major; a pickup needs m >= 1 and a
     # dropoff m < K_c
@@ -331,8 +364,7 @@ def _run_engine(
     grid_idx = 0
     t = 0.0
     events = rejections = empty_draws = recomputes = 0
-    exp_block = rng.standard_exponential(BLOCK)
-    uni_block = rng.random((BLOCK, 2))
+    exp_block, uni_block = _draws(rng)
     cursor = 0
 
     while True:
@@ -347,8 +379,7 @@ def _run_engine(
             break
 
         if cursor == BLOCK:
-            exp_block = rng.standard_exponential(BLOCK)
-            uni_block = rng.random((BLOCK, 2))
+            exp_block, uni_block = _draws(rng)
             cursor = 0
         dt = exp_block.item(cursor) / total
         u1 = uni_block.item(cursor, 0)
@@ -425,10 +456,10 @@ def _run_engine(
             lump.recompute()
             recomputes += 1
 
-    # grid instants not reached by any event (absorbing or quiet tail)
-    while grid_idx < n_grid and grid[grid_idx] <= horizon:
-        on_grid(grid_idx, lump)
-        grid_idx += 1
+    # grid instants no candidate reached (absorbing or quiet tail), and a
+    # last instant that rounding puts past the horizon, see the final state
+    for idx in range(grid_idx, n_grid):
+        on_grid(idx, lump)
     if occ is not None:
         for c, row in enumerate(rows):
             for m in range(len(row)):
@@ -498,6 +529,188 @@ def stationary_average(
     return _project(occ, caps, bin_maps, params.n_stations) / (horizon - burn_in)
 
 
+def _totals(lam, p, mu, n, fleet, docked, big_g, g_pos, nonempty, open_):
+    """Rate weights and totals the engines draw candidates from, per replica.
+
+    Returns (w_un, w_in, pick, drop): the uninformed and informed pickup
+    weights, the pickup total at arrival rate lam and the dropoff total, all
+    from the aggregates of each replica's table (arrays, one entry each).
+    _run_engine inlines the same float expressions.
+    """
+    w_un = (1.0 - p) * nonempty
+    pick = lam * w_un
+    frac = np.zeros_like(g_pos)
+    if p > 0.0:
+        # a vanished normaliser drops the informed term
+        frac = np.where(big_g > TINY_DENOM, g_pos / big_g, 0.0)
+    pick = pick + lam * p * n * frac
+    drop = mu * (fleet - docked) / n * open_
+    return w_un, p * n * frac, pick, drop
+
+
+def _select(cells, cum, target) -> np.ndarray:
+    """Per row, the cell the scan of _run_engine picks: the first non-empty
+    cell whose cumulative weight exceeds the target or, when none does (float
+    drift in the aggregates), the last non-empty cell; -1 if all are empty."""
+    full = cells > 0
+    over = full & (cum > target[:, None])
+    cell = np.argmax(over, axis=1)
+    miss = ~over.any(axis=1)
+    if miss.any():
+        tail = full[miss]
+        cell[miss] = np.where(tail.any(axis=1),
+                              tail.shape[1] - 1 - np.argmax(tail[:, ::-1], axis=1), -1)
+    return cell
+
+
+def _move_tables(g: np.ndarray, k: int):
+    """Change of a table row and of the five aggregates per move code.
+
+    A pickup at count m is code m - 1, a dropoff at m is code k + m, and
+    code 2k is no move. The aggregate changes are the float differences
+    _Lumped.apply_* adds, so adding a column reproduces its arithmetic.
+    """
+    moves = [(m, -1) for m in range(1, k + 1)] + [(m, 1) for m in range(k)]
+    row_delta = np.zeros((2 * k + 1, k + 1))
+    agg_delta = np.zeros((5, 2 * k + 1))
+    for code, (m, s) in enumerate(moves):
+        row_delta[code, m] -= 1.0
+        row_delta[code, m + s] += 1.0
+        dg = g[m + s] - g[m]
+        # the station turns empty or nonempty; it leaves or joins the open ones
+        edge = m == 1 if s < 0 else m == 0
+        fills = m == k if s < 0 else m + 1 == k
+        agg_delta[:, code] = (s, dg, s * g[1] if edge else dg,
+                              s if edge else 0, -s if fills else 0)
+    return row_delta, agg_delta
+
+
+def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
+              initial: NetworkState | None = None):
+    """_run_engine for many seeds at once; uniform capacities only.
+
+    Each round every live replica takes its next candidate event: its own
+    clock and total rate, the same thinning test against lam_max, the same
+    cell scan (_select), the same aggregate arithmetic and its own recompute
+    every RECOMPUTE_EVERY events, on its own generator read in the same
+    blocks. A replica stops at the horizon or when its total rate reaches 0,
+    and grid instants it did not reach get its final state. Returns
+    (samples, stats): samples[r] is bitwise simulate(params, horizon, dt,
+    seeds[r], initial).y_series, and stats sums simulate's counters over
+    replicas and adds rounds, the most candidate draws of any replica.
+    """
+    lump = _Lumped(params, _prepare_initial(params, initial))
+    k, n, fleet, caps = lump.k_max, lump.n, lump.fleet, lump.caps
+    p, mu = params.p, params.mu
+    g = np.asarray(lump.g)
+    lam_bound, thinning = _rate_bound(params.arrival)
+    gens = [np.random.default_rng(s) for s in seeds]
+    r = len(gens)
+    samples = np.empty((r, len(times), k + 1))
+    # instants past the horizon are never due; the final fill covers them
+    grid = np.append(np.where(times <= horizon, times, np.inf), np.inf)
+    row_delta, agg_delta = _move_tables(g, k)
+    no_move = 2 * k
+
+    # per live replica: index, table row, aggregates, clock, next grid
+    # instant and its time, own event count
+    ids = np.arange(r)
+    w = np.tile(np.asarray(lump.w[0], dtype=float), (r, 1))
+    agg = np.tile(np.array([[lump.docked], [lump.big_g], [lump.g_pos],
+                            [lump.nonempty], [lump.open]], dtype=float), r)
+    t = np.zeros(r)
+    nxt = np.zeros(r, dtype=np.int64)
+    due = np.full(r, grid[0])
+    count = np.zeros(r, dtype=np.int64)
+    done = np.zeros(r, dtype=bool)
+    block = np.empty((BLOCK, 3, r))
+    cursor = BLOCK
+    rounds = draws = events = rejections = recomputes = 0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            if done.any():
+                keep = ~done
+                events += int(count[done].sum())
+                ids, w, agg, t = ids[keep], w[keep], agg[:, keep], t[keep]
+                nxt, due, count = nxt[keep], due[keep], count[keep]
+            if not ids.size:
+                break
+            w_un, w_in, pick, drop = _totals(lam_bound, p, mu, n, fleet, *agg)
+            total = pick + drop
+
+            if cursor == BLOCK:
+                for i in ids.tolist():
+                    block[:, 0, i], block[:, 1:, i] = _draws(gens[i])
+                cursor = 0
+            e, u1, u2 = block[cursor][:, ids]
+            cursor += 1
+            rounds += 1
+            t_new = t + e / total
+            quiet = total <= 0.0
+            if quiet.any():
+                t_new[quiet] = horizon
+
+            hit = due <= t_new
+            while hit.any():
+                rows = hit.nonzero()[0]
+                samples[ids[rows], nxt[rows]] = w[rows] / n
+                nxt[rows] += 1
+                due[rows] = grid[nxt[rows]]
+                hit = due <= t_new
+            done = t_new >= horizon
+            for row in done.nonzero()[0].tolist():
+                samples[ids[row], nxt[row]:] = w[row] / n
+            t = t_new
+            moving = ~done
+            draws += int(moving.sum())
+
+            x = u1 * total
+            is_pick = x < pick
+            if thinning:
+                rows = (is_pick & moving).nonzero()[0]
+                lam_t = [arrival_rate(params.arrival, v) for v in t[rows].tolist()]
+                rejected = rows[(x[rows] / pick[rows]) * lam_bound >= lam_t]
+                moving[rejected] = False
+                rejections += rejected.size
+
+            cells = np.where(is_pick[:, None], w[:, 1:], w[:, :k])
+            cum = np.cumsum(cells, axis=1)
+            y = u2 * (w_un + w_in)
+            target = np.where(
+                is_pick, y / (1.0 - p) if p < 1.0 else 0.0,
+                (x - pick) / drop * agg[4],
+            )
+            informed = is_pick & (y >= w_un) & (w_in != 0.0)
+            if informed.any():
+                target = np.where(informed, (y - w_un) / w_in * agg[2], target)
+                cum = np.where(informed[:, None],
+                               np.cumsum(cells * g[1:], axis=1), cum)
+            cell = _select(cells, cum, target)
+            code = np.where(is_pick, cell, k + cell)
+            code[~moving | (cell < 0)] = no_move
+
+            w += row_delta[code]
+            agg += agg_delta[:, code]
+            moved = code != no_move
+            count += moved
+            # no replica has more events than there were rounds
+            if rounds >= RECOMPUTE_EVERY:
+                due_recompute = moved & (count % RECOMPUTE_EVERY == 0)
+                for row in due_recompute.nonzero()[0].tolist():
+                    agg[:, row] = _aggregates([w[row]], g, caps)
+                    recomputes += 1
+
+    stats = {
+        "rounds": rounds,
+        "events": events,
+        "thinning_rejections": rejections,
+        "empty_draws": draws - events - rejections,
+        "recomputes": recomputes,
+    }
+    return samples, stats
+
+
 def ensemble(
     params: SystemParams,
     replications: int,
@@ -509,30 +722,17 @@ def ensemble(
 ) -> EnsembleResult:
     """Mean and unbiased covariance of Y^N across independent replications.
 
-    Uniform capacities only. All replications advance in lockstep through a
-    uniformized clock with the state-independent bound lam_max*N + mu*M;
-    candidate events outside the live rate window are no-ops, which is the
-    standard exactness argument for uniformization. Each replication draws
-    from its own generator seeded by child_seed(seed, r); child_seeds
-    overrides the derivation (used to force coupled runs).
+    Uniform capacities only. Replication r is simulate(params, horizon,
+    sample_dt, child_seed(seed, r), initial), replayed bitwise by the
+    lockstep engine; child_seeds overrides the derivation (used to force
+    coupled runs). stats reports the engine's rounds and simulate's counters
+    summed over replications.
     """
     if replications < 2:
         raise ValidationError("ensemble needs at least 2 replications")
     if not params.is_uniform:
         raise ValidationError("ensemble supports uniform capacities only")
     times = _sample_grid(horizon, sample_dt)
-    state = _prepare_initial(params, initial)
-    k = params.uniform_capacity
-    n, fleet, p, mu = params.n_stations, params.fleet, params.p, params.mu
-    g = choice_weights(params.choice, k)
-    if params.arrival.is_constant:
-        lam_bound = float(params.arrival.rate)
-        thinning = False
-    else:
-        lam_bound = params.arrival.max_rate()
-        thinning = True
-    bound = lam_bound * n + mu * fleet
-
     r = replications
     if child_seeds is None:
         child_seeds = [child_seed(seed, i) for i in range(r)]
@@ -540,149 +740,9 @@ def ensemble(
         child_seeds = [int(s) for s in child_seeds]
         if len(child_seeds) != r:
             raise ValidationError("child_seeds must have one entry per replication")
-    gens = [np.random.default_rng(s) for s in child_seeds]
-
-    w0 = np.bincount(state.counts, minlength=k + 1).astype(float)
-    w = np.tile(w0, (r, 1))
-    idx_n = np.arange(k + 1, dtype=float)
-    docked = w @ idx_n
-    big_g = w @ g
-    g_pos = w[:, 1:] @ g[1:]
-    nonempty = w[:, 1:].sum(axis=1)
-    open_ = w[:, :k].sum(axis=1)
-    t = np.zeros(r)
-    next_idx = np.zeros(r, dtype=np.int64)
-
-    n_grid = len(times)
-    sum_y = np.zeros((n_grid, k + 1))
-    sum_yy = np.zeros((n_grid, k + 1, k + 1))
-
-    if bound <= 0.0:
-        # no events can ever fire; every grid instant sees the initial state
-        y0v = w0 / n
-        mean = np.tile(y0v, (n_grid, 1))
-        return EnsembleResult(
-            times=times, mean=mean, cov=np.zeros((n_grid, k + 1, k + 1)),
-            replications=r,
-        )
-
-    # block length sized to the expected round count, keeps memory bounded
-    eblock = max(16, min(512, int(bound * horizon * 1.2) + 8))
-    block = None
-    cursor = eblock
-    rounds = 0
-    rows_all = np.arange(r)
-
-    def refill():
-        cols = np.empty((r, eblock, 3))
-        for i, gen in enumerate(gens):
-            cols[i, :, 0] = gen.standard_exponential(eblock)
-            cols[i, :, 1:] = gen.random((eblock, 2))
-        return cols
-
-    while True:
-        live = next_idx < n_grid
-        if not live.any():
-            break
-        if cursor == eblock:
-            block = refill()
-            cursor = 0
-        e = block[:, cursor, 0]
-        u1 = block[:, cursor, 1]
-        u2 = block[:, cursor, 2]
-        cursor += 1
-        rounds += 1
-
-        t_new = t + e / bound
-        # record pre-event state at every grid instant crossed
-        while True:
-            cross = live & (times[np.minimum(next_idx, n_grid - 1)] <= t_new) & (next_idx < n_grid)
-            if not cross.any():
-                break
-            rows = rows_all[cross]
-            ym = w[rows] / n
-            np.add.at(sum_y, next_idx[rows], ym)
-            np.add.at(sum_yy, next_idx[rows], np.einsum("ri,rj->rij", ym, ym))
-            next_idx[rows] += 1
-            live = next_idx < n_grid
-        t = t_new
-
-        spare = mu * (fleet - docked) / n
-        pick_tot = lam_bound * (1.0 - p) * nonempty
-        if p > 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.where(big_g > TINY_DENOM, g_pos / np.where(big_g > 0, big_g, 1.0), 0.0)
-            pick_tot = pick_tot + lam_bound * p * n * frac
-        drop_tot = spare * open_
-        if thinning:
-            lam_t = np.asarray(arrival_rate(params.arrival, t))
-            pick_act = pick_tot * (lam_t / lam_bound)
-        else:
-            pick_act = pick_tot
-
-        x = u1 * bound
-        is_pick = live & (x < pick_act) & (nonempty > 0)
-        is_drop = live & ~is_pick & (x >= pick_tot) & (x < pick_tot + drop_tot)
-
-        if is_pick.any():
-            rows = rows_all[is_pick]
-            w_un = (1.0 - p) * nonempty[rows]
-            w_in = (
-                p * n * np.where(big_g[rows] > TINY_DENOM, g_pos[rows] / big_g[rows], 0.0)
-                if p > 0.0
-                else np.zeros(rows.size)
-            )
-            y2 = u2[rows] * (w_un + w_in)
-            informed = (y2 >= w_un) & (w_in > 0.0)
-            sel = np.empty(rows.size, dtype=np.int64)
-            if (~informed).any():
-                sub = rows[~informed]
-                tgt = np.where(
-                    p < 1.0, y2[~informed] / max(1.0 - p, 1e-300), 0.0
-                )
-                cum = np.cumsum(w[sub, 1:], axis=1)
-                sel[~informed] = 1 + np.minimum(
-                    (cum <= tgt[:, None]).sum(axis=1), k - 1
-                )
-            if informed.any():
-                sub = rows[informed]
-                tgt = (y2[informed] - w_un[informed]) / w_in[informed] * g_pos[sub]
-                cum = np.cumsum(w[sub, 1:] * g[1:], axis=1)
-                # g_pos carries float drift between recomputes; keep the
-                # target strictly inside the freshly summed mass
-                tgt = np.minimum(tgt, cum[:, -1] * (1.0 - 1e-12))
-                sel[informed] = 1 + np.minimum(
-                    (cum <= tgt[:, None]).sum(axis=1), k - 1
-                )
-            nf = sel
-            w[rows, nf] -= 1.0
-            w[rows, nf - 1] += 1.0
-            docked[rows] -= 1.0
-            big_g[rows] += g[nf - 1] - g[nf]
-            g_pos[rows] += np.where(nf == 1, -g[1], g[nf - 1] - g[nf])
-            nonempty[rows] -= (nf == 1).astype(float)
-            open_[rows] += (nf == k).astype(float)
-
-        if is_drop.any():
-            rows = rows_all[is_drop]
-            tgt = (x[rows] - pick_tot[rows]) / drop_tot[rows] * open_[rows]
-            cum = np.cumsum(w[rows, :k], axis=1)
-            nf = np.minimum((cum <= tgt[:, None]).sum(axis=1), k - 1)
-            w[rows, nf] -= 1.0
-            w[rows, nf + 1] += 1.0
-            docked[rows] += 1.0
-            big_g[rows] += g[nf + 1] - g[nf]
-            g_pos[rows] += np.where(nf == 0, g[1], g[nf + 1] - g[nf])
-            nonempty[rows] += (nf == 0).astype(float)
-            open_[rows] -= (nf + 1 == k).astype(float)
-
-        if rounds % 2048 == 0:
-            docked = w @ idx_n
-            big_g = w @ g
-            g_pos = w[:, 1:] @ g[1:]
-            nonempty = w[:, 1:].sum(axis=1)
-            open_ = w[:, :k].sum(axis=1)
-
-    mean = sum_y / r
-    cov = (sum_yy - r * np.einsum("ti,tj->tij", mean, mean)) / (r - 1)
-    return EnsembleResult(times=times, mean=mean, cov=cov, replications=r)
+    samples, stats = _lockstep(params, horizon, times, child_seeds, initial)
+    mean = samples.mean(axis=0)
+    samples -= mean
+    cov = np.einsum("rti,rtj->tij", samples, samples) / (r - 1)
+    return EnsembleResult(times=times, mean=mean, cov=cov, replications=r,
+                          stats=stats)

@@ -333,6 +333,7 @@ def test_verify_forward_passes(base_cfg, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["pass"] is True
     assert report["name"] == "forward_equation"
+    assert report["metrics"]["events"] >= report["metrics"]["rounds"] > 0
     man = json.loads((tmp_path / "rep.json.manifest.json").read_text())
     assert man["details"]["suite"] == "forward"
     assert man["details"]["reps"] == 120

@@ -14,6 +14,8 @@ from bss.harness import (
     nonstationary_run,
     sweep,
 )
+from bss.harness import _generator_apply, _parse_f_spec, _with_n
+from bss.simulator import child_seed, simulate
 
 
 def make_params(**overrides):
@@ -111,6 +113,7 @@ def test_fclt_matches_fluctuation_covariance():
     assert rep.passed is True
     assert rep.metrics["rel_frobenius"] <= 0.15
     assert rep.metrics["max_mean_z"] <= 3.0
+    assert rep.metrics["events"] >= rep.metrics["rounds"] > 0
 
 
 def test_fclt_zero_bracket_control_fails():
@@ -177,6 +180,46 @@ def test_forward_equation_coordinate_function():
                                     reps=240, seed=17)
     assert rep.passed is True
     assert abs(rep.metrics["mean_residual"]) <= 3 * rep.metrics["standard_error"]
+
+
+def forward_by_simulate(par, n, f_spec, t, reps, seed, delta=0.25):
+    """The forward-equation check as a loop over simulate, one run per
+    replica: the oracle the lockstep route must reproduce exactly."""
+    par_n = _with_n(par, n)
+    f = _parse_f_spec(f_spec, par_n.uniform_capacity + 1)
+    one_sided = t < delta
+    t_idx = int(round(t / delta))
+    horizon = (t_idx + 1) * delta if not one_sided else 3 * delta
+    diffs = np.empty(reps)
+    events = 0
+    for r in range(reps):
+        traj = simulate(par_n, horizon, delta, child_seed(seed, r))
+        events += traj.event_count
+        ys = traj.y_series
+        if one_sided:
+            lhs = (-11 * f(ys[0]) + 18 * f(ys[1]) - 9 * f(ys[2])
+                   + 2 * f(ys[3])) / (6 * delta)
+            state = ys[0]
+        else:
+            lhs = (f(ys[t_idx + 1]) - f(ys[t_idx - 1])) / (2 * delta)
+            state = ys[t_idx]
+        diffs[r] = lhs - _generator_apply(f, state, par_n, t)
+    mean_diff = float(diffs.mean())
+    se = float(diffs.std(ddof=1) / math.sqrt(reps))
+    return mean_diff, se, abs(mean_diff) / se, events
+
+
+@pytest.mark.parametrize("f_spec, t", [("coord@0", 1.0), ("square@1", 0.0)])
+def test_forward_equation_matches_simulate_loop(f_spec, t):
+    par = make_params()
+    rep = forward_equation_residual(par, n=60, f_spec=f_spec, t=t, reps=50,
+                                    seed=31)
+    mean_diff, se, z, events = forward_by_simulate(par, 60, f_spec, t, 50, 31)
+    assert rep.metrics["mean_residual"] == mean_diff
+    assert rep.metrics["standard_error"] == se
+    assert rep.metrics["z"] == z
+    assert rep.metrics["events"] == events
+    assert rep.metrics["rounds"] > 0
 
 
 def test_forward_equation_square_at_time_zero():

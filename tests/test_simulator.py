@@ -4,10 +4,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.stats import chi2_contingency
 
-from bss.model import ValidationError, validate_params
+import bss.simulator
+from bss.model import ValidationError, arrival_rate, validate_params
 from bss.equilibrium import solve_equilibrium, solve_equilibrium_hetero
-from bss.meanfield import ratio_projection
+from bss.meanfield import _sample_grid, ratio_projection
 from bss.simulator import (
+    _Lumped,
+    _lockstep,
+    _select,
+    _totals,
     EnsembleResult,
     NetworkState,
     TrajectorySample,
@@ -107,6 +112,50 @@ def test_rate_conservation_totals():
     assert tot_pick == pytest.approx(1.0 * 30, rel=1e-9)
     tot_drop = sum(dropoff_rate(st, i, par) for i in range(30))
     assert tot_drop == pytest.approx(90 - counts.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_rate_sums_match_engine_totals(p):
+    # the per-station rates, summed, are the totals both engines draw
+    # candidates from (the scalar engine inlines _totals' expressions and
+    # replays bitwise against it); random states include empty and full
+    # stations
+    rng = np.random.default_rng(41)
+    par = make_params(
+        n_stations=40, capacity=5, gamma=2.0, p=p,
+        arrival={"fourier": {"intercept": 1.0, "sin": [0.4], "cos": [0.2],
+                             "period": 8.0}},
+    )
+    t = 2.7
+    lam = arrival_rate(par.arrival, t)
+    for _ in range(20):
+        counts = rng.integers(0, 6, size=40)
+        while counts.sum() > 80:
+            counts[rng.integers(40)] = 0
+        st = state_of(counts, np.full(40, 5), 80)
+        lump = _Lumped(par, st)
+        aggs = np.array([[lump.docked], [lump.big_g], [lump.g_pos],
+                         [lump.nonempty], [lump.open]], dtype=float)
+        _, _, pick, drop = _totals(lam, par.p, par.mu, 40, 80, *aggs)
+        want_pick = sum(pickup_rate(st, i, par, t) for i in range(40))
+        want_drop = sum(dropoff_rate(st, i, par) for i in range(40))
+        assert pick[0] == pytest.approx(want_pick, rel=1e-12, abs=1e-12)
+        assert drop[0] == pytest.approx(want_drop, rel=1e-12, abs=1e-12)
+
+
+def test_select_falls_back_to_last_nonempty_cell():
+    # row 0: the target equals the cumulative total and the last cell is
+    # empty, so no cell exceeds it and the last non-empty cell is chosen;
+    # row 1: a target just below 0 (drift in g_pos) skips the empty first
+    # cell; row 2: the ordinary case; row 3: every cell empty
+    cells = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 1.0, 1.0],
+                      [0.0, 0.0, 0.0]])
+    cum = np.cumsum(cells, axis=1)
+    target = np.array([3.0, -1e-17, 1.5, 0.5])
+    cell = _select(cells, cum, target)
+    assert cell.tolist() == [1, 1, 1, -1]
+    chosen = cell >= 0
+    assert np.all(cells[chosen, cell[chosen]] - 1.0 >= 0.0)
 
 
 # ------------------------------------------------------ states and measures
@@ -435,6 +484,73 @@ def test_stationary_average_rejects_bad_window():
     par = make_params()
     with pytest.raises(ValidationError):
         stationary_average(par, burn_in=5.0, horizon=5.0, seed=1)
+
+
+def test_simulate_fills_grid_instant_past_horizon():
+    # 3 * 0.1 rounds to 0.30000000000000004 > 0.3: that last instant gets
+    # the final state instead of staying all zero
+    traj = simulate(make_params(), horizon=0.3, sample_dt=0.1, seed=3)
+    assert traj.times[-1] > 0.3
+    assert np.abs(traj.y_series.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+# ---------------------------------------------------------------- lockstep
+
+FOURIER_RATE = {"fourier": {"intercept": 1.0, "sin": [0.6, 0.2],
+                            "cos": [0.3, 0.0], "period": 3.0}}
+
+REPLAY_CASES = {
+    # name: (params overrides, horizon, sample_dt, initial counts)
+    "p0": ({"p": 0.0}, 2.0, 0.5, None),
+    "p0.5": ({}, 0.3, 0.1, None),
+    "p1": ({"p": 1.0}, 2.0, 0.5, None),
+    "fourier": ({"arrival": FOURIER_RATE}, 2.0, 0.5, None),
+    "initial": ({}, 2.0, 0.25, np.repeat([0, 1, 2, 3, 4, 5], [15, 10, 10, 5, 5, 5])),
+    # no arrivals: the 100 bikes dock, then the total rate is 0
+    "absorbing": ({"mu": 10.0, "arrival": {"constant": 0.0}}, 3.0, 0.25,
+                  np.zeros(50, dtype=int)),
+    "horizon0": ({}, 0.0, 0.5, None),
+}
+
+
+@pytest.mark.parametrize("recompute_every", [1_000_000, 7])
+@pytest.mark.parametrize("case", list(REPLAY_CASES))
+def test_lockstep_replays_simulate(case, recompute_every, monkeypatch):
+    monkeypatch.setattr(bss.simulator, "RECOMPUTE_EVERY", recompute_every)
+    overrides, horizon, dt, counts = REPLAY_CASES[case]
+    par = make_params(**overrides)
+    init = None if counts is None else state_of(counts, np.full(50, 5), 100)
+    seeds = [child_seed(13, r) for r in range(8)]
+    samples, stats = _lockstep(par, horizon, _sample_grid(horizon, dt), seeds, init)
+    want = {"events": 0, "thinning_rejections": 0, "empty_draws": 0,
+            "recomputes": 0}
+    for r, seed in enumerate(seeds):
+        traj = simulate(par, horizon, dt, seed, initial=init)
+        assert np.array_equal(samples[r], traj.y_series), r
+        for key in want:
+            want[key] += traj.stats[key]
+    assert {key: stats[key] for key in want} == want
+    assert stats["rounds"] >= want["events"] / len(seeds)
+    if case == "absorbing":
+        assert want["events"] == 100 * len(seeds)
+    if case == "fourier":
+        assert want["thinning_rejections"] > 0
+    if recompute_every == 7 and case != "horizon0":
+        assert want["recomputes"] > 0
+
+
+def test_ensemble_matches_stacked_simulate():
+    par = make_params(n_stations=40, capacity=4, gamma=2.0)
+    reps = 9
+    res = ensemble(par, replications=reps, horizon=2.0, sample_dt=0.5, seed=21)
+    trajs = [simulate(par, 2.0, 0.5, child_seed(21, r)) for r in range(reps)]
+    stack = np.stack([tr.y_series for tr in trajs])
+    assert np.abs(res.mean - np.mean(stack, axis=0)).max() <= 1e-15
+    for i in range(len(res.times)):
+        want = np.cov(stack[:, i, :], rowvar=False)
+        assert np.abs(res.cov[i] - want).max() <= 1e-15
+    assert res.stats["events"] == sum(tr.event_count for tr in trajs)
+    assert res.stats["rounds"] >= max(tr.event_count for tr in trajs)
 
 
 # ---------------------------------------------------------------- ensemble
