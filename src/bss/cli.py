@@ -195,17 +195,18 @@ def _cmd_meanfield(args) -> int:
     par = _load_params(args.config)
     grid = _sample_grid(args.horizon, args.sample_dt)
     y0 = _parse_y0(par, args.y0)
+    stats: dict = {}
     if par.is_uniform:
-        _write_series(args.out, grid, "y", integrate(y0, par, grid, h=args.step))
+        _write_series(args.out, grid, "y", integrate(y0, par, grid, args.step, stats))
     else:
         caps = tuple(par.capacity_values)
         ratios = [ratio_projection(HeterogeneousMeasure(caps, tab))
-                  for tab in integrate_hetero(y0, par, grid, h=args.step)]
+                  for tab in integrate_hetero(y0, par, grid, args.step, stats)]
         _write_series(args.out, grid, "r", np.array(ratios))
     _manifest(
         args.out, "meanfield", par.to_config(), None, [args.out], started,
         details={"horizon": args.horizon, "sample_dt": args.sample_dt,
-                 "y0": args.y0, "step": args.step},
+                 "y0": args.y0, "step": args.step, "stats": stats},
     )
     return 0
 
@@ -216,7 +217,9 @@ def _cmd_diffusion(args) -> int:
     grid = _sample_grid(args.horizon, args.sample_dt)
     y0 = np.asarray(_parse_y0(par, args.y0), dtype=float)
     dim = par.uniform_capacity + 1
-    states = integrate_covariance(y0, np.zeros((dim, dim)), par, grid, h=args.step)
+    stats: dict = {}
+    states = integrate_covariance(y0, np.zeros((dim, dim)), par, grid, h=args.step,
+                                  stats=stats)
     n_t = len(states)
     _write_csv(
         args.out, ("t", "i", "j", "sigma_ij"),
@@ -228,7 +231,7 @@ def _cmd_diffusion(args) -> int:
     _manifest(
         args.out, "diffusion", par.to_config(), None, [args.out], started,
         details={"horizon": args.horizon, "sample_dt": args.sample_dt,
-                 "y0": args.y0, "step": args.step},
+                 "y0": args.y0, "step": args.step, "stats": stats},
     )
     return 0
 

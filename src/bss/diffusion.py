@@ -8,7 +8,10 @@ mean-field trajectory.
 
 Both matrices come from the mean-field drift kernel: the product z = M y
 with the shift operators of meanfield._operators that gives the drift also
-gives J and A, and each covariance stage makes that product once.
+gives J and A, and each covariance stage makes that product once. The packed
+system [y; Sigma] runs on the mean field's one RK4 stepper; its right-hand
+side writes into buffers made once per integration, and a stiffness guard
+halves every step that would leave RK4's stability interval for Sigma.
 """
 
 from __future__ import annotations
@@ -17,14 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConvergenceError, SystemParams, ValidationError, arrival_rate
-from .meanfield import (
-    MIN_STEP,
-    TINY_DENOM,
-    _check_grid_and_step,
-    _drift_into,
-    _Kernel,
-)
+from .model import SystemParams, ValidationError, arrival_rate
+from .meanfield import TINY_DENOM, _check_simplex, _drift_into, _Kernel, _rk4_buffered
 
 __all__ = [
     "CovarianceState",
@@ -37,10 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Fluctuation covariance at one instant."""
+    """Fluctuation covariance and mean-field measure at one instant."""
 
     sigma: np.ndarray
     t: float
+    y: np.ndarray
+
+
+# RK4's stability interval on the negative real axis is about [-2.785, 0]
+STIFF_LIMIT = 2.78
 
 
 def _require_uniform(params: SystemParams) -> int:
@@ -49,44 +51,93 @@ def _require_uniform(params: SystemParams) -> int:
     return params.uniform_capacity
 
 
-def _linearize(y, kern: _Kernel, params: SystemParams, t: float):
-    """Drift at y, leaving z = M y and the block weights in kern; a vanished
-    choice normaliser raises, as J and A need the informed term."""
-    b = _drift_into(y, kern, arrival_rate(params.arrival, t), np.empty(y.size))
-    if params.p > 0.0 and not (kern.z[-2] > TINY_DENOM):
-        raise ValidationError(
-            "choice denominator vanished; interior measure required"
-        )
-    return b
+def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
+    """rhs_into(lam, z, out) of z = [y; Sigma], J's buffer and the stiffness guard.
 
-
-def _kernel_at(y, params: SystemParams, t: float) -> _Kernel:
-    """A kernel of its own, linearized at y."""
+    One kernel pass gives the drift and leaves z = M y and the block weights;
+    a vanished choice normaliser raises, as J and A need the informed term.
+    J (see jacobian) is one product of the block weights with the cached
+    operators and two rank-one updates. A = D diag(f) D^T + U diag(u) U^T is
+    tridiagonal: (f_i + f_{i+1}) + (u_{i-1} + u_i) on the diagonal and
+    -(f_{i+1} + u_i) next to it, over the pickup flows f and dropoff flows u
+    where D and U move mass. Each bracket sums at most two nonzero terms, so
+    these are the bits of the dense products. Everything is written into
+    buffers made here. guard(dt), on the J of the last call, is True when
+    2 dt min(|J|_1, |J|_inf), which bounds dt times the spectral radius of
+    Sigma -> J Sigma + Sigma J^T, leaves RK4's stability interval.
+    """
     _require_uniform(params)
     kern = _Kernel(params)
-    _linearize(y, kern, params, t)
-    return kern
+    dim = kern.stack.shape[1]
+    stack, coef, z = kern.stack, kern.coef, kern.z
+    ops = stack[: 3 * dim].reshape(3, -1)
+    g, ones = stack[-2], np.ones(dim)
+    # the rank-one pieces (Uy) (mu n)^T and (DGy) (c g)^T, made by one product
+    cols = kern.blocks[2:0:-1, :, None]
+    rows = np.stack([kern.mu * stack[-1], g])[:, None]
+    j, jsig, a = (np.zeros((dim, dim)) for _ in range(3))
+    rank1 = np.zeros((2, dim, dim))
+    vec, pair = np.empty(dim), np.empty((2, dim))
+    a_diag, a_up, a_low = (a.reshape(-1)[k :: dim + 1] for k in (0, 1, dim))
+    # the negated pickup flows -f and the dropoff flows u, zero where D or U
+    # moves nothing, in two zero-padded rows laid out so that one sum over
+    # neighbours gives -(f_i + f_{i+1}) and u_{i-1} + u_i
+    pad = np.zeros((2, dim + 2))
+    flows = np.lib.stride_tricks.as_strided(
+        pad.reshape(-1)[1:], (2, dim), ((dim + 3) * pad.itemsize, pad.itemsize))
+    masks = np.array([np.diagonal(stack[k * dim : (k + 1) * dim]) != 0.0
+                      for k in (0, 2)], dtype=float)
+    # scalars as arrays, which numpy multiplies by faster: (-c0, c2) and
+    # -c1 for the flows, lam p / s^2 for the rank-one row
+    scale, c1, c_rank = np.empty((2, 1)), np.zeros(()), np.zeros(())
+    informed = params.p > 0.0
+
+    def rhs_into(lam, x, out):
+        y = x[:dim]
+        _drift_into(y, kern, lam, out[:dim])
+        if informed and not (z[-2] > TINY_DENOM):
+            raise ValidationError(
+                "choice denominator vanished; interior measure required"
+            )
+        np.dot(coef, ops, out=j.reshape(-1))
+        c_rank[()] = coef[1] / z[-2]
+        np.multiply(g, c_rank, out=rows[1, 0])
+        np.multiply(cols, rows, out=rank1)
+        np.subtract(j, rank1[0], out=j)
+        if coef[1] != 0.0:
+            np.subtract(j, rank1[1], out=j)
+        dsig = out[dim:].reshape(dim, dim)
+        np.matmul(j, x[dim:].reshape(dim, dim), out=jsig)
+        np.add(jsig, jsig.T, out=dsig)
+        if zero_bracket:
+            return
+        scale[0, 0], scale[1, 0], c1[()] = -coef[0], coef[2], -coef[1]
+        np.multiply(scale, y, out=flows)
+        np.multiply(g, y, out=vec)
+        np.add(flows[0], np.multiply(vec, c1, out=vec), out=flows[0])
+        np.multiply(flows, masks, out=flows)
+        np.add(pad[:, 1:-1], pad[:, 2:], out=pair)
+        np.subtract(pair[1], pair[0], out=a_diag)
+        np.subtract(pad[0, 2:-1], pad[1, 2:-1], out=a_up)
+        np.subtract(pad[0, 2:-1], pad[1, 2:-1], out=a_low)
+        np.add(dsig, a, out=dsig)
+
+    def guard(dt):
+        absj = np.abs(j, out=jsig)
+        bound = min(max(np.dot(ones, absj).tolist()), max(np.dot(absj, ones).tolist()))
+        return 2.0 * dt * bound > STIFF_LIMIT
+
+    return rhs_into, j, guard
 
 
-def _jacobian(kern) -> np.ndarray:
-    # J = lam(1-p) D + (lam p/s) DG + a U - mu (Uy) n^T - (lam p/s^2) (DGy) g^T
-    size = kern.stack.shape[1]
-    coef, blocks, (g, n) = kern.coef, kern.blocks, kern.stack[-2:]
-    j = np.dot(coef, kern.stack[: 3 * size].reshape(3, -1)).reshape(size, size)
-    j -= np.outer(blocks[2], kern.mu * n)
-    if coef[1] != 0.0:
-        j -= np.outer(blocks[1], (coef[1] / kern.z[-2]) * g)
-    return j
-
-
-def _bracket(y, kern) -> np.ndarray:
-    # A = D diag(f) D^T + U diag(u) U^T over the pickup flows f and the
-    # dropoff flows u out of each cell
-    size = kern.stack.shape[1]
-    d, u, g = kern.stack[:size], kern.stack[2 * size : 3 * size], kern.stack[-2]
-    coef = kern.coef
-    f = coef[0] * y + coef[1] * (g * y)
-    return (d * f) @ d.T + (u * (coef[2] * y)) @ u.T
+def _linearized(y, params: SystemParams, t: float):
+    """J and A at y: the packed right-hand side at Sigma = 0 holds A."""
+    y = np.asarray(y, dtype=float)
+    dim = _require_uniform(params) + 1
+    rhs_into, j, _ = _packed_rhs(params)
+    out = np.empty(dim + dim * dim)
+    rhs_into(arrival_rate(params.arrival, t), np.concatenate([y, np.zeros(dim * dim)]), out)
+    return j, out[dim:].reshape(dim, dim)
 
 
 def jacobian(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
@@ -96,7 +147,7 @@ def jacobian(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
     from a = mu(gamma - n.y) and s = g.y, so J is the three shift operators
     plus two dense rank-one pieces: -mu (Uy) n^T and -(lam p/s^2) (DGy) g^T.
     """
-    return _jacobian(_kernel_at(np.asarray(y, dtype=float), params, t))
+    return _linearized(y, params, t)[0]
 
 
 def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
@@ -107,47 +158,7 @@ def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.nd
     (e_to - e_from)^T, that is D diag(f) D^T + U diag(u) U^T over the pickup
     flows f and dropoff flows u: a tridiagonal matrix with zero row sums.
     """
-    y = np.asarray(y, dtype=float)
-    return _bracket(y, _kernel_at(y, params, t))
-
-
-def _rk4_fixed(fun, z0: np.ndarray, t_grid: np.ndarray, h: float, guard=None):
-    """Fixed-step RK4 over a packed state with optional per-step guard.
-
-    guard(z) -> bool flags an unacceptable step; the step is then retried at
-    half size, failing below the minimum step.
-    """
-    t_grid = _check_grid_and_step(t_grid, h)
-    out = np.empty((len(t_grid), z0.size))
-    z = np.asarray(z0, dtype=float).copy()
-    out[0] = z
-    t = t_grid[0]
-
-    def advance(t, z, dt):
-        k1 = fun(t, z)
-        k2 = fun(t + 0.5 * dt, z + 0.5 * dt * k1)
-        k3 = fun(t + 0.5 * dt, z + 0.5 * dt * k2)
-        k4 = fun(t + dt, z + dt * k3)
-        cand = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if guard is not None and guard(cand):
-            if dt < MIN_STEP:
-                raise ConvergenceError(
-                    f"covariance integration step underflow below {MIN_STEP}"
-                )
-            half = advance(t, z, 0.5 * dt)
-            return advance(t + 0.5 * dt, half, 0.5 * dt)
-        return cand
-
-    for seg in range(len(t_grid) - 1):
-        span = t_grid[seg + 1] - t_grid[seg]
-        n_sub = max(1, int(np.ceil(span / h - 1e-12)))
-        dt = span / n_sub
-        for _ in range(n_sub):
-            z = advance(t, z, dt)
-            t += dt
-        t = t_grid[seg + 1]
-        out[seg + 1] = z
-    return out
+    return _linearized(y, params, t)[1]
 
 
 def integrate_covariance(
@@ -157,14 +168,17 @@ def integrate_covariance(
     t_grid,
     h: float = 0.005,
     zero_bracket: bool = False,
+    stats=None,
 ) -> list[CovarianceState]:
     """Co-integrate the mean-field path and its fluctuation covariance.
 
     Solves y' = b(y), Sigma' = J(y) Sigma + Sigma J(y)^T + A(y) as one packed
-    RK4 system so the covariance sees the order-4 accurate mean at every
-    stage. zero_bracket drops the A(y) source term; that turns the equation
-    into pure transport and is useful as a should-fail control next to
-    Monte-Carlo covariance estimates.
+    system on the mean field's RK4 stepper: the covariance sees the order-4
+    accurate mean at every stage, and the mean is the bytes of integrate's
+    unless the stiffness guard of _packed_rhs halves steps (stiff_halvings
+    in stats, as in meanfield.integrate). zero_bracket drops the A(y) source
+    term: pure transport, a should-fail control next to Monte-Carlo
+    covariance estimates.
     """
     k = _require_uniform(params)
     dim = k + 1
@@ -172,34 +186,21 @@ def integrate_covariance(
     sigma0 = np.asarray(sigma0, dtype=float)
     if y0.shape != (dim,):
         raise ValidationError(f"y0 must have length {dim}")
+    _check_simplex(y0)
     if sigma0.shape != (dim, dim):
         raise ValidationError(f"sigma0 must be {dim}x{dim}")
     if np.abs(sigma0 - sigma0.T).max() > 1e-10:
         raise ValidationError("sigma0 must be symmetric")
     # with Sigma exactly symmetric, Sigma J^T is the transpose of J Sigma
     sigma0 = 0.5 * (sigma0 + sigma0.T)
-    # each stage overwrites the kernel's scratch before reading it
-    kern = _Kernel(params)
-
-    def fun(t, z):
-        y = z[:dim]
-        dy = _linearize(y, kern, params, t)
-        jsig = _jacobian(kern) @ z[dim:].reshape(dim, dim)
-        dsig = jsig + jsig.T
-        if not zero_bracket:
-            dsig += _bracket(y, kern)
-        return np.concatenate([dy, dsig.ravel()])
-
-    def guard(z):
-        return bool(z[:dim].min() < -1e-9)
-
+    rhs_into, _, guard = _packed_rhs(params, zero_bracket)
     z0 = np.concatenate([y0, sigma0.ravel()])
-    path = _rk4_fixed(fun, z0, t_grid, h, guard=guard)
-    t_grid = np.asarray(t_grid, dtype=float)
+    path = _rk4_buffered(rhs_into, z0, params.arrival, t_grid, h, dim=dim,
+                         guard=guard, stats=stats)
     states = []
-    for row, t in zip(path, t_grid):
+    for row, t in zip(path, np.asarray(t_grid, dtype=float)):
         sig = row[dim:].reshape(dim, dim)
-        states.append(CovarianceState(sigma=0.5 * (sig + sig.T), t=float(t)))
+        states.append(CovarianceState(sigma=0.5 * (sig + sig.T), t=float(t), y=row[:dim]))
     return states
 
 

@@ -177,8 +177,7 @@ def fclt_experiment(
     states = integrate_covariance(
         y0, np.zeros((dim, dim)), par_n, [0.0, t_check], zero_bracket=zero_bracket
     )
-    sigma = states[-1].sigma
-    ymf = integrate(y0, par_n, [0.0, t_check])[-1]
+    sigma, ymf = states[-1].sigma, states[-1].y
 
     res = ensemble(par_n, reps, horizon=t_check, sample_dt=t_check, seed=seed,
                    initial=init)
@@ -441,22 +440,15 @@ def nonstationary_run(
     y0 = np.asarray(y0, dtype=float)
     dim = params.uniform_capacity + 1
     if with_covariance:
+        # the packed path carries the mean: one integration gives both
         states = integrate_covariance(y0, np.zeros((dim, dim)), params, t_grid, h=h)
-        path = integrate(y0, params, t_grid, h=h)
-        frames = [
-            {
-                "t": float(t),
-                "y": path[i],
-                "entropy": float(entropy(path[i])),
-                "sigma_diag": np.diag(states[i].sigma).copy(),
-            }
-            for i, t in enumerate(t_grid)
-        ]
+        path = [state.y for state in states]
+        diags = [np.diag(state.sigma).copy() for state in states]
     else:
         path = integrate(y0, params, t_grid, h=h)
-        frames = [
-            {"t": float(t), "y": path[i], "entropy": float(entropy(path[i])),
-             "sigma_diag": None}
-            for i, t in enumerate(t_grid)
-        ]
-    return frames
+        diags = [None] * len(t_grid)
+    return [
+        {"t": float(t), "y": path[i], "entropy": float(entropy(path[i])),
+         "sigma_diag": diags[i]}
+        for i, t in enumerate(t_grid)
+    ]

@@ -7,8 +7,11 @@ over (capacity class, bike count).
 Every drift evaluation runs one kernel over the flattened table: the shift
 operators of each (capacities, choice) pair are cached (_operators), and
 _drift_into weights them in two BLAS calls; the diffusion layer builds the
-Jacobian and the jump bracket from the same operators. integrate and
-integrate_hetero share one buffered RK4 loop, bit-identical to _rk4_path.
+Jacobian and the jump bracket from the same operators. One buffered RK4
+stepper, _rk4_buffered, integrates any flat state that starts with a
+measure: integrate and integrate_hetero run it over _drift_into,
+bit-identical to the allocating _rk4_path kept as the oracle, and the
+diffusion layer runs the packed mean and covariance system on it.
 """
 
 from __future__ import annotations
@@ -212,6 +215,11 @@ def _sample_grid(horizon: float, sample_dt: float) -> np.ndarray:
     return np.arange(math.floor(horizon / sample_dt + 1e-9) + 1) * sample_dt
 
 
+def _check_simplex(y0: np.ndarray) -> None:
+    if abs(y0.sum() - 1.0) > 1e-10 or y0.min() < -1e-12:
+        raise ValidationError("y0 must lie on the probability simplex")
+
+
 def _check_grid_and_step(t_grid, h: float) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
@@ -264,108 +272,149 @@ def _rk4_path(fun, y0: np.ndarray, t_grid: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _rk4_buffered(y0: np.ndarray, params: SystemParams, t_grid, h: float) -> np.ndarray:
-    """The mean-field RK4 route: _rk4_path over _drift_into, in buffers.
+def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
+                  guard=None, stats=None) -> np.ndarray:
+    """The one RK4 stepper, over rhs_into and in buffers.
 
-    y0 is a flat measure over the cells of _operators. Stage arithmetic
-    reproduces _rk4_step term by term and lam comes from arrival_rate at
-    each stage time, so the path is bit-identical to _rk4_path over drift or
-    drift_hetero; a negative overshoot falls back to _rk4_advance for the
-    halving cascade.
+    z0 is a flat state whose first dim entries (all by default) are a
+    measure; rhs_into(lam, x, out) writes dx/dt at arrival rate lam into out.
+    Stage arithmetic is _rk4_step's, term by term, so the measure is
+    bit-identical to _rk4_path over drift or drift_hetero. lam is
+    read once per stage time, and once in all for a constant rate. A step
+    whose measure dips below -1e-9, or whose guard(dt) is True after the
+    first stage, is redone as two half steps; an accepted measure off unit
+    mass by more than 1e-12 is renormalized.
 
-    With a constant arrival rate the drift does not depend on t, so one
-    accepted step, halving and renormalization included, is a fixed map of
-    (y, dt). Once a step returns its input bytes unchanged, every further
-    sub-step of the same grid interval would return them too, so the
-    interval stops stepping there; the output is the same bytes as running
-    every step. The next interval takes at least one step of its own, since
-    its dt may differ.
+    Under a constant rate a step is a fixed map of (z, dt). Once a step
+    returns its input bytes, or those of two steps back (a last-bit
+    2-cycle), the grid interval ends on the state the parity of its
+    remaining steps picks, the bytes of stepping through. stats, a dict,
+    receives the counts of what was done.
     """
     t_grid = _check_grid_and_step(t_grid, h)
-    arrival = params.arrival
-    kern = _Kernel(params)
-    k1, k2, k3, k4, ys, acc = (np.empty(y0.size) for _ in range(6))
+    size = z0.size
+    dim = size if dim is None else dim
+    whole = dim == size
+    k1, k2, k3, k4, ys, acc = (np.empty(size) for _ in range(6))
+    rate, autonomous = arrival.rate, arrival.is_constant
+    lam = (lambda t: rate) if autonomous else arrival.fourier.at
+    count = dict.fromkeys(("steps", "halvings", "stiff_halvings", "renormalized",
+                           "fixed_point_exits", "cycle_exits"), 0)
+    count["renormalized_mass"] = 0.0
+    # a sequential sum of the measure is within dim * 1e-15 of numpy's
+    # pairwise one, so below this bound numpy's cannot pass 1e-12 either
+    sum_tol = 1e-12 - dim * 1e-15
 
-    def fun(t, x):
-        return _drift_into(x, _Kernel(params), arrival_rate(arrival, t), np.empty(x.size))
+    def halve(t, y, dt, out, reason):
+        if dt / 2.0 < MIN_STEP:
+            raise ConvergenceError(f"step size fell below {MIN_STEP} at t={t:.6g}; "
+                                   "system too stiff")
+        count[reason] += 1
+        mid = np.empty(size)
+        accept(t, y, dt / 2.0, mid)
+        accept(t + dt / 2.0, mid, dt / 2.0, out)
 
-    def stage(t, src, coeff, kout):
-        # kout = drift(y + coeff*src); ys is scratch for the stage point
-        np.multiply(src, coeff, out=ys)
-        np.add(ys, y, out=ys)
-        _drift_into(ys, kern, arrival_rate(arrival, t), kout)
+    # the step's scalars as 0-d arrays, which numpy multiplies by faster
+    c_half, c_dt, c_sixth = (np.zeros(()) for _ in range(3))
 
-    out = np.empty((t_grid.size, y0.size))
-    y = np.array(y0, dtype=float)
+    def accept(t, y, dt, out):
+        # one accepted RK4 step from y into out (not y); 2k is k + k
+        half = 0.5 * dt
+        rhs_into(lam(t), y, k1)
+        if guard is not None and guard(dt):
+            return halve(t, y, dt, out, "stiff_halvings")
+        c_half[()], c_dt[()], c_sixth[()] = half, dt, dt / 6.0
+        mid = lam(t + half)
+        rhs_into(mid, np.add(np.multiply(k1, c_half, out=ys), y, out=ys), k2)
+        rhs_into(mid, np.add(np.multiply(k2, c_half, out=ys), y, out=ys), k3)
+        rhs_into(lam(t + dt), np.add(np.multiply(k3, c_dt, out=ys), y, out=ys), k4)
+        np.add(k2, k2, out=out)
+        out += k1
+        out += np.add(k3, k3, out=ys)
+        out += k4
+        out *= c_sixth
+        out += y
+        head = out if whole else out[:dim]
+        vals = head.tolist()
+        # Python's min and sum are the cheap tests; numpy's decide
+        if min(vals) < -1e-9 and head.min() < -1e-9:
+            return halve(t, y, dt, out, "halvings")
+        if not (abs(sum(vals) - 1.0) <= sum_tol):
+            total = head.sum()
+            if abs(total - 1.0) > 1e-12:
+                head /= total
+                count["renormalized"] += 1
+                count["renormalized_mass"] += float(abs(total - 1.0))
+
+    out = np.empty((t_grid.size, size))
+    y = np.array(z0, dtype=float)
     out[0] = y
+    grid = t_grid.tolist()
     for i in range(t_grid.size - 1):
-        t0, t1 = t_grid[i], t_grid[i + 1]
+        t0, t1 = grid[i], grid[i + 1]
         nsub = max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
         dt = (t1 - t0) / nsub
         t = t0
-        before = y.tobytes()
-        for _ in range(nsub):
-            _drift_into(y, kern, arrival_rate(arrival, t), k1)
-            stage(t + 0.5 * dt, k1, 0.5 * dt, k2)
-            stage(t + 0.5 * dt, k2, 0.5 * dt, k3)
-            stage(t + dt, k3, dt, k4)
-            np.multiply(k2, 2.0, out=acc)
-            acc += k1
-            np.multiply(k3, 2.0, out=ys)
-            acc += ys
-            acc += k4
-            acc *= dt / 6.0
-            acc += y
-            if acc.min() < -1e-9:
-                y = _rk4_advance(fun, t, y, dt)
-            else:
-                total = acc.sum()
-                if abs(total - 1.0) > 1e-12:
-                    acc /= total
-                y, acc = acc, y
-            if arrival.is_constant:
+        before, back = y.tobytes(), None
+        for j in range(nsub):
+            accept(t, y, dt, acc)
+            y, acc = acc, y
+            if autonomous:
                 after = y.tobytes()
                 if after == before:
+                    count["fixed_point_exits"] += 1
                     break
-                before = after
+                if after == back:
+                    # acc holds the cycle's other state
+                    count["cycle_exits"] += 1
+                    if (nsub - 1 - j) % 2:
+                        y, acc = acc, y
+                    break
+                back, before = before, after
             t += dt
+        count["steps"] += j + 1
         out[i + 1] = y
+    if stats is not None:
+        stats.update(count)
     return out
 
 
+def _mean_rhs(params: SystemParams):
+    kern = _Kernel(params)
+    return lambda lam, x, out: _drift_into(x, kern, lam, out)
+
+
 def integrate(
-    y0, params: SystemParams, t_grid, h: float = DEFAULT_STEP
+    y0, params: SystemParams, t_grid, h: float = DEFAULT_STEP, stats=None
 ) -> np.ndarray:
     """Integrate the uniform-capacity mean-field ODE over t_grid.
 
     Returns an array of shape (len(t_grid), K+1) whose first row is y0.
-    A constant-rate integration stops stepping within a grid interval once
-    a step returns its input bytes unchanged (see _rk4_buffered); the result
-    equals stepping all the way.
+    A stats dict, if given, receives the counts of _rk4_buffered: steps,
+    halvings, renormalizations and the mass they removed, and early exits.
     """
     k = params.uniform_capacity
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (k + 1,):
         raise ValidationError(f"y0 must have length {k + 1}, got {y0.shape}")
-    if abs(y0.sum() - 1.0) > 1e-10 or y0.min() < -1e-12:
-        raise ValidationError("y0 must lie on the probability simplex")
-    return _rk4_buffered(y0, params, t_grid, h)
+    _check_simplex(y0)
+    return _rk4_buffered(_mean_rhs(params), y0, params.arrival, t_grid, h,
+                         stats=stats)
 
 
 def integrate_hetero(
-    ym0: HeterogeneousMeasure, params: SystemParams, t_grid, h: float = DEFAULT_STEP
+    ym0: HeterogeneousMeasure, params: SystemParams, t_grid, h: float = DEFAULT_STEP,
+    stats=None,
 ) -> np.ndarray:
-    """Integrate the heterogeneous mean-field ODE.
-
-    Returns an array of shape (len(t_grid), C, k_max+1).
-    """
+    """Integrate the heterogeneous mean-field ODE: an array of shape
+    (len(t_grid), C, k_max+1); stats as in integrate."""
     caps = tuple(params.capacity_values)
     if ym0.capacities != caps:
         raise ValidationError("y0 capacities do not match params")
-    if abs(ym0.total() - 1.0) > 1e-10 or ym0.table.min() < -1e-12:
-        raise ValidationError("y0 must lie on the probability simplex")
+    _check_simplex(ym0.table)
     shape = ym0.table.shape
-    path = _rk4_buffered(ym0.table.ravel(), params, t_grid, h)
+    path = _rk4_buffered(_mean_rhs(params), ym0.table.ravel(), params.arrival,
+                         t_grid, h, stats=stats)
     return path.reshape((len(path),) + shape)
 
 

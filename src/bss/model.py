@@ -107,6 +107,15 @@ class FourierRateModel:
     def order(self) -> int:
         return len(self.sin_coeffs)
 
+    def at(self, t: float) -> float:
+        """lambda(t) at one scalar instant: the path every ODE stage takes."""
+        w = 2.0 * math.pi * float(t) / self.period
+        val = self.intercept
+        for j in range(self.order):
+            val += self.sin_coeffs[j] * math.sin(w * (j + 1))
+            val += self.cos_coeffs[j] * math.cos(w * (j + 1))
+        return val
+
 
 @dataclass(frozen=True)
 class ArrivalModel:
@@ -277,13 +286,7 @@ def arrival_rate(model: ArrivalModel, t):
         return np.full(np.shape(t), model.rate)
     f = model.fourier
     if np.ndim(t) == 0:
-        # scalar fast path, called once per ODE stage
-        w = 2.0 * math.pi * float(t) / f.period
-        val = f.intercept
-        for j in range(f.order):
-            val += f.sin_coeffs[j] * math.sin(w * (j + 1))
-            val += f.cos_coeffs[j] * math.cos(w * (j + 1))
-        return val
+        return f.at(t)
     tt = np.asarray(t, dtype=float)
     js = np.arange(1, f.order + 1)
     w = (2.0 * math.pi / f.period) * tt[..., None] * js

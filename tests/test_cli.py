@@ -256,6 +256,20 @@ def test_diffusion_long_format_symmetric(base_cfg, tmp_path):
     assert sum(sig[("2", str(i), str(i))] for i in range(4)) > 0
 
 
+def test_meanfield_and_diffusion_manifests_carry_stepper_stats(base_cfg, tmp_path):
+    for sub in ("meanfield", "diffusion"):
+        out = tmp_path / f"{sub}.csv"
+        assert main([sub, "--config", base_cfg, "--horizon", "2",
+                     "--sample-dt", "1", "--out", str(out)]) == 0
+        man = json.loads((tmp_path / f"{sub}.csv.manifest.json").read_text())
+        stats = man["details"]["stats"]
+        # two unit intervals at the default step of 0.005
+        assert stats["steps"] <= 400
+        assert stats["halvings"] == stats["stiff_halvings"] == 0
+        assert set(stats) == {"steps", "halvings", "stiff_halvings", "renormalized",
+                              "renormalized_mass", "fixed_point_exits", "cycle_exits"}
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_surface_schema_and_endpoints(tmp_path):

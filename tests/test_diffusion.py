@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from bss.model import ConvergenceError, ValidationError, validate_params
-from bss.meanfield import drift, integrate
+from bss.model import ArrivalModel, ConvergenceError, ValidationError, validate_params
+from bss.meanfield import _rk4_buffered, drift, integrate
 from bss.equilibrium import solve_equilibrium
-from bss.simulator import NetworkState, ensemble
+from bss.simulator import NetworkState, empirical_measure, ensemble, round_robin_state
 from bss.diffusion import (
+    STIFF_LIMIT,
     CovarianceState,
-    _rk4_fixed,
+    _packed_rhs,
     bracket_matrix,
     integrate_covariance,
     jacobian,
@@ -177,11 +178,19 @@ def test_bracket_tridiagonal():
 
 def test_scalar_covariance_closed_form():
     # 1x1 surrogate: sigma' = -2*beta*sigma + s2 has the textbook solution
+    # on the shared stepper, packed behind a one-cell measure as [y; Sigma]
     beta, s2 = 1.3, 0.7
+
+    def rhs_into(lam, z, out):
+        out[0] = 0.0
+        out[1] = -2 * beta * z[1] + s2
+
     grid = np.array([0.0, 0.5, 1.0, 3.0])
-    out = _rk4_fixed(lambda t, z: -2 * beta * z + s2, np.array([0.0]), grid, 0.005)
+    out = _rk4_buffered(rhs_into, np.array([1.0, 0.0]), ArrivalModel(rate=1.0),
+                        grid, 0.005, dim=1)
     exact = s2 / (2 * beta) * (1 - np.exp(-2 * beta * grid))
-    assert np.abs(out[:, 0] - exact).max() <= 1e-8
+    assert np.abs(out[:, 1] - exact).max() <= 1e-8
+    assert np.all(out[:, 0] == 1.0)
 
 
 def test_zero_bracket_keeps_zero_covariance():
@@ -246,21 +255,64 @@ def test_zero_bracket_control_departs_from_monte_carlo():
 
 
 def test_covariance_consistent_with_mean_path():
-    # the packed integrator must reproduce the standalone mean-field path
-    par = make_params(capacity=4, gamma=2.0, p=0.6)
+    # the packed integrator carries the standalone mean-field path: its mean
+    # is integrate's, bit for bit, under a constant and a Fourier rate
+    fourier = {"fourier": {"intercept": 1.0, "sin": [0.5, 0.2], "cos": [0.3, 0.0]}}
     y0 = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
     grid = np.linspace(0.0, 3.0, 7)
-    ymf = integrate(y0, par, grid)
-    # recover the mean from a fresh co-integration by reading zero-cov run
-    states = integrate_covariance(y0, np.zeros((5, 5)), par, grid)
-    assert len(states) == len(grid)
-    assert isinstance(states[0], CovarianceState)
-    assert states[-1].t == pytest.approx(3.0)
-    # trace grows from zero smoothly
-    traces = [np.trace(s.sigma) for s in states]
-    assert traces[0] == 0.0
-    assert all(b >= a - 1e-12 for a, b in zip(traces, traces[1:]))
-    assert ymf.shape == (7, 5)
+    for arrival in ({"constant": 1.0}, fourier):
+        par = make_params(capacity=4, gamma=2.0, p=0.6, arrival=arrival)
+        ymf = integrate(y0, par, grid)
+        stats = {}
+        states = integrate_covariance(y0, np.zeros((5, 5)), par, grid, stats=stats)
+        assert len(states) == len(grid)
+        assert isinstance(states[0], CovarianceState)
+        assert states[-1].t == pytest.approx(3.0)
+        assert np.array_equal(np.array([s.y for s in states]), ymf), arrival
+        assert stats["steps"] == 600 and stats["stiff_halvings"] == 0
+        traces = [np.trace(s.sigma) for s in states]
+        assert traces[0] == 0.0
+        if "constant" in arrival:
+            # the trace grows from zero smoothly
+            assert all(b >= a - 1e-12 for a, b in zip(traces, traces[1:]))
+
+
+def test_stiff_covariance_halves_its_step():
+    # K=20, lam=10, p=0.25: the covariance ODE's spectral radius reaches
+    # 2*1745 by t=0.5, far past RK4's stability interval at h=0.005, while
+    # the mean stays well-behaved. The guard must halve the step there and
+    # agree with a step small enough never to trigger it.
+    par = make_params(n_stations=60, gamma=10, capacity=20, p=0.25,
+                      arrival={"constant": 10.0},
+                      choice={"kind": "exponential", "theta": 0.5})
+    y0 = empirical_measure(round_robin_state(par))
+    grid = [0.0, 0.25, 0.5]
+    stats, fine_stats = {}, {}
+    coarse = integrate_covariance(y0, np.zeros((21, 21)), par, grid, stats=stats)
+    fine = integrate_covariance(y0, np.zeros((21, 21)), par, grid, h=0.0002,
+                                stats=fine_stats)
+    assert stats["stiff_halvings"] > 0
+    assert fine_stats["stiff_halvings"] == 0
+    for a, b in zip(coarse, fine):
+        assert np.abs(a.sigma - b.sigma).max() <= 1e-8
+        assert np.abs(a.y - b.y).max() <= 1e-8
+    assert 0.1 < np.abs(coarse[-1].sigma).max() < 1.0
+
+
+def test_stiffness_guard_bound():
+    # the guard compares 2 dt min(|J|_1, |J|_inf), which bounds dt times the
+    # spectral radius of Sigma -> J Sigma + Sigma J^T, with RK4's limit
+    par = make_params(n_stations=60, gamma=10, capacity=20, p=0.25,
+                      arrival={"constant": 10.0},
+                      choice={"kind": "exponential", "theta": 0.5})
+    y = empirical_measure(round_robin_state(par))
+    j = jacobian(y, par)
+    bound = min(np.abs(j).sum(axis=0).max(), np.abs(j).sum(axis=1).max())
+    assert np.abs(np.linalg.eigvals(j)).max() <= bound
+    rhs_into, _, guard = _packed_rhs(par)
+    rhs_into(10.0, np.concatenate([y, np.zeros(21 * 21)]), np.empty(21 + 21 * 21))
+    limit = STIFF_LIMIT / (2.0 * bound)
+    assert guard(1.01 * limit) and not guard(0.99 * limit)
 
 
 # ------------------------------------------------------ ratio aggregation

@@ -133,6 +133,18 @@ def test_fclt_two_reps_is_insufficient():
     assert rep.status == "insufficient sample"
 
 
+def test_fclt_integrates_the_mean_once(monkeypatch):
+    # the mean comes from the packed covariance path, not a second integrate
+    import bss.harness as harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(harness, "integrate", refuse)
+    rep = fclt_experiment(make_params(), n=100, reps=2, t_check=1.0, seed=5)
+    assert rep.metrics["reps"] == 2
+
+
 def test_fclt_rejects_capacity_mix():
     par = make_params(
         capacity={"values": [2, 4], "fractions": [0.5, 0.5]}
@@ -415,3 +427,19 @@ def test_nonstationary_rejects_capacity_mix():
     )
     with pytest.raises(ValidationError, match="uniform"):
         nonstationary_run(par, np.ones(5) / 5, [0.0, 1.0])
+
+
+def test_nonstationary_covariance_frames_carry_the_same_mean(monkeypatch):
+    # with the covariance the mean comes from the packed path, integrated
+    # once, and its frames are the bytes of the mean-only run
+    import bss.harness as harness
+
+    par = toy_nonstationary()
+    y0 = np.array([0.4, 0.3, 0.2, 0.1])
+    grid = [0.0, 1.0, 2.5, 4.0]
+    plain = nonstationary_run(par, y0, grid, h=0.01)
+    monkeypatch.setattr(harness, "integrate", None)
+    both = nonstationary_run(par, y0, grid, h=0.01, with_covariance=True)
+    for a, b in zip(plain, both):
+        assert a["y"].tobytes() == b["y"].tobytes()
+        assert a["entropy"] == b["entropy"]

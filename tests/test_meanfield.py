@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bss.model import ConvergenceError, ValidationError, validate_params
+from bss.model import ArrivalModel, ConvergenceError, ValidationError, validate_params
 from bss.meanfield import (
     HeterogeneousMeasure,
     builtin_measure,
@@ -13,6 +13,7 @@ from bss.meanfield import (
     integrate_hetero,
     ratio_bins,
     ratio_projection,
+    _rk4_buffered,
     _rk4_path,
 )
 
@@ -277,16 +278,76 @@ class TestIntegrate:
         assert fast[3].tobytes() != fast[2].tobytes()
         assert fast[3].tobytes() == fast[-1].tobytes()
 
+    def test_two_cycle_exit_matches_stepping_through(self):
+        # from this start the dt=0.01 path settles into a last-bit 2-cycle,
+        # not a fixed point; the stepper must end each interval on the cycle
+        # state its remaining step count's parity picks, and count the exit
+        params = make_params(
+            gamma=2.0, capacity=5, choice={"kind": "exponential", "theta": 2.0}
+        )
+        rng = np.random.default_rng(5)
+        y0 = physical_simplex(rng, 6, params.gamma)
+        grid = np.array([0.0, 2.5, 35.0, 35.015, 35.385, 50.0])
+        stats = {}
+        fast = integrate(y0, params, grid, h=0.01, stats=stats)
+        slow = _rk4_path(lambda t, y: drift(y, params, t), y0, grid, 0.01)
+        assert np.array_equal(fast, slow)
+        assert stats["cycle_exits"] >= 1
+        one = integrate(fast[2], params, [0.0, 0.01], h=0.01)[-1]
+        two = integrate(fast[2], params, [0.0, 0.02], h=0.01)[-1]
+        assert one.tobytes() != fast[2].tobytes()
+        assert two.tobytes() == fast[2].tobytes()
+        # from a cycle state, an odd and an even step count end on the two
+        # different states of the cycle
+        for n, end in ((5, one), (6, fast[2])):
+            cyc = {}
+            got = integrate(fast[2], params, [0.0, n * 0.01], h=0.01, stats=cyc)
+            ref = _rk4_path(lambda t, y: drift(y, params, t), fast[2],
+                            np.array([0.0, n * 0.01]), 0.01)
+            assert np.array_equal(got, ref)
+            assert got[-1].tobytes() == end.tobytes()
+            assert cyc["cycle_exits"] == 1 and cyc["steps"] == 2
+
+    def test_stats_count_what_the_stepper_did(self):
+        params = make_params(
+            gamma=5, capacity=10,
+            arrival={"fourier": {"intercept": 1.0, "sin": [0.5], "cos": [0.0]}},
+        )
+        y0 = builtin_measure(params, "uniform")
+        stats = {}
+        integrate(y0, params, [0.0, 0.5, 1.0], h=0.01, stats=stats)
+        # a time-varying rate takes no early exit: every sub-step runs
+        assert stats["steps"] == 100
+        assert stats["fixed_point_exits"] == stats["cycle_exits"] == 0
+        assert stats["halvings"] == stats["stiff_halvings"] == 0
+        assert stats["renormalized"] == 0 and stats["renormalized_mass"] == 0.0
+        fixed = {}
+        integrate(y0, make_params(gamma=5, capacity=10, arrival={"constant": 0.0}),
+                  [0.0, 1.0], h=0.01, stats=fixed)
+        # without arrivals and below the fleet everything docks: the uniform
+        # start moves until all mass is pushed up, so some steps run
+        assert 1 <= fixed["steps"] <= 100
+
     def test_step_above_limit_rejected(self):
         params = make_params()
         with pytest.raises(ValidationError):
             integrate(np.full(21, 1 / 21), params, [0.0, 1.0], h=0.02)
 
     def test_stiff_failure_raises(self):
-        def fun(t, y):
-            return np.array([-1e12 * (y[0] + 1.0), 1e12 * (y[0] + 1.0)])
+        def rhs_into(lam, y, out):
+            out[0] = -1e12 * (y[0] + 1.0)
+            out[1] = 1e12 * (y[0] + 1.0)
 
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="too stiff"):
+            _rk4_buffered(rhs_into, np.array([0.5, 0.5]), ArrivalModel(rate=1.0),
+                          np.array([0.0, 1.0]), 0.01)
+
+        def fun(t, y):
+            out = np.empty(2)
+            rhs_into(1.0, y, out)
+            return out
+
+        with pytest.raises(ConvergenceError, match="too stiff"):
             _rk4_path(fun, np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0.01)
 
     def test_hetero_marginals_constant(self):
