@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .model import ConvergenceError, SystemParams, ValidationError, validate_params
 from .meanfield import (
-    HeterogeneousMeasure,
     _sample_grid,
     builtin_measure,
     integrate,
@@ -199,10 +198,8 @@ def _cmd_meanfield(args) -> int:
     if par.is_uniform:
         _write_series(args.out, grid, "y", integrate(y0, par, grid, args.step, stats))
     else:
-        caps = tuple(par.capacity_values)
-        ratios = [ratio_projection(HeterogeneousMeasure(caps, tab))
-                  for tab in integrate_hetero(y0, par, grid, args.step, stats)]
-        _write_series(args.out, grid, "r", np.array(ratios))
+        path = integrate_hetero(y0, par, grid, args.step, stats)
+        _write_series(args.out, grid, "r", ratio_projection(path, par.capacity_values))
     _manifest(
         args.out, "meanfield", par.to_config(), None, [args.out], started,
         details={"horizon": args.horizon, "sample_dt": args.sample_dt,

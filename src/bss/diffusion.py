@@ -12,6 +12,10 @@ gives J and A, and each covariance stage makes that product once. The packed
 system [y; Sigma] runs on the mean field's one RK4 stepper; its right-hand
 side writes into buffers made once per integration, and a stiffness guard
 halves every step that would leave RK4's stability interval for Sigma.
+
+The matrices cover a uniform capacity; a capacity mix needs the joint
+Sigma over the (class, count) table, whose ratio covariance is P Sigma P^T
+with P the table projection meanfield.ratio_projection.
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemParams, ValidationError, arrival_rate
-from .meanfield import TINY_DENOM, _check_simplex, _drift_into, _Kernel, _rk4_buffered
+from .meanfield import TINY_DENOM, _check_start, _drift_into, _Kernel, _rk4_buffered
 
 __all__ = [
     "CovarianceState",
     "jacobian",
     "bracket_matrix",
     "integrate_covariance",
-    "ratio_covariance",
 ]
 
 
@@ -186,11 +189,11 @@ def integrate_covariance(
     sigma0 = np.asarray(sigma0, dtype=float)
     if y0.shape != (dim,):
         raise ValidationError(f"y0 must have length {dim}")
-    _check_simplex(y0)
+    _check_start(y0, params)
     if sigma0.shape != (dim, dim):
         raise ValidationError(f"sigma0 must be {dim}x{dim}")
-    if np.abs(sigma0 - sigma0.T).max() > 1e-10:
-        raise ValidationError("sigma0 must be symmetric")
+    if not (np.abs(sigma0 - sigma0.T).max() <= 1e-10):
+        raise ValidationError("sigma0 must be finite and symmetric")
     # with Sigma exactly symmetric, Sigma J^T is the transpose of J Sigma
     sigma0 = 0.5 * (sigma0 + sigma0.T)
     rhs_into, _, guard = _packed_rhs(params, zero_bracket)
@@ -202,37 +205,3 @@ def integrate_covariance(
         sig = row[dim:].reshape(dim, dim)
         states.append(CovarianceState(sigma=0.5 * (sig + sig.T), t=float(t), y=row[:dim]))
     return states
-
-
-def ratio_covariance(sigmas, capacities, k_max: int | None = None) -> np.ndarray:
-    """Aggregate per-capacity fluctuation covariances onto ratio bins.
-
-    The ratio fluctuation at bin j sums, over capacity classes k, the
-    fluctuation at the unique count n with floor(n*k_max/k) = j (no such n
-    contributes zero). This sums the per-class blocks only:
-    out = sum_k P_k Sigma_k P_k^T with P_k the 0/1 bin-assignment map. The
-    classes are not independent; they couple through the shared spare-bike
-    level and the choice normaliser, so the joint covariance has cross-class
-    blocks, which this sum omits.
-    """
-    capacities = [int(k) for k in capacities]
-    if len(sigmas) != len(capacities):
-        raise ValidationError("need one covariance matrix per capacity class")
-    if k_max is None:
-        k_max = max(capacities)
-    if k_max < max(capacities):
-        raise ValidationError(
-            f"k_max {k_max} is below the largest capacity {max(capacities)}"
-        )
-    out = np.zeros((k_max + 1, k_max + 1))
-    for sig, k in zip(sigmas, capacities):
-        sig = np.asarray(sig, dtype=float)
-        if sig.shape != (k + 1, k + 1):
-            raise ValidationError(
-                f"covariance for capacity {k} must be {k + 1}x{k + 1}"
-            )
-        bins = (np.arange(k + 1) * k_max) // k
-        proj = np.zeros((k_max + 1, k + 1))
-        proj[bins, np.arange(k + 1)] = 1.0
-        out += proj @ sig @ proj.T
-    return out

@@ -392,7 +392,7 @@ def solve_equilibrium_hetero(params: SystemParams):
     caps, fracs, _ = _class_structure(params)
     _, _, conds, _, _ = _solve_scalar_pair(params)
     ym = HeterogeneousMeasure.from_conditionals(caps, fracs, conds)
-    return ym, ratio_projection(ym)
+    return ym, ratio_projection(ym.table, ym.capacities)
 
 
 def entropy(y) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .meanfield import ratio_histogram
 from .model import FourierRateModel, ValidationError
 
 __all__ = [
@@ -136,22 +137,13 @@ def parse_gbfs(status_doc, info_doc) -> GbfsSnapshot:
 
 
 def snapshot_histograms(snapshot: GbfsSnapshot, k_max: int):
-    """Count histogram over 0..max capacity and the fill-ratio histogram.
-
-    The ratio histogram resolves capacity differences: a station with n of k
-    docks occupied lands in bin floor(n*k_max/k).
-    """
+    """Count histogram over 0..max capacity and the fill-ratio histogram
+    (meanfield.ratio_histogram), which resolves capacity differences."""
     if len(snapshot) == 0:
         raise ValidationError("empty snapshot")
     top = int(snapshot.capacities.max())
-    if top > k_max:
-        raise ValidationError(f"snapshot capacity {top} exceeds k_max {k_max}")
-    n_st = len(snapshot)
-    count_hist = np.bincount(snapshot.bikes, minlength=top + 1) / n_st
-    ratio_hist = np.zeros(k_max + 1)
-    bins = (snapshot.bikes * k_max) // snapshot.capacities
-    np.add.at(ratio_hist, bins, 1.0 / n_st)
-    return count_hist, ratio_hist
+    count_hist = np.bincount(snapshot.bikes, minlength=top + 1) / len(snapshot)
+    return count_hist, ratio_histogram(snapshot.bikes, snapshot.capacities, k_max)
 
 
 def fit_fourier(series: RateSeries, order: int, period: float = 24.0):

@@ -1,8 +1,15 @@
-"""Deterministic mean-field limit: drift fields, RK4 integration, ratio projection.
+"""Deterministic mean-field limit: drift fields, RK4 integration, ratio process.
 
 The empirical measure of a uniform-capacity network is a plain vector y of
 length K+1 on the probability simplex. Heterogeneous networks use a table
 over (capacity class, bike count).
+
+The ratio process is a fixed linear image of that table: cell (c, n) goes
+to the fill-ratio bin ratio_bins(K_c, k_max)[n]. One projection,
+ratio_projection, maps any stack of (class, count) tables onto the bins:
+the ODE path, the simulator's samples and occupancy integrals, the
+equilibrium. ratio_histogram bins per-station counts, as GBFS snapshots
+come.
 
 Every drift evaluation runs one kernel over the flattened table: the shift
 operators of each (capacities, choice) pair are cached (_operators), and
@@ -37,8 +44,9 @@ __all__ = [
     "drift_hetero",
     "integrate",
     "integrate_hetero",
-    "ratio_projection",
     "ratio_bins",
+    "ratio_projection",
+    "ratio_histogram",
     "builtin_measure",
 ]
 
@@ -146,6 +154,13 @@ def _operators(capacities: tuple[int, ...], choice: ChoiceSpec) -> np.ndarray:
 _NO_CHOICE = ChoiceSpec("none")
 
 
+def _stack(params: SystemParams) -> np.ndarray:
+    # without informed users the choice never enters; g = 1 keeps the
+    # stack finite where a steep choice function overflows
+    return _operators(params.capacity_values,
+                      params.choice if params.p > 0.0 else _NO_CHOICE)
+
+
 class _Kernel:
     """A caller's operator stack and rates, with scratch for z = M y and the
     block weights (lam(1-p), lam p/s, a)."""
@@ -153,10 +168,7 @@ class _Kernel:
     __slots__ = ("stack", "p", "mu", "gamma", "z", "blocks", "coef")
 
     def __init__(self, params: SystemParams):
-        # without informed users the choice never enters; g = 1 keeps the
-        # stack finite where a steep choice function overflows
-        choice = params.choice if params.p > 0.0 else _NO_CHOICE
-        self.stack = _operators(params.capacity_values, choice)
+        self.stack = _stack(params)
         self.p, self.mu, self.gamma = params.p, params.mu, params.gamma
         self.z = np.empty(self.stack.shape[0])
         self.blocks = self.z[:-2].reshape(3, -1)
@@ -215,15 +227,23 @@ def _sample_grid(horizon: float, sample_dt: float) -> np.ndarray:
     return np.arange(math.floor(horizon / sample_dt + 1e-9) + 1) * sample_dt
 
 
-def _check_simplex(y0: np.ndarray) -> None:
-    if abs(y0.sum() - 1.0) > 1e-10 or y0.min() < -1e-12:
+def _check_start(y0: np.ndarray, params: SystemParams) -> None:
+    """A start on the simplex that docks at most the fleet. Above gamma, the
+    docked mean n.y0 (the kernel's n^T row) leaves a negative spare level
+    gamma - n.y0 and runs the dropoff flow backwards. NaN fails both tests."""
+    if not (abs(y0.sum() - 1.0) <= 1e-10 and y0.min() >= -1e-12):
         raise ValidationError("y0 must lie on the probability simplex")
+    docked = float(_stack(params)[-1] @ y0.ravel())
+    if not (docked <= params.gamma + 1e-9):
+        raise ValidationError(f"y0 docks {docked:.6g} bikes per station, more "
+                              f"than the fleet's gamma = {params.gamma:.6g}")
 
 
 def _check_grid_and_step(t_grid, h: float) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
-        raise ValidationError("t_grid must be strictly increasing")
+    if not (t_grid.ndim == 1 and t_grid.size >= 1 and np.isfinite(t_grid).all()
+            and (np.diff(t_grid) > 0).all()):
+        raise ValidationError("t_grid must be finite and strictly increasing")
     if not (0 < h <= MAX_STEP):
         raise ValidationError(f"step must be in (0, {MAX_STEP}], got {h}")
     return t_grid
@@ -397,7 +417,7 @@ def integrate(
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (k + 1,):
         raise ValidationError(f"y0 must have length {k + 1}, got {y0.shape}")
-    _check_simplex(y0)
+    _check_start(y0, params)
     return _rk4_buffered(_mean_rhs(params), y0, params.arrival, t_grid, h,
                          stats=stats)
 
@@ -411,7 +431,7 @@ def integrate_hetero(
     caps = tuple(params.capacity_values)
     if ym0.capacities != caps:
         raise ValidationError("y0 capacities do not match params")
-    _check_simplex(ym0.table)
+    _check_start(ym0.table, params)
     shape = ym0.table.shape
     path = _rk4_buffered(_mean_rhs(params), ym0.table.ravel(), params.arrival,
                          t_grid, h, stats=stats)
@@ -425,21 +445,37 @@ def ratio_bins(k: int, k_max: int) -> np.ndarray:
     return (np.arange(k + 1) * k_max) // k
 
 
-def ratio_projection(ym: HeterogeneousMeasure, k_max: int | None = None) -> np.ndarray:
-    """Aggregate a heterogeneous measure into the fill-ratio histogram.
+def ratio_projection(tables, capacities) -> np.ndarray:
+    """Fill-ratio histograms of a stack of (class, count) tables.
 
-    A station with n bikes and capacity k lands in bin floor(n*k_max/k); full
-    stations land in bin k_max. Total mass is preserved.
+    tables has shape (..., C, k_max+1) in the layout of _operators, row c
+    for capacity capacities[c] (ascending); cell (c, n) lands in bin
+    ratio_bins(K_c, k_max)[n], the classes added in order. The bins of one
+    class are distinct, so each class is one add; a uniform capacity is the
+    identity. Total mass is preserved.
     """
-    if k_max is None:
-        k_max = ym.k_max
-    if k_max < ym.k_max:
+    tables = np.asarray(tables, dtype=float)
+    k_max = capacities[-1]
+    if tables.shape[-2:] != (len(capacities), k_max + 1):
         raise ValidationError(
-            f"k_max {k_max} is below the largest capacity {ym.k_max}"
-        )
+            f"tables of shape {tables.shape} do not match capacities {capacities}")
+    r = np.zeros(tables.shape[:-2] + (k_max + 1,))
+    for c, k in enumerate(capacities):
+        r[..., ratio_bins(k, k_max)] += tables[..., c, : k + 1]
+    return r
+
+
+def ratio_histogram(counts, capacities, k_max: int) -> np.ndarray:
+    """Fill-ratio histogram of stations: station i, holding counts[i] of
+    capacities[i] docks, adds 1/N to bin ratio_bins(capacities[i], k_max)
+    [counts[i]], in station order."""
+    counts, capacities = np.asarray(counts), np.asarray(capacities)
+    bins = np.empty_like(counts)
+    for k in np.unique(capacities).tolist():
+        at = capacities == k
+        bins[at] = ratio_bins(k, k_max)[counts[at]]
     r = np.zeros(k_max + 1)
-    for c, k in enumerate(ym.capacities):
-        np.add.at(r, ratio_bins(k, k_max), ym.table[c, : k + 1])
+    np.add.at(r, bins, 1.0 / counts.size)
     return r
 
 

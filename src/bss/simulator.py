@@ -6,7 +6,9 @@ Stations with the same capacity and count are exchangeable, so the engine
 evolves the occupancy table W[class, n] = number of stations of that class
 holding n bikes; every observable here is a function of W and the table's
 transition rates depend on the state only through W, so trajectories have
-exactly the per-station law projected onto W.
+exactly the per-station law projected onto W. The ratio histogram of a
+sample, or of the occupancy integral behind a stationary average, is
+meanfield.ratio_projection of W / N.
 
 One event law, two drivers. _run_engine steps one replica on Python scalars
 (simulate, stationary_average, flln_experiment). _lockstep advances many
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import SystemParams, ValidationError, arrival_rate, choice_weights
-from .meanfield import TINY_DENOM, HeterogeneousMeasure, _sample_grid, ratio_bins
+from .meanfield import TINY_DENOM, HeterogeneousMeasure, _sample_grid, ratio_projection
 
 __all__ = [
     "NetworkState",
@@ -40,7 +42,6 @@ __all__ = [
     "dropoff_rate",
     "empirical_measure",
     "hetero_measure",
-    "ratio_histogram",
     "simulate",
     "stationary_average",
     "ensemble",
@@ -188,16 +189,6 @@ def hetero_measure(state: NetworkState) -> HeterogeneousMeasure:
     return HeterogeneousMeasure(caps, table)
 
 
-def ratio_histogram(state: NetworkState, k_max: int) -> np.ndarray:
-    """Fill-ratio histogram: station (n, k) lands in bin floor(n*k_max/k)."""
-    if int(state.capacities.max()) > k_max:
-        raise ValidationError(f"capacity above k_max {k_max}")
-    r = np.zeros(k_max + 1)
-    bins = (state.counts * k_max) // state.capacities
-    np.add.at(r, bins, 1.0 / state.n_stations)
-    return r
-
-
 class _Lumped:
     """Occupancy-table state with incrementally maintained rate aggregates.
 
@@ -262,12 +253,6 @@ class _Lumped:
         if n + 1 == self.caps[c]:
             self.open -= 1
 
-    def y_vector(self) -> np.ndarray:
-        return np.asarray(self.w[0]) / self.n
-
-    def r_vector(self, bin_maps) -> np.ndarray:
-        return _project(self.w, self.caps, bin_maps, self.n)
-
 
 def _aggregates(rows, g, caps) -> tuple:
     """(docked, big_g, g_pos, nonempty, open) summed afresh from the table
@@ -282,14 +267,6 @@ def _aggregates(rows, g, caps) -> tuple:
         int(sum(int(w[1:].sum()) for w in ws)),
         int(sum(int(w[:k].sum()) for w, k in zip(ws, caps))),
     )
-
-
-def _project(rows, caps, bin_maps, scale) -> np.ndarray:
-    """Ratio histogram of per-class rows over counts, each divided by scale."""
-    r = np.zeros(len(rows[0]))
-    for row, k, bins in zip(rows, caps, bin_maps):
-        np.add.at(r, bins, np.asarray(row[: k + 1]) / scale)
-    return r
 
 
 def _prepare_initial(params: SystemParams, initial: NetworkState | None) -> NetworkState:
@@ -488,24 +465,23 @@ def simulate(
     arrival rates are simulated by thinning against the horizon-wide bound.
     """
     times = _sample_grid(horizon, sample_dt)
-    uniform = params.is_uniform
-    k_max = params.k_max
     caps = params.capacity_values
-    bin_maps = [ratio_bins(k, k_max) for k in caps]
-    y_series = np.zeros((len(times), k_max + 1)) if uniform else None
-    r_series = np.zeros((len(times), k_max + 1))
+    tables = np.zeros((len(times), len(caps), params.k_max + 1))
 
     def on_grid(idx, lump):
-        if uniform:
-            y_series[idx] = lump.y_vector()
-        r_series[idx] = lump.r_vector(bin_maps)
+        # via int64: filling from the lists measured 0.3 MiB more peak RSS
+        tables[idx] = np.asarray(lump.w)
 
     stats, _ = _run_engine(
         params, horizon, seed, initial,
         on_grid=on_grid, times=times,
         check_conservation=check_conservation,
     )
-    return TrajectorySample(times, y_series, r_series, stats["events"], stats)
+    # station fractions; for a uniform capacity the ratio bins are the identity
+    tables /= params.n_stations
+    y_series = tables[:, 0] if params.is_uniform else None
+    return TrajectorySample(times, y_series, ratio_projection(tables, caps),
+                            stats["events"], stats)
 
 
 def stationary_average(
@@ -522,11 +498,9 @@ def stationary_average(
     """
     if horizon <= burn_in:
         raise ValidationError("horizon must exceed burn_in")
-    caps = params.capacity_values
-    # for a uniform capacity the ratio bins are the identity
-    bin_maps = [ratio_bins(k, params.k_max) for k in caps]
     _, occ = _run_engine(params, horizon, seed, initial, occupancy_from=burn_in)
-    return _project(occ, caps, bin_maps, params.n_stations) / (horizon - burn_in)
+    return ratio_projection(np.asarray(occ) / params.n_stations,
+                            params.capacity_values) / (horizon - burn_in)
 
 
 def _totals(lam, p, mu, n, fleet, docked, big_g, g_pos, nonempty, open_):

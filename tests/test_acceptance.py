@@ -360,7 +360,7 @@ def test_criterion_09_ratio_projection_preserves_mass():
         fracs = rng.dirichlet(np.ones(3))
         conds = [rng.dirichlet(np.ones(k + 1)) for k in caps]
         ym = HeterogeneousMeasure.from_conditionals(caps, fracs, conds)
-        r = ratio_projection(ym)
+        r = ratio_projection(ym.table, ym.capacities)
         worst = max(worst, abs(float(r.sum()) - ym.total()))
     ok = worst <= 1e-12
     print(f"[criterion 9 mass] worst projection defect {worst:.2e} "

@@ -10,7 +10,6 @@ from bss.equilibrium import solve_equilibrium, solve_equilibrium_hetero
 from bss.harness import sweep
 from bss.ingestion import parse_gbfs, snapshot_histograms
 from bss.meanfield import (
-    HeterogeneousMeasure,
     builtin_measure,
     integrate,
     integrate_hetero,
@@ -533,7 +532,7 @@ def _meanfield_case(par):
         rows = _series_rows(grid, "y", integrate(y0, par, grid, h=0.005))
     else:
         caps = par.capacity_values
-        ratios = [ratio_projection(HeterogeneousMeasure(caps, tab))
+        ratios = [ratio_projection(tab, caps)
                   for tab in integrate_hetero(y0, par, grid, h=0.005)]
         rows = _series_rows(grid, "r", ratios)
     return (["meanfield", "--horizon", "2", "--sample-dt", "0.25"],

@@ -12,7 +12,6 @@ from bss.diffusion import (
     bracket_matrix,
     integrate_covariance,
     jacobian,
-    ratio_covariance,
 )
 
 
@@ -228,6 +227,20 @@ def test_covariance_validation():
         integrate_covariance(y0, bad, par, [0.0, 1.0])
 
 
+def test_covariance_rejects_nan_sigma0():
+    par = make_params(capacity=3, gamma=1.5)
+    with pytest.raises(ValidationError, match="symmetric"):
+        integrate_covariance(np.full(4, 0.25), np.full((4, 4), np.nan), par, [0.0, 1.0])
+
+
+def test_covariance_rejects_start_docking_more_than_fleet():
+    # the uniform start docks 10 bikes per station against gamma = 4
+    par = make_params(n_stations=60, gamma=4, p=0.5,
+                      choice={"kind": "exponential", "theta": 0.5})
+    with pytest.raises(ValidationError, match="fleet"):
+        integrate_covariance(np.full(21, 1 / 21), np.zeros((21, 21)), par, [0.0, 1.0])
+
+
 def test_covariance_matches_monte_carlo():
     # moderate-scale version of the fluctuation-limit check; the acceptance
     # suite runs the full N=2000, R=2000 configuration
@@ -313,45 +326,6 @@ def test_stiffness_guard_bound():
     rhs_into(10.0, np.concatenate([y, np.zeros(21 * 21)]), np.empty(21 + 21 * 21))
     limit = STIFF_LIMIT / (2.0 * bound)
     assert guard(1.01 * limit) and not guard(0.99 * limit)
-
-
-# ------------------------------------------------------ ratio aggregation
-
-def test_ratio_covariance_single_class_identity():
-    sig = np.arange(16.0).reshape(4, 4)
-    sig = sig + sig.T
-    out = ratio_covariance([sig], [3], 3)
-    np.testing.assert_allclose(out, sig)
-
-
-def test_ratio_covariance_two_class_hand_mapping():
-    # K={2,4}, k_max=4: capacity-2 counts land in bins {0, 2, 4}
-    s2 = np.arange(9.0).reshape(3, 3)
-    s2 = s2 + s2.T
-    s4 = np.eye(5)
-    out = ratio_covariance([s2, s4], [2, 4], 4)
-    expect_diag = np.array([s2[0, 0] + 1, 1.0, s2[1, 1] + 1, 1.0, s2[2, 2] + 1])
-    np.testing.assert_allclose(out.diagonal(), expect_diag)
-    assert out[0, 2] == pytest.approx(s2[0, 1])
-    assert out[1, 3] == pytest.approx(0.0)
-
-
-def test_ratio_covariance_disjoint_blocks_add():
-    rng = np.random.default_rng(2)
-    m = rng.normal(size=(3, 3))
-    sa = m @ m.T
-    out = ratio_covariance([sa], [2], 4)
-    full = ratio_covariance([sa, np.zeros((5, 5))], [2, 4], 4)
-    np.testing.assert_allclose(out, full)
-
-
-def test_ratio_covariance_validation():
-    with pytest.raises(ValidationError):
-        ratio_covariance([np.eye(3)], [2, 4], 4)
-    with pytest.raises(ValidationError):
-        ratio_covariance([np.eye(3)], [4], 4)
-    with pytest.raises(ValidationError):
-        ratio_covariance([np.eye(5)], [4], 2)
 
 
 def test_covariance_integration_builds_one_kernel(monkeypatch):

@@ -333,6 +333,31 @@ class TestIntegrate:
         with pytest.raises(ValidationError):
             integrate(np.full(21, 1 / 21), params, [0.0, 1.0], h=0.02)
 
+    def test_nan_start_rejected(self):
+        params = make_params(capacity=5, gamma=2.5)
+        with pytest.raises(ValidationError, match="simplex"):
+            integrate(np.array([np.nan, 0.2, 0.2, 0.2, 0.2, 0.2]), params, [0.0, 1.0])
+
+    def test_nan_grid_rejected(self):
+        with pytest.raises(ValidationError, match="t_grid"):
+            integrate(np.full(21, 1 / 21), make_params(), [0.0, np.nan, 1.0])
+
+    def test_start_docking_more_than_fleet_rejected(self):
+        # the uniform start docks 10 bikes per station against gamma = 4
+        theta = {"kind": "exponential", "theta": 0.5}
+        params = make_params(n_stations=60, gamma=4, p=0.5, choice=theta)
+        with pytest.raises(ValidationError, match="fleet"):
+            integrate(builtin_measure(params, "uniform"), params, [0.0, 1.0])
+        mix = make_params(n_stations=60, gamma=4, p=0.5, choice=theta,
+                          capacity={"values": [10, 20], "fractions": [0.5, 0.5]})
+        with pytest.raises(ValidationError, match="fleet"):
+            integrate_hetero(builtin_measure(mix, "uniform"), mix, [0.0, 1.0])
+        # rounding: at K=40 the uniform start docks 20.000000000000004
+        edge = make_params(n_stations=60, gamma=20, capacity=40)
+        y0 = builtin_measure(edge, "uniform")
+        assert np.arange(41) @ y0 > 20.0
+        assert integrate(y0, edge, [0.0, 0.1]).shape == (2, 41)
+
     def test_stiff_failure_raises(self):
         def rhs_into(lam, y, out):
             out[0] = -1e12 * (y[0] + 1.0)
@@ -353,7 +378,7 @@ class TestIntegrate:
     def test_hetero_marginals_constant(self):
         params = make_params(
             n_stations=100,
-            gamma=3.0,
+            gamma=4.0,
             capacity={"values": [4, 10], "fractions": [0.5, 0.5]},
             choice={"kind": "minimum", "c": 3},
         )
@@ -389,13 +414,13 @@ class TestRatioProjection:
         rng = np.random.default_rng(4)
         y = random_simplex(rng, 6)
         ym = HeterogeneousMeasure((5,), y[None, :])
-        np.testing.assert_allclose(ratio_projection(ym), y, atol=0)
+        np.testing.assert_allclose(ratio_projection(ym.table, ym.capacities), y, atol=0)
 
     def test_half_full_small_station(self):
         tab = np.zeros((2, 5))
         tab[0, 1] = 1.0  # n=1 of capacity 2, k_max 4 -> bin 2
         ym = HeterogeneousMeasure((2, 4), tab)
-        r = ratio_projection(ym)
+        r = ratio_projection(ym.table, ym.capacities)
         assert r[2] == 1.0
 
     def test_mass_preserved(self):
@@ -405,7 +430,26 @@ class TestRatioProjection:
         tab[1, :8] = rng.exponential(size=8)
         tab /= tab.sum()
         ym = HeterogeneousMeasure((3, 7), tab)
-        assert abs(ratio_projection(ym).sum() - 1.0) < 1e-12
+        assert abs(ratio_projection(ym.table, ym.capacities).sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("caps", [(10, 20), (3, 7, 12), (2, 5, 6, 9)])
+    def test_stack_matches_frames_bitwise(self, caps):
+        # a stack projects as its frames do, and each frame as the per-class
+        # np.add.at it replaces
+        rng = np.random.default_rng(len(caps))
+        width = caps[-1] + 1
+        tables = rng.exponential(size=(6, 3, len(caps), width))
+        tables[..., np.arange(width) > np.array(caps)[:, None]] = 0.0
+        stacked = ratio_projection(tables, caps)
+        assert stacked.shape == (6, 3, width)
+        for idx in np.ndindex(6, 3):
+            oracle = np.zeros(width)
+            for c, k in enumerate(caps):
+                np.add.at(oracle, ratio_bins(k, caps[-1]), tables[idx][c, : k + 1])
+            frame = ratio_projection(tables[idx], caps)
+            assert stacked[idx].tobytes() == frame.tobytes() == oracle.tobytes()
+        with pytest.raises(ValidationError):
+            ratio_projection(tables[..., :-1], caps)
 
     def test_bins(self):
         assert ratio_bins(5, 60)[3] == 36

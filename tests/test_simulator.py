@@ -7,7 +7,7 @@ from scipy.stats import chi2_contingency
 import bss.simulator
 from bss.model import ValidationError, arrival_rate, validate_params
 from bss.equilibrium import solve_equilibrium, solve_equilibrium_hetero
-from bss.meanfield import _sample_grid, ratio_projection
+from bss.meanfield import _sample_grid, ratio_histogram
 from bss.simulator import (
     _Lumped,
     _lockstep,
@@ -22,7 +22,6 @@ from bss.simulator import (
     ensemble,
     hetero_measure,
     pickup_rate,
-    ratio_histogram,
     round_robin_state,
     simulate,
     stationary_average,
@@ -217,7 +216,7 @@ def test_hetero_measure_table():
 def test_ratio_histogram_bin_placement():
     # n=3 of k=5 lands in bin floor(3*60/5) = 36
     st = state_of([3], [5], 3)
-    r = ratio_histogram(st, 60)
+    r = ratio_histogram(st.counts, st.capacities, 60)
     assert r[36] == pytest.approx(1.0)
     assert r.sum() == pytest.approx(1.0)
 
@@ -225,7 +224,7 @@ def test_ratio_histogram_bin_placement():
 def test_ratio_histogram_rejects_small_k_max():
     st = state_of([3], [5], 3)
     with pytest.raises(ValidationError):
-        ratio_histogram(st, 4)
+        ratio_histogram(st.counts, st.capacities, 4)
 
 
 def test_child_seed_reference_vectors():
@@ -245,8 +244,28 @@ def test_simulate_grid_and_initial_sample():
     traj = simulate(par, horizon=2.0, sample_dt=0.5, seed=1)
     np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
     np.testing.assert_allclose(traj.y_series[0], empirical_measure(st0))
-    np.testing.assert_allclose(traj.r_series[0], ratio_histogram(st0, 5))
+    np.testing.assert_allclose(traj.r_series[0], ratio_histogram(st0.counts, st0.capacities, 5))
     assert traj.event_count > 0
+
+
+@pytest.mark.parametrize("sample_dt", [1.0, 0.01])
+def test_simulate_uniform_ratio_series_is_measure_series(sample_dt):
+    # for one capacity the ratio projection is the identity, bit for bit
+    par = make_params(n_stations=500, gamma=10.0, capacity=20,
+                      choice={"kind": "exponential", "theta": 2.0})
+    traj = simulate(par, horizon=5.0, sample_dt=sample_dt, seed=7)
+    assert traj.event_count > 0
+    assert traj.r_series.tobytes() == traj.y_series.tobytes()
+
+
+def test_simulate_capacity_mix_start_matches_station_histogram():
+    par = make_params(capacity={"values": [2, 5, 6, 9], "fractions": [0.25] * 4},
+                      gamma=2.0, n_stations=40)
+    st0 = round_robin_state(par)
+    traj = simulate(par, horizon=1.0, sample_dt=0.5, seed=3)
+    np.testing.assert_allclose(
+        traj.r_series[0], ratio_histogram(st0.counts, st0.capacities, par.k_max),
+        rtol=0, atol=1e-12)
 
 
 def test_simulate_is_deterministic_per_seed():
@@ -477,7 +496,7 @@ def test_stationary_average_split_window_additive(capacity):
     # nothing happens within the first 1e-9 h: the average is the start state
     st0 = round_robin_state(par)
     np.testing.assert_allclose(stationary_average(par, 0.0, 1e-9, seed),
-                               ratio_histogram(st0, par.k_max), rtol=0, atol=1e-12)
+                               ratio_histogram(st0.counts, st0.capacities, par.k_max), rtol=0, atol=1e-12)
 
 
 def test_stationary_average_rejects_bad_window():
