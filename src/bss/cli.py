@@ -32,7 +32,7 @@ from .meanfield import (
     ratio_projection,
 )
 from .diffusion import integrate_covariance
-from .equilibrium import entropy, solve_equilibrium, solve_equilibrium_hetero
+from .equilibrium import entropy, solve_equilibrium
 from .ingestion import fit_fourier, load_rate_series, parse_gbfs, snapshot_histograms
 from .harness import (
     fclt_experiment,
@@ -236,31 +236,24 @@ def _cmd_diffusion(args) -> int:
 def _cmd_equilibrium(args) -> int:
     started = time.perf_counter()
     par = _load_params(args.config)
-    if par.is_uniform:
-        eq = solve_equilibrium(par)
-        table = eq.y_bar[None, :]
-        details = {
+    eq = solve_equilibrium(par)
+    # one row per (class, count) cell with count <= capacity, class-major
+    caps = np.asarray(par.capacity_values)
+    live = np.arange(eq.table.shape[1]) <= caps[:, None]
+    _write_csv(
+        args.out, ("capacity", "n", "mass"),
+        np.repeat(caps, caps + 1), np.nonzero(live)[1], eq.table[live],
+    )
+    _manifest(
+        args.out, "equilibrium", par.to_config(), None, [args.out], started,
+        details={
             "residual": float(eq.residual),
             "iterations": int(eq.iterations),
             "a": float(eq.a),
             "s": float(eq.s),
-            "entropy": float(entropy(eq.y_bar)),
+            "entropy": float(entropy(eq.r_bar)),
             "stats": eq.stats,
-        }
-    else:
-        ym, _ = solve_equilibrium_hetero(par)
-        table = ym.table
-        details = {"k_max": int(ym.k_max)}
-    # one row per (class, count) cell with count <= capacity, class-major
-    caps = np.asarray(par.capacity_values)
-    live = np.arange(table.shape[1]) <= caps[:, None]
-    _write_csv(
-        args.out, ("capacity", "n", "mass"),
-        np.repeat(caps, caps + 1), np.nonzero(live)[1], table[live],
-    )
-    _manifest(
-        args.out, "equilibrium", par.to_config(), None, [args.out],
-        started, details=details,
+        },
     )
     return 0
 

@@ -1,10 +1,13 @@
 """Steady states of the mean-field limit and entropy diagnostics.
 
-The K-dimensional fixed point collapses to two scalars: the spare-bike
-level a = gamma - sum(n y_n) and the choice normalizer s = sum(g(n) y_n).
-Given (a, s) the equilibrium is the birth-death measure with ratios
-rho_k = mu*a / (lam*(1-p) + lam*p*g(k+1)/s), so solving means closing the
-loop on (a, s).
+One solve serves every capacity mix; a uniform capacity is the one-class
+case. The fixed point over the (class, count) table collapses to two
+scalars that every class shares: the spare-bike level a = gamma - sum(n y)
+and the choice normalizer s = sum(g(n) y). Given (a, s), class c holds its
+fraction q_c of the birth-death measure with ratios
+rho_k = mu*a / (lam*(1-p) + lam*p*g(k+1)/s), cut at its capacity K_c, so
+solving means closing the loop on (a, s). The equilibrium of the ratio
+process is that table projected onto the fill-ratio bins.
 
 For fixed s the spare-bike equation has exactly one root a(s), found by a
 safeguarded Newton iteration in log a. That leaves the scalar equation
@@ -28,7 +31,6 @@ from .model import (
 from .meanfield import (
     TINY_DENOM,
     HeterogeneousMeasure,
-    drift,
     drift_hetero,
     ratio_projection,
 )
@@ -43,7 +45,7 @@ __all__ = [
     "lyapunov_derivative",
 ]
 
-# residual gate on ||drift(y_bar)||_inf
+# residual gate on the largest |drift| over the equilibrium table
 RESIDUAL_TOL = 1e-10
 EPS = float(np.finfo(float).eps)
 # inner Newton stops once |a - gamma + m1| <= NOISE_ULPS * eps * gamma,
@@ -56,7 +58,15 @@ MAX_BRENT_ITER = 200
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Equilibrium measure with its birth-death ratios and the two scalars.
+    """Equilibrium table with its ratio histogram, birth-death ratios and
+    the two scalars.
+
+    table has shape (C, k_max+1) in the layout of meanfield._operators: row
+    c is q_c times the conditional equilibrium of capacity class c, zero
+    above its capacity. r_bar = ratio_projection(table, capacities); y_bar
+    is table[0] for a uniform capacity and None for a mix. rho holds the
+    ratios rho_0..rho_{k_max-1} that every class shares, and residual is
+    the largest |drift| over the table.
 
     iterations counts the moment evaluations of the whole solve; each is
     one vectorized inner Newton round. stats reports what the solve did:
@@ -68,7 +78,9 @@ class EquilibriumResult:
     and were replaced by its midpoint).
     """
 
-    y_bar: np.ndarray
+    table: np.ndarray
+    r_bar: np.ndarray
+    y_bar: np.ndarray | None
     rho: np.ndarray
     a: float
     s: float
@@ -77,26 +89,38 @@ class EquilibriumResult:
     stats: dict
 
 
-def _logsumexp(v: np.ndarray, axis=None):
-    m = np.max(v, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(v - m), axis=axis, keepdims=True))
-    return out if axis is None else np.squeeze(out, axis=axis)
+def _birth_death(logrho, caps) -> np.ndarray:
+    """Birth-death measures of every capacity class from log-ratios.
+
+    logrho has shape (..., caps[-1]). Row c of the (..., C, caps[-1]+1)
+    result is the chain cut at caps[c]: y_n is proportional to the product
+    of rho_0..rho_{n-1} for n <= caps[c], normalized along the last axis,
+    and zero above. Products are carried in log space so K in the hundreds
+    cannot overflow.
+    """
+    logw = np.cumsum(logrho, axis=-1)
+    logw = np.concatenate((np.zeros(logw.shape[:-1] + (1,)), logw), axis=-1)
+    out = np.zeros(logw.shape[:-1] + (len(caps), logw.shape[-1]))
+    for c, k in enumerate(caps):
+        w = logw[..., : k + 1]
+        m = w.max(axis=-1, keepdims=True)
+        y = np.exp(w - (m + np.log(np.exp(w - m).sum(axis=-1, keepdims=True))))
+        out[..., c, : k + 1] = y / y.sum(axis=-1, keepdims=True)
+    return out
 
 
 def birth_death_stationary(rho) -> np.ndarray:
     """Stationary measure of a birth-death chain with up/down ratios rho.
 
-    y_n is proportional to the product of rho_0..rho_{n-1}; products are
-    carried in log space so K in the hundreds cannot overflow.
+    y_n is proportional to the product of rho_0..rho_{n-1}: the one-class
+    case of _birth_death.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1 or rho.size < 1:
         raise ValidationError("rho must be a nonempty vector")
     if not np.all(np.isfinite(rho) & (rho > 0.0)):
         raise ValidationError("rho must be strictly positive and finite")
-    logw = np.concatenate(([0.0], np.cumsum(np.log(rho))))
-    y = np.exp(logw - _logsumexp(logw))
-    return y / y.sum()
+    return _birth_death(np.log(rho), (rho.size,))[0]
 
 
 def _require_constant(params: SystemParams) -> float:
@@ -127,22 +151,18 @@ def _log_rho(a, s, lam, mu, p, g):
 def _mixture_moments(a, s, lam, mu, p, g, caps, fracs):
     """Mean count m1, its log-a derivative and refreshed normalizer sum(g y).
 
-    a, s may be vectors (solver grids); conditionals are built per class in
-    log space and mixed with the class fractions. Every log rho_k moves
+    a, s may be vectors (solver grids); the class conditionals come from
+    _birth_death and are mixed with the class fractions. Every log rho_k moves
     one-for-one with log a, so each class conditional is an exponential
     family in n and dm1/dlog(a) = sum_c q_c Var_c(n).
     """
-    logrho = _log_rho(a, s, lam, mu, p, g)
+    conds = _birth_death(_log_rho(a, s, lam, mu, p, g), caps)
     a = np.asarray(a, dtype=float)
-    base = np.zeros(a.shape + (1,))
-    logw_full = np.concatenate((base, np.cumsum(logrho, axis=-1)), axis=-1)
     m1 = np.zeros_like(a, dtype=float)
     dm1 = np.zeros_like(a, dtype=float)
     s_new = np.zeros_like(a, dtype=float)
-    for k, q in zip(caps, fracs):
-        logw = logw_full[..., : k + 1]
-        y = np.exp(logw - _logsumexp(logw, axis=-1)[..., None])
-        y = y / y.sum(axis=-1, keepdims=True)
+    for c, (k, q) in enumerate(zip(caps, fracs)):
+        y = conds[..., c, : k + 1]
         n = np.arange(k + 1)
         mean = (y * n).sum(axis=-1)
         m1 = m1 + q * mean
@@ -152,18 +172,6 @@ def _mixture_moments(a, s, lam, mu, p, g, caps, fracs):
         dev *= y
         dm1 = dm1 + q * dev.sum(axis=-1)
     return m1, dm1, s_new
-
-
-def _conditionals(a, s, lam, mu, p, g, caps):
-    """Per-class conditional equilibria for scalar (a, s)."""
-    logrho = _log_rho(float(a), float(s), lam, mu, p, g)
-    logw_full = np.concatenate(([0.0], np.cumsum(logrho)))
-    conds = []
-    for k in caps:
-        logw = logw_full[: k + 1]
-        y = np.exp(logw - _logsumexp(logw))
-        conds.append(y / y.sum())
-    return conds
 
 
 def _solve_a_for_s(s, gamma, lam, mu, p, g, caps, fracs):
@@ -270,30 +278,17 @@ def _brent(f, xa, xb, fa, fb):
     )
 
 
-def _assemble(a, s, params, caps, fracs, g):
-    """Candidate measure for scalar (a, s) plus its true drift residual."""
-    lam = float(params.arrival.rate)
-    conds = _conditionals(a, s, lam, params.mu, params.p, g, caps)
-    if len(caps) == 1:
-        y = fracs[0] * conds[0]
-        residual = float(np.max(np.abs(drift(y, params))))
-        return conds, residual
-    ym = HeterogeneousMeasure.from_conditionals(caps, fracs, conds)
-    residual = float(np.max(np.abs(drift_hetero(ym, params))))
-    return conds, residual
+def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
+    """Equilibrium of the mean-field ODE for any capacity mix.
 
-
-def _solve_scalar_pair(params: SystemParams):
-    """Find (a, s) closing both consistency equations.
-
-    With flat weights or no informed users rho does not couple back to s,
-    so one inner solve settles a and s is read off the measure. Otherwise
+    Finds (a, s) closing both consistency equations. With flat weights or
+    no informed users rho does not couple back to s, so one inner solve
+    settles a and s is read off the measure. Otherwise
     the inner root a(s) is unique and continuous, so the equilibria are the
     roots of phi(s) = sum(g y(a(s), s)) - s: a log grid of admissible s
     brackets every sign change and Brent refines each in log s. Candidates
-    only count once the assembled measure passes the drift residual gate,
-    and the lowest residual wins. Returns (a, s, conditionals, residual,
-    stats).
+    only count once the assembled table passes the drift residual gate,
+    and the lowest residual wins.
     """
     lam = _require_constant(params)
     caps, fracs, g = _class_structure(params)
@@ -311,16 +306,25 @@ def _solve_scalar_pair(params: SystemParams):
         return a, s_new
 
     def best_of(candidates):
-        best = (None, None, None, math.inf)
+        best = (math.inf,)
         for a, s in candidates:
-            conds, residual = _assemble(a, s, params, caps, fracs, g)
-            if residual < best[3]:
-                best = (a, s, conds, residual)
-        if not (best[3] <= RESIDUAL_TOL):
+            logrho = _log_rho(a, s, lam, mu, p, g)
+            table = fracs[:, None] * _birth_death(logrho, caps)
+            b = drift_hetero(HeterogeneousMeasure(caps, table), params)
+            residual = float(np.max(np.abs(b)))
+            if residual < best[0]:
+                best = (residual, a, s, logrho, table)
+        if not (best[0] <= RESIDUAL_TOL):
             raise ConvergenceError(
-                f"equilibrium solver did not converge; best residual {best[3]:.3e}"
+                f"equilibrium solver did not converge; best residual {best[0]:.3e}"
             )
-        return best + (stats,)
+        residual, a, s, logrho, table = best
+        return EquilibriumResult(
+            table=table, r_bar=ratio_projection(table, caps),
+            y_bar=table[0] if len(caps) == 1 else None, rho=np.exp(logrho),
+            a=float(a), s=float(s), residual=residual,
+            iterations=stats["newton_iters"], stats=stats,
+        )
 
     flat = g_hi - g_lo <= 1e-12 * max(g_hi, 1.0)
     if flat or p == 0.0:
@@ -359,40 +363,11 @@ def _solve_scalar_pair(params: SystemParams):
     return best_of(candidates)
 
 
-def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
-    """Equilibrium of the uniform-capacity mean-field ODE.
-
-    Returns the measure, the birth-death ratios rho, the reduced scalars
-    (a, s), the drift residual, the moment-evaluation count and the solve
-    stats.
-    """
-    if not params.is_uniform:
-        raise ValidationError(
-            "solve_equilibrium needs a uniform capacity; "
-            "use solve_equilibrium_hetero for capacity mixes"
-        )
-    lam = _require_constant(params)
-    a, s, conds, residual, stats = _solve_scalar_pair(params)
-    _, _, g = _class_structure(params)
-    y = conds[0]
-    rho = np.exp(_log_rho(a, s, lam, params.mu, params.p, g))
-    return EquilibriumResult(
-        y_bar=y, rho=rho, a=float(a), s=float(s),
-        residual=residual, iterations=stats["newton_iters"], stats=stats,
-    )
-
-
 def solve_equilibrium_hetero(params: SystemParams):
-    """Equilibrium of the heterogeneous system and its fill-ratio histogram.
-
-    Per-class conditionals share the global scalars (a, s); the second
-    return value is the equilibrium ratio histogram.
-    """
-    _require_constant(params)
-    caps, fracs, _ = _class_structure(params)
-    _, _, conds, _, _ = _solve_scalar_pair(params)
-    ym = HeterogeneousMeasure.from_conditionals(caps, fracs, conds)
-    return ym, ratio_projection(ym.table, ym.capacities)
+    """The equilibrium as a (HeterogeneousMeasure, fill-ratio histogram)
+    pair: solve_equilibrium's table and r_bar."""
+    res = solve_equilibrium(params)
+    return HeterogeneousMeasure(params.capacity_values, res.table), res.r_bar
 
 
 def entropy(y) -> float:

@@ -22,7 +22,7 @@ from .model import (
 )
 from .meanfield import TINY_DENOM, _sample_grid, integrate
 from .diffusion import integrate_covariance
-from .equilibrium import entropy, solve_equilibrium, solve_equilibrium_hetero
+from .equilibrium import entropy, solve_equilibrium
 from .simulator import (
     _lockstep,
     child_seed,
@@ -106,6 +106,8 @@ def flln_experiment(
     # sanity configuration
     if len(n_list) < 1 or any(b < a for a, b in zip(n_list, n_list[1:])):
         raise ValidationError("n_list must be non-decreasing")
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
     if not params.is_uniform:
         raise ValidationError("flln experiment needs a uniform capacity")
     errors = []
@@ -219,14 +221,11 @@ def interchange_experiment(
 ) -> ExperimentReport:
     """Long-run CTMC average against the mean-field equilibrium.
 
-    Uniform networks compare empirical measures against y-bar; capacity
-    mixes compare ratio histograms against r-bar.
+    Compares the ratio histogram against the equilibrium's r_bar; on a
+    uniform capacity both are the empirical measure and y-bar.
     """
     par_n = _with_n(params, n)
-    if par_n.is_uniform:
-        target = solve_equilibrium(par_n).y_bar
-    else:
-        _, target = solve_equilibrium_hetero(par_n)
+    target = solve_equilibrium(par_n).r_bar
     avg = stationary_average(par_n, burn_in, horizon, seed)
     tv = 0.5 * float(np.abs(avg - target).sum())
     return ExperimentReport(
@@ -317,6 +316,8 @@ def forward_equation_residual(
     par_n = _with_n(params, n)
     dim = par_n.uniform_capacity + 1
     f = _parse_f_spec(f_spec, dim)
+    if not (0 < delta < math.inf):
+        raise ValidationError(f"delta must be positive and finite, got {delta}")
     if t < 0:
         raise ValidationError("t must be >= 0")
     one_sided = t < delta

@@ -488,6 +488,17 @@ def validate_params(raw) -> SystemParams:
     arrival = _parse_arrival(raw["arrival"], "arrival")
     choice = _parse_choice(raw["choice"], "choice")
 
+    if p > 0.0:
+        # n * g(k_max) bounds the simulator's sum of W_n g(n), g being
+        # nondecreasing for every kind
+        with np.errstate(over="ignore"):
+            top = n * choice_weight(choice, values[-1])
+        _require(
+            math.isfinite(top),
+            f"choice weights overflow: n_stations * g({values[-1]}) = {top} "
+            "is not finite",
+        )
+
     if not arrival.is_constant:
         neg = _first_negative(arrival)
         if neg is not None:

@@ -692,14 +692,12 @@ def ensemble(
     sample_dt: float,
     seed: int,
     initial: NetworkState | None = None,
-    child_seeds=None,
 ) -> EnsembleResult:
     """Mean and unbiased covariance of Y^N across independent replications.
 
     Uniform capacities only. Replication r is simulate(params, horizon,
     sample_dt, child_seed(seed, r), initial), replayed bitwise by the
-    lockstep engine; child_seeds overrides the derivation (used to force
-    coupled runs). stats reports the engine's rounds and simulate's counters
+    lockstep engine. stats reports the engine's rounds and simulate's counters
     summed over replications.
     """
     if replications < 2:
@@ -708,13 +706,8 @@ def ensemble(
         raise ValidationError("ensemble supports uniform capacities only")
     times = _sample_grid(horizon, sample_dt)
     r = replications
-    if child_seeds is None:
-        child_seeds = [child_seed(seed, i) for i in range(r)]
-    else:
-        child_seeds = [int(s) for s in child_seeds]
-        if len(child_seeds) != r:
-            raise ValidationError("child_seeds must have one entry per replication")
-    samples, stats = _lockstep(params, horizon, times, child_seeds, initial)
+    samples, stats = _lockstep(params, horizon, times,
+                               [child_seed(seed, i) for i in range(r)], initial)
     mean = samples.mean(axis=0)
     samples -= mean
     cov = np.einsum("rti,rtj->tij", samples, samples) / (r - 1)

@@ -29,7 +29,6 @@ from bss.equilibrium import (
     entropy,
     lyapunov_derivative,
     solve_equilibrium,
-    solve_equilibrium_hetero,
 )
 from bss.ingestion import RateSeries, fit_fourier
 from bss.harness import fclt_experiment, flln_experiment
@@ -343,7 +342,7 @@ def test_criterion_09_hetero_equilibrium_matches_simulation():
     started = time.perf_counter()
     avg = stationary_average(par, 500.0, 5000.0, seed=47)
     elapsed = time.perf_counter() - started
-    _, rbar = solve_equilibrium_hetero(par)
+    rbar = solve_equilibrium(par).r_bar
     tv = 0.5 * float(np.abs(avg - rbar).sum())
     ok = tv <= 0.03
     print(f"[criterion 9] hetero ratio TV {tv:.4f} (tol 0.03), "

@@ -6,7 +6,7 @@ import pytest
 
 from bss.cli import CSV_BLOCK, _write_csv, main
 from bss.diffusion import integrate_covariance
-from bss.equilibrium import solve_equilibrium, solve_equilibrium_hetero
+from bss.equilibrium import solve_equilibrium
 from bss.harness import sweep
 from bss.ingestion import parse_gbfs, snapshot_histograms
 from bss.meanfield import (
@@ -138,6 +138,11 @@ def test_equilibrium_capacity_mix_rows_per_class(tmp_path):
     assert caps == {"2", "4"}
     assert len(rows) == 3 + 5
     assert sum(float(r[2]) for r in rows) == pytest.approx(1.0, abs=1e-9)
+    # a mix reports what the solve did, as a uniform capacity does
+    details = json.loads((tmp_path / "eq.csv.manifest.json").read_text())["details"]
+    assert set(details) == {"residual", "iterations", "a", "s", "entropy", "stats"}
+    assert details["residual"] <= 1e-10
+    assert details["stats"]["newton_iters"] == details["iterations"]
 
 
 # ---------------------------------------------------------------- simulate
@@ -352,6 +357,23 @@ def test_verify_forward_passes(base_cfg, tmp_path, capsys):
     assert man["details"]["reps"] == 120
 
 
+@pytest.mark.parametrize("delta", ["0", "-0.25", "nan", "inf"])
+def test_verify_forward_bad_delta_exits_one(base_cfg, tmp_path, capsys, delta):
+    code = main(["verify", "--suite", "forward", "--config", base_cfg,
+                 "--n", "20", "--reps", "4", "--t", "0.5", "--delta", delta,
+                 "--out", str(tmp_path / "rep.json")])
+    assert code == 1
+    assert "delta must be positive and finite" in capsys.readouterr().err
+
+
+def test_verify_flln_zero_reps_exits_one(base_cfg, tmp_path, capsys):
+    code = main(["verify", "--suite", "flln", "--config", base_cfg,
+                 "--n-list", "100,400", "--horizon", "3", "--reps", "0",
+                 "--out", str(tmp_path / "rep.json")])
+    assert code == 1
+    assert "reps must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_failing_suite_exits_two(base_cfg, tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["verify", "--suite", "interchange", "--config", base_cfg,
@@ -550,13 +572,9 @@ def _diffusion_case(par):
 
 
 def _equilibrium_case(par):
-    if par.is_uniform:
-        k = par.uniform_capacity
-        rows = [(k, n, v) for n, v in enumerate(solve_equilibrium(par).y_bar)]
-    else:
-        ym, _ = solve_equilibrium_hetero(par)
-        rows = [(k, n, ym.table[c, n])
-                for c, k in enumerate(ym.capacities) for n in range(k + 1)]
+    table = solve_equilibrium(par).table
+    rows = [(k, n, table[c, n])
+            for c, k in enumerate(par.capacity_values) for n in range(k + 1)]
     return ["equilibrium"], ("capacity", "n", "mass"), rows
 
 

@@ -91,6 +91,12 @@ def test_flln_rejects_decreasing_n_list():
         flln_experiment(make_params(), [2000, 200], 1.0, 1, 0)
 
 
+def test_flln_rejects_zero_reps():
+    # no replication used to average to NaN and report a failed limit
+    with pytest.raises(ValidationError, match="reps"):
+        flln_experiment(make_params(), [100, 400], 1.0, 0, 0)
+
+
 def test_flln_rejects_non_integer_fleet():
     # gamma=1.5 cannot scale to 7 stations
     with pytest.raises(ValidationError, match="integer fleet"):
@@ -266,6 +272,13 @@ def test_forward_equation_rejects_bad_f_spec():
         forward_equation_residual(par, 50, "cube@0", 1.0, 10, 0)
     with pytest.raises(ValidationError, match="f_spec"):
         forward_equation_residual(par, 50, "coord@9", 1.0, 10, 0)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.25, math.nan, math.inf])
+def test_forward_equation_rejects_bad_delta(delta):
+    with pytest.raises(ValidationError, match="delta must be positive"):
+        forward_equation_residual(make_params(), 50, "coord@0", 0.5, 10, 0,
+                                  delta=delta)
 
 
 def test_forward_equation_rejects_off_grid_time():

@@ -242,6 +242,19 @@ class TestValidateParams:
         with pytest.raises(ValidationError, match="gamma"):
             validate_params(base_config() | {"fleet": 999})
 
+    @pytest.mark.parametrize("n, choice", [
+        # g(20) = exp(800) overflows; the simulator ran on NaN weights
+        (50, {"kind": "exponential", "theta": 40.0}),
+        (50, {"kind": "polynomial", "alpha": 300.0}),
+        # g(20) = exp(700) is finite, 10^5 times it is not
+        (100_000, {"kind": "exponential", "theta": 35.0}),
+    ])
+    def test_overflowing_choice_weights_rejected(self, n, choice):
+        with pytest.raises(ValidationError, match="overflow"):
+            validate_params(base_config(n_stations=n, choice=choice))
+        # without informed users the weights never enter
+        assert validate_params(base_config(n_stations=n, choice=choice, p=0.0)).p == 0.0
+
     def test_mu_positive(self):
         with pytest.raises(ValidationError, match="mu"):
             validate_params(base_config(mu=0.0))

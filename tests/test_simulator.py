@@ -6,7 +6,7 @@ from scipy.stats import chi2_contingency
 
 import bss.simulator
 from bss.model import ValidationError, arrival_rate, validate_params
-from bss.equilibrium import solve_equilibrium, solve_equilibrium_hetero
+from bss.equilibrium import solve_equilibrium
 from bss.meanfield import _sample_grid, ratio_histogram
 from bss.simulator import (
     _Lumped,
@@ -473,8 +473,7 @@ def test_stationary_average_hetero_ratio():
     avg = stationary_average(par, burn_in=100.0, horizon=1500.0, seed=13)
     assert avg.shape == (5,)
     assert avg.sum() == pytest.approx(1.0, abs=1e-9)
-    ym, rbar = solve_equilibrium_hetero(par)
-    tv = 0.5 * np.abs(avg - rbar).sum()
+    tv = 0.5 * np.abs(avg - solve_equilibrium(par).r_bar).sum()
     assert tv < 0.05
 
 
@@ -589,10 +588,10 @@ def test_ensemble_rejects_capacity_mix():
         ensemble(par, replications=4, horizon=1.0, sample_dt=0.5, seed=1)
 
 
-def test_ensemble_forced_identical_seeds_zero_covariance():
+def test_ensemble_forced_identical_seeds_zero_covariance(monkeypatch):
     par = make_params(n_stations=40, capacity=4, gamma=2.0, p=0.7)
-    res = ensemble(par, replications=2, horizon=2.0, sample_dt=0.5, seed=5,
-                   child_seeds=[42, 42])
+    monkeypatch.setattr(bss.simulator, "child_seed", lambda master, index: 42)
+    res = ensemble(par, replications=2, horizon=2.0, sample_dt=0.5, seed=5)
     assert np.abs(res.cov).max() == 0.0
 
 
@@ -630,13 +629,6 @@ def test_ensemble_mean_matches_single_run_law():
     se_lock = np.sqrt(np.diag(res.cov[-1]) / 2000)
     z = (m_single - m_lock) / np.hypot(se_single, se_lock)
     assert np.abs(z).max() < 4.0
-
-
-def test_ensemble_child_seed_count_checked():
-    par = make_params()
-    with pytest.raises(ValidationError):
-        ensemble(par, replications=3, horizon=1.0, sample_dt=0.5, seed=1,
-                 child_seeds=[1, 2])
 
 
 # ------------------------------------------------------------- properties
