@@ -16,9 +16,9 @@ operators of each (capacities, choice) pair are cached (_operators), and
 _drift_into weights them in two BLAS calls; the diffusion layer builds the
 Jacobian and the jump bracket from the same operators. One buffered RK4
 stepper, _rk4_buffered, integrates any flat state that starts with a
-measure: integrate and integrate_hetero run it over _drift_into,
-bit-identical to the allocating _rk4_path kept as the oracle, and the
-diffusion layer runs the packed mean and covariance system on it.
+measure: integrate and integrate_hetero run it over _drift_into, and the
+diffusion layer runs the packed mean and covariance system on it. The
+tests keep an allocating RK4 stepper over drift as its bitwise oracle.
 """
 
 from __future__ import annotations
@@ -249,58 +249,16 @@ def _check_grid_and_step(t_grid, h: float) -> np.ndarray:
     return t_grid
 
 
-def _rk4_step(fun, t, y, dt):
-    k1 = fun(t, y)
-    k2 = fun(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = fun(t + 0.5 * dt, y + (0.5 * dt) * k2)
-    k4 = fun(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_advance(fun, t, y, dt):
-    """One accepted step: halve on negative overshoot, renormalize drift."""
-    out = _rk4_step(fun, t, y, dt)
-    if out.min() < -1e-9:
-        if dt / 2.0 < MIN_STEP:
-            raise ConvergenceError(
-                f"step size fell below {MIN_STEP} at t={t:.6g}; system too stiff"
-            )
-        mid = _rk4_advance(fun, t, y, dt / 2.0)
-        return _rk4_advance(fun, t + dt / 2.0, mid, dt / 2.0)
-    total = out.sum()
-    if abs(total - 1.0) > 1e-12:
-        out = out / total
-    return out
-
-
-def _rk4_path(fun, y0: np.ndarray, t_grid: np.ndarray, h: float) -> np.ndarray:
-    """Fixed-step RK4 with dense stepping, step halving on negative overshoot,
-    and simplex renormalization. fun(t, y) -> dy/dt on flat arrays."""
-    t_grid = _check_grid_and_step(t_grid, h)
-    out = np.empty((t_grid.size, y0.size))
-    y = np.asarray(y0, dtype=float).copy()
-    out[0] = y
-    for i in range(t_grid.size - 1):
-        t0, t1 = t_grid[i], t_grid[i + 1]
-        nsub = max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
-        dt = (t1 - t0) / nsub
-        t = t0
-        for _ in range(nsub):
-            y = _rk4_advance(fun, t, y, dt)
-            t += dt
-        out[i + 1] = y
-    return out
-
-
 def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
                   guard=None, stats=None) -> np.ndarray:
     """The one RK4 stepper, over rhs_into and in buffers.
 
     z0 is a flat state whose first dim entries (all by default) are a
     measure; rhs_into(lam, x, out) writes dx/dt at arrival rate lam into out.
-    Stage arithmetic is _rk4_step's, term by term, so the measure is
-    bit-identical to _rk4_path over drift or drift_hetero. lam is
-    read once per stage time, and once in all for a constant rate. A step
+    Stage arithmetic is the textbook RK4 step's, term by term, so the
+    measure is bit-identical to an allocating stepper over drift or
+    drift_hetero (the tests' oracle). lam is read once per stage time, and
+    once in all for a constant rate. A step
     whose measure dips below -1e-9, or whose guard(dt) is True after the
     first stage, is redone as two half steps; an accepted measure off unit
     mass by more than 1e-12 is renormalized.

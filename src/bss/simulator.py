@@ -10,8 +10,11 @@ exactly the per-station law projected onto W. The ratio histogram of a
 sample, or of the occupancy integral behind a stationary average, is
 meanfield.ratio_projection of W / N.
 
-One event law, two drivers. _run_engine steps one replica on Python scalars
-(simulate, stationary_average, flln_experiment). _lockstep advances many
+One event law, two engines. _Lumped holds the table and the fresh sum of
+its rate aggregates; each engine keeps the aggregates itself and updates
+them per move. _run_engine steps one replica on Python scalars (simulate,
+stationary_average, flln_experiment), its aggregates in local variables
+and each cell's move precomputed. _lockstep advances many
 uniform-capacity replicas at once (ensemble, forward_equation_residual):
 each round, every live replica takes the next candidate event of its own
 scalar run, on its own clock t_r += e_r / total_r with its own total rate,
@@ -190,11 +193,13 @@ def hetero_measure(state: NetworkState) -> HeterogeneousMeasure:
 
 
 class _Lumped:
-    """Occupancy-table state with incrementally maintained rate aggregates.
+    """Occupancy table of one replica and the fresh sum of its aggregates.
 
     The rows of w are lists of Python ints and g a list of Python floats: the
     event loop reads single cells, which is much cheaper on plain scalars than
-    on numpy ones, and float64 arithmetic gives the same bits on either.
+    on numpy ones, and float64 arithmetic gives the same bits on either. The
+    engines hold the rate aggregates themselves and update them per move;
+    recompute() sums them afresh from the table.
     """
 
     def __init__(self, params: SystemParams, state: NetworkState):
@@ -209,49 +214,24 @@ class _Lumped:
                         minlength=self.k_max + 1).tolist()
             for k in caps
         ]
-        self.recompute()
 
-    def recompute(self) -> None:
-        (self.docked, self.big_g, self.g_pos, self.nonempty,
-         self.open) = _aggregates(self.w, self.g, self.caps)
+    def recompute(self) -> tuple:
+        """(docked, big_g, g_pos, nonempty, open) summed from the table."""
+        return _aggregates(self.w, self.g, self.caps)
 
-    def check(self) -> None:
-        docked = sum(m * v for w in self.w for m, v in enumerate(w))
-        if docked != self.docked:
-            raise AssertionError("docked-bike counter drifted from the table")
+    def check(self, docked: int, nonempty: int, open_: int) -> None:
+        """Raise unless a loop's integer aggregates match the table and the
+        table stays on its support."""
+        fresh = (sum(m * v for w in self.w for m, v in enumerate(w)),
+                 sum(sum(w[1:]) for w in self.w),
+                 sum(sum(w[:k]) for w, k in zip(self.w, self.caps)))
+        if fresh != (docked, nonempty, open_):
+            raise AssertionError("an aggregate counter drifted from the table")
         if not (0 <= self.fleet - docked <= self.fleet):
             raise AssertionError("bikes in circulation out of range")
         for w, k in zip(self.w, self.caps):
             if min(w) < 0 or any(w[k + 1 :]):
                 raise AssertionError("occupancy table escaped its support")
-
-    def apply_pickup(self, c: int, n: int) -> None:
-        g, w = self.g, self.w[c]
-        w[n] -= 1
-        w[n - 1] += 1
-        self.docked -= 1
-        self.big_g += g[n - 1] - g[n]
-        if n == 1:
-            self.nonempty -= 1
-            self.g_pos -= g[1]
-        else:
-            self.g_pos += g[n - 1] - g[n]
-        if n == self.caps[c]:
-            self.open += 1
-
-    def apply_dropoff(self, c: int, n: int) -> None:
-        g, w = self.g, self.w[c]
-        w[n] -= 1
-        w[n + 1] += 1
-        self.docked += 1
-        self.big_g += g[n + 1] - g[n]
-        if n == 0:
-            self.nonempty += 1
-            self.g_pos += g[1]
-        else:
-            self.g_pos += g[n + 1] - g[n]
-        if n + 1 == self.caps[c]:
-            self.open -= 1
 
 
 def _aggregates(rows, g, caps) -> tuple:
@@ -318,129 +298,153 @@ def _run_engine(
     lump = _Lumped(params, state)
     rng = np.random.default_rng(seed)
     p, mu = params.p, params.mu
-    n, fleet = lump.n, lump.fleet
+    n, fleet, caps = lump.n, lump.fleet, lump.caps
     g, rows = lump.g, lump.w
     lam_bound, thinning = _rate_bound(params.arrival)
+    lam_at = params.arrival.fourier.at if thinning else None
+    # leading factors of the rate expressions, multiplied in the same order
+    q, pn, lam_pn = 1.0 - p, p * n, lam_bound * p * n
+
+    def move(c, m, step):
+        # a class-c station at count m gains step bikes: the cells it leaves
+        # and enters, and the changes of docked, big_g, g_pos, nonempty and
+        # open (_move_tables' columns)
+        m2 = m + step
+        dg = g[m2] - g[m]
+        edge = min(m, m2) == 0
+        return (rows[c], m, m2, c, step, dg, step * g[1] if edge else dg,
+                step if edge else 0, -step if max(m, m2) == caps[c] else 0)
 
     # both scans walk the cells class-major; a pickup needs m >= 1 and a
     # dropoff m < K_c
-    pick_cells = [(c, m, rows[c]) for c, k in enumerate(lump.caps) for m in range(1, k + 1)]
-    drop_cells = [(c, m, rows[c]) for c, k in enumerate(lump.caps) for m in range(k)]
+    pick_cells = [(rows[c], m, move(c, m, -1))
+                  for c, k in enumerate(caps) for m in range(1, k + 1)]
+    drop_cells = [(rows[c], m, move(c, m, 1))
+                  for c, k in enumerate(caps) for m in range(k)]
     occ = stamp = None
     if occupancy_from is not None:
         lo = occupancy_from
         occ = [[0.0] * len(row) for row in rows]
         stamp = [[lo] * len(row) for row in rows]
 
-    def credit(c, m, until):
-        occ[c][m] += rows[c][m] * (until - stamp[c][m])
-        stamp[c][m] = until
-
-    grid = [] if times is None else times.tolist()
-    n_grid = len(grid)
+    # grid instants, then a sentinel; a candidate takes the slow path only
+    # once it reaches stop, the earlier of the next instant and the horizon
+    grid = ([] if times is None else times.tolist()) + [np.inf]
+    n_grid = len(grid) - 1
     grid_idx = 0
+    stop = min(grid[0], horizon)
     t = 0.0
     events = rejections = empty_draws = recomputes = 0
-    exp_block, uni_block = _draws(rng)
-    cursor = 0
+    countdown = RECOMPUTE_EVERY
+    docked, big_g, g_pos, nonempty, open_ = lump.recompute()
+    stale = True
+    cursor = BLOCK
 
     while True:
-        # rates from the aggregates
-        pick_bound = lam_bound * ((1.0 - p) * lump.nonempty)
-        if p > 0.0 and lump.big_g > TINY_DENOM:
-            pick_bound += lam_bound * p * n * (lump.g_pos / lump.big_g)
-        drop_tot = mu * (fleet - lump.docked) / n * lump.open
-        total = pick_bound + drop_tot
-
-        if total <= 0.0:
-            break
+        if stale:
+            # rates from the aggregates; they hold until a bike moves
+            w_un = q * nonempty
+            pick_bound = lam_bound * w_un
+            w_in = 0.0
+            if p > 0.0 and big_g > TINY_DENOM:
+                frac = g_pos / big_g
+                w_in = pn * frac
+                pick_bound += lam_pn * frac
+            drop_tot = mu * (fleet - docked) / n * open_
+            total = pick_bound + drop_tot
+            if total <= 0.0:
+                break
+            stale = False
 
         if cursor == BLOCK:
-            exp_block, uni_block = _draws(rng)
+            exps, unis = (a.tolist() for a in _draws(rng))
             cursor = 0
-        dt = exp_block.item(cursor) / total
-        u1 = uni_block.item(cursor, 0)
-        u2 = uni_block.item(cursor, 1)
+        t_new = t + exps[cursor] / total
+        u1, u2 = unis[cursor]
         cursor += 1
-        t_new = t + dt
 
-        while grid_idx < n_grid and grid[grid_idx] <= min(t_new, horizon):
-            on_grid(grid_idx, lump)
-            grid_idx += 1
-        if t_new >= horizon:
-            break
+        if t_new >= stop:
+            reach = min(t_new, horizon)
+            while grid[grid_idx] <= reach:
+                on_grid(grid_idx, lump)
+                grid_idx += 1
+            if t_new >= horizon:
+                break
+            stop = min(grid[grid_idx], horizon)
         t = t_new
 
         x = u1 * total
-        c_hit = n_hit = -1
+        hit = None
+        acc = 0.0
         if x < pick_bound:
-            if thinning:
-                # x/pick_bound is uniform given the branch; accept at lam(t)/bound
-                if (x / pick_bound) * lam_bound >= arrival_rate(params.arrival, t):
-                    rejections += 1
-                    continue
-            w_un = (1.0 - p) * lump.nonempty
-            w_in = 0.0
-            if p > 0.0 and lump.big_g > TINY_DENOM:
-                w_in = p * n * (lump.g_pos / lump.big_g)
+            # x/pick_bound is uniform given the branch; accept at lam(t)/bound
+            if thinning and (x / pick_bound) * lam_bound >= lam_at(t):
+                rejections += 1
+                continue
             y = u2 * (w_un + w_in)
-            acc = 0.0
             if y < w_un or w_in == 0.0:
-                target = (y / (1.0 - p)) if p < 1.0 else 0.0
-                for c, m, row in pick_cells:
+                target = (y / q) if p < 1.0 else 0.0
+                for row, m, cell in pick_cells:
                     wv = row[m]
                     if wv:
                         acc += wv
-                        c_hit, n_hit = c, m
+                        hit = cell
                         if acc > target:
                             break
             else:
-                target = (y - w_un) / w_in * lump.g_pos
-                for c, m, row in pick_cells:
+                target = (y - w_un) / w_in * g_pos
+                for row, m, cell in pick_cells:
                     wv = row[m]
                     if wv:
                         acc += wv * g[m]
-                        c_hit, n_hit = c, m
+                        hit = cell
                         if acc > target:
                             break
-            step = -1
         else:
-            target = (x - pick_bound) / drop_tot * lump.open
-            acc = 0.0
-            for c, m, row in drop_cells:
+            target = (x - pick_bound) / drop_tot * open_
+            for row, m, cell in drop_cells:
                 wv = row[m]
                 if wv:
                     acc += wv
-                    c_hit, n_hit = c, m
+                    hit = cell
                     if acc > target:
                         break
-            step = 1
-        if n_hit < 0:
+        if hit is None:
             empty_draws += 1
             continue
+
+        row, m, m2, c, step, dg, dg_pos, d_nonempty, d_open = hit
         if occ is not None:
             until = t if t > lo else lo
-            credit(c_hit, n_hit, until)
-            credit(c_hit, n_hit + step, until)
-        if step < 0:
-            lump.apply_pickup(c_hit, n_hit)
-        else:
-            lump.apply_dropoff(c_hit, n_hit)
+            o, s = occ[c], stamp[c]
+            o[m] += row[m] * (until - s[m])
+            o[m2] += row[m2] * (until - s[m2])
+            s[m] = s[m2] = until
+        row[m] -= 1
+        row[m2] += 1
+        docked += step
+        big_g += dg
+        g_pos += dg_pos
+        nonempty += d_nonempty
+        open_ += d_open
+        stale = True
         events += 1
         if check_conservation:
-            lump.check()
-        if events % RECOMPUTE_EVERY == 0:
-            lump.recompute()
+            lump.check(docked, nonempty, open_)
+        countdown -= 1
+        if not countdown:
+            docked, big_g, g_pos, nonempty, open_ = lump.recompute()
             recomputes += 1
+            countdown = RECOMPUTE_EVERY
 
     # grid instants no candidate reached (absorbing or quiet tail), and a
     # last instant that rounding puts past the horizon, see the final state
     for idx in range(grid_idx, n_grid):
         on_grid(idx, lump)
     if occ is not None:
-        for c, row in enumerate(rows):
-            for m in range(len(row)):
-                credit(c, m, horizon)
+        for o, s, row in zip(occ, stamp, rows):
+            for m, v in enumerate(row):
+                o[m] += v * (horizon - s[m])
     stats = {
         "events": events,
         "thinning_rejections": rejections,
@@ -494,10 +498,15 @@ def stationary_average(
     """Time-weighted average of the natural observable over [burn_in, horizon].
 
     Uniform networks average the empirical measure, capacity mixes the ratio
-    histogram. Weighting is event-exact, not grid-sampled.
+    histogram. Weighting is event-exact, not grid-sampled. burn_in and
+    horizon must be finite with 0 <= burn_in < horizon: the run ends only
+    once an event passes the horizon, and before time 0 there is no path.
     """
-    if horizon <= burn_in:
-        raise ValidationError("horizon must exceed burn_in")
+    if not (0.0 <= burn_in < horizon < np.inf):
+        raise ValidationError(
+            f"need finite 0 <= burn_in < horizon, got burn_in={burn_in} and "
+            f"horizon={horizon}"
+        )
     _, occ = _run_engine(params, horizon, seed, initial, occupancy_from=burn_in)
     return ratio_projection(np.asarray(occ) / params.n_stations,
                             params.capacity_values) / (horizon - burn_in)
@@ -541,8 +550,9 @@ def _move_tables(g: np.ndarray, k: int):
     """Change of a table row and of the five aggregates per move code.
 
     A pickup at count m is code m - 1, a dropoff at m is code k + m, and
-    code 2k is no move. The aggregate changes are the float differences
-    _Lumped.apply_* adds, so adding a column reproduces its arithmetic.
+    code 2k is no move. The aggregate changes are the float differences the
+    event loop of _run_engine adds per move, so adding a column reproduces
+    its arithmetic.
     """
     moves = [(m, -1) for m in range(1, k + 1)] + [(m, 1) for m in range(k)]
     row_delta = np.zeros((2 * k + 1, k + 1))
@@ -578,6 +588,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
     p, mu = params.p, params.mu
     g = np.asarray(lump.g)
     lam_bound, thinning = _rate_bound(params.arrival)
+    lam_at = params.arrival.fourier.at if thinning else None
     gens = [np.random.default_rng(s) for s in seeds]
     r = len(gens)
     samples = np.empty((r, len(times), k + 1))
@@ -590,8 +601,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
     # instant and its time, own event count
     ids = np.arange(r)
     w = np.tile(np.asarray(lump.w[0], dtype=float), (r, 1))
-    agg = np.tile(np.array([[lump.docked], [lump.big_g], [lump.g_pos],
-                            [lump.nonempty], [lump.open]], dtype=float), r)
+    agg = np.tile(np.array(lump.recompute(), dtype=float)[:, None], r)
     t = np.zeros(r)
     nxt = np.zeros(r, dtype=np.int64)
     due = np.full(r, grid[0])
@@ -643,7 +653,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
             is_pick = x < pick
             if thinning:
                 rows = (is_pick & moving).nonzero()[0]
-                lam_t = [arrival_rate(params.arrival, v) for v in t[rows].tolist()]
+                lam_t = [lam_at(v) for v in t[rows].tolist()]
                 rejected = rows[(x[rows] / pick[rows]) * lam_bound >= lam_t]
                 moving[rejected] = False
                 rejections += rejected.size

@@ -374,6 +374,17 @@ def test_verify_flln_zero_reps_exits_one(base_cfg, tmp_path, capsys):
     assert "reps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("burn_in,horizon", [("-50", "1"), ("nan", "50"),
+                                             ("5", "inf")])
+def test_verify_interchange_bad_times_exits_one(base_cfg, tmp_path, capsys,
+                                                burn_in, horizon):
+    code = main(["verify", "--suite", "interchange", "--config", base_cfg,
+                 "--n", "16", "--burn-in", burn_in, "--horizon", horizon,
+                 "--out", str(tmp_path / "rep.json")])
+    assert code == 1
+    assert "0 <= burn_in < horizon" in capsys.readouterr().err
+
+
 def test_verify_failing_suite_exits_two(base_cfg, tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["verify", "--suite", "interchange", "--config", base_cfg,

@@ -13,9 +13,55 @@ from bss.meanfield import (
     integrate_hetero,
     ratio_bins,
     ratio_projection,
+    MIN_STEP,
+    _check_grid_and_step,
     _rk4_buffered,
-    _rk4_path,
 )
+
+
+# The allocating RK4 stepper the buffered one must match bit for bit.
+
+def _rk4_step(fun, t, y, dt):
+    k1 = fun(t, y)
+    k2 = fun(t + 0.5 * dt, y + (0.5 * dt) * k1)
+    k3 = fun(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k4 = fun(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_advance(fun, t, y, dt):
+    """One accepted step: halve on negative overshoot, renormalize drift."""
+    out = _rk4_step(fun, t, y, dt)
+    if out.min() < -1e-9:
+        if dt / 2.0 < MIN_STEP:
+            raise ConvergenceError(
+                f"step size fell below {MIN_STEP} at t={t:.6g}; system too stiff"
+            )
+        mid = _rk4_advance(fun, t, y, dt / 2.0)
+        return _rk4_advance(fun, t + dt / 2.0, mid, dt / 2.0)
+    total = out.sum()
+    if abs(total - 1.0) > 1e-12:
+        out = out / total
+    return out
+
+
+def _rk4_path(fun, y0: np.ndarray, t_grid: np.ndarray, h: float) -> np.ndarray:
+    """Fixed-step RK4 with dense stepping, step halving on negative overshoot,
+    and simplex renormalization. fun(t, y) -> dy/dt on flat arrays."""
+    t_grid = _check_grid_and_step(t_grid, h)
+    out = np.empty((t_grid.size, y0.size))
+    y = np.asarray(y0, dtype=float).copy()
+    out[0] = y
+    for i in range(t_grid.size - 1):
+        t0, t1 = t_grid[i], t_grid[i + 1]
+        nsub = max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
+        dt = (t1 - t0) / nsub
+        t = t0
+        for _ in range(nsub):
+            y = _rk4_advance(fun, t, y, dt)
+            t += dt
+        out[i + 1] = y
+    return out
 
 
 def make_params(**overrides):

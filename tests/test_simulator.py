@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,9 +134,7 @@ def test_rate_sums_match_engine_totals(p):
         while counts.sum() > 80:
             counts[rng.integers(40)] = 0
         st = state_of(counts, np.full(40, 5), 80)
-        lump = _Lumped(par, st)
-        aggs = np.array([[lump.docked], [lump.big_g], [lump.g_pos],
-                         [lump.nonempty], [lump.open]], dtype=float)
+        aggs = np.array(_Lumped(par, st).recompute(), dtype=float)[:, None]
         _, _, pick, drop = _totals(lam, par.p, par.mu, 40, 80, *aggs)
         want_pick = sum(pickup_rate(st, i, par, t) for i in range(40))
         want_drop = sum(dropoff_rate(st, i, par) for i in range(40))
@@ -504,6 +504,17 @@ def test_stationary_average_rejects_bad_window():
         stationary_average(par, burn_in=5.0, horizon=5.0, seed=1)
 
 
+@pytest.mark.parametrize("burn_in,horizon", [
+    (5.0, float("nan")),  # never ends: no event time passes a NaN horizon
+    (5.0, float("inf")),  # never ends
+    (float("nan"), 50.0),  # averaged to all NaN
+    (-50.0, 1.0),  # credited the start state over 50 h that never happened
+])
+def test_stationary_average_rejects_bad_times(burn_in, horizon):
+    with pytest.raises(ValidationError, match="0 <= burn_in < horizon"):
+        stationary_average(make_params(n_stations=20), burn_in, horizon, seed=1)
+
+
 def test_simulate_fills_grid_instant_past_horizon():
     # 3 * 0.1 rounds to 0.30000000000000004 > 0.3: that last instant gets
     # the final state instead of staying all zero
@@ -569,6 +580,68 @@ def test_ensemble_matches_stacked_simulate():
         assert np.abs(res.cov[i] - want).max() <= 1e-15
     assert res.stats["events"] == sum(tr.event_count for tr in trajs)
     assert res.stats["rounds"] >= max(tr.event_count for tr in trajs)
+
+
+# ------------------------------------------------------------ golden bytes
+
+GOLDEN_MIX = {"values": [10, 20], "fractions": [0.5, 0.5]}
+THETA2 = {"kind": "exponential", "theta": 2.0}
+
+GOLDEN_CASES = {
+    # name: (params overrides, sha256 of the output arrays, stats of simulate
+    # as (events, thinning_rejections, empty_draws), or None for
+    # stationary_average)
+    "uniform": ({"choice": THETA2},
+                "08abd74664c340a2d919d0a460fbb6e50d0ff7f3d86d04f732b0378dad3be6e6",
+                (1775, 0, 0)),
+    "fourier": ({"arrival": FOURIER_RATE},
+                "f4f16c5253a09af848bb306d63cc2bbfff75638e2d9048100df49b75e5779511",
+                (1667, 706, 0)),
+    "mix": ({"capacity": GOLDEN_MIX, "gamma": 7.5},
+            "cd341dfa3c340402fe4768bce28d7303f51b160b69d321868279de8683b2c7b6",
+            (2010, 0, 0)),
+    "stationary_mix": ({"capacity": GOLDEN_MIX, "gamma": 7.5},
+                       "7572cfa09b5a0728f3178b93b04fb46387bbe9149cdefbe1dafac08fafead510",
+                       None),
+    "stationary_uniform": ({"choice": THETA2},
+                           "402e480b83d99c72f4f066c06e905e85410ab1b2c47bef9d028514ed919668b2",
+                           None),
+}
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("recompute_every", [1_000_000, 7])
+@pytest.mark.parametrize("case", list(GOLDEN_CASES))
+def test_scalar_engine_golden_bytes(case, recompute_every, monkeypatch):
+    # pins the scalar engine's trajectories, occupancy integrals and counters
+    # on uniform, Fourier-thinned and mixed configs; the mix runs with the
+    # per-event conservation check on
+    monkeypatch.setattr(bss.simulator, "RECOMPUTE_EVERY", recompute_every)
+    overrides, want, counts = GOLDEN_CASES[case]
+    par = make_params(**overrides)
+    if counts is None:
+        avg = stationary_average(par, 5.0, 40.0, seed=6)
+        assert _sha256(avg) == want
+        return
+    traj = simulate(par, 20.0, 0.5, seed=5, check_conservation=case == "mix")
+    arrays = [traj.times, traj.r_series]
+    if traj.y_series is not None:
+        arrays.insert(1, traj.y_series)
+    assert _sha256(*arrays) == want
+    events, rejections, empty = counts
+    assert traj.stats == {"events": events, "thinning_rejections": rejections,
+                          "empty_draws": empty,
+                          "recomputes": events // recompute_every}
+    if case == "fourier":
+        assert rejections > 0
 
 
 # ---------------------------------------------------------------- ensemble
