@@ -357,10 +357,12 @@ def _cmd_verify(args) -> int:
         )
 
     _write_json(args.out, report.to_dict())
-    _manifest(
-        args.out, "verify", par.to_config(), args.seed, [args.out],
-        started, details={"suite": args.suite, **{k: opt[k] for k in sorted(opt)}},
-    )
+    details = {"suite": args.suite, **{k: opt[k] for k in sorted(opt)}}
+    if args.suite in ("fclt", "forward"):
+        # the lockstep engine's counters
+        details["stats"] = {k: report.metrics[k] for k in ("rounds", "events")}
+    _manifest(args.out, "verify", par.to_config(), args.seed, [args.out],
+              started, details=details)
     print(f"{args.suite}: {report.status}")
     return 2 if report.passed is False else 0
 

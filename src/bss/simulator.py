@@ -10,11 +10,14 @@ exactly the per-station law projected onto W. The ratio histogram of a
 sample, or of the occupancy integral behind a stationary average, is
 meanfield.ratio_projection of W / N.
 
-One event law, two engines. _Lumped holds the table and the fresh sum of
-its rate aggregates; each engine keeps the aggregates itself and updates
-them per move. _run_engine steps one replica on Python scalars (simulate,
-stationary_average, flln_experiment), its aggregates in local variables
-and each cell's move precomputed. _lockstep advances many
+One event law, two engines. _Lumped holds the table, its per-class prefix
+counts and the fresh sum of its rate aggregates; each engine keeps the
+aggregates itself and updates them per move. _run_engine steps one replica
+on Python scalars (simulate, stationary_average, flln_experiment), its
+aggregates in local variables and each cell's move precomputed. Uninformed
+pickups and dropoffs weigh stations equally, so it finds their cell by
+rank, with a bisection of the prefix counts (_rank_cell); informed pickups
+weigh them by g and keep a sequential scan. _lockstep advances many
 uniform-capacity replicas at once (ensemble, forward_equation_residual):
 each round, every live replica takes the next candidate event of its own
 scalar run, on its own clock t_r += e_r / total_r with its own total rate,
@@ -29,12 +32,14 @@ standard 64-bit mixing finalizer, so runs reproduce across platforms.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .model import SystemParams, ValidationError, arrival_rate, choice_weights
-from .meanfield import TINY_DENOM, HeterogeneousMeasure, _sample_grid, ratio_projection
+from .meanfield import TINY_DENOM, _sample_grid, ratio_projection
 
 __all__ = [
     "NetworkState",
@@ -44,7 +49,6 @@ __all__ = [
     "pickup_rate",
     "dropoff_rate",
     "empirical_measure",
-    "hetero_measure",
     "simulate",
     "stationary_average",
     "ensemble",
@@ -175,31 +179,24 @@ def empirical_measure(state: NetworkState) -> np.ndarray:
     caps = np.unique(state.capacities)
     if caps.size != 1:
         raise ValidationError(
-            "empirical_measure needs a uniform capacity; use hetero_measure"
+            "empirical_measure needs a uniform capacity; a capacity mix is "
+            "described by its ratio histogram"
         )
     k = int(caps[0])
     return np.bincount(state.counts, minlength=k + 1) / state.n_stations
 
 
-def hetero_measure(state: NetworkState) -> HeterogeneousMeasure:
-    """Joint (capacity class, count) occupancy fractions."""
-    caps = tuple(int(k) for k in np.unique(state.capacities))
-    k_max = caps[-1]
-    table = np.zeros((len(caps), k_max + 1))
-    for c, k in enumerate(caps):
-        sel = state.counts[state.capacities == k]
-        table[c, : k + 1] = np.bincount(sel, minlength=k + 1) / state.n_stations
-    return HeterogeneousMeasure(caps, table)
-
-
 class _Lumped:
-    """Occupancy table of one replica and the fresh sum of its aggregates.
+    """Occupancy table of one replica, its prefix counts and the fresh sum of
+    its aggregates.
 
     The rows of w are lists of Python ints and g a list of Python floats: the
     event loop reads single cells, which is much cheaper on plain scalars than
-    on numpy ones, and float64 arithmetic gives the same bits on either. The
-    engines hold the rate aggregates themselves and update them per move;
-    recompute() sums them afresh from the table.
+    on numpy ones, and float64 arithmetic gives the same bits on either.
+    f holds the prefix counts (_prefix_counts); _run_engine ranks stations
+    on them and updates them per move. The engines hold the rate aggregates
+    themselves and update them per move; recompute() sums them afresh from
+    the table.
     """
 
     def __init__(self, params: SystemParams, state: NetworkState):
@@ -214,24 +211,33 @@ class _Lumped:
                         minlength=self.k_max + 1).tolist()
             for k in caps
         ]
+        self.f = _prefix_counts(self.w, caps)
 
     def recompute(self) -> tuple:
         """(docked, big_g, g_pos, nonempty, open) summed from the table."""
         return _aggregates(self.w, self.g, self.caps)
 
     def check(self, docked: int, nonempty: int, open_: int) -> None:
-        """Raise unless a loop's integer aggregates match the table and the
-        table stays on its support."""
+        """Raise unless a loop's integer aggregates and the prefix counts
+        match the table and the table stays on its support."""
         fresh = (sum(m * v for w in self.w for m, v in enumerate(w)),
                  sum(sum(w[1:]) for w in self.w),
                  sum(sum(w[:k]) for w, k in zip(self.w, self.caps)))
         if fresh != (docked, nonempty, open_):
             raise AssertionError("an aggregate counter drifted from the table")
+        if self.f != _prefix_counts(self.w, self.caps):
+            raise AssertionError("a prefix count drifted from the table")
         if not (0 <= self.fleet - docked <= self.fleet):
             raise AssertionError("bikes in circulation out of range")
         for w, k in zip(self.w, self.caps):
             if min(w) < 0 or any(w[k + 1 :]):
                 raise AssertionError("occupancy table escaped its support")
+
+
+def _prefix_counts(rows, caps) -> list:
+    """f[c][m], the number of class-c stations holding at most m bikes, for
+    m = 0..K_c, from the table rows of each capacity class in caps."""
+    return [list(accumulate(w[: k + 1])) for w, k in zip(rows, caps)]
 
 
 def _aggregates(rows, g, caps) -> tuple:
@@ -275,6 +281,32 @@ def _rate_bound(arrival) -> tuple[float, bool]:
     return arrival.max_rate(), True
 
 
+def _rank_cell(classes, j: int, pickup: bool):
+    """The cell of the station with rank j among the eligible ones, or None.
+
+    Cells are ranked class-major, each weighted by its station count; a
+    pickup is eligible at counts 1..K_c and a dropoff at 0..K_c - 1. classes
+    holds (f, top, cells) per class: f the class's prefix counts, top the
+    last eligible count and cells[m] what to return for count m. A rank at or
+    past the eligible total (float rounding of the target) gets the last
+    non-empty eligible cell. This is the cell a class-major scan picks that
+    adds the counts until they exceed any target in [j, j + 1).
+    """
+    last = None
+    for f, top, cells in classes:
+        base = f[0] if pickup else 0
+        size = f[top] - base
+        if j < size:
+            return cells[bisect_right(f, j + base, 0, top + 1)]
+        if size:
+            last = f, top, cells
+        j -= size
+    if last is None:
+        return None
+    f, top, cells = last
+    return cells[bisect_left(f, f[top], 0, top + 1)]
+
+
 def _run_engine(
     params: SystemParams,
     horizon: float,
@@ -299,7 +331,7 @@ def _run_engine(
     rng = np.random.default_rng(seed)
     p, mu = params.p, params.mu
     n, fleet, caps = lump.n, lump.fleet, lump.caps
-    g, rows = lump.g, lump.w
+    g, rows, prefix = lump.g, lump.w, lump.f
     lam_bound, thinning = _rate_bound(params.arrival)
     lam_at = params.arrival.fourier.at if thinning else None
     # leading factors of the rate expressions, multiplied in the same order
@@ -307,20 +339,27 @@ def _run_engine(
 
     def move(c, m, step):
         # a class-c station at count m gains step bikes: the cells it leaves
-        # and enters, and the changes of docked, big_g, g_pos, nonempty and
-        # open (_move_tables' columns)
+        # and enters, the one prefix count that changes (f[c][min(m, m2)] by
+        # -step), and the changes of docked, big_g, g_pos, nonempty and open
+        # (_move_tables' columns)
         m2 = m + step
         dg = g[m2] - g[m]
         edge = min(m, m2) == 0
-        return (rows[c], m, m2, c, step, dg, step * g[1] if edge else dg,
-                step if edge else 0, -step if max(m, m2) == caps[c] else 0)
+        return (rows[c], m, m2, c, prefix[c], min(m, m2), step, dg,
+                step * g[1] if edge else dg, step if edge else 0,
+                -step if max(m, m2) == caps[c] else 0)
 
-    # both scans walk the cells class-major; a pickup needs m >= 1 and a
-    # dropoff m < K_c
-    pick_cells = [(rows[c], m, move(c, m, -1))
-                  for c, k in enumerate(caps) for m in range(1, k + 1)]
-    drop_cells = [(rows[c], m, move(c, m, 1))
-                  for c, k in enumerate(caps) for m in range(k)]
+    # _rank_cell's classes: a pickup needs m >= 1 and a dropoff m < K_c
+    pick_classes = [
+        (prefix[c], k, [None] + [move(c, m, -1) for m in range(1, k + 1)])
+        for c, k in enumerate(caps)
+    ]
+    drop_classes = [(prefix[c], k - 1, [move(c, m, 1) for m in range(k)])
+                    for c, k in enumerate(caps)]
+    # the informed scan walks the pickup cells class-major
+    pick_cells = [(rows[c], m, cells[m])
+                  for c, (_, k, cells) in enumerate(pick_classes)
+                  for m in range(1, k + 1)]
     occ = stamp = None
     if occupancy_from is not None:
         lo = occupancy_from
@@ -374,8 +413,6 @@ def _run_engine(
         t = t_new
 
         x = u1 * total
-        hit = None
-        acc = 0.0
         if x < pick_bound:
             # x/pick_bound is uniform given the branch; accept at lam(t)/bound
             if thinning and (x / pick_bound) * lam_bound >= lam_at(t):
@@ -383,16 +420,16 @@ def _run_engine(
                 continue
             y = u2 * (w_un + w_in)
             if y < w_un or w_in == 0.0:
-                target = (y / q) if p < 1.0 else 0.0
-                for row, m, cell in pick_cells:
-                    wv = row[m]
-                    if wv:
-                        acc += wv
-                        hit = cell
-                        if acc > target:
-                            break
+                # integer weights: the scan's exact partial sums exceed the
+                # target where they exceed its integer part
+                hit = _rank_cell(pick_classes,
+                                 int(y / q) if p < 1.0 else 0, True)
             else:
+                # float weights: a sequential scan, whose partial sums
+                # _lockstep's cumsum reproduces
                 target = (y - w_un) / w_in * g_pos
+                hit = None
+                acc = 0.0
                 for row, m, cell in pick_cells:
                     wv = row[m]
                     if wv:
@@ -401,19 +438,13 @@ def _run_engine(
                         if acc > target:
                             break
         else:
-            target = (x - pick_bound) / drop_tot * open_
-            for row, m, cell in drop_cells:
-                wv = row[m]
-                if wv:
-                    acc += wv
-                    hit = cell
-                    if acc > target:
-                        break
+            hit = _rank_cell(drop_classes,
+                             int((x - pick_bound) / drop_tot * open_), False)
         if hit is None:
             empty_draws += 1
             continue
 
-        row, m, m2, c, step, dg, dg_pos, d_nonempty, d_open = hit
+        row, m, m2, c, f, fi, step, dg, dg_pos, d_nonempty, d_open = hit
         if occ is not None:
             until = t if t > lo else lo
             o, s = occ[c], stamp[c]
@@ -422,6 +453,7 @@ def _run_engine(
             s[m] = s[m2] = until
         row[m] -= 1
         row[m2] += 1
+        f[fi] -= step
         docked += step
         big_g += dg
         g_pos += dg_pos
@@ -522,24 +554,27 @@ def _totals(lam, p, mu, n, fleet, docked, big_g, g_pos, nonempty, open_):
     """
     w_un = (1.0 - p) * nonempty
     pick = lam * w_un
-    frac = np.zeros_like(g_pos)
     if p > 0.0:
         # a vanished normaliser drops the informed term
         frac = np.where(big_g > TINY_DENOM, g_pos / big_g, 0.0)
+    else:
+        frac = np.zeros_like(g_pos)
     pick = pick + lam * p * n * frac
     drop = mu * (fleet - docked) / n * open_
     return w_un, p * n * frac, pick, drop
 
 
 def _select(cells, cum, target) -> np.ndarray:
-    """Per row, the cell the scan of _run_engine picks: the first non-empty
-    cell whose cumulative weight exceeds the target or, when none does (float
-    drift in the aggregates), the last non-empty cell; -1 if all are empty."""
+    """Per row, the cell _run_engine picks: the first non-empty cell whose
+    cumulative weight exceeds the target or, when none does (float drift in
+    the aggregates), the last non-empty cell; -1 if all are empty. For count
+    weights this is _rank_cell's cell, for choice weights that of the
+    informed scan."""
     full = cells > 0
     over = full & (cum > target[:, None])
     cell = np.argmax(over, axis=1)
     miss = ~over.any(axis=1)
-    if miss.any():
+    if np.count_nonzero(miss):
         tail = full[miss]
         cell[miss] = np.where(tail.any(axis=1),
                               tail.shape[1] - 1 - np.argmax(tail[:, ::-1], axis=1), -1)
@@ -613,7 +648,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            if done.any():
+            if np.count_nonzero(done):
                 keep = ~done
                 events += int(count[done].sum())
                 ids, w, agg, t = ids[keep], w[keep], agg[:, keep], t[keep]
@@ -632,11 +667,11 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
             rounds += 1
             t_new = t + e / total
             quiet = total <= 0.0
-            if quiet.any():
+            if np.count_nonzero(quiet):
                 t_new[quiet] = horizon
 
             hit = due <= t_new
-            while hit.any():
+            while np.count_nonzero(hit):
                 rows = hit.nonzero()[0]
                 samples[ids[rows], nxt[rows]] = w[rows] / n
                 nxt[rows] += 1
@@ -647,7 +682,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
                 samples[ids[row], nxt[row]:] = w[row] / n
             t = t_new
             moving = ~done
-            draws += int(moving.sum())
+            draws += np.count_nonzero(moving)
 
             x = u1 * total
             is_pick = x < pick
@@ -666,7 +701,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
                 (x - pick) / drop * agg[4],
             )
             informed = is_pick & (y >= w_un) & (w_in != 0.0)
-            if informed.any():
+            if np.count_nonzero(informed):
                 target = np.where(informed, (y - w_un) / w_in * agg[2], target)
                 cum = np.where(informed[:, None],
                                np.cumsum(cells * g[1:], axis=1), cum)

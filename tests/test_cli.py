@@ -357,6 +357,24 @@ def test_verify_forward_passes(base_cfg, tmp_path, capsys):
     assert man["details"]["reps"] == 120
 
 
+@pytest.mark.parametrize("suite,extra", [
+    ("fclt", ["--t-check", "0.5"]),
+    ("forward", ["--t", "0.5"]),
+])
+def test_verify_manifest_copies_engine_counters(base_cfg, tmp_path, suite,
+                                                extra):
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--suite", suite, "--config", base_cfg,
+                 "--n", "40", "--reps", "4", "--seed", "2", "--out", str(out),
+                 *extra])
+    assert code == 0
+    metrics = json.loads(out.read_text())["metrics"]
+    man = json.loads((tmp_path / "rep.json.manifest.json").read_text())
+    assert man["details"]["stats"] == {"rounds": metrics["rounds"],
+                                       "events": metrics["events"]}
+    assert metrics["events"] >= metrics["rounds"] > 0
+
+
 @pytest.mark.parametrize("delta", ["0", "-0.25", "nan", "inf"])
 def test_verify_forward_bad_delta_exits_one(base_cfg, tmp_path, capsys, delta):
     code = main(["verify", "--suite", "forward", "--config", base_cfg,

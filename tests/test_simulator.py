@@ -1,4 +1,5 @@
 import hashlib
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bss.meanfield import _sample_grid, ratio_histogram
 from bss.simulator import (
     _Lumped,
     _lockstep,
+    _rank_cell,
     _select,
     _totals,
     EnsembleResult,
@@ -22,7 +24,6 @@ from bss.simulator import (
     dropoff_rate,
     empirical_measure,
     ensemble,
-    hetero_measure,
     pickup_rate,
     round_robin_state,
     simulate,
@@ -157,6 +158,61 @@ def test_select_falls_back_to_last_nonempty_cell():
     assert np.all(cells[chosen, cell[chosen]] - 1.0 >= 0.0)
 
 
+def _scan_cell(rows, caps, target, pickup):
+    # the oracle: a class-major scan adding the counts of the eligible cells
+    # until they exceed the target, else keeping the last non-empty cell
+    hit, acc = None, 0.0
+    for c, k in enumerate(caps):
+        for m in range(1, k + 1) if pickup else range(k):
+            if rows[c][m]:
+                acc += rows[c][m]
+                hit = (c, m)
+                if acc > target:
+                    return hit
+    return hit
+
+
+@pytest.mark.parametrize("caps", [(1,), (5,), (2, 6), (1, 4, 9)])
+def test_rank_cell_matches_class_major_scan(caps):
+    rng = np.random.default_rng(sum(caps))
+    per_class = np.repeat(caps, 6)
+    for _ in range(150):
+        # sparse random counts; a class is emptied outright a quarter of
+        # the time
+        counts = rng.integers(0, per_class + 1)
+        counts[rng.random(counts.size) < 0.4] = 0
+        for k in caps:
+            if rng.random() < 0.25:
+                counts[per_class == k] = 0
+        lump = _Lumped(make_params(), state_of(counts, per_class, 10**6))
+        assert lump.f == [list(accumulate(w[: k + 1]))
+                          for w, k in zip(lump.w, caps)]
+        for pickup in (True, False):
+            classes = [(f, k if pickup else k - 1,
+                        [(c, m) for m in range(k + 1)])
+                       for c, (f, k) in enumerate(zip(lump.f, caps))]
+            total = sum(sum(w[1 : k + 1]) if pickup else sum(w[:k])
+                        for w, k in zip(lump.w, caps))
+            targets = ([float(v) for v in range(total + 2)]
+                       + [v + 0.5 for v in range(total + 1)]
+                       + [np.nextafter(float(total), 0.0), total + 1e-9,
+                          2.0 * total + 3.0, rng.random() * total])
+            for target in targets:
+                want = _scan_cell(lump.w, caps, target, pickup)
+                got = _rank_cell(classes, int(target), pickup)
+                assert got == want, (counts.tolist(), pickup, target)
+
+
+def test_conservation_check_catches_a_corrupted_prefix_count():
+    par = make_params(capacity={"values": [2, 6], "fractions": [0.5, 0.5]})
+    lump = _Lumped(par, round_robin_state(par))
+    docked, _, _, nonempty, open_ = lump.recompute()
+    lump.check(docked, nonempty, open_)
+    lump.f[1][3] += 1
+    with pytest.raises(AssertionError, match="prefix count"):
+        lump.check(docked, nonempty, open_)
+
+
 # ------------------------------------------------------ states and measures
 
 def test_network_state_validation():
@@ -200,17 +256,6 @@ def test_empirical_measure_rejects_capacity_mix():
     st = state_of([0, 2], [2, 4], 4)
     with pytest.raises(ValidationError):
         empirical_measure(st)
-
-
-def test_hetero_measure_table():
-    st = state_of([1, 2, 0, 4], [2, 2, 4, 4], 8)
-    ym = hetero_measure(st)
-    assert ym.capacities == (2, 4)
-    assert ym.table[0, 1] == pytest.approx(0.25)
-    assert ym.table[0, 2] == pytest.approx(0.25)
-    assert ym.table[1, 0] == pytest.approx(0.25)
-    assert ym.table[1, 4] == pytest.approx(0.25)
-    assert ym.total() == pytest.approx(1.0)
 
 
 def test_ratio_histogram_bin_placement():
@@ -585,6 +630,7 @@ def test_ensemble_matches_stacked_simulate():
 # ------------------------------------------------------------ golden bytes
 
 GOLDEN_MIX = {"values": [10, 20], "fractions": [0.5, 0.5]}
+GOLDEN_MIX3 = {"values": [1, 4, 9], "fractions": [0.4, 0.3, 0.3]}
 THETA2 = {"kind": "exponential", "theta": 2.0}
 
 GOLDEN_CASES = {
@@ -606,6 +652,25 @@ GOLDEN_CASES = {
     "stationary_uniform": ({"choice": THETA2},
                            "402e480b83d99c72f4f066c06e905e85410ab1b2c47bef9d028514ed919668b2",
                            None),
+    "p0": ({"p": 0.0, "choice": THETA2},
+           "4cfd855c322ce2fd0a1433bed149e51e8fca31ee0d8c9465cc84d5ecbbde1d1a",
+           (1300, 0, 0)),
+    "p1": ({"p": 1.0, "choice": THETA2},
+           "f64577f668beed820e75ecd7268e2631c4411341263e1c1850bfa2f6dc4bd25f",
+           (1991, 0, 0)),
+    "k1": ({"capacity": 1, "gamma": 0.5},
+           "f9bb41d6efc412a45e6bb8a70cb93c26fc81c727de897489e115ff3984148684",
+           (538, 0, 0)),
+    # 25 bikes dealt over 50 stations grouped by class: the K=9 class
+    # starts empty
+    "mix3": ({"capacity": GOLDEN_MIX3, "gamma": 0.5},
+             "5f7a1ac3db527dd8bfc9a924ae1c345beaf7decf700dd175cde599439370f033",
+             (570, 0, 0)),
+    # p=0 keeps the rates exact, so the recompute cadence cannot move the
+    # occupancy integral
+    "stationary_mix3": ({"capacity": GOLDEN_MIX3, "gamma": 0.5, "p": 0.0},
+                        "b69f229563bef64e2c02defbace96174437238053a419ef606c69f6a6cf6088d",
+                        None),
 }
 
 
@@ -622,8 +687,8 @@ def _sha256(*arrays):
 @pytest.mark.parametrize("case", list(GOLDEN_CASES))
 def test_scalar_engine_golden_bytes(case, recompute_every, monkeypatch):
     # pins the scalar engine's trajectories, occupancy integrals and counters
-    # on uniform, Fourier-thinned and mixed configs; the mix runs with the
-    # per-event conservation check on
+    # on uniform (p = 0, 0.5, 1; K = 1, 5), Fourier-thinned and mixed
+    # configs; the mixes run with the per-event conservation check on
     monkeypatch.setattr(bss.simulator, "RECOMPUTE_EVERY", recompute_every)
     overrides, want, counts = GOLDEN_CASES[case]
     par = make_params(**overrides)
@@ -631,7 +696,7 @@ def test_scalar_engine_golden_bytes(case, recompute_every, monkeypatch):
         avg = stationary_average(par, 5.0, 40.0, seed=6)
         assert _sha256(avg) == want
         return
-    traj = simulate(par, 20.0, 0.5, seed=5, check_conservation=case == "mix")
+    traj = simulate(par, 20.0, 0.5, seed=5, check_conservation=case.startswith("mix"))
     arrays = [traj.times, traj.r_series]
     if traj.y_series is not None:
         arrays.insert(1, traj.y_series)
