@@ -72,9 +72,12 @@ def _write_csv(path: str, header, *columns) -> None:
 
     A str column is a literal repeated on every row. An array column is
     printed per value by its dtype: integers and bools with %d, floats with
-    FLOAT_FMT, strings with %s.
+    FLOAT_FMT, strings with %s. Within a block, a float column whose values
+    repeat has each distinct bit pattern formatted once and its text
+    reused, so the bytes are those of the per-value writer (-0.0 keeps its
+    sign, as it would not if values were merged by equality).
     """
-    fields, arrays = [], []
+    fields, arrays = [], []  # arrays: (field position, column)
     for col in columns:
         if isinstance(col, str):
             fields.append(col.replace("%", "%%"))
@@ -84,21 +87,32 @@ def _write_csv(path: str, header, *columns) -> None:
             raise TypeError(
                 f"CSV column must be a str or a 1-d array, got {arr.dtype} {arr.shape}"
             )
+        if arr.dtype.kind == "f":
+            # FLOAT_FMT prints any float through its nearest double
+            arr = arr.astype(np.float64, copy=False)
+        arrays.append((len(fields), arr))
         fields.append(_CSV_FIELDS[arr.dtype.kind])
-        arrays.append(arr)
-    sizes = {arr.size for arr in arrays}
+    sizes = {arr.size for _, arr in arrays}
     if len(sizes) != 1:
         raise ValueError(f"CSV columns need one common length, got {sorted(sizes)}")
     n_rows = sizes.pop()
-    row = ",".join(fields) + "\n"
     width = len(arrays)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, CSV_BLOCK):
             hi = min(lo + CSV_BLOCK, n_rows)
             values = [None] * ((hi - lo) * width)
-            for q, arr in enumerate(arrays):
-                values[q::width] = arr[lo:hi].tolist()
+            template = list(fields)
+            for q, (slot, arr) in enumerate(arrays):
+                block = arr[lo:hi]
+                if block.dtype.kind == "f":
+                    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+                    if bits.size < block.size:
+                        texts = [FLOAT_FMT % v for v in bits.view(np.float64).tolist()]
+                        block = np.array(texts, dtype=object)[inverse]
+                        template[slot] = "%s"
+                values[q::width] = block.tolist()
+            row = ",".join(template) + "\n"
             fh.write(row * (hi - lo) % tuple(values))
 
 
@@ -258,6 +272,11 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
+# values per sweep axis; a node takes milliseconds, so no grid near this
+# bound finishes, and the bound keeps a tiny step from building a huge list
+MAX_AXIS_VALUES = 100_000
+
+
 def _parse_grid_spec(spec: str, plane: str):
     """Two comma-separated axes 'p=a:b:c,<name>=a:b:c'; endpoints inclusive."""
     second = plane.split("-", 1)[1] if "-" in plane else ""
@@ -273,17 +292,24 @@ def _parse_grid_spec(spec: str, plane: str):
         name = name.strip()
         if not rng:
             raise ValidationError(f"bad grid axis {part!r}; use name=start:stop:step")
-        pieces = rng.split(":")
+        pieces = [float(v) for v in rng.split(":")]
+        if not all(map(math.isfinite, pieces)):
+            raise ValidationError(f"grid axis {name} values must be finite, got {rng!r}")
         if len(pieces) == 1:
-            vals = [float(pieces[0])]
+            vals = pieces
         elif len(pieces) == 3:
-            a, b, c = (float(v) for v in pieces)
+            a, b, c = pieces
             if c <= 0 or b < a:
                 raise ValidationError(
                     f"bad grid range {rng!r}; need start <= stop and step > 0"
                 )
-            count = int(math.floor((b - a) / c + 1e-9)) + 1
-            vals = [a + i * c for i in range(count)]
+            span = (b - a) / c + 1e-9
+            if not span < MAX_AXIS_VALUES:
+                raise ValidationError(
+                    f"grid axis {name} has more than {MAX_AXIS_VALUES} values, "
+                    f"got {rng!r}"
+                )
+            vals = [a + i * c for i in range(math.floor(span) + 1)]
         else:
             raise ValidationError(
                 f"bad grid axis {part!r}; use name=start:stop:step or name=value"

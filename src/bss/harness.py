@@ -17,6 +17,7 @@ from .model import (
     ConvergenceError,
     SystemParams,
     ValidationError,
+    _require_finite_weights,
     arrival_rate,
     choice_weights,
 )
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 SWEEP_PLANES = ("p-theta", "p-c", "p-alpha", "p-gamma")
+_SWEEP_KINDS = {"p-theta": "exponential", "p-c": "minimum", "p-alpha": "polynomial"}
 # below this many replications the standard-error gates are meaningless
 MIN_REPS_FOR_VERDICT = 30
 
@@ -381,28 +383,38 @@ def sweep(plane: str, x_values, y_values, base: SystemParams):
     if not base.arrival.is_constant:
         raise ValidationError("sweep needs a constant arrival rate")
     k = base.uniform_capacity
-    rows = []
-    for x in x_values:
-        for y in y_values:
-            p = float(x)
-            fleet = base.fleet
-            choice = base.choice
-            if plane == "p-theta":
-                choice = ChoiceSpec("exponential", float(y))
-            elif plane == "p-c":
-                choice = ChoiceSpec("minimum", int(y))
-            elif plane == "p-alpha":
-                choice = ChoiceSpec("polynomial", float(y))
-            else:
-                fleet_f = float(y) * base.n_stations
+    # every node is checked before any is solved: replace() skips
+    # validate_params
+    ps = [float(x) for x in x_values]
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValidationError(f"sweep p must be in [0, 1], got {p}")
+    name = plane.split("-")[1]
+    columns = []
+    for y in map(float, y_values):
+        fleet, choice = base.fleet, base.choice
+        try:
+            if plane == "p-gamma":
+                fleet_f = y * base.n_stations
+                if not (math.isfinite(fleet_f) and y > 0):
+                    raise ValidationError("must be positive and finite")
                 fleet = int(round(fleet_f))
                 if abs(fleet_f - fleet) > 1e-6:
                     raise ValidationError(
-                        f"gamma {y} does not give an integer fleet at "
-                        f"N={base.n_stations}"
+                        f"does not give an integer fleet at N={base.n_stations}"
                     )
+            else:
+                choice = ChoiceSpec(_SWEEP_KINDS[plane], y)
+            if any(p > 0.0 for p in ps):
+                _require_finite_weights(base.n_stations, choice, k)
+        except ValidationError as exc:
+            raise ValidationError(f"sweep {name}={y!r}: {exc}") from None
+        columns.append((y, fleet, choice))
+    rows = []
+    for p in ps:
+        for y, fleet, choice in columns:
             par = replace(base, fleet=fleet, p=p, choice=choice)
-            row = {"x": p, "y": float(y)}
+            row = {"x": p, "y": y}
             try:
                 eq = solve_equilibrium(par)
                 yb = eq.y_bar

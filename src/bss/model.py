@@ -344,6 +344,17 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _require_finite_weights(n: int, choice: ChoiceSpec, k_max: int) -> None:
+    # n * g(k_max) bounds the simulator's sum of W_n g(n), g being
+    # nondecreasing for every kind
+    with np.errstate(over="ignore"):
+        top = n * choice_weight(choice, k_max)
+    _require(
+        math.isfinite(top),
+        f"choice weights overflow: n_stations * g({k_max}) = {top} is not finite",
+    )
+
+
 def _as_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{field} must be a number, got {value!r}")
@@ -489,15 +500,7 @@ def validate_params(raw) -> SystemParams:
     choice = _parse_choice(raw["choice"], "choice")
 
     if p > 0.0:
-        # n * g(k_max) bounds the simulator's sum of W_n g(n), g being
-        # nondecreasing for every kind
-        with np.errstate(over="ignore"):
-            top = n * choice_weight(choice, values[-1])
-        _require(
-            math.isfinite(top),
-            f"choice weights overflow: n_stations * g({values[-1]}) = {top} "
-            "is not finite",
-        )
+        _require_finite_weights(n, choice, values[-1])
 
     if not arrival.is_constant:
         neg = _first_negative(arrival)

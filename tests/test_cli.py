@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,6 +329,33 @@ def test_sweep_rejects_unknown_plane(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("plane, grid, field", [
+    ("p-theta", "p=2,theta=0:2:1", "p"),
+    ("p-theta", "p=nan,theta=1", "p"),
+    ("p-theta", "p=0:inf:0.5,theta=1", "p"),
+    ("p-theta", "p=0:1:nan,theta=1", "p"),
+    ("p-theta", "p=0:1:1e-300,theta=1", "p"),
+    ("p-theta", "p=0:1:0.5,theta=0:1:1e-6", "theta"),
+    ("p-theta", "p=0:1:0.5,theta=-1", "theta"),
+    ("p-theta", "p=0:1:0.5,theta=1000", "theta"),
+    ("p-alpha", "p=0:1:0.5,alpha=-0.5", "alpha"),
+    ("p-c", "p=0:1:0.5,c=1.5", "c"),
+    ("p-c", "p=0:1:0.5,c=0", "c"),
+    ("p-gamma", "p=0:1:0.5,gamma=-5:0:5", "gamma"),
+    ("p-gamma", "p=0:1:0.5,gamma=0", "gamma"),
+])
+def test_sweep_rejects_bad_nodes_before_writing(tmp_path, capsys, plane, grid,
+                                                field):
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--plane", plane, "--grid", grid, "--config", cfg,
+                 "--out", str(out)])
+    assert code == 1
+    assert re.search(rf"(axis|sweep) {field}\b", capsys.readouterr().err)
+    assert not out.exists()
+    assert not (tmp_path / "s.csv.manifest.json").exists()
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_insufficient_sample_exits_zero(base_cfg, tmp_path, capsys):
@@ -545,6 +573,35 @@ def test_write_csv_streams_every_block(tmp_path, n_rows):
     _write_csv(str(path), ("t", "observable", "index"), t, "y", idx)
     rows = [(v, "y", i) for v, i in zip(t, idx)]
     assert path.read_bytes() == oracle_csv(("t", "observable", "index"), rows)
+
+
+# floats whose bit patterns differ while their values compare equal (the
+# zeros) or print alike (the NaNs): a writer that merged repeats by value
+# would print -0.0 as "0"
+_POOL = np.concatenate([
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1, 1.0 / 3.0],
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000123],
+             dtype=np.uint64).view(np.float64),
+])
+
+
+def test_write_csv_formats_repeated_floats_by_bits(tmp_path):
+    # repeats within a block and across the block boundaries, next to an
+    # all-distinct column, a one-value column and float32 columns
+    n = 2 * CSV_BLOCK + 17
+    rng = np.random.default_rng(7)
+    pooled = _POOL[rng.integers(0, _POOL.size, n)]
+    distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    single = np.full(n, -0.0)
+    small = pooled.astype(np.float32)
+    small_distinct = (rng.standard_normal(n)
+                      * 10.0 ** rng.integers(-44, 38, n)).astype(np.float32)
+    header = ("pooled", "distinct", "lit", "single", "f32", "f32d")
+    path = tmp_path / "pool.csv"
+    _write_csv(str(path), header, pooled, distinct, "y", single, small,
+               small_distinct)
+    rows = zip(pooled, distinct, ["y"] * n, single, small, small_distinct)
+    assert path.read_bytes() == oracle_csv(header, rows)
 
 
 def test_write_csv_rejects_unequal_or_unknown_columns(tmp_path):

@@ -347,6 +347,36 @@ def test_sweep_gamma_plane_rejects_fractional_fleet():
         sweep("p-gamma", [0.0], [0.333], big_base(capacity=3))
 
 
+@pytest.mark.parametrize("plane, xs, ys, field", [
+    ("p-theta", [0.0, 2.0], [1.0], "p"),
+    ("p-theta", [0.0, -0.5], [1.0], "p"),
+    ("p-theta", [0.0, math.nan], [1.0], "p"),
+    ("p-theta", [0.0, 0.5], [1.0, math.inf], "theta"),
+    ("p-theta", [0.0, 0.5], [1.0, -1.0], "theta"),
+    ("p-theta", [0.0, 0.5], [1.0, 1000.0], "theta"),
+    ("p-alpha", [0.0, 0.5], [1.0, math.nan], "alpha"),
+    ("p-alpha", [0.0, 0.5], [1.0, -0.5], "alpha"),
+    ("p-alpha", [0.0, 0.5], [1.0, 1e308], "alpha"),
+    ("p-c", [0.0, 0.5], [2.0, 1.5], "c"),
+    ("p-c", [0.0, 0.5], [2.0, 0.0], "c"),
+    ("p-c", [0.0, 0.5], [2.0, math.inf], "c"),
+    ("p-gamma", [0.0, 0.5], [1.5, -5.0], "gamma"),
+    ("p-gamma", [0.0, 0.5], [1.5, 0.0], "gamma"),
+    ("p-gamma", [0.0, 0.5], [1.5, math.inf], "gamma"),
+    ("p-gamma", [0.0, 0.5], [1.5, math.nan], "gamma"),
+])
+def test_sweep_validates_every_node_before_solving(monkeypatch, plane, xs, ys,
+                                                   field):
+    import bss.harness as hmod
+
+    solved = []
+    monkeypatch.setattr(hmod, "solve_equilibrium",
+                        lambda par: solved.append(par) or solve_equilibrium(par))
+    with pytest.raises(ValidationError, match=rf"sweep {field}\b"):
+        sweep(plane, xs, ys, big_base(capacity=3))
+    assert solved == []
+
+
 def test_sweep_flags_failed_node_and_continues(monkeypatch):
     import bss.harness as hmod
 
