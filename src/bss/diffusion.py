@@ -102,31 +102,31 @@ def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
             raise ValidationError(
                 "choice denominator vanished; interior measure required"
             )
-        np.dot(coef, ops, out=j.reshape(-1))
+        np.dot(coef, ops, j.reshape(-1))
         c_rank[()] = coef[1] / z[-2]
-        np.multiply(g, c_rank, out=rows[1, 0])
-        np.multiply(cols, rows, out=rank1)
-        np.subtract(j, rank1[0], out=j)
+        np.multiply(g, c_rank, rows[1, 0])
+        np.multiply(cols, rows, rank1)
+        np.subtract(j, rank1[0], j)
         if coef[1] != 0.0:
-            np.subtract(j, rank1[1], out=j)
+            np.subtract(j, rank1[1], j)
         dsig = out[dim:].reshape(dim, dim)
-        np.matmul(j, x[dim:].reshape(dim, dim), out=jsig)
-        np.add(jsig, jsig.T, out=dsig)
+        np.matmul(j, x[dim:].reshape(dim, dim), jsig)
+        np.add(jsig, jsig.T, dsig)
         if zero_bracket:
             return
         scale[0, 0], scale[1, 0], c1[()] = -coef[0], coef[2], -coef[1]
-        np.multiply(scale, y, out=flows)
-        np.multiply(g, y, out=vec)
-        np.add(flows[0], np.multiply(vec, c1, out=vec), out=flows[0])
-        np.multiply(flows, masks, out=flows)
-        np.add(pad[:, 1:-1], pad[:, 2:], out=pair)
-        np.subtract(pair[1], pair[0], out=a_diag)
-        np.subtract(pad[0, 2:-1], pad[1, 2:-1], out=a_up)
-        np.subtract(pad[0, 2:-1], pad[1, 2:-1], out=a_low)
-        np.add(dsig, a, out=dsig)
+        np.multiply(scale, y, flows)
+        np.multiply(g, y, vec)
+        np.add(flows[0], np.multiply(vec, c1, vec), flows[0])
+        np.multiply(flows, masks, flows)
+        np.add(pad[:, 1:-1], pad[:, 2:], pair)
+        np.subtract(pair[1], pair[0], a_diag)
+        np.subtract(pad[0, 2:-1], pad[1, 2:-1], a_up)
+        np.subtract(pad[0, 2:-1], pad[1, 2:-1], a_low)
+        np.add(dsig, a, dsig)
 
     def guard(dt):
-        absj = np.abs(j, out=jsig)
+        absj = np.abs(j, jsig)
         bound = min(max(np.dot(ones, absj).tolist()), max(np.dot(absj, ones).tolist()))
         return 2.0 * dt * bound > STIFF_LIMIT
 

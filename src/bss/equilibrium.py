@@ -31,6 +31,7 @@ from .model import (
 from .meanfield import (
     TINY_DENOM,
     HeterogeneousMeasure,
+    _informed_choice,
     drift_hetero,
     ratio_projection,
 )
@@ -66,7 +67,8 @@ class EquilibriumResult:
     above its capacity. r_bar = ratio_projection(table, capacities); y_bar
     is table[0] for a uniform capacity and None for a mix. rho holds the
     ratios rho_0..rho_{k_max-1} that every class shares, and residual is
-    the largest |drift| over the table.
+    the largest |drift| over the table. s is sum(g y), and 1 at p = 0, where
+    flat weights g = 1 stand in for a choice that never enters.
 
     iterations counts the moment evaluations of the whole solve; each is
     one vectorized inner Newton round. stats reports what the solve did:
@@ -135,8 +137,7 @@ def _require_constant(params: SystemParams) -> float:
 def _class_structure(params: SystemParams):
     caps = params.capacity_values
     fracs = params.capacity_fractions
-    k_max = caps[-1]
-    g = choice_weights(params.choice, k_max)
+    g = choice_weights(_informed_choice(params), caps[-1])
     return caps, np.asarray(fracs, dtype=float), g
 
 
@@ -281,9 +282,9 @@ def _brent(f, xa, xb, fa, fb):
 def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
     """Equilibrium of the mean-field ODE for any capacity mix.
 
-    Finds (a, s) closing both consistency equations. With flat weights or
-    no informed users rho does not couple back to s, so one inner solve
-    settles a and s is read off the measure. Otherwise
+    Finds (a, s) closing both consistency equations. With flat weights,
+    which p = 0 takes since the choice never enters, rho does not couple
+    back to s, so one inner solve settles a and s is the flat weight. Otherwise
     the inner root a(s) is unique and continuous, so the equilibria are the
     roots of phi(s) = sum(g y(a(s), s)) - s: a log grid of admissible s
     brackets every sign change and Brent refines each in log s. Candidates
@@ -326,12 +327,9 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
             iterations=stats["newton_iters"], stats=stats,
         )
 
-    flat = g_hi - g_lo <= 1e-12 * max(g_hi, 1.0)
-    if flat or p == 0.0:
+    if g_hi - g_lo <= 1e-12 * max(g_hi, 1.0):
         stats.update(route="uninformed", roots=1)
-        a, s_new = a_for(g_hi)
-        s = g_hi if flat else float(s_new[0])
-        return best_of([(float(a[0]), s)])
+        return best_of([(float(a_for(g_hi)[0][0]), g_hi)])
 
     # phi is continuous in s because the inner root is unique, so
     # equilibria are brackets of a sign change
@@ -388,7 +386,7 @@ def _reference_measure(y, params: SystemParams):
         raise ValidationError(f"measure must have length {k + 1}, got {y.shape}")
     if not (y.min() > 0.0):
         raise ValidationError("boundary measure: reference needs interior y")
-    g = choice_weights(params.choice, k)
+    g = choice_weights(_informed_choice(params), k)
     a = params.gamma - float(np.arange(k + 1) @ y)
     if not (a > 0.0):
         raise ValidationError(

@@ -18,7 +18,8 @@ Jacobian and the jump bracket from the same operators. One buffered RK4
 stepper, _rk4_buffered, integrates any flat state that starts with a
 measure: integrate and integrate_hetero run it over _drift_into, and the
 diffusion layer runs the packed mean and covariance system on it. The
-tests keep an allocating RK4 stepper over drift as its bitwise oracle.
+tests keep an allocating RK4 stepper over drift, whose stage sum is the
+same one product, as its bitwise oracle.
 """
 
 from __future__ import annotations
@@ -154,11 +155,9 @@ def _operators(capacities: tuple[int, ...], choice: ChoiceSpec) -> np.ndarray:
 _NO_CHOICE = ChoiceSpec("none")
 
 
-def _stack(params: SystemParams) -> np.ndarray:
-    # without informed users the choice never enters; g = 1 keeps the
-    # stack finite where a steep choice function overflows
-    return _operators(params.capacity_values,
-                      params.choice if params.p > 0.0 else _NO_CHOICE)
+def _informed_choice(params: SystemParams) -> ChoiceSpec:
+    # at p = 0 the choice never enters, and flat g = 1 cannot overflow
+    return params.choice if params.p > 0.0 else _NO_CHOICE
 
 
 class _Kernel:
@@ -168,7 +167,7 @@ class _Kernel:
     __slots__ = ("stack", "p", "mu", "gamma", "z", "blocks", "coef")
 
     def __init__(self, params: SystemParams):
-        self.stack = _stack(params)
+        self.stack = _operators(params.capacity_values, _informed_choice(params))
         self.p, self.mu, self.gamma = params.p, params.mu, params.gamma
         self.z = np.empty(self.stack.shape[0])
         self.blocks = self.z[:-2].reshape(3, -1)
@@ -181,12 +180,12 @@ def _drift_into(y, kern: _Kernel, lam, out):
     A choice normaliser at or below TINY_DENOM drops the informed term.
     """
     z, coef, p = kern.z, kern.coef, kern.p
-    np.dot(kern.stack, y, out=z)
+    np.dot(kern.stack, y, z)
     s = z[-2]
     coef[0] = lam * (1.0 - p)
     coef[1] = lam * p / s if p > 0.0 and s > TINY_DENOM else 0.0
     coef[2] = kern.mu * (kern.gamma - z[-1])
-    return np.dot(coef, kern.blocks, out=out)
+    return np.dot(coef, kern.blocks, out)
 
 
 def drift(y, params: SystemParams, t: float = 0.0) -> np.ndarray:
@@ -233,7 +232,7 @@ def _check_start(y0: np.ndarray, params: SystemParams) -> None:
     gamma - n.y0 and runs the dropoff flow backwards. NaN fails both tests."""
     if not (abs(y0.sum() - 1.0) <= 1e-10 and y0.min() >= -1e-12):
         raise ValidationError("y0 must lie on the probability simplex")
-    docked = float(_stack(params)[-1] @ y0.ravel())
+    docked = float(_Kernel(params).stack[-1] @ y0.ravel())
     if not (docked <= params.gamma + 1e-9):
         raise ValidationError(f"y0 docks {docked:.6g} bikes per station, more "
                               f"than the fleet's gamma = {params.gamma:.6g}")
@@ -255,13 +254,13 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
 
     z0 is a flat state whose first dim entries (all by default) are a
     measure; rhs_into(lam, x, out) writes dx/dt at arrival rate lam into out.
-    Stage arithmetic is the textbook RK4 step's, term by term, so the
-    measure is bit-identical to an allocating stepper over drift or
-    drift_hetero (the tests' oracle). lam is read once per stage time, and
-    once in all for a constant rate. A step
-    whose measure dips below -1e-9, or whose guard(dt) is True after the
-    first stage, is redone as two half steps; an accepted measure off unit
-    mass by more than 1e-12 is renormalized.
+    The stage sum is one product, z + dot((1, 2, 2, 1) dt/6, k1..k4), as in
+    the tests' oracle, an allocating stepper over drift or drift_hetero, so
+    the measure matches it bit for bit. lam is read once per stage time, and
+    once in all for a constant rate. A step whose measure dips below -1e-9,
+    or whose guard(dt) is True after the first stage, is redone as two half
+    steps; an accepted measure off unit mass by more than 1e-12 is
+    renormalized.
 
     Under a constant rate a step is a fixed map of (z, dt). Once a step
     returns its input bytes, or those of two steps back (a last-bit
@@ -273,7 +272,8 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
     size = z0.size
     dim = size if dim is None else dim
     whole = dim == size
-    k1, k2, k3, k4, ys, acc = (np.empty(size) for _ in range(6))
+    k1, k2, k3, k4 = stages = np.empty((4, size))
+    ys, acc = np.empty(size), np.empty(size)
     rate, autonomous = arrival.rate, arrival.is_constant
     lam = (lambda t: rate) if autonomous else arrival.fourier.at
     count = dict.fromkeys(("steps", "halvings", "stiff_halvings", "renormalized",
@@ -292,26 +292,26 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
         accept(t, y, dt / 2.0, mid)
         accept(t + dt / 2.0, mid, dt / 2.0, out)
 
-    # the step's scalars as 0-d arrays, which numpy multiplies by faster
-    c_half, c_dt, c_sixth = (np.zeros(()) for _ in range(3))
+    # the step's scalars as 0-d arrays, which numpy multiplies by faster,
+    # and the RK4 weights (1, 2, 2, 1) dt/6, whose doubling is exact
+    c_half, c_dt, weights = np.zeros(()), np.zeros(()), np.empty(4)
+    add, mul, dot = np.add, np.multiply, np.dot
 
     def accept(t, y, dt, out):
-        # one accepted RK4 step from y into out (not y); 2k is k + k
+        # one accepted RK4 step from y into out (not y); each out goes
+        # positionally, which numpy parses faster than out=
         half = 0.5 * dt
         rhs_into(lam(t), y, k1)
         if guard is not None and guard(dt):
             return halve(t, y, dt, out, "stiff_halvings")
-        c_half[()], c_dt[()], c_sixth[()] = half, dt, dt / 6.0
+        c_half[()], c_dt[()], sixth = half, dt, dt / 6.0
+        weights[0] = weights[3] = sixth
+        weights[1] = weights[2] = sixth + sixth
         mid = lam(t + half)
-        rhs_into(mid, np.add(np.multiply(k1, c_half, out=ys), y, out=ys), k2)
-        rhs_into(mid, np.add(np.multiply(k2, c_half, out=ys), y, out=ys), k3)
-        rhs_into(lam(t + dt), np.add(np.multiply(k3, c_dt, out=ys), y, out=ys), k4)
-        np.add(k2, k2, out=out)
-        out += k1
-        out += np.add(k3, k3, out=ys)
-        out += k4
-        out *= c_sixth
-        out += y
+        rhs_into(mid, add(mul(k1, c_half, ys), y, ys), k2)
+        rhs_into(mid, add(mul(k2, c_half, ys), y, ys), k3)
+        rhs_into(lam(t + dt), add(mul(k3, c_dt, ys), y, ys), k4)
+        add(dot(weights, stages, out), y, out)
         head = out if whole else out[:dim]
         vals = head.tolist()
         # Python's min and sum are the cheap tests; numpy's decide

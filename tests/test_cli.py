@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ def test_equilibrium_csv_and_manifest(base_cfg, tmp_path):
     assert stats["route"] == "bracketed"
     assert stats["roots"] >= 1
     assert stats["newton_iters"] == man["details"]["iterations"]
+
+
+def test_equilibrium_at_p0_ignores_overflowing_choice(tmp_path):
+    # without informed users g never enters; exp(1000 n) must not reach it
+    steep = write_config(tmp_path / "steep.json", p=0.0,
+                         choice={"kind": "exponential", "theta": 1000.0})
+    mild = write_config(tmp_path / "mild.json", p=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["equilibrium", "--config", steep,
+                     "--out", str(tmp_path / "steep.csv")]) == 0
+    assert main(["equilibrium", "--config", mild,
+                 "--out", str(tmp_path / "mild.csv")]) == 0
+    steep_csv, mild_csv = tmp_path / "steep.csv", tmp_path / "mild.csv"
+    assert steep_csv.read_bytes() == mild_csv.read_bytes()
+    man = json.loads((tmp_path / "steep.csv.manifest.json").read_text())
+    assert man["details"]["s"] == 1.0
 
 
 def test_equilibrium_capacity_mix_rows_per_class(tmp_path):

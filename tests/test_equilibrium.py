@@ -245,6 +245,23 @@ class TestSolverInternals:
             with pytest.raises(ConvergenceError):
                 solve_equilibrium(params)
 
+    def test_overflowing_weights_at_p0_give_finite_weight_table(self):
+        # at p = 0 the equilibrium does not depend on g: exp(1000 n)
+        # overflows, yet the solve takes flat weights and matches theta = 1
+        cfg = {"n_stations": 10, "gamma": 1.5, "capacity": 3, "p": 0.0}
+        steep = make_params(**cfg, choice={"kind": "exponential", "theta": 1000.0})
+        mild = make_params(**cfg, choice={"kind": "exponential", "theta": 1.0})
+        y = interior_physical(np.random.default_rng(2), 4, 1.5)
+        with np.errstate(over="raise", invalid="raise"):
+            got, ref = solve_equilibrium(steep), solve_equilibrium(mild)
+            h_steep, h_mild = relative_entropy(y, steep), relative_entropy(y, mild)
+        for field in ("table", "r_bar", "rho", "a", "residual", "iterations"):
+            assert np.asarray(getattr(got, field)).tobytes() == \
+                np.asarray(getattr(ref, field)).tobytes(), field
+        assert got.stats == ref.stats and got.stats["route"] == "uninformed"
+        assert got.s == ref.s == 1.0
+        assert math.isfinite(h_steep) and h_steep == h_mild
+
 
 # (capacities, fractions, gamma): every capacity mix the suite runs elsewhere
 CAPACITY_MIXES = [

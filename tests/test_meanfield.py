@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bss import meanfield
 from bss.model import ArrivalModel, ConvergenceError, ValidationError, validate_params
 from bss.meanfield import (
     HeterogeneousMeasure,
@@ -19,14 +20,18 @@ from bss.meanfield import (
 )
 
 
-# The allocating RK4 stepper the buffered one must match bit for bit.
+# The allocating RK4 stepper the buffered one must match bit for bit. Its
+# stage inputs are the textbook ones, and it forms the stage sum as the
+# buffered stepper does, one product of the weights (1, 2, 2, 1) dt/6 with
+# the stacked stages, since a dot product rounds in its own order.
 
 def _rk4_step(fun, t, y, dt):
     k1 = fun(t, y)
     k2 = fun(t + 0.5 * dt, y + (0.5 * dt) * k1)
     k3 = fun(t + 0.5 * dt, y + (0.5 * dt) * k2)
     k4 = fun(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    weights = np.array([1.0, 2.0, 2.0, 1.0]) * (dt / 6.0)
+    return np.dot(weights, np.stack([k1, k2, k3, k4])) + y
 
 
 def _rk4_advance(fun, t, y, dt):
@@ -373,6 +378,40 @@ class TestIntegrate:
         # without arrivals and below the fleet everything docks: the uniform
         # start moves until all mass is pushed up, so some steps run
         assert 1 <= fixed["steps"] <= 100
+
+    @pytest.mark.parametrize("capacity, gamma, p", [
+        (20, 10.0, 0.25), ({"values": [10, 20], "fractions": [0.5, 0.5]}, 7.5, 0.5)])
+    def test_error_falls_by_sixteen_when_step_halves(self, capacity, gamma, p):
+        # shares nothing with the oracle: a fourth-order stepper's error at
+        # T=2 falls 2^4-fold from h=0.01 to h=0.005, against h=0.01/16
+        params = make_params(n_stations=500, gamma=gamma, capacity=capacity, p=p,
+                             choice={"kind": "exponential", "theta": 0.5})
+        y0 = builtin_measure(params, "uniform")
+        run = integrate if params.is_uniform else integrate_hetero
+        ref, coarse, fine = (run(y0, params, [0.0, 2.0], h=h)[-1]
+                             for h in (0.01 / 16, 0.01, 0.005))
+        ratio = np.abs(coarse - ref).max() / np.abs(fine - ref).max()
+        assert 15.0 <= ratio <= 17.0
+
+    def test_drift_kernel_runs_four_times_a_step(self, monkeypatch):
+        # the benchmark's tracer counts drift evaluations by swapping a
+        # wrapper into meanfield._drift_into; every RK4 step must pass
+        # through it, once per stage
+        calls = []
+        kernel = meanfield._drift_into
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(meanfield, "_drift_into", counting)
+        params = make_params(p=0.25, choice={"kind": "exponential", "theta": 0.5})
+        stats = {}
+        integrate(builtin_measure(params, "uniform"), params, [0.0, 1.0, 3.0],
+                  h=0.01, stats=stats)
+        assert stats["halvings"] == stats["stiff_halvings"] == 0
+        assert stats["steps"] == 300
+        assert len(calls) == 4 * stats["steps"]
 
     def test_step_above_limit_rejected(self):
         params = make_params()
