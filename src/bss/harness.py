@@ -21,7 +21,7 @@ from .model import (
     arrival_rate,
     choice_weights,
 )
-from .meanfield import TINY_DENOM, _sample_grid, integrate
+from .meanfield import TINY_DENOM, _informed_choice, _sample_grid, integrate
 from .diffusion import integrate_covariance
 from .equilibrium import entropy, solve_equilibrium
 from .simulator import (
@@ -267,7 +267,7 @@ def _generator_apply(f, y: np.ndarray, par: SystemParams, t: float) -> float:
     """
     k = par.uniform_capacity
     n = par.n_stations
-    g = choice_weights(par.choice, k)
+    g = choice_weights(_informed_choice(par), k)
     lam = arrival_rate(par.arrival, t)
     p = par.p
     denom = float(g @ y)

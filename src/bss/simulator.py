@@ -21,10 +21,13 @@ weigh them by g and keep a sequential scan. _lockstep advances many
 uniform-capacity replicas at once (ensemble, forward_equation_residual):
 each round, every live replica takes the next candidate event of its own
 scalar run, on its own clock t_r += e_r / total_r with its own total rate,
-so replica r is bitwise simulate on its seed. Both read a generator through
-one stream layout: blocks of BLOCK exponentials, then BLOCK x 2 uniforms,
-one exponential and two uniforms per candidate event, whether it moves a
-bike, is thinned away or finds no cell.
+so replica r is bitwise simulate on its seed. Its state is cell-major, a
+column per replica, and its cell is the count of its running sums <= its
+target: targets are >= 0 and the sums never decrease, so that count is
+where the scan stops. Both read a generator through one stream layout:
+blocks of BLOCK exponentials, then BLOCK x 2 uniforms, one exponential and
+two uniforms per candidate event, whether it moves a bike, is thinned away
+or finds no cell.
 
 Replication seeding: child seed r = splitmix64(master + (r+1)*GOLDEN), the
 standard 64-bit mixing finalizer, so runs reproduce across platforms.
@@ -39,7 +42,7 @@ from itertools import accumulate
 import numpy as np
 
 from .model import SystemParams, ValidationError, arrival_rate, choice_weights
-from .meanfield import TINY_DENOM, _sample_grid, ratio_projection
+from .meanfield import TINY_DENOM, _informed_choice, _sample_grid, ratio_projection
 
 __all__ = [
     "NetworkState",
@@ -135,7 +138,6 @@ def round_robin_state(params: SystemParams) -> NetworkState:
     m = params.fleet
     if m > int(caps.sum()):
         raise ValidationError("fleet exceeds total dock capacity")
-    counts = np.zeros_like(caps)
     # full passes first: after r passes station i holds min(K_i, r)
     lo, hi = 0, int(caps.max())
     while lo < hi:
@@ -158,7 +160,7 @@ def pickup_rate(state: NetworkState, i: int, params: SystemParams, t: float = 0.
     if x <= 0:
         return 0.0
     lam = arrival_rate(params.arrival, t)
-    g = choice_weights(params.choice, int(state.capacities.max()))
+    g = choice_weights(_informed_choice(params), int(state.capacities.max()))
     rate = (1.0 - params.p) * lam
     if params.p > 0.0:
         total = float(g[state.counts].sum())
@@ -205,7 +207,7 @@ class _Lumped:
         self.k_max = caps[-1]
         self.n = state.n_stations
         self.fleet = state.fleet
-        self.g = choice_weights(params.choice, self.k_max).tolist()
+        self.g = choice_weights(_informed_choice(params), self.k_max).tolist()
         self.w = [
             np.bincount(state.counts[state.capacities == k],
                         minlength=self.k_max + 1).tolist()
@@ -553,75 +555,77 @@ def _totals(lam, p, mu, n, fleet, docked, big_g, g_pos, nonempty, open_):
     _run_engine inlines the same float expressions.
     """
     w_un = (1.0 - p) * nonempty
-    pick = lam * w_un
-    if p > 0.0:
-        # a vanished normaliser drops the informed term
-        frac = np.where(big_g > TINY_DENOM, g_pos / big_g, 0.0)
-    else:
-        frac = np.zeros_like(g_pos)
-    pick = pick + lam * p * n * frac
+    # a vanished normaliser drops the informed term
+    frac = (np.where(big_g > TINY_DENOM, g_pos / big_g, 0.0) if p > 0.0
+            else np.zeros_like(g_pos))
+    pick = lam * w_un + lam * p * n * frac
     drop = mu * (fleet - docked) / n * open_
     return w_un, p * n * frac, pick, drop
 
 
-def _select(cells, cum, target) -> np.ndarray:
-    """Per row, the cell _run_engine picks: the first non-empty cell whose
-    cumulative weight exceeds the target or, when none does (float drift in
-    the aggregates), the last non-empty cell; -1 if all are empty. For count
-    weights this is _rank_cell's cell, for choice weights that of the
-    informed scan."""
-    full = cells > 0
-    over = full & (cum > target[:, None])
-    cell = np.argmax(over, axis=1)
-    miss = ~over.any(axis=1)
+def _first_over(cells, cum, target) -> np.ndarray:
+    """Per column of the cell-major (k, r) tables, the cell _run_engine
+    picks: the first whose running weight cum exceeds the target or, when
+    none does (float rounding of the target), the last non-empty cell; k if
+    all are empty. That first cell is the count of sums <= target, as the
+    target is >= 0 and cum never decreases down a column. For count weights
+    this is _rank_cell's cell, for choice weights the informed scan's."""
+    k = len(cells)
+    cell = np.add.reduce(cum <= target)
+    miss = cell == k
     if np.count_nonzero(miss):
-        tail = full[miss]
-        cell[miss] = np.where(tail.any(axis=1),
-                              tail.shape[1] - 1 - np.argmax(tail[:, ::-1], axis=1), -1)
+        full = cells[::-1, miss] > 0
+        cell[miss] = np.where(full.any(axis=0), k - 1 - np.argmax(full, axis=0), k)
     return cell
 
 
-def _move_tables(g: np.ndarray, k: int):
-    """Change of a table row and of the five aggregates per move code.
+def _move_table(g: np.ndarray, k: int) -> np.ndarray:
+    """Change of a lockstep column per move code: its k + 1 table cells,
+    five aggregates and event count.
 
-    A pickup at count m is code m - 1, a dropoff at m is code k + m, and
-    code 2k is no move. The aggregate changes are the float differences the
-    event loop of _run_engine adds per move, so adding a column reproduces
-    its arithmetic.
+    Code c < k is a pickup from pickup cell c (count c + 1), code k + 1 + c
+    a dropoff into dropoff cell c (count c); codes k and 2k + 1, cell k of
+    either kind (no cell), move nothing. The aggregate changes are the float
+    differences the event loop of _run_engine adds per move, so adding a
+    column reproduces its arithmetic.
     """
-    moves = [(m, -1) for m in range(1, k + 1)] + [(m, 1) for m in range(k)]
-    row_delta = np.zeros((2 * k + 1, k + 1))
-    agg_delta = np.zeros((5, 2 * k + 1))
-    for code, (m, s) in enumerate(moves):
-        row_delta[code, m] -= 1.0
-        row_delta[code, m + s] += 1.0
+    delta = np.zeros((k + 7, 2 * k + 2))
+    moves = [(c, c + 1, -1) for c in range(k)] + [(k + 1 + c, c, 1) for c in range(k)]
+    for code, m, s in moves:
+        delta[m, code] -= 1.0
+        delta[m + s, code] += 1.0
         dg = g[m + s] - g[m]
         # the station turns empty or nonempty; it leaves or joins the open ones
         edge = m == 1 if s < 0 else m == 0
         fills = m == k if s < 0 else m + 1 == k
-        agg_delta[:, code] = (s, dg, s * g[1] if edge else dg,
-                              s if edge else 0, -s if fills else 0)
-    return row_delta, agg_delta
+        delta[k + 1:, code] = (s, dg, s * g[1] if edge else dg,
+                               s if edge else 0, -s if fills else 0, 1)
+    return delta
 
 
 def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
               initial: NetworkState | None = None):
     """_run_engine for many seeds at once; uniform capacities only.
 
-    Each round every live replica takes its next candidate event: its own
-    clock and total rate, the same thinning test against lam_max, the same
-    cell scan (_select), the same aggregate arithmetic and its own recompute
-    every RECOMPUTE_EVERY events, on its own generator read in the same
-    blocks. A replica stops at the horizon or when its total rate reaches 0,
-    and grid instants it did not reach get its final state. Returns
-    (samples, stats): samples[r] is bitwise simulate(params, horizon, dt,
-    seeds[r], initial).y_series, and stats sums simulate's counters over
-    replicas and adds rounds, the most candidate draws of any replica.
+    The state is cell-major, one float column per live replica: its k + 1
+    table cells, five aggregates and event count. Each round every live
+    replica takes its next candidate event: its own clock and total rate,
+    the same thinning test against lam_max, the same cell (_first_over on
+    the running sums of its eligible cells, added in the scan's order), the
+    same aggregate arithmetic (a column of _move_table) and its own
+    recompute every RECOMPUTE_EVERY events, on its own generator read in
+    the same blocks. A replica stops at the horizon or when its total rate
+    reaches 0, and grid instants it did not reach get its final state.
+    Returns (samples, stats): samples[r] is bitwise simulate(params,
+    horizon, dt, seeds[r], initial).y_series, and stats sums simulate's
+    counters over replicas and adds rounds, the most candidate draws of any
+    replica.
     """
     lump = _Lumped(params, _prepare_initial(params, initial))
     k, n, fleet, caps = lump.k_max, lump.n, lump.fleet, lump.caps
     p, mu = params.p, params.mu
     g = np.asarray(lump.g)
+    g_cells = g[1:, None]
     lam_bound, thinning = _rate_bound(params.arrival)
     lam_at = params.arrival.fourier.at if thinning else None
     gens = [np.random.default_rng(s) for s in seeds]
@@ -629,32 +633,29 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
     samples = np.empty((r, len(times), k + 1))
     # instants past the horizon are never due; the final fill covers them
     grid = np.append(np.where(times <= horizon, times, np.inf), np.inf)
-    row_delta, agg_delta = _move_tables(g, k)
-    no_move = 2 * k
+    delta = _move_table(g, k)
 
-    # per live replica: index, table row, aggregates, clock, next grid
-    # instant and its time, own event count
+    # per live replica: index, state column, clock, next grid instant, its time
     ids = np.arange(r)
-    w = np.tile(np.asarray(lump.w[0], dtype=float), (r, 1))
-    agg = np.tile(np.array(lump.recompute(), dtype=float)[:, None], r)
+    state = np.tile(np.array([*lump.w[0], *lump.recompute(), 0.0])[:, None], r)
     t = np.zeros(r)
     nxt = np.zeros(r, dtype=np.int64)
     due = np.full(r, grid[0])
-    count = np.zeros(r, dtype=np.int64)
-    done = np.zeros(r, dtype=bool)
+    done, n_done = None, 0
     block = np.empty((BLOCK, 3, r))
     cursor = BLOCK
     rounds = draws = events = rejections = recomputes = 0
 
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            if np.count_nonzero(done):
+            if n_done:
                 keep = ~done
-                events += int(count[done].sum())
-                ids, w, agg, t = ids[keep], w[keep], agg[:, keep], t[keep]
-                nxt, due, count = nxt[keep], due[keep], count[keep]
+                events += int(state[-1, done].sum())
+                ids, state, t = ids[keep], state[:, keep], t[keep]
+                nxt, due = nxt[keep], due[keep]
             if not ids.size:
                 break
+            w, agg = state[: k + 1], state[k + 1 : k + 6]
             w_un, w_in, pick, drop = _totals(lam_bound, p, mu, n, fleet, *agg)
             total = pick + drop
 
@@ -662,62 +663,61 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
                 for i in ids.tolist():
                     block[:, 0, i], block[:, 1:, i] = _draws(gens[i])
                 cursor = 0
-            e, u1, u2 = block[cursor][:, ids]
+            e, u1, u2 = block[cursor] if ids.size == r else block[cursor][:, ids]
             cursor += 1
             rounds += 1
-            t_new = t + e / total
-            quiet = total <= 0.0
-            if np.count_nonzero(quiet):
-                t_new[quiet] = horizon
+            # a quiet replica (total 0) jumps to the horizon
+            t_new = np.fmin(t + e / total, horizon)
 
             hit = due <= t_new
             while np.count_nonzero(hit):
                 rows = hit.nonzero()[0]
-                samples[ids[rows], nxt[rows]] = w[rows] / n
+                samples[ids[rows], nxt[rows]] = (w[:, rows] / n).T
                 nxt[rows] += 1
                 due[rows] = grid[nxt[rows]]
                 hit = due <= t_new
-            done = t_new >= horizon
-            for row in done.nonzero()[0].tolist():
-                samples[ids[row], nxt[row]:] = w[row] / n
+            done = t_new == horizon
+            n_done = int(np.count_nonzero(done))
+            for row in done.nonzero()[0].tolist() if n_done else ():
+                samples[ids[row], nxt[row]:] = w[:, row] / n
             t = t_new
-            moving = ~done
-            draws += np.count_nonzero(moving)
+            draws += ids.size - n_done
 
             x = u1 * total
             is_pick = x < pick
-            if thinning:
-                rows = (is_pick & moving).nonzero()[0]
-                lam_t = [lam_at(v) for v in t[rows].tolist()]
-                rejected = rows[(x[rows] / pick[rows]) * lam_bound >= lam_t]
-                moving[rejected] = False
-                rejections += rejected.size
-
-            cells = np.where(is_pick[:, None], w[:, 1:], w[:, :k])
-            cum = np.cumsum(cells, axis=1)
+            cells = np.where(is_pick, w[1:], w[:k])
             y = u2 * (w_un + w_in)
             target = np.where(
                 is_pick, y / (1.0 - p) if p < 1.0 else 0.0,
                 (x - pick) / drop * agg[4],
             )
-            informed = is_pick & (y >= w_un) & (w_in != 0.0)
-            if np.count_nonzero(informed):
+            weights = cells
+            if p > 0.0:
+                informed = is_pick & (y >= w_un) & (w_in != 0.0)
                 target = np.where(informed, (y - w_un) / w_in * agg[2], target)
-                cum = np.where(informed[:, None],
-                               np.cumsum(cells * g[1:], axis=1), cum)
-            cell = _select(cells, cum, target)
-            code = np.where(is_pick, cell, k + cell)
-            code[~moving | (cell < 0)] = no_move
+                weights = np.where(informed, cells * g_cells, cells)
+            # running sums, a row per add: the scan's order for every replica
+            cum = weights.copy()
+            prev = cum[0]
+            for row in cum[1:]:
+                prev = np.add(prev, row, row)
+            cell = _first_over(cells, cum, target)
+            code = np.where(is_pick, cell, cell + (k + 1))
+            np.putmask(code, done, k)
+            if thinning:
+                rows = (is_pick & ~done).nonzero()[0]
+                lam_t = [lam_at(v) for v in t[rows].tolist()]
+                rejected = rows[(x[rows] / pick[rows]) * lam_bound >= lam_t]
+                code[rejected] = k
+                rejections += rejected.size
 
-            w += row_delta[code]
-            agg += agg_delta[:, code]
-            moved = code != no_move
-            count += moved
+            state += delta.take(code, axis=1)
             # no replica has more events than there were rounds
             if rounds >= RECOMPUTE_EVERY:
-                due_recompute = moved & (count % RECOMPUTE_EVERY == 0)
+                moved = code % (k + 1) != k
+                due_recompute = moved & (state[-1] % RECOMPUTE_EVERY == 0)
                 for row in due_recompute.nonzero()[0].tolist():
-                    agg[:, row] = _aggregates([w[row]], g, caps)
+                    agg[:, row] = _aggregates([w[:, row]], g, caps)
                     recomputes += 1
 
     stats = {

@@ -9,7 +9,7 @@ import pytest
 from bss.cli import CSV_BLOCK, _write_csv, main
 from bss.diffusion import integrate_covariance
 from bss.equilibrium import solve_equilibrium
-from bss.harness import sweep
+from bss.harness import forward_equation_residual, sweep
 from bss.ingestion import parse_gbfs, snapshot_histograms
 from bss.meanfield import (
     builtin_measure,
@@ -18,7 +18,14 @@ from bss.meanfield import (
     ratio_projection,
 )
 from bss.model import ConvergenceError, validate_params
-from bss.simulator import empirical_measure, round_robin_state, simulate
+from bss.simulator import (
+    empirical_measure,
+    ensemble,
+    pickup_rate,
+    round_robin_state,
+    simulate,
+    stationary_average,
+)
 
 
 def write_config(path, **overrides):
@@ -143,6 +150,38 @@ def test_equilibrium_at_p0_ignores_overflowing_choice(tmp_path):
     assert steep_csv.read_bytes() == mild_csv.read_bytes()
     man = json.loads((tmp_path / "steep.csv.manifest.json").read_text())
     assert man["details"]["s"] == 1.0
+
+
+def test_simulator_at_p0_ignores_overflowing_choice(tmp_path):
+    # the engines, the forward check's generator and their CLI commands at
+    # p = 0 take flat weights: theta = 1000 warns nowhere and gives theta =
+    # 1's bytes
+    runs = {}
+    for name, theta in (("steep", 1000.0), ("mild", 1.0)):
+        choice = {"kind": "exponential", "theta": theta}
+        cfg = write_config(tmp_path / f"{name}.json", p=0.0, choice=choice)
+        par = validate_params(json.loads((tmp_path / f"{name}.json").read_text()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = simulate(par, 5.0, 0.5, seed=3)
+            avg = stationary_average(par, 1.0, 5.0, seed=3)
+            ens = ensemble(par, 4, 2.0, 0.5, seed=3)
+            fwd = forward_equation_residual(par, 10, "coord@0", 0.5, 20, 3)
+            rate = pickup_rate(round_robin_state(par), 0, par)
+            assert main(["simulate", "--config", cfg, "--horizon", "5",
+                         "--sample-dt", "0.5", "--seed", "3",
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+            assert main(["verify", "--suite", "forward", "--config", cfg,
+                         "--out", str(tmp_path / f"{name}-forward.json")]) == 0
+        runs[name] = [traj.y_series, traj.r_series, traj.stats, avg, ens.mean,
+                      ens.cov, ens.stats, fwd.metrics, rate,
+                      (tmp_path / f"{name}.csv").read_bytes(),
+                      (tmp_path / f"{name}-forward.json").read_bytes()]
+    for steep, mild in zip(runs["steep"], runs["mild"]):
+        if isinstance(steep, np.ndarray):
+            assert steep.tobytes() == mild.tobytes()
+        else:
+            assert steep == mild
 
 
 def test_equilibrium_capacity_mix_rows_per_class(tmp_path):

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bss.model import ConvergenceError, ValidationError, validate_params
+from bss.diffusion import integrate_covariance
 from bss.equilibrium import solve_equilibrium
 from bss.harness import (
     ExperimentReport,
@@ -15,7 +17,8 @@ from bss.harness import (
     sweep,
 )
 from bss.harness import _generator_apply, _parse_f_spec, _with_n
-from bss.simulator import child_seed, simulate
+from bss.meanfield import builtin_measure, integrate, integrate_hetero
+from bss.simulator import child_seed, ensemble, simulate
 
 
 def make_params(**overrides):
@@ -287,6 +290,35 @@ def test_forward_equation_rejects_off_grid_time():
         forward_equation_residual(par, 50, "coord@0", 0.3, 10, 0, delta=0.25)
     with pytest.raises(ValidationError, match=">= 0"):
         forward_equation_residual(par, 50, "coord@0", -1.0, 10, 0)
+
+
+def test_stats_are_plain_json():
+    # every stats dict and the forward report's metrics go into manifests:
+    # json.dumps must take them with no default hook, and every number must
+    # be a Python int, float or bool, not a numpy scalar
+    par = make_params()
+    mix = make_params(capacity={"values": [2, 4], "fractions": [0.5, 0.5]})
+    grid = np.array([0.0, 0.5])
+    y0 = builtin_measure(par, "uniform")
+    found = {"simulate": simulate(par, 1.0, 0.5, seed=1).stats,
+             "ensemble": ensemble(par, 4, 1.0, 0.5, seed=1).stats,
+             "equilibrium": solve_equilibrium(par).stats,
+             "equilibrium_mix": solve_equilibrium(mix).stats,
+             "forward": forward_equation_residual(par, 20, "coord@0", 0.5, 5,
+                                                  seed=1).metrics}
+    for name in ("integrate", "integrate_hetero", "integrate_covariance"):
+        found[name] = {}
+    integrate(y0, par, grid, stats=found["integrate"])
+    integrate_hetero(builtin_measure(mix, "uniform"), mix, grid,
+                     stats=found["integrate_hetero"])
+    integrate_covariance(y0, np.zeros((4, 4)), par, grid,
+                         stats=found["integrate_covariance"])
+    for name, stats in found.items():
+        assert stats, name
+        json.dumps(stats)
+        for key, value in stats.items():
+            allowed = (str,) if key in ("route", "f_spec") else (int, float, bool)
+            assert type(value) in allowed, (name, key, type(value))
 
 
 # ---------------------------------------------------------------- sweep

@@ -8,14 +8,16 @@ from scipy.linalg import expm
 from scipy.stats import chi2_contingency
 
 import bss.simulator
-from bss.model import ValidationError, arrival_rate, validate_params
+from bss.harness import forward_equation_residual
+from bss.model import (ChoiceSpec, ValidationError, arrival_rate,
+                       choice_weights, validate_params)
 from bss.equilibrium import solve_equilibrium
 from bss.meanfield import _sample_grid, ratio_histogram
 from bss.simulator import (
     _Lumped,
     _lockstep,
     _rank_cell,
-    _select,
+    _first_over,
     _totals,
     EnsembleResult,
     NetworkState,
@@ -144,18 +146,61 @@ def test_rate_sums_match_engine_totals(p):
 
 
 def test_select_falls_back_to_last_nonempty_cell():
-    # row 0: the target equals the cumulative total and the last cell is
+    # one column per case, cell-major as the lockstep engine holds them.
+    # Column 0: the target equals the cumulative total and the last cell is
     # empty, so no cell exceeds it and the last non-empty cell is chosen;
-    # row 1: a target just below 0 (drift in g_pos) skips the empty first
-    # cell; row 2: the ordinary case; row 3: every cell empty
+    # column 1: a target of -0.0, the least an informed pick can draw
+    # ((y - w_un) / w_in * g_pos, where w_in has the sign of g_pos), skips
+    # the empty first cell; column 2: the ordinary case; column 3: every
+    # cell empty
     cells = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 1.0, 1.0],
-                      [0.0, 0.0, 0.0]])
-    cum = np.cumsum(cells, axis=1)
-    target = np.array([3.0, -1e-17, 1.5, 0.5])
-    cell = _select(cells, cum, target)
-    assert cell.tolist() == [1, 1, 1, -1]
-    chosen = cell >= 0
-    assert np.all(cells[chosen, cell[chosen]] - 1.0 >= 0.0)
+                      [0.0, 0.0, 0.0]]).T
+    cum = np.cumsum(cells, axis=0)
+    target = np.array([3.0, -0.0, 1.5, 0.5])
+    cell = _first_over(cells, cum, target)
+    assert cell.tolist() == [1, 1, 1, 3]
+    chosen = cell < 3
+    assert np.all(cells[cell[chosen], chosen] - 1.0 >= 0.0)
+
+
+def _select(cells, cum, target):
+    # the oracle, the row-major rule the lockstep engine used before its
+    # state went cell-major: per row, the first non-empty cell whose
+    # cumulative weight exceeds the target, else the last non-empty cell,
+    # -1 if all are empty
+    full = cells > 0
+    over = full & (cum > target[:, None])
+    cell = np.argmax(over, axis=1)
+    miss = ~over.any(axis=1)
+    if np.count_nonzero(miss):
+        tail = full[miss]
+        cell[miss] = np.where(tail.any(axis=1),
+                              tail.shape[1] - 1 - np.argmax(tail[:, ::-1], axis=1), -1)
+    return cell
+
+
+@pytest.mark.parametrize("k", [1, 3, 20])
+def test_first_over_matches_select_oracle(k):
+    # random sparse tables, some columns all empty, under count weights and
+    # choice weights g(1..k), against targets of 0, an integer, just below
+    # the total, the total and past it
+    rng = np.random.default_rng(k)
+    g = choice_weights(ChoiceSpec("exponential", 0.7), k)[1:, None]
+    r = 64
+    for _ in range(40):
+        cells = rng.integers(0, 4, size=(k, r)).astype(float)
+        cells[rng.random((k, r)) < 0.5] = 0.0
+        cells[:, rng.random(r) < 0.2] = 0.0
+        for weights in (cells, cells * g):
+            cum = np.cumsum(weights, axis=0)
+            total = cum[-1]
+            picks = [np.zeros(r), np.floor(rng.random(r) * (total + 1.0)),
+                     np.nextafter(total, 0.0), total, total + 1.0,
+                     rng.random(r) * total]
+            for target in picks:
+                want = _select(cells.T, cum.T, target)
+                want[want < 0] = k
+                assert np.array_equal(_first_over(cells, cum, target), want)
 
 
 def _scan_cell(rows, caps, target, pickup):
@@ -572,6 +617,7 @@ def test_simulate_fills_grid_instant_past_horizon():
 
 FOURIER_RATE = {"fourier": {"intercept": 1.0, "sin": [0.6, 0.2],
                             "cos": [0.3, 0.0], "period": 3.0}}
+THETA2 = {"kind": "exponential", "theta": 2.0}
 
 REPLAY_CASES = {
     # name: (params overrides, horizon, sample_dt, initial counts)
@@ -584,6 +630,10 @@ REPLAY_CASES = {
     "absorbing": ({"mu": 10.0, "arrival": {"constant": 0.0}}, 3.0, 0.25,
                   np.zeros(50, dtype=int)),
     "horizon0": ({}, 0.0, 0.5, None),
+    "k1": ({"capacity": 1, "gamma": 0.5}, 2.0, 0.5, None),
+    # mostly informed pickups over 20 cells
+    "k20_theta2": ({"capacity": 20, "gamma": 10.0, "choice": THETA2}, 1.0, 0.25,
+                   None),
 }
 
 
@@ -631,7 +681,6 @@ def test_ensemble_matches_stacked_simulate():
 
 GOLDEN_MIX = {"values": [10, 20], "fractions": [0.5, 0.5]}
 GOLDEN_MIX3 = {"values": [1, 4, 9], "fractions": [0.4, 0.3, 0.3]}
-THETA2 = {"kind": "exponential", "theta": 2.0}
 
 GOLDEN_CASES = {
     # name: (params overrides, sha256 of the output arrays, stats of simulate
@@ -707,6 +756,70 @@ def test_scalar_engine_golden_bytes(case, recompute_every, monkeypatch):
                           "recomputes": events // recompute_every}
     if case == "fourier":
         assert rejections > 0
+
+
+# the ctmc benchmark's K=3 config
+K3 = {"n_stations": 2000, "gamma": 1.5, "capacity": 3,
+      "choice": {"kind": "exponential", "theta": 1.0}}
+
+LOCKSTEP_GOLDEN = {
+    # name: (params overrides, ensemble's (replications, horizon,
+    # sample_dt), initial counts, the forward check's (n, f_spec); then the
+    # sha256 of ensemble's times, mean and cov, its stats as (rounds,
+    # events, thinning_rejections, empty_draws, recomputes), the sha256 of
+    # the forward check's (mean_residual, standard_error, z) and its
+    # (rounds, events))
+    "ctmc_k3": (K3, (40, 0.5, 0.25), None, (100, "coord@0"),
+                "e54c025829ed5189d87a94dca1cae988a44b37c3889dd27aabdf6c560e79f7fe",
+                (1216, 45242, 0, 0, 0),
+                "42d85f981705b89681814a93aa13b3344057afd760c1e8c44795c9eb99833f1a",
+                (181, 4615)),
+    "k1": ({"capacity": 1, "gamma": 0.5}, (20, 2.0, 0.5), None, (50, "coord@0"),
+           "aaa7bf6c915ec8420c848a4c073ec12121e8d03126bb2cf6127742ec83c6c859",
+           (75, 1105, 0, 0, 0),
+           "064c28f48a8da332bab95568b8f6c6aa9a534d9b35b10d6e35181baf8666882a",
+           (44, 1023)),
+    "k20_theta2": ({"capacity": 20, "gamma": 10.0, "choice": THETA2},
+                   (20, 1.0, 0.25), None, (50, "coord@10"),
+                   "761028e7694eb42862a3a89959ad8ccee9ee73e0e4844ed95a854a766456f43a",
+                   (89, 1358, 0, 0, 0),
+                   "20e20d6b5f4df9bcbe1976d85cccd99ede55b9c251149496d1e9ed6ad32b379f",
+                   (108, 2659)),
+    "fourier": ({"arrival": FOURIER_RATE}, (20, 2.0, 0.5), None, (50, "coord@0"),
+                "09c6b65e8c6cd71da07b180410a99b5e357bf5af6d3fb755d6c8c28585f9a954",
+                (263, 3471, 1137, 0, 0),
+                "28e21e772e1957f4f56da9c8beac83c039d3e6e43610319ba6d9a99d5f74ed1b",
+                (170, 3732)),
+    # no arrivals: a replica goes quiet once its 100 bikes dock, which some
+    # do before the horizon and some do not; the forward check's start has
+    # every bike docked, so all its replicas are quiet from the first round
+    "absorbing": ({"mu": 10.0, "arrival": {"constant": 0.0}}, (20, 0.4, 0.1),
+                  np.zeros(50, dtype=int), (50, "coord@0"),
+                  "971d6112213ef2f1a8d42677f93a672b02c7deb59447253fe65d372270d141b5",
+                  (101, 1956, 0, 0, 0),
+                  "0ffabd84517018c0f22880c93c1d6f20422c9e45f4c720f20c60b30b16c9af9d",
+                  (1, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_GOLDEN))
+def test_lockstep_golden_bytes(case):
+    # pins the lockstep engine's outputs: ensemble's mean, covariance and
+    # counters, and the forward-equation check's metrics
+    (overrides, (reps, horizon, dt), counts, (n, f_spec),
+     want_ens, ens_stats, want_fwd, fwd_stats) = LOCKSTEP_GOLDEN[case]
+    par = make_params(**overrides)
+    init = None if counts is None else state_of(counts, np.full(50, 5), 100)
+    res = ensemble(par, reps, horizon, dt, seed=17, initial=init)
+    assert _sha256(res.times, res.mean, res.cov) == want_ens
+    keys = ("rounds", "events", "thinning_rejections", "empty_draws",
+            "recomputes")
+    assert res.stats == dict(zip(keys, ens_stats))
+    rep = forward_equation_residual(par, n, f_spec, 1.0, 30, 0)
+    m = rep.metrics
+    assert _sha256(np.array([m["mean_residual"], m["standard_error"],
+                             m["z"]])) == want_fwd
+    assert (m["rounds"], m["events"]) == fwd_stats
 
 
 # ---------------------------------------------------------------- ensemble
