@@ -10,9 +10,11 @@ solving means closing the loop on (a, s). The equilibrium of the ratio
 process is that table projected onto the fill-ratio bins.
 
 For fixed s the spare-bike equation has exactly one root a(s), found by a
-safeguarded Newton iteration in log a. That leaves the scalar equation
-phi(s) = sum(g y(a(s), s)) - s: a log-grid scan brackets its sign changes
-and Brent's method (Brent 1973, ch. 4) refines each bracket in log s.
+safeguarded Newton iteration in log a on scalar moments of the mixture.
+That leaves the scalar equation phi(s) = sum(g y(a(s), s)) - s. sum(g y) is
+a g-weighted average, so it lies in [g_min, g_max] and phi(g_min) >= 0 >=
+phi(g_max): one Brent search (Brent 1973, ch. 4) in log s over those ends
+finds the equilibrium, which the paper shows is unique.
 """
 
 from __future__ import annotations
@@ -71,13 +73,13 @@ class EquilibriumResult:
     flat weights g = 1 stand in for a choice that never enters.
 
     iterations counts the moment evaluations of the whole solve; each is
-    one vectorized inner Newton round. stats reports what the solve did:
-    route ("uninformed" when s does not feed back into rho, else
-    "bracketed"), roots (candidate roots the scan found; 1 on the
-    uninformed route), brent_evals (phi evaluations inside Brent),
-    newton_iters (inner rounds, equal to iterations) and
-    bisection_fallbacks (per-element Newton steps that left their bracket
-    and were replaced by its midpoint).
+    one inner Newton round. stats reports what the solve did: route
+    ("uninformed" when s does not feed back into rho, else "bracketed"),
+    brent_evals (phi evaluations, the two ends of the bracket included; 0 on
+    the uninformed route), newton_iters (inner rounds, equal to iterations)
+    and bisection_fallbacks (Newton steps that left their bracket or
+    reversed the previous step without halving it, and were replaced by the
+    bracket midpoint).
     """
 
     table: np.ndarray
@@ -149,89 +151,86 @@ def _log_rho(a, s, lam, mu, p, g):
     return np.log(mu * a)[..., None] - np.log(down)
 
 
-def _mixture_moments(a, s, lam, mu, p, g, caps, fracs):
-    """Mean count m1, its log-a derivative and refreshed normalizer sum(g y).
+def _log_down_sums(s, lam, p, g):
+    """C_n(s) = sum_{k<n} log(lam(1-p) + lam p g_{k+1}/s) for n = 0..k_max."""
+    c_n = np.zeros(len(g))
+    np.cumsum(np.log(lam * (1.0 - p) + (lam * p) * g[1:] / s), out=c_n[1:])
+    return c_n
 
-    a, s may be vectors (solver grids); the class conditionals come from
-    _birth_death and are mixed with the class fractions. Every log rho_k moves
-    one-for-one with log a, so each class conditional is an exponential
-    family in n and dm1/dlog(a) = sum_c q_c Var_c(n).
+
+def _moment_kernel(mu, g, caps, fracs):
+    """Mixture moments at u = log a for one capacity mix.
+
+    Returns moments(u, c_n) -> (m1, dm1, s): the mean count, its u-derivative
+    sum_c q_c Var_c(n) and sum(g y), with c_n = _log_down_sums(s, ...). Class
+    c's conditional is proportional to exp(w_n), w_n = n (log mu + u) - C_n,
+    for n <= K_c, so only w is redone per u. Each class is shifted by its
+    own maximum of w, so K in the hundreds cannot overflow or underflow, and
+    the class sums of [1, n, g, n^2] come from one product with a fixed
+    moment matrix. E(n^2) - E(n)^2 can round below 0, so dm1 is clipped there.
     """
-    conds = _birth_death(_log_rho(a, s, lam, mu, p, g), caps)
-    a = np.asarray(a, dtype=float)
-    m1 = np.zeros_like(a, dtype=float)
-    dm1 = np.zeros_like(a, dtype=float)
-    s_new = np.zeros_like(a, dtype=float)
-    for c, (k, q) in enumerate(zip(caps, fracs)):
-        y = conds[..., c, : k + 1]
-        n = np.arange(k + 1)
-        mean = (y * n).sum(axis=-1)
-        m1 = m1 + q * mean
-        s_new = s_new + q * (y * g[: k + 1]).sum(axis=-1)
-        dev = n - mean[..., None]
-        dev *= dev
-        dev *= y
-        dm1 = dm1 + q * dev.sum(axis=-1)
-    return m1, dm1, s_new
+    n = np.arange(caps[-1] + 1.0)
+    basis = np.stack((np.ones_like(n), n, g, n * n), axis=1)
+    top = np.asarray(caps)
+    above = np.where(n > top[:, None], -np.inf, 0.0)
+    log_mu = math.log(mu)
+
+    def moments(u, c_n):
+        w = n * (log_mu + u) - c_n
+        z = np.exp(w - np.maximum.accumulate(w)[top, None] + above) @ basis
+        z = z[:, 1:] / z[:, :1]
+        z[:, 2] -= z[:, 0] * z[:, 0]
+        m1, s, dm1 = (fracs @ z).tolist()
+        return m1, max(dm1, 0.0), s
+
+    return moments
 
 
-def _solve_a_for_s(s, gamma, lam, mu, p, g, caps, fracs):
-    """Unique a in (0, gamma] with a = gamma - m1(a, s), vectorized over s.
+def _solve_u(moments, c_n, u, gamma):
+    """u = log a of the unique a in (0, gamma] with a = gamma - m1(a, s).
 
-    m1 is strictly increasing in a, so H(u) = e^u - gamma + m1(e^u, s) is
-    strictly increasing in u = log a, with H'(u) = e^u + sum_c q_c Var_c(n).
-    Each element runs Newton in u inside its own bracket [log A_MIN,
-    log gamma]; a step that leaves the bracket (inclusive) is replaced by
-    the bracket midpoint. An element freezes at its current iterate once
-    |H| reaches the noise floor, its bracket holds no float between the
-    ends, or its next iterate would not move.
+    m1 is strictly increasing in a, so H(u) = e^u - gamma + m1 is strictly
+    increasing in u, with H'(u) = e^u + sum_c q_c Var_c(n). Newton starts at
+    u and runs inside the bracket [log A_MIN, log gamma] that the signs of
+    H narrow. A step is replaced by the bracket midpoint when it leaves the
+    bracket (inclusive), or when it reverses the previous step without
+    halving it: H can be S-shaped, and plain Newton then settles into a
+    2-cycle inside the bracket. The solve stops at the current iterate once
+    |H| reaches the noise floor, the bracket holds no float between its
+    ends, or the next iterate would not move.
 
-    Returns (a, sum(g y) at a, rounds, fallbacks): rounds counts the moment
-    evaluations, fallbacks the midpoint substitutions over all elements.
+    Returns (u, sum(g y) at u, rounds, fallbacks): rounds counts the moment
+    evaluations, fallbacks the midpoint substitutions.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
     floor = NOISE_ULPS * EPS * gamma
-    lo = np.full(s.shape, math.log(A_MIN))
-    hi = np.full(s.shape, math.log(gamma))
-    u = np.full(s.shape, math.log(0.5 * gamma))
-    a_out = np.empty(s.shape)
-    s_out = np.empty(s.shape)
-    live = np.arange(s.size)
-    rounds = fallbacks = 0
-    while live.size:
-        if rounds == MAX_NEWTON_ITER:
-            raise ConvergenceError(
-                f"inner Newton solve for a(s) did not converge in {rounds} rounds"
-            )
-        rounds += 1
-        ul = u[live]
-        a = np.exp(ul)
-        m1, dm1, s_new = _mixture_moments(a, s[live], lam, mu, p, g, caps, fracs)
+    lo, hi = math.log(A_MIN), math.log(gamma)
+    last = 0.0
+    fallbacks = 0
+    for rounds in range(1, MAX_NEWTON_ITER + 1):
+        a = math.exp(u)
+        m1, dm1, s = moments(u, c_n)
         h = a - gamma + m1
-        if not np.all(np.isfinite(h)):
+        if not math.isfinite(h):
             raise ConvergenceError(
                 "inner solve for a(s) met non-finite moments; "
                 "choice weights may overflow"
             )
-        up = h > 0.0
-        lo_l = np.where(up, lo[live], ul)
-        hi_l = np.where(up, ul, hi[live])
-        step = ul - h / (a + dm1)
-        mid = 0.5 * (lo_l + hi_l)
-        inside = (step >= lo_l) & (step <= hi_l)
-        nxt = np.where(inside, step, mid)
-        fallbacks += int(inside.size - np.count_nonzero(inside))
-        collapsed = (mid == lo_l) | (mid == hi_l)
-        done = (np.abs(h) <= floor) | collapsed | (nxt == ul)
-        frozen = live[done]
-        a_out[frozen] = a[done]
-        s_out[frozen] = s_new[done]
-        keep = ~done
-        live = live[keep]
-        lo[live] = lo_l[keep]
-        hi[live] = hi_l[keep]
-        u[live] = nxt[keep]
-    return a_out, s_out, rounds, fallbacks
+        if h > 0.0:
+            hi = u
+        else:
+            lo = u
+        mid = 0.5 * (lo + hi)
+        nxt = u - h / (a + dm1)
+        if not (lo <= nxt <= hi) or (
+                (nxt - u) * last < 0.0 and abs(nxt - u) > 0.5 * abs(last)):
+            nxt = mid
+            fallbacks += 1
+        if abs(h) <= floor or mid == lo or mid == hi or nxt == u:
+            return u, s, rounds, fallbacks
+        u, last = nxt, nxt - u
+    raise ConvergenceError(
+        f"inner Newton solve for a(s) did not converge in {MAX_NEWTON_ITER} rounds"
+    )
 
 
 def _brent(f, xa, xb, fa, fb):
@@ -284,81 +283,61 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
 
     Finds (a, s) closing both consistency equations. With flat weights,
     which p = 0 takes since the choice never enters, rho does not couple
-    back to s, so one inner solve settles a and s is the flat weight. Otherwise
-    the inner root a(s) is unique and continuous, so the equilibria are the
-    roots of phi(s) = sum(g y(a(s), s)) - s: a log grid of admissible s
-    brackets every sign change and Brent refines each in log s. Candidates
-    only count once the assembled table passes the drift residual gate,
-    and the lowest residual wins.
+    back to s, so one inner solve settles a and s is the flat weight.
+    Otherwise the inner root a(s) is unique and continuous, so the
+    equilibrium is the root of phi(s) = sum(g y(a(s), s)) - s. sum(g y) is a
+    g-weighted average, so phi(g_min) >= 0 >= phi(g_max): the two ends
+    bracket the one root, and a single Brent search in log s finds it. Each
+    inner solve starts from the previous one's root. The table built at the
+    root must pass the drift residual gate.
     """
     lam = _require_constant(params)
     caps, fracs, g = _class_structure(params)
     gamma, mu, p = params.gamma, params.mu, params.p
     g_lo, g_hi = float(g.min()), float(g.max())
-    stats = {"route": "bracketed", "roots": 0, "brent_evals": 0,
-             "newton_iters": 0, "bisection_fallbacks": 0}
+    moments = _moment_kernel(mu, g, caps, fracs)
+    stats = {"route": "bracketed", "brent_evals": 0, "newton_iters": 0,
+             "bisection_fallbacks": 0}
+    u = math.log(0.5 * gamma)
 
-    def a_for(s):
-        a, s_new, rounds, fallbacks = _solve_a_for_s(
-            s, gamma, lam, mu, p, g, caps, fracs
-        )
+    def sum_gy(s):
+        # sum(g y) at a(s); the root u is the next inner solve's start
+        nonlocal u
+        u, s_new, rounds, fallbacks = _solve_u(
+            moments, _log_down_sums(s, lam, p, g), u, gamma)
         stats["newton_iters"] += rounds
         stats["bisection_fallbacks"] += fallbacks
-        return a, s_new
+        return s_new
 
-    def best_of(candidates):
-        best = (math.inf,)
-        for a, s in candidates:
-            logrho = _log_rho(a, s, lam, mu, p, g)
-            table = fracs[:, None] * _birth_death(logrho, caps)
-            b = drift_hetero(HeterogeneousMeasure(caps, table), params)
-            residual = float(np.max(np.abs(b)))
-            if residual < best[0]:
-                best = (residual, a, s, logrho, table)
-        if not (best[0] <= RESIDUAL_TOL):
-            raise ConvergenceError(
-                f"equilibrium solver did not converge; best residual {best[0]:.3e}"
-            )
-        residual, a, s, logrho, table = best
-        return EquilibriumResult(
-            table=table, r_bar=ratio_projection(table, caps),
-            y_bar=table[0] if len(caps) == 1 else None, rho=np.exp(logrho),
-            a=float(a), s=float(s), residual=residual,
-            iterations=stats["newton_iters"], stats=stats,
-        )
+    def phi(x):
+        stats["brent_evals"] += 1
+        s = math.exp(x)
+        return sum_gy(s) - s
 
     if g_hi - g_lo <= 1e-12 * max(g_hi, 1.0):
-        stats.update(route="uninformed", roots=1)
-        return best_of([(float(a_for(g_hi)[0][0]), g_hi)])
-
-    # phi is continuous in s because the inner root is unique, so
-    # equilibria are brackets of a sign change
-    lo = max(g_lo * (1.0 - 1e-12), g_hi * 1e-40)
-    if lo <= 0.0:
-        lo = g_hi * 1e-40
-    decades = max(np.log10(g_hi / lo), 1.0)
-    n_pts = int(min(max(48 * decades, 400), 4000))
-    x_grid = np.linspace(math.log(lo), math.log(g_hi), n_pts)
-    s_grid = np.exp(x_grid)
-    _, s_out = a_for(s_grid)
-    phi = s_out - s_grid
-
-    def phi_at(x):
-        s = math.exp(x)
-        stats["brent_evals"] += 1
-        return float(a_for(s)[1][0]) - s
-
-    sign = np.sign(phi)
-    roots = [float(x_grid[i]) for i in np.flatnonzero(sign == 0.0)]
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-        roots.append(_brent(phi_at, float(x_grid[i]), float(x_grid[i + 1]),
-                            float(phi[i]), float(phi[i + 1])))
-    stats["roots"] = len(roots)
-    candidates = []
-    for x in sorted(roots):
-        s_root = math.exp(x)
-        candidates.append((float(a_for(s_root)[0][0]), s_root))
-    return best_of(candidates)
+        stats["route"] = "uninformed"
+        s = g_hi
+    else:
+        # where g_min = 0 the lower end is clamped away from s = 0
+        x_lo = math.log(g_lo * (1.0 - 1e-12) if g_lo > 0.0 else g_hi * 1e-40)
+        x_hi = math.log(g_hi)
+        s = math.exp(_brent(phi, x_lo, x_hi, phi(x_lo), phi(x_hi)))
+    sum_gy(s)
+    a = math.exp(u)
+    logrho = _log_rho(a, s, lam, mu, p, g)
+    table = fracs[:, None] * _birth_death(logrho, caps)
+    b = drift_hetero(HeterogeneousMeasure(caps, table), params)
+    residual = float(np.max(np.abs(b)))
+    if not (residual <= RESIDUAL_TOL):
+        raise ConvergenceError(
+            f"equilibrium solver did not converge; residual {residual:.3e}"
+        )
+    return EquilibriumResult(
+        table=table, r_bar=ratio_projection(table, caps),
+        y_bar=table[0] if len(caps) == 1 else None, rho=np.exp(logrho),
+        a=a, s=s, residual=residual,
+        iterations=stats["newton_iters"], stats=stats,
+    )
 
 
 def solve_equilibrium_hetero(params: SystemParams):

@@ -322,6 +322,8 @@ def forward_equation_residual(
         raise ValidationError(f"delta must be positive and finite, got {delta}")
     if t < 0:
         raise ValidationError("t must be >= 0")
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
     one_sided = t < delta
     t_idx = int(round(t / delta))
     if abs(t_idx * delta - t) > 1e-9:

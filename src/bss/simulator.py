@@ -41,7 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import SystemParams, ValidationError, arrival_rate, choice_weights
+from .model import SystemParams, ValidationError, choice_weights
 from .meanfield import TINY_DENOM, _informed_choice, _sample_grid, ratio_projection
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "TrajectorySample",
     "EnsembleResult",
     "child_seed",
-    "pickup_rate",
-    "dropoff_rate",
     "empirical_measure",
     "simulate",
     "stationary_average",
@@ -152,28 +150,6 @@ def round_robin_state(params: SystemParams) -> NetworkState:
         takers = np.flatnonzero(caps > lo)[:left]
         counts[takers] += 1
     return NetworkState(counts, caps, m)
-
-
-def pickup_rate(state: NetworkState, i: int, params: SystemParams, t: float = 0.0) -> float:
-    """Per-station pickup rate at time t; zero at an empty station."""
-    x = int(state.counts[i])
-    if x <= 0:
-        return 0.0
-    lam = arrival_rate(params.arrival, t)
-    g = choice_weights(_informed_choice(params), int(state.capacities.max()))
-    rate = (1.0 - params.p) * lam
-    if params.p > 0.0:
-        total = float(g[state.counts].sum())
-        if total > TINY_DENOM:
-            rate += params.p * lam * state.n_stations * float(g[x]) / total
-    return rate
-
-
-def dropoff_rate(state: NetworkState, i: int, params: SystemParams) -> float:
-    """Per-station dropoff rate; zero at a full station."""
-    if int(state.counts[i]) >= int(state.capacities[i]):
-        return 0.0
-    return params.mu * (state.fleet - int(state.counts.sum())) / state.n_stations
 
 
 def empirical_measure(state: NetworkState) -> np.ndarray:

@@ -21,7 +21,6 @@ from bss.model import ConvergenceError, validate_params
 from bss.simulator import (
     empirical_measure,
     ensemble,
-    pickup_rate,
     round_robin_state,
     simulate,
     stationary_average,
@@ -131,7 +130,7 @@ def test_equilibrium_csv_and_manifest(base_cfg, tmp_path):
     assert man["details"]["residual"] <= 1e-9
     stats = man["details"]["stats"]
     assert stats["route"] == "bracketed"
-    assert stats["roots"] >= 1
+    assert 2 < stats["brent_evals"] <= 20
     assert stats["newton_iters"] == man["details"]["iterations"]
 
 
@@ -167,14 +166,13 @@ def test_simulator_at_p0_ignores_overflowing_choice(tmp_path):
             avg = stationary_average(par, 1.0, 5.0, seed=3)
             ens = ensemble(par, 4, 2.0, 0.5, seed=3)
             fwd = forward_equation_residual(par, 10, "coord@0", 0.5, 20, 3)
-            rate = pickup_rate(round_robin_state(par), 0, par)
             assert main(["simulate", "--config", cfg, "--horizon", "5",
                          "--sample-dt", "0.5", "--seed", "3",
                          "--out", str(tmp_path / f"{name}.csv")]) == 0
             assert main(["verify", "--suite", "forward", "--config", cfg,
                          "--out", str(tmp_path / f"{name}-forward.json")]) == 0
         runs[name] = [traj.y_series, traj.r_series, traj.stats, avg, ens.mean,
-                      ens.cov, ens.stats, fwd.metrics, rate,
+                      ens.cov, ens.stats, fwd.metrics,
                       (tmp_path / f"{name}.csv").read_bytes(),
                       (tmp_path / f"{name}-forward.json").read_bytes()]
     for steep, mild in zip(runs["steep"], runs["mild"]):
@@ -475,6 +473,18 @@ def test_verify_flln_zero_reps_exits_one(base_cfg, tmp_path, capsys):
                  "--out", str(tmp_path / "rep.json")])
     assert code == 1
     assert "reps must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_forward_zero_reps_exits_one(base_cfg, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--suite", "forward", "--config", base_cfg,
+                 "--n", "20", "--reps", "0", "--t", "0.5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "reps must be >= 1" in captured.err
+    written = [captured.out] + [path.read_text() for path in tmp_path.iterdir()
+                                if path.name.startswith("rep.json")]
+    assert not any(re.search(r"\bNaN\b|Infinity", text) for text in written)
 
 
 @pytest.mark.parametrize("burn_in,horizon", [("-50", "1"), ("nan", "50"),

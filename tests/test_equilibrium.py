@@ -13,11 +13,18 @@ from bss.meanfield import (
     ratio_projection,
 )
 from bss.equilibrium import (
+    A_MIN,
+    EPS,
+    MAX_NEWTON_ITER,
+    NOISE_ULPS,
     RESIDUAL_TOL,
+    _birth_death,
     _brent,
     _class_structure,
-    _mixture_moments,
-    _solve_a_for_s,
+    _log_down_sums,
+    _log_rho,
+    _moment_kernel,
+    _solve_u,
     birth_death_stationary,
     entropy,
     lyapunov_derivative,
@@ -52,6 +59,93 @@ def interior_physical(rng, size, gamma):
         y = (1 - w) * y
         y[0] += w
     return y / y.sum()
+
+
+# The vectorized inner solve over stacks of s: the oracle of the scalar
+# moment kernel and Newton in bss.equilibrium. Every class conditional comes
+# from _birth_death, and the moments are plain sums over the table.
+def _mixture_moments(a, s, lam, mu, p, g, caps, fracs):
+    """Mean count m1, its log-a derivative and refreshed normalizer sum(g y)."""
+    conds = _birth_death(_log_rho(a, s, lam, mu, p, g), caps)
+    a = np.asarray(a, dtype=float)
+    m1 = np.zeros_like(a, dtype=float)
+    dm1 = np.zeros_like(a, dtype=float)
+    s_new = np.zeros_like(a, dtype=float)
+    for c, (k, q) in enumerate(zip(caps, fracs)):
+        y = conds[..., c, : k + 1]
+        n = np.arange(k + 1)
+        mean = (y * n).sum(axis=-1)
+        m1 = m1 + q * mean
+        s_new = s_new + q * (y * g[: k + 1]).sum(axis=-1)
+        dev = n - mean[..., None]
+        dev *= dev
+        dev *= y
+        dm1 = dm1 + q * dev.sum(axis=-1)
+    return m1, dm1, s_new
+
+
+def _solve_a_for_s(s, gamma, lam, mu, p, g, caps, fracs):
+    """Unique a in (0, gamma] with a = gamma - m1(a, s), vectorized over s.
+
+    Per element, the rules of bss.equilibrium._solve_u from a cold start at
+    log(gamma/2): Newton in log a inside [log A_MIN, log gamma], with the
+    bracket midpoint for a step that leaves the bracket or reverses the
+    previous step without halving it. Returns (a, sum(g y) at a).
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    floor = NOISE_ULPS * EPS * gamma
+    lo = np.full(s.shape, math.log(A_MIN))
+    hi = np.full(s.shape, math.log(gamma))
+    u = np.full(s.shape, math.log(0.5 * gamma))
+    last = np.zeros(s.shape)
+    a_out = np.empty(s.shape)
+    s_out = np.empty(s.shape)
+    live = np.arange(s.size)
+    for _ in range(MAX_NEWTON_ITER):
+        ul = u[live]
+        a = np.exp(ul)
+        m1, dm1, s_new = _mixture_moments(a, s[live], lam, mu, p, g, caps, fracs)
+        h = a - gamma + m1
+        if not np.all(np.isfinite(h)):
+            raise ConvergenceError("oracle inner solve met non-finite moments")
+        up = h > 0.0
+        lo_l = np.where(up, lo[live], ul)
+        hi_l = np.where(up, ul, hi[live])
+        step = ul - h / (a + dm1)
+        mid = 0.5 * (lo_l + hi_l)
+        move, prev = step - ul, last[live]
+        cycling = (move * prev < 0.0) & (np.abs(move) > 0.5 * np.abs(prev))
+        nxt = np.where((step >= lo_l) & (step <= hi_l) & ~cycling, step, mid)
+        collapsed = (mid == lo_l) | (mid == hi_l)
+        done = (np.abs(h) <= floor) | collapsed | (nxt == ul)
+        frozen = live[done]
+        a_out[frozen] = a[done]
+        s_out[frozen] = s_new[done]
+        keep = ~done
+        live = live[keep]
+        lo[live] = lo_l[keep]
+        hi[live] = hi_l[keep]
+        last[live] = (nxt - ul)[keep]
+        u[live] = nxt[keep]
+        if not live.size:
+            return a_out, s_out
+    raise ConvergenceError("oracle inner solve did not converge")
+
+
+def inner_solves(s_values, params):
+    """_solve_u at each s from a cold start at log(gamma/2): arrays of a,
+    sum(g y) and rounds. sum(g y) must be the kernel's value at the
+    returned a, not at a stale iterate."""
+    caps, fracs, g = _class_structure(params)
+    moments = _moment_kernel(params.mu, g, caps, fracs)
+    out = []
+    for s in s_values:
+        c_n = _log_down_sums(s, params.arrival.rate, params.p, g)
+        u, s_new, rounds, _ = _solve_u(moments, c_n,
+                                       math.log(0.5 * params.gamma), params.gamma)
+        assert s_new == moments(u, c_n)[2]
+        out.append((math.exp(u), s_new, rounds))
+    return tuple(map(np.array, zip(*out)))
 
 
 class TestBirthDeathStationary:
@@ -142,6 +236,17 @@ class TestSolveEquilibrium:
         path = integrate(res.y_bar, params, np.linspace(0.0, 100.0, 11), h=0.005)
         assert np.max(np.abs(path - res.y_bar)) <= 1e-8
 
+    @pytest.mark.parametrize("k, gamma, theta", [(200, 100.0, 1.0), (20, 10.0, 30.0)])
+    def test_weights_spanning_many_decades_solve(self, k, gamma, theta):
+        # g spans 87 and 261 decades: the bracket starts at g_min, not at a
+        # floor of 1e-40 g_max that lies above the root
+        params = make_params(gamma=gamma, capacity=k,
+                             choice={"kind": "exponential", "theta": theta})
+        res = solve_equilibrium(params)
+        assert res.residual <= RESIDUAL_TOL
+        assert np.max(np.abs(drift(res.y_bar, params))) <= RESIDUAL_TOL
+        assert res.y_bar.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_time_varying_arrival_rejected(self):
         params = make_params(
             arrival={"fourier": {"period": 24, "intercept": 1.0, "sin": [0.2], "cos": [0.0]}}
@@ -169,16 +274,18 @@ class TestSolverInternals:
         mid = 0.5 * (lo + hi)
         return np.exp(mid) if log_a else mid
 
-    def check_inner_against_bisection(self, params, log_a=False):
+    def check_inner_against_bisection(self, params, log_a=False, n_s=120):
         caps, fracs, g = _class_structure(params)
-        s = np.geomspace(max(g.min(), g.max() * 1e-40), g.max(), 120)
+        s = np.geomspace(max(g.min(), g.max() * 1e-40), g.max(), n_s)
         args = (params.gamma, params.arrival.rate, params.mu, params.p, g, caps, fracs)
         a_ref = self.bisection_a_for_s(s, *args, log_a=log_a)
-        a, s_new, rounds, _ = _solve_a_for_s(s, *args)
+        a, s_new, rounds = inner_solves(s, params)
         np.testing.assert_allclose(a, a_ref, rtol=1e-13, atol=0.0)
+        # the kernel exponentiates other sums of log terms than the oracle,
+        # and exp turns their rounding into relative error
         _, _, s_at_a = _mixture_moments(a, s, *args[1:])
-        np.testing.assert_array_equal(s_new, s_at_a)
-        assert rounds < 80
+        np.testing.assert_allclose(s_new, s_at_a, rtol=1e-13, atol=0.0)
+        assert rounds.max() < 80
 
     def test_inner_newton_matches_bisection_one_class(self):
         self.check_inner_against_bisection(make_params())
@@ -194,19 +301,32 @@ class TestSolverInternals:
         # so the reference bisects in log a
         self.check_inner_against_bisection(make_params(gamma=5.0, p=1.0), log_a=True)
 
+    @pytest.mark.parametrize("caps, fracs, gamma, p, theta", [
+        pytest.param((3, 7, 12), (0.2, 0.5, 0.3), 3.0, 0.5, 1.0, id="3-7-12-p0.5"),
+        pytest.param((4, 8, 16), (0.25, 0.5, 0.25), 4.0, 0.25, 2.0,
+                     id="4-8-16-p0.25"),
+    ])
+    def test_inner_newton_cold_starts_on_cycling_mixes(self, caps, fracs, gamma,
+                                                       p, theta):
+        # H(u) is S-shaped here, and Newton without the reversal rule
+        # settles into a 2-cycle inside its bracket at some s
+        self.check_inner_against_bisection(make_params(
+            gamma=gamma, p=p,
+            capacity={"values": list(caps), "fractions": list(fracs)},
+            choice={"kind": "exponential", "theta": theta},
+        ), log_a=True, n_s=2000)
+
     def test_inner_derivative_matches_finite_difference(self):
         params = make_params(
             gamma=4.0, capacity={"values": [4, 8, 16], "fractions": [0.25, 0.5, 0.25]},
         )
         caps, fracs, g = _class_structure(params)
-        args = (1.0, params.mu, params.p, g, caps, fracs)
-        u = np.linspace(-3.0, 1.0, 9)
-        s = np.full(u.shape, 50.0)
-        _, dm1, _ = _mixture_moments(np.exp(u), s, *args)
+        moments = _moment_kernel(params.mu, g, caps, fracs)
+        c_n = _log_down_sums(50.0, 1.0, params.p, g)
         step = 1e-6
-        up = _mixture_moments(np.exp(u + step), s, *args)[0]
-        down = _mixture_moments(np.exp(u - step), s, *args)[0]
-        np.testing.assert_allclose(dm1, (up - down) / (2 * step), rtol=1e-7)
+        for u in np.linspace(-3.0, 1.0, 9):
+            fd = (moments(u + step, c_n)[0] - moments(u - step, c_n)[0]) / (2 * step)
+            assert moments(u, c_n)[1] == pytest.approx(fd, rel=1e-7)
 
     def test_brent_finds_known_root(self):
         calls = []
@@ -224,7 +344,6 @@ class TestSolverInternals:
         # bisections; the Newton/Brent route must stay under 120
         res = solve_equilibrium(make_params())
         assert res.stats["route"] == "bracketed"
-        assert res.stats["roots"] == 1
         assert res.iterations == res.stats["newton_iters"]
         assert res.iterations <= 120
         assert res.stats["brent_evals"] <= 20
@@ -232,7 +351,6 @@ class TestSolverInternals:
     def test_uninformed_route_reported(self):
         res = solve_equilibrium(make_params(p=0.0))
         assert res.stats["route"] == "uninformed"
-        assert res.stats["roots"] == 1
         assert res.stats["brent_evals"] == 0
         assert res.iterations == res.stats["newton_iters"] <= 20
 
@@ -273,16 +391,8 @@ CAPACITY_MIXES = [
     ((3, 7, 12), (0.2, 0.5, 0.3), 3.0),
     ((2, 5, 6, 9), (0.1, 0.2, 0.3, 0.4), 2.5),
 ]
-# safeguarded Newton for a(s) settles into a 2-cycle inside its bracket
-# on this mix: each round shrinks the bracket toward the cycle, not the root
-NEWTON_CYCLE = pytest.mark.xfail(
-    strict=True, raises=ConvergenceError,
-    reason="inner Newton 2-cycle on {3, 7, 12} at p=0.5",
-)
 MIX_CASES = [
-    pytest.param(caps, fracs, gamma, p,
-                 id="-".join(map(str, caps)) + f"-p{p}",
-                 marks=NEWTON_CYCLE if (caps, p) == ((3, 7, 12), 0.5) else ())
+    pytest.param(caps, fracs, gamma, p, id="-".join(map(str, caps)) + f"-p{p}")
     for caps, fracs, gamma in CAPACITY_MIXES
     for p in (0.0, 0.5, 1.0)
 ]
@@ -350,7 +460,7 @@ class TestSolveEquilibriumHetero:
         np.testing.assert_allclose(ym.class_fractions(), [0.25, 0.5, 0.25], atol=1e-12)
         assert res.r_bar.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.stats["route"] == "bracketed"
-        assert res.stats["roots"] == 1
+        assert 2 < res.stats["brent_evals"] <= 20
 
     def test_pair_wrapper_returns_table_and_ratio_histogram(self):
         params = make_params(
@@ -361,6 +471,72 @@ class TestSolveEquilibriumHetero:
         assert ym.capacities == (10, 20)
         np.testing.assert_array_equal(ym.table, res.table)
         np.testing.assert_array_equal(rbar, res.r_bar)
+
+
+@pytest.mark.parametrize("caps, fracs, gamma", CAPACITY_MIXES + [((300,), (1.0,), 3.0)])
+def test_moment_kernel_matches_vectorized_oracle(caps, fracs, gamma):
+    # the per-class shift keeps K = 300 finite; rtol as in
+    # check_inner_against_bisection, and the variance loses digits to
+    # E(n^2) - E(n)^2
+    params = make_params(gamma=gamma, p=0.5,
+                         capacity=caps[0] if len(caps) == 1 else
+                         {"values": list(caps), "fractions": list(fracs)},
+                         choice={"kind": "exponential", "theta": 0.5})
+    caps, fracs, g = _class_structure(params)
+    moments = _moment_kernel(params.mu, g, caps, fracs)
+    for s in np.geomspace(g.min(), g.max(), 7):
+        c_n = _log_down_sums(s, 1.0, params.p, g)
+        u = np.linspace(-30.0, math.log(gamma), 9)
+        got = np.array([moments(x, c_n) for x in u]).T
+        want = _mixture_moments(np.exp(u), np.full(u.shape, s), 1.0, params.mu,
+                                params.p, g, caps, fracs)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-9, atol=1e-12)
+
+
+# the solver battery: six capacity mixes with their gamma, seven choices,
+# three p (126 configs)
+BATTERY_MIXES = [
+    ((20,), (1.0,), 10.0),
+    ((3,), (1.0,), 1.5),
+    ((2, 4), (0.5, 0.5), 1.5),
+    ((10, 20), (0.5, 0.5), 7.5),
+    ((4, 8, 16), (0.25, 0.5, 0.25), 4.0),
+    ((3, 7, 12), (0.2, 0.5, 0.3), 3.0),
+]
+BATTERY_CHOICES = (
+    [("exp", {"kind": "exponential", "theta": t}) for t in (0.5, 1.0, 2.0, 5.0)]
+    + [("poly", {"kind": "polynomial", "alpha": a}) for a in (0.5, 2.0)]
+    + [("min", {"kind": "minimum", "c": 3})]
+)
+BATTERY = [
+    pytest.param(caps, fracs, gamma, choice, p,
+                 id="-".join(map(str, caps))
+                 + f"-{name}{list(choice.values())[1]}-p{p}")
+    for caps, fracs, gamma in BATTERY_MIXES
+    for name, choice in BATTERY_CHOICES
+    for p in (0.25, 0.5, 1.0)
+]
+
+
+@pytest.mark.parametrize("caps, fracs, gamma, choice, p", BATTERY)
+def test_battery_solves_at_the_one_sign_change(caps, fracs, gamma, choice, p):
+    # the equilibrium is unique: phi(s) = sum(g y(a(s), s)) - s changes
+    # sign once between g_min and g_max, and the solve lands in that cell
+    params = make_params(n_stations=20, gamma=gamma, p=p, choice=choice,
+                         capacity=caps[0] if len(caps) == 1 else
+                         {"values": list(caps), "fractions": list(fracs)})
+    res = solve_equilibrium(params)
+    assert res.residual <= RESIDUAL_TOL
+    caps, fracs, g = _class_structure(params)
+    lo = g.min() if g.min() > 0.0 else g.max() * 1e-40
+    s = np.geomspace(lo, g.max(), 400)
+    _, s_new = _solve_a_for_s(s, gamma, 1.0, params.mu, p, g, caps, fracs)
+    negative = np.signbit(s_new - s)
+    change = np.flatnonzero(negative[:-1] != negative[1:])
+    assert change.size == 1
+    assert s[change[0]] <= res.s <= s[change[0] + 1]
 
 
 class TestEntropy:

@@ -12,7 +12,7 @@ from bss.harness import forward_equation_residual
 from bss.model import (ChoiceSpec, ValidationError, arrival_rate,
                        choice_weights, validate_params)
 from bss.equilibrium import solve_equilibrium
-from bss.meanfield import _sample_grid, ratio_histogram
+from bss.meanfield import TINY_DENOM, _informed_choice, _sample_grid, ratio_histogram
 from bss.simulator import (
     _Lumped,
     _lockstep,
@@ -23,10 +23,8 @@ from bss.simulator import (
     NetworkState,
     TrajectorySample,
     child_seed,
-    dropoff_rate,
     empirical_measure,
     ensemble,
-    pickup_rate,
     round_robin_state,
     simulate,
     stationary_average,
@@ -52,6 +50,30 @@ def state_of(counts, caps, fleet):
 
 
 # ---------------------------------------------------------------- rates
+# Per-station rates straight from the model's definition: the oracle the
+# engines' lumped aggregates are checked against.
+
+def pickup_rate(state: NetworkState, i: int, params, t: float = 0.0) -> float:
+    """Per-station pickup rate at time t; zero at an empty station."""
+    x = int(state.counts[i])
+    if x <= 0:
+        return 0.0
+    lam = arrival_rate(params.arrival, t)
+    g = choice_weights(_informed_choice(params), int(state.capacities.max()))
+    rate = (1.0 - params.p) * lam
+    if params.p > 0.0:
+        total = float(g[state.counts].sum())
+        if total > TINY_DENOM:
+            rate += params.p * lam * state.n_stations * float(g[x]) / total
+    return rate
+
+
+def dropoff_rate(state: NetworkState, i: int, params) -> float:
+    """Per-station dropoff rate; zero at a full station."""
+    if int(state.counts[i]) >= int(state.capacities[i]):
+        return 0.0
+    return params.mu * (state.fleet - int(state.counts.sum())) / state.n_stations
+
 
 def test_pickup_rate_hand_values():
     # two stations, X=(1,2), p=0.5, lam=1, exponential theta=1:
