@@ -28,7 +28,6 @@ from .meanfield import (
     _sample_grid,
     builtin_measure,
     integrate,
-    integrate_hetero,
     ratio_projection,
 )
 from .diffusion import integrate_covariance
@@ -117,9 +116,11 @@ def _write_csv(path: str, header, *columns) -> None:
 
 
 def _write_json(path: str, obj) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError before the file
+    is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_params(path: str) -> SystemParams:
@@ -209,10 +210,10 @@ def _cmd_meanfield(args) -> int:
     grid = _sample_grid(args.horizon, args.sample_dt)
     y0 = _parse_y0(par, args.y0)
     stats: dict = {}
+    path = integrate(y0, par, grid, args.step, stats)
     if par.is_uniform:
-        _write_series(args.out, grid, "y", integrate(y0, par, grid, args.step, stats))
+        _write_series(args.out, grid, "y", path)
     else:
-        path = integrate_hetero(y0, par, grid, args.step, stats)
         _write_series(args.out, grid, "r", ratio_projection(path, par.capacity_values))
     _manifest(
         args.out, "meanfield", par.to_config(), None, [args.out], started,

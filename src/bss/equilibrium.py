@@ -1,20 +1,24 @@
 """Steady states of the mean-field limit and entropy diagnostics.
 
 One solve serves every capacity mix; a uniform capacity is the one-class
-case. The fixed point over the (class, count) table collapses to two
-scalars that every class shares: the spare-bike level a = gamma - sum(n y)
-and the choice normalizer s = sum(g(n) y). Given (a, s), class c holds its
-fraction q_c of the birth-death measure with ratios
-rho_k = mu*a / (lam*(1-p) + lam*p*g(k+1)/s), cut at its capacity K_c, so
-solving means closing the loop on (a, s). The equilibrium of the ratio
-process is that table projected onto the fill-ratio bins.
+case. The equilibrium is a measure of meanfield's one type, the (class,
+count) table, and its residual is meanfield.drift on that table. The fixed
+point over the table collapses to two scalars that every class shares: the
+spare-bike level a = gamma - sum(n y) and the choice normalizer
+s = sum(g(n) y). Given (a, s), class c holds its fraction q_c of the
+birth-death measure with ratios rho_k = mu*a / (lam*(1-p) + lam*p*g(k+1)/s),
+cut at its capacity K_c, so solving means closing the loop on (a, s). The
+equilibrium of the ratio process is that table projected onto the
+fill-ratio bins.
 
 For fixed s the spare-bike equation has exactly one root a(s), found by a
 safeguarded Newton iteration in log a on scalar moments of the mixture.
 That leaves the scalar equation phi(s) = sum(g y(a(s), s)) - s. sum(g y) is
 a g-weighted average, so it lies in [g_min, g_max] and phi(g_min) >= 0 >=
 phi(g_max): one Brent search (Brent 1973, ch. 4) in log s over those ends
-finds the equilibrium, which the paper shows is unique.
+finds the equilibrium, which the paper shows is unique. Where g_min = 0 the
+lower end is clamped above 0, and phi < 0 at both ends means no s > 0
+closes the loop: the solve raises ConvergenceError saying so.
 """
 
 from __future__ import annotations
@@ -30,13 +34,7 @@ from .model import (
     ValidationError,
     choice_weights,
 )
-from .meanfield import (
-    TINY_DENOM,
-    HeterogeneousMeasure,
-    _informed_choice,
-    drift_hetero,
-    ratio_projection,
-)
+from .meanfield import TINY_DENOM, _informed_choice, drift, ratio_projection
 
 __all__ = [
     "EquilibriumResult",
@@ -321,13 +319,18 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
         # where g_min = 0 the lower end is clamped away from s = 0
         x_lo = math.log(g_lo * (1.0 - 1e-12) if g_lo > 0.0 else g_hi * 1e-40)
         x_hi = math.log(g_hi)
-        s = math.exp(_brent(phi, x_lo, x_hi, phi(x_lo), phi(x_hi)))
+        f_lo, f_hi = phi(x_lo), phi(x_hi)
+        if f_lo < 0.0 and f_hi < 0.0:
+            raise ConvergenceError(
+                "no interior equilibrium: phi(s) < 0 at both ends of [g_min, "
+                "g_max], so no s > 0 closes the loop (return flow mu*gamma = "
+                f"{mu * gamma:.6g}, informed demand lam*p = {lam * p:.6g})")
+        s = math.exp(_brent(phi, x_lo, x_hi, f_lo, f_hi))
     sum_gy(s)
     a = math.exp(u)
     logrho = _log_rho(a, s, lam, mu, p, g)
     table = fracs[:, None] * _birth_death(logrho, caps)
-    b = drift_hetero(HeterogeneousMeasure(caps, table), params)
-    residual = float(np.max(np.abs(b)))
+    residual = float(np.max(np.abs(drift(table, params))))
     if not (residual <= RESIDUAL_TOL):
         raise ConvergenceError(
             f"equilibrium solver did not converge; residual {residual:.3e}"
@@ -341,10 +344,10 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
 
 
 def solve_equilibrium_hetero(params: SystemParams):
-    """The equilibrium as a (HeterogeneousMeasure, fill-ratio histogram)
-    pair: solve_equilibrium's table and r_bar."""
+    """solve_equilibrium's (table, r_bar); kept for the benchmark, whose
+    ctmc workload (perfbench/workloads.py) calls it."""
     res = solve_equilibrium(params)
-    return HeterogeneousMeasure(params.capacity_values, res.table), res.r_bar
+    return res.table, res.r_bar
 
 
 def entropy(y) -> float:

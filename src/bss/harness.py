@@ -70,11 +70,25 @@ class ExperimentReport:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
+        """The report as strict JSON: a non-finite metric, or entry of a
+        list metric, is written as null, and non_finite maps its key (as
+        ratios[1] for a list entry) to "inf", "-inf" or "nan"."""
+        non_finite = {}
+
+        def finite(key, v):
+            if isinstance(v, (list, tuple)):
+                return [finite(f"{key}[{i}]", x) for i, x in enumerate(v)]
+            if isinstance(v, float) and not math.isfinite(v):
+                non_finite[key] = str(v)
+                return None
+            return v
+
         return {
             "name": self.name,
             "pass": self.passed,
             "status": self.status,
-            "metrics": self.metrics,
+            "metrics": {k: finite(k, v) for k, v in self.metrics.items()},
+            "non_finite": non_finite,
             "artifacts": list(self.artifacts),
         }
 
@@ -226,6 +240,8 @@ def interchange_experiment(
     Compares the ratio histogram against the equilibrium's r_bar; on a
     uniform capacity both are the empirical measure and y-bar.
     """
+    if not (0.0 <= tol < math.inf):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     par_n = _with_n(params, n)
     target = solve_equilibrium(par_n).r_bar
     avg = stationary_average(par_n, burn_in, horizon, seed)

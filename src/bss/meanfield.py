@@ -1,8 +1,9 @@
 """Deterministic mean-field limit: drift fields, RK4 integration, ratio process.
 
-The empirical measure of a uniform-capacity network is a plain vector y of
-length K+1 on the probability simplex. Heterogeneous networks use a table
-over (capacity class, bike count).
+The empirical measure is one plain array: the table of mass over (capacity
+class, bike count), shape (C, k_max+1), zero above each class's capacity.
+A uniform capacity is the one-class case and may also be passed as that
+table's one row, a vector of length K+1 on the probability simplex.
 
 The ratio process is a fixed linear image of that table: cell (c, n) goes
 to the fill-ratio bin ratio_bins(K_c, k_max)[n]. One projection,
@@ -16,16 +17,15 @@ operators of each (capacities, choice) pair are cached (_operators), and
 _drift_into weights them in two BLAS calls; the diffusion layer builds the
 Jacobian and the jump bracket from the same operators. One buffered RK4
 stepper, _rk4_buffered, integrates any flat state that starts with a
-measure: integrate and integrate_hetero run it over _drift_into, and the
-diffusion layer runs the packed mean and covariance system on it. The
-tests keep an allocating RK4 stepper over drift, whose stage sum is the
-same one product, as its bitwise oracle.
+measure: integrate runs it over _drift_into, and the diffusion layer runs
+the packed mean and covariance system on it. The tests keep an allocating
+RK4 stepper over drift, whose stage sum is the same one product, as its
+bitwise oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,9 +40,7 @@ from .model import (
 )
 
 __all__ = [
-    "HeterogeneousMeasure",
     "drift",
-    "drift_hetero",
     "integrate",
     "integrate_hetero",
     "ratio_bins",
@@ -58,62 +56,6 @@ TINY_DENOM = 1e-300
 MAX_STEP = 0.01
 MIN_STEP = 1e-6
 DEFAULT_STEP = 0.005
-
-
-@dataclass(frozen=True, eq=False)
-class HeterogeneousMeasure:
-    """Joint measure over (bike count n, capacity class k).
-
-    table has shape (len(capacities), k_max+1); row c carries the mass of
-    stations with capacity capacities[c] and is zero for n > capacities[c].
-    Entries sum to 1; row sums are the capacity-class fractions.
-    """
-
-    capacities: tuple[int, ...]
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        caps = tuple(int(k) for k in self.capacities)
-        object.__setattr__(self, "capacities", caps)
-        tab = np.asarray(self.table, dtype=float)
-        if tab.shape != (len(caps), caps[-1] + 1):
-            raise ValidationError(
-                f"table shape {tab.shape} does not match capacities {caps}"
-            )
-        if any(caps[i] >= caps[i + 1] for i in range(len(caps) - 1)):
-            raise ValidationError("capacities must be strictly increasing")
-        for c, k in enumerate(caps):
-            if np.any(tab[c, k + 1 :] != 0.0):
-                raise ValidationError(
-                    f"mass above capacity {k} in class row {c}"
-                )
-        object.__setattr__(self, "table", tab)
-
-    @property
-    def k_max(self) -> int:
-        return self.capacities[-1]
-
-    def total(self) -> float:
-        return float(self.table.sum())
-
-    def class_fractions(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
-    @staticmethod
-    def from_conditionals(
-        capacities, fractions, conditionals
-    ) -> "HeterogeneousMeasure":
-        """Build from per-class conditional measures (row c has length caps[c]+1)."""
-        caps = tuple(int(k) for k in capacities)
-        table = np.zeros((len(caps), caps[-1] + 1))
-        for c, (k, q, cond) in enumerate(zip(caps, fractions, conditionals)):
-            cond = np.asarray(cond, dtype=float)
-            if cond.shape != (k + 1,):
-                raise ValidationError(
-                    f"conditional for capacity {k} must have length {k + 1}"
-                )
-            table[c, : k + 1] = q * cond
-        return HeterogeneousMeasure(caps, table)
 
 
 @lru_cache(maxsize=128)
@@ -188,31 +130,32 @@ def _drift_into(y, kern: _Kernel, lam, out):
     return np.dot(coef, kern.blocks, out)
 
 
-def drift(y, params: SystemParams, t: float = 0.0) -> np.ndarray:
-    """Mean-field drift b(y) for a uniform-capacity network.
+def _as_measure(y, params: SystemParams) -> np.ndarray:
+    """y as a float measure, in the shape it came: the (C, k_max+1) table,
+    or for a uniform capacity also the (K+1,) vector. A cell above its
+    class's capacity must hold an exact zero; NaN there fails too."""
+    caps = params.capacity_values
+    y = np.asarray(y, dtype=float)
+    shape = (len(caps), caps[-1] + 1)
+    if y.shape != shape and not (params.is_uniform and y.shape == shape[1:]):
+        raise ValidationError(
+            f"measure of shape {y.shape} does not match capacities {caps}")
+    dead = np.arange(shape[1]) > np.asarray(caps)[:, None]
+    if np.any(y.reshape(shape)[dead] != 0.0):
+        raise ValidationError(f"mass above a class's capacity in {caps}")
+    return y
 
-    Components sum to zero up to float cancellation. A zero choice
+
+def drift(y, params: SystemParams, t: float = 0.0) -> np.ndarray:
+    """Mean-field drift b(y), in y's shape (see _as_measure).
+
+    Every class row sums to zero up to float cancellation. A zero choice
     denominator drops the informed term.
     """
-    k = params.uniform_capacity
-    y = np.asarray(y, dtype=float)
-    if y.shape != (k + 1,):
-        raise ValidationError(f"measure must have length {k + 1}, got {y.shape}")
-    return _drift_into(y, _Kernel(params), arrival_rate(params.arrival, t), np.empty(k + 1))
-
-
-def drift_hetero(ym: HeterogeneousMeasure, params: SystemParams, t: float = 0.0) -> np.ndarray:
-    """Drift table over (class, count); every class row sums to zero."""
-    caps = tuple(params.capacity_values)
-    if ym.capacities != caps:
-        raise ValidationError(
-            f"measure capacities {ym.capacities} do not match params {caps}"
-        )
-    b = _drift_into(
-        ym.table.ravel(), _Kernel(params), arrival_rate(params.arrival, t),
-        np.empty(ym.table.size),
-    )
-    return b.reshape(ym.table.shape)
+    y = _as_measure(y, params)
+    b = _drift_into(y.ravel(), _Kernel(params), arrival_rate(params.arrival, t),
+                    np.empty(y.size))
+    return b.reshape(y.shape)
 
 
 def _sample_grid(horizon: float, sample_dt: float) -> np.ndarray:
@@ -365,35 +308,24 @@ def _mean_rhs(params: SystemParams):
 def integrate(
     y0, params: SystemParams, t_grid, h: float = DEFAULT_STEP, stats=None
 ) -> np.ndarray:
-    """Integrate the uniform-capacity mean-field ODE over t_grid.
+    """Integrate the mean-field ODE over t_grid from the measure y0.
 
-    Returns an array of shape (len(t_grid), K+1) whose first row is y0.
-    A stats dict, if given, receives the counts of _rk4_buffered: steps,
+    Returns an array of shape (len(t_grid),) + y0.shape whose first row is
+    y0. A stats dict, if given, receives the counts of _rk4_buffered: steps,
     halvings, renormalizations and the mass they removed, and early exits.
     """
-    k = params.uniform_capacity
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (k + 1,):
-        raise ValidationError(f"y0 must have length {k + 1}, got {y0.shape}")
+    y0 = _as_measure(y0, params)
     _check_start(y0, params)
-    return _rk4_buffered(_mean_rhs(params), y0, params.arrival, t_grid, h,
-                         stats=stats)
+    path = _rk4_buffered(_mean_rhs(params), y0.ravel(), params.arrival, t_grid,
+                         h, stats=stats)
+    return path.reshape((len(path),) + y0.shape)
 
 
-def integrate_hetero(
-    ym0: HeterogeneousMeasure, params: SystemParams, t_grid, h: float = DEFAULT_STEP,
-    stats=None,
-) -> np.ndarray:
-    """Integrate the heterogeneous mean-field ODE: an array of shape
-    (len(t_grid), C, k_max+1); stats as in integrate."""
-    caps = tuple(params.capacity_values)
-    if ym0.capacities != caps:
-        raise ValidationError("y0 capacities do not match params")
-    _check_start(ym0.table, params)
-    shape = ym0.table.shape
-    path = _rk4_buffered(_mean_rhs(params), ym0.table.ravel(), params.arrival,
-                         t_grid, h, stats=stats)
-    return path.reshape((len(path),) + shape)
+def integrate_hetero(ym0, params: SystemParams, t_grid, h: float = DEFAULT_STEP,
+                     stats=None) -> np.ndarray:
+    """integrate; kept for the benchmark, whose ode workload
+    (perfbench/workloads.py) calls it."""
+    return integrate(ym0, params, t_grid, h, stats)
 
 
 def ratio_bins(k: int, k_max: int) -> np.ndarray:
@@ -437,33 +369,29 @@ def ratio_histogram(counts, capacities, k_max: int) -> np.ndarray:
     return r
 
 
-def builtin_measure(params: SystemParams, name: str):
+def builtin_measure(params: SystemParams, name: str) -> np.ndarray:
     """Named initial measures: 'uniform' or 'mass@n'.
 
-    Uniform networks get a plain vector; heterogeneous networks get a
-    HeterogeneousMeasure with the same conditional per class.
+    Every class gets the same conditional measure; a mix gets the (class,
+    count) table with row sums the class fractions, a uniform capacity the
+    (K+1,) vector.
     """
     caps = params.capacity_values
-    conds = []
-    for k in caps:
+    if name.startswith("mass@"):
+        try:
+            n = int(name.split("@", 1)[1])
+        except ValueError:
+            raise ValidationError(f"bad measure name {name!r}") from None
+        if n < 0:
+            raise ValidationError(f"mass@n needs n >= 0, got {n}")
+    elif name != "uniform":
+        raise ValidationError(
+            f"unknown builtin measure {name!r}; use 'uniform' or 'mass@n'"
+        )
+    table = np.zeros((len(caps), caps[-1] + 1))
+    for c, (k, q) in enumerate(zip(caps, params.capacity_fractions)):
         if name == "uniform":
-            cond = np.full(k + 1, 1.0 / (k + 1))
-        elif name.startswith("mass@"):
-            try:
-                n = int(name.split("@", 1)[1])
-            except ValueError:
-                raise ValidationError(f"bad measure name {name!r}") from None
-            if n < 0:
-                raise ValidationError(f"mass@n needs n >= 0, got {n}")
-            cond = np.zeros(k + 1)
-            cond[min(n, k)] = 1.0
+            table[c, : k + 1] = q * (1.0 / (k + 1))
         else:
-            raise ValidationError(
-                f"unknown builtin measure {name!r}; use 'uniform' or 'mass@n'"
-            )
-        conds.append(cond)
-    if params.is_uniform:
-        return conds[0]
-    return HeterogeneousMeasure.from_conditionals(
-        caps, params.capacity_fractions, conds
-    )
+            table[c, min(n, k)] = q
+    return table[0] if params.is_uniform else table

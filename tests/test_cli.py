@@ -498,6 +498,17 @@ def test_verify_interchange_bad_times_exits_one(base_cfg, tmp_path, capsys,
     assert "0 <= burn_in < horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])
+def test_verify_interchange_bad_tol_exits_one(base_cfg, tmp_path, capsys, tol):
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--suite", "interchange", "--config", base_cfg,
+                 "--n", "10", "--burn-in", "1", "--horizon", "5", "--tol", tol,
+                 "--out", str(out)])
+    assert code == 1
+    assert "tol must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_failing_suite_exits_two(base_cfg, tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["verify", "--suite", "interchange", "--config", base_cfg,
@@ -517,6 +528,31 @@ def test_verify_flln_n_list_override(base_cfg, tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["metrics"]["n_list"] == [100, 400]
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("suite,extra,non_finite", [
+    ("flln", ["--n-list", "20,20", "--horizon", "1", "--reps", "1"], {}),
+    ("fclt", ["--n", "20", "--reps", "3", "--t-check", "0.5"], {}),
+    ("interchange", ["--n", "10", "--burn-in", "1", "--horizon", "5"], {}),
+    # one replica has no sample spread: the standard error is infinite
+    ("forward", ["--n", "10", "--reps", "1", "--t", "0.5"],
+     {"standard_error": "inf"}),
+])
+def test_verify_writes_strict_json(base_cfg, tmp_path, suite, extra, non_finite):
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", suite, "--config", base_cfg, "--seed", "4",
+                 "--out", str(out), *extra]) in (0, 2)
+    report = _strict_json(out.read_text())
+    _strict_json((tmp_path / "rep.json.manifest.json").read_text())
+    assert report["non_finite"] == non_finite
+    for key in non_finite:
+        assert report["metrics"][key] is None
 
 
 # ---------------------------------------------------------------- ingestion

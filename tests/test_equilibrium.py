@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from bss.model import ChoiceSpec, ConvergenceError, ValidationError, validate_params
-from bss.meanfield import (
-    HeterogeneousMeasure,
-    drift,
-    drift_hetero,
-    integrate,
-    ratio_projection,
-)
+from bss.meanfield import drift, integrate, ratio_projection
 from bss.equilibrium import (
     A_MIN,
     EPS,
@@ -380,6 +374,29 @@ class TestSolverInternals:
         assert got.s == ref.s == 1.0
         assert math.isfinite(h_steep) and h_steep == h_mild
 
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("choice", [{"kind": "polynomial", "alpha": 2.0},
+                                        {"kind": "minimum", "c": 3}],
+                             ids=["poly2", "min3"])
+    def test_no_interior_equilibrium_is_named(self, choice, gamma):
+        # g(0) = 0 at p = 1 sends every pickup to a stocked station, and a
+        # return flow mu*gamma below lam*p cannot keep one stocked: phi < 0
+        # at both ends of the bracket, and the error says why
+        params = make_params(gamma=gamma, p=1.0, choice=choice)
+        with pytest.raises(ConvergenceError,
+                           match=rf"^no interior equilibrium: .* \(return flow "
+                                 rf"mu\*gamma = {gamma:g}, informed demand "
+                                 rf"lam\*p = 1\)$"):
+            solve_equilibrium(params)
+
+    @pytest.mark.parametrize("choice", [{"kind": "polynomial", "alpha": 2.0},
+                                        {"kind": "minimum", "c": 3}],
+                             ids=["poly2", "min3"])
+    def test_return_flow_above_demand_still_solves(self, choice):
+        res = solve_equilibrium(make_params(gamma=1.1, p=1.0, choice=choice))
+        assert res.residual <= RESIDUAL_TOL
+        assert res.stats["route"] == "bracketed" and res.s > 0.0
+
 
 # (capacities, fractions, gamma): every capacity mix the suite runs elsewhere
 CAPACITY_MIXES = [
@@ -411,8 +428,7 @@ class TestSolveEquilibriumHetero:
         res = solve_equilibrium(params)
         assert res.table.shape == (len(caps), caps[-1] + 1)
         assert res.residual <= RESIDUAL_TOL
-        ym = HeterogeneousMeasure(caps, res.table)
-        assert res.residual == np.max(np.abs(drift_hetero(ym, params)))
+        assert res.residual == np.max(np.abs(drift(res.table, params)))
         np.testing.assert_allclose(res.table.sum(axis=1),
                                    params.capacity_fractions, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(res.r_bar, ratio_projection(res.table, caps))
@@ -455,9 +471,8 @@ class TestSolveEquilibriumHetero:
             choice={"kind": "exponential", "theta": 1.0},
         )
         res = solve_equilibrium(params)
-        ym = HeterogeneousMeasure(params.capacity_values, res.table)
-        assert np.max(np.abs(drift_hetero(ym, params))) <= 1e-10
-        np.testing.assert_allclose(ym.class_fractions(), [0.25, 0.5, 0.25], atol=1e-12)
+        assert np.max(np.abs(drift(res.table, params))) <= 1e-10
+        np.testing.assert_allclose(res.table.sum(axis=1), [0.25, 0.5, 0.25], atol=1e-12)
         assert res.r_bar.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.stats["route"] == "bracketed"
         assert 2 < res.stats["brent_evals"] <= 20
@@ -467,9 +482,9 @@ class TestSolveEquilibriumHetero:
             gamma=7.5, capacity={"values": [10, 20], "fractions": [0.5, 0.5]},
         )
         res = solve_equilibrium(params)
-        ym, rbar = solve_equilibrium_hetero(params)
-        assert ym.capacities == (10, 20)
-        np.testing.assert_array_equal(ym.table, res.table)
+        table, rbar = solve_equilibrium_hetero(params)
+        assert table.shape == (2, 21)
+        np.testing.assert_array_equal(table, res.table)
         np.testing.assert_array_equal(rbar, res.r_bar)
 
 

@@ -52,6 +52,21 @@ def test_report_to_dict_keys():
     assert d["status"] == "pass"
     assert d["metrics"] == {"a": 1.0}
     assert d["artifacts"] == ["out.csv"]
+    assert d["non_finite"] == {}
+
+
+def test_report_to_dict_writes_non_finite_metrics_as_null():
+    metrics = {"z": math.inf, "se": -math.inf, "mean": math.nan, "n": 5,
+               "ratios": [1.5, math.inf], "bounds": [(0.5, math.nan)]}
+    rep = ExperimentReport("flln", True, metrics)
+    d = rep.to_dict()
+    assert d["metrics"] == {"z": None, "se": None, "mean": None, "n": 5,
+                            "ratios": [1.5, None], "bounds": [[0.5, None]]}
+    assert d["non_finite"] == {"z": "inf", "se": "-inf", "mean": "nan",
+                               "ratios[1]": "inf", "bounds[0][1]": "nan"}
+    json.dumps(d, allow_nan=False)
+    # the report keeps its floats for the gates that read them
+    assert rep.metrics["z"] == math.inf and math.isnan(rep.metrics["mean"])
 
 
 # ---------------------------------------------------------------- flln
@@ -427,6 +442,15 @@ def test_sweep_flags_failed_node_and_continues(monkeypatch):
     assert math.isnan(by_p[0.5]["entropy"])
     assert by_p[0.0]["converged"] == 1
     assert by_p[1.0]["converged"] == 1
+
+
+def test_sweep_flags_node_without_interior_equilibrium():
+    # at p = 1 with g(0) = 0, gamma = 0.5 has no interior equilibrium and
+    # raises ConvergenceError, so its row is flagged; gamma = 1.5 solves
+    base = big_base(capacity=20, choice={"kind": "polynomial", "alpha": 2.0})
+    rows = sweep("p-gamma", [1.0], [0.5, 1.5], base)
+    assert [row["converged"] for row in rows] == [0, 1]
+    assert math.isnan(rows[0]["ybar0"])
 
 
 def test_sweep_rejects_unknown_plane():

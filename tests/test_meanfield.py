@@ -6,10 +6,8 @@ import pytest
 from bss import meanfield
 from bss.model import ArrivalModel, ConvergenceError, ValidationError, validate_params
 from bss.meanfield import (
-    HeterogeneousMeasure,
     builtin_measure,
     drift,
-    drift_hetero,
     integrate,
     integrate_hetero,
     ratio_bins,
@@ -144,17 +142,24 @@ class TestDrift:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):
             drift(np.full(5, 0.2), make_params())
+        # a mix takes only its (class, count) table
+        mix = make_params(capacity={"values": [2, 4], "fractions": [0.5, 0.5]})
+        with pytest.raises(ValidationError):
+            drift(np.full(5, 0.2), mix)
 
 
 class TestDriftHetero:
+    """drift on (class, count) tables."""
+
     def test_single_class_collapses(self):
         params = make_params(capacity=20)
         rng = np.random.default_rng(11)
         y = random_simplex(rng, 21)
-        ym = HeterogeneousMeasure((20,), y[None, :])
         np.testing.assert_allclose(
-            drift_hetero(ym, params)[0], drift(y, params), rtol=0, atol=1e-15
+            drift(y[None, :], params)[0], drift(y, params), rtol=0, atol=1e-15
         )
+        # the one-class table and the vector are the same bytes
+        assert drift(y[None, :], params).tobytes() == drift(y, params).tobytes()
 
     def test_total_and_class_conservation(self):
         params = make_params(
@@ -167,8 +172,8 @@ class TestDriftHetero:
         for c, k in enumerate((2, 4, 7)):
             tab[c, : k + 1] = rng.exponential(size=k + 1)
         tab /= tab.sum()
-        ym = HeterogeneousMeasure((2, 4, 7), tab)
-        b = drift_hetero(ym, params)
+        b = drift(tab, params)
+        assert b.shape == tab.shape
         assert abs(b.sum()) < 1e-12
         np.testing.assert_allclose(b.sum(axis=1), 0.0, atol=1e-12)
 
@@ -187,8 +192,7 @@ class TestDriftHetero:
         tab = np.zeros((2, 5))
         tab[0, :3] = 1 / 8
         tab[1, :5] = 1 / 8
-        ym = HeterogeneousMeasure((2, 4), tab)
-        b = drift_hetero(ym, params)
+        b = drift(tab, params)
         edge = 1 / 8 + 5 / 64
         expected = np.array(
             [
@@ -200,9 +204,24 @@ class TestDriftHetero:
 
     def test_capacity_mismatch_rejected(self):
         params = make_params(capacity={"values": [2, 4], "fractions": [0.5, 0.5]})
-        ym = HeterogeneousMeasure((3,), np.full((1, 4), 0.25))
         with pytest.raises(ValidationError):
-            drift_hetero(ym, params)
+            drift(np.full((1, 4), 0.25), params)
+
+    @pytest.mark.parametrize("dead", [1e-3, 1e-300, np.nan])
+    def test_mass_in_a_dead_cell_rejected(self, dead):
+        # cell (0, 3) lies above capacity 2; drift and integrate both refuse
+        # mass or NaN there
+        params = make_params(n_stations=100, gamma=1.5,
+                             capacity={"values": [2, 4], "fractions": [0.5, 0.5]})
+        tab = builtin_measure(params, "uniform")
+        tab[0, 3] = dead
+        with pytest.raises(ValidationError, match="above a class's capacity"):
+            drift(tab, params)
+        with pytest.raises(ValidationError, match="above a class's capacity"):
+            integrate(tab, params, [0.0, 1.0])
+        # an exact zero there, of either sign, is no mass
+        tab[0, 3] = -0.0
+        assert drift(tab, params).shape == (2, 5)
 
 
 class TestIntegrate:
@@ -278,9 +297,9 @@ class TestIntegrate:
             integrate(y0, params, np.array([0.0, 10.0]), h=0.01)
 
     def test_buffered_and_generic_routes_agree(self):
-        # integrate and integrate_hetero take the buffered route; it must
-        # reproduce the generic stepper over drift / drift_hetero exactly,
-        # for a constant rate, a Fourier rate and a capacity mix
+        # integrate takes the buffered route; it must reproduce the generic
+        # stepper over drift exactly, for a constant rate, a Fourier rate
+        # and a capacity mix
         grid = np.linspace(0.0, 20.0, 9)
         fourier = {"fourier": {"intercept": 1.0, "sin": [0.5, 0.2], "cos": [0.3, 0.0]}}
         for arrival in ({"constant": 1.0}, fourier):
@@ -293,6 +312,9 @@ class TestIntegrate:
             fast = integrate(y0, params, grid, h=0.01)
             slow = _rk4_path(lambda t, y: drift(y, params, t), y0, grid, 0.01)
             assert np.array_equal(fast, slow), arrival
+            # the one-class table integrates to the vector's bytes
+            table = integrate(y0[None, :], params, grid, h=0.01)
+            assert table.shape == (9, 1, 11) and table.tobytes() == fast.tobytes()
 
         params = make_params(
             n_stations=100, gamma=4.0,
@@ -300,15 +322,16 @@ class TestIntegrate:
             choice={"kind": "exponential", "theta": 0.5},
         )
         ym0 = builtin_measure(params, "uniform")
-        shape = ym0.table.shape
+        shape = ym0.shape
 
         def fun(t, flat):
-            ym = HeterogeneousMeasure(params.capacity_values, flat.reshape(shape))
-            return drift_hetero(ym, params, t).ravel()
+            return drift(flat.reshape(shape), params, t).ravel()
 
-        fast = integrate_hetero(ym0, params, grid, h=0.01)
-        slow = _rk4_path(fun, ym0.table.ravel(), grid, 0.01).reshape(fast.shape)
+        fast = integrate(ym0, params, grid, h=0.01)
+        slow = _rk4_path(fun, ym0.ravel(), grid, 0.01).reshape(fast.shape)
         assert np.array_equal(fast, slow)
+        # the name the benchmark calls is the same integration
+        assert integrate_hetero(ym0, params, grid, h=0.01).tobytes() == fast.tobytes()
 
     def test_buffered_route_exact_past_fixed_point(self):
         # the buffered route stops an interval's stepping once a step returns
@@ -387,8 +410,7 @@ class TestIntegrate:
         params = make_params(n_stations=500, gamma=gamma, capacity=capacity, p=p,
                              choice={"kind": "exponential", "theta": 0.5})
         y0 = builtin_measure(params, "uniform")
-        run = integrate if params.is_uniform else integrate_hetero
-        ref, coarse, fine = (run(y0, params, [0.0, 2.0], h=h)[-1]
+        ref, coarse, fine = (integrate(y0, params, [0.0, 2.0], h=h)[-1]
                              for h in (0.01 / 16, 0.01, 0.005))
         ratio = np.abs(coarse - ref).max() / np.abs(fine - ref).max()
         assert 15.0 <= ratio <= 17.0
@@ -436,7 +458,7 @@ class TestIntegrate:
         mix = make_params(n_stations=60, gamma=4, p=0.5, choice=theta,
                           capacity={"values": [10, 20], "fractions": [0.5, 0.5]})
         with pytest.raises(ValidationError, match="fleet"):
-            integrate_hetero(builtin_measure(mix, "uniform"), mix, [0.0, 1.0])
+            integrate(builtin_measure(mix, "uniform"), mix, [0.0, 1.0])
         # rounding: at K=40 the uniform start docks 20.000000000000004
         edge = make_params(n_stations=60, gamma=20, capacity=40)
         y0 = builtin_measure(edge, "uniform")
@@ -468,7 +490,7 @@ class TestIntegrate:
             choice={"kind": "minimum", "c": 3},
         )
         ym0 = builtin_measure(params, "uniform")
-        path = integrate_hetero(ym0, params, np.linspace(0, 20, 5), h=0.01)
+        path = integrate(ym0, params, np.linspace(0, 20, 5), h=0.01)
         fr = path.sum(axis=2)
         np.testing.assert_allclose(fr, 0.5, atol=1e-9)
 
@@ -498,14 +520,12 @@ class TestRatioProjection:
     def test_single_class_identity(self):
         rng = np.random.default_rng(4)
         y = random_simplex(rng, 6)
-        ym = HeterogeneousMeasure((5,), y[None, :])
-        np.testing.assert_allclose(ratio_projection(ym.table, ym.capacities), y, atol=0)
+        np.testing.assert_allclose(ratio_projection(y[None, :], (5,)), y, atol=0)
 
     def test_half_full_small_station(self):
         tab = np.zeros((2, 5))
         tab[0, 1] = 1.0  # n=1 of capacity 2, k_max 4 -> bin 2
-        ym = HeterogeneousMeasure((2, 4), tab)
-        r = ratio_projection(ym.table, ym.capacities)
+        r = ratio_projection(tab, (2, 4))
         assert r[2] == 1.0
 
     def test_mass_preserved(self):
@@ -514,8 +534,7 @@ class TestRatioProjection:
         tab[0, :4] = rng.exponential(size=4)
         tab[1, :8] = rng.exponential(size=8)
         tab /= tab.sum()
-        ym = HeterogeneousMeasure((3, 7), tab)
-        assert abs(ratio_projection(ym.table, ym.capacities).sum() - 1.0) < 1e-12
+        assert abs(ratio_projection(tab, (3, 7)).sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("caps", [(10, 20), (3, 7, 12), (2, 5, 6, 9)])
     def test_stack_matches_frames_bitwise(self, caps):
@@ -560,8 +579,21 @@ class TestBuiltinMeasure:
             capacity={"values": [2, 4], "fractions": [0.5, 0.5]},
         )
         ym = builtin_measure(params, "mass@3")
-        assert ym.table[0, 2] == 0.5
-        assert ym.table[1, 3] == 0.5
+        assert type(ym) is np.ndarray
+        assert ym[0, 2] == 0.5
+        assert ym[1, 3] == 0.5
+
+    @pytest.mark.parametrize("name", ["uniform", "mass@0", "mass@5"])
+    def test_mix_table_rows_are_class_fractions(self, name):
+        params = make_params(
+            n_stations=100, gamma=2.0,
+            capacity={"values": [2, 4, 7], "fractions": [0.25, 0.25, 0.5]},
+        )
+        ym = builtin_measure(params, name)
+        assert type(ym) is np.ndarray and ym.shape == (3, 8)
+        np.testing.assert_allclose(ym.sum(axis=1), [0.25, 0.25, 0.5], rtol=0,
+                                   atol=1e-15)
+        assert not ym[np.arange(8) > np.array([[2], [4], [7]])].any()
 
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
