@@ -6,9 +6,10 @@ brackets of the CTMC. This module evaluates both matrices and integrates the
 resulting covariance ODE  Sigma' = J Sigma + Sigma J^T + A  alongside the
 mean-field trajectory.
 
-Both matrices come from the mean-field drift kernel: the product z = M y
-with the shift operators of meanfield._operators that gives the drift also
-gives J and A, and each covariance stage makes that product once. The packed
+Both matrices come from the mean-field drift kernel z = M y over the shift
+operators of meanfield._operators, which gives the drift's block weights c:
+J is c times those operators less one product holding its two rank-one
+pieces, and A is c times a cached band operator applied to y. The packed
 system [y; Sigma] runs on the mean field's one RK4 stepper; its right-hand
 side writes into buffers made once per integration, and a stiffness guard
 halves every step that would leave RK4's stability interval for Sigma.
@@ -21,11 +22,13 @@ with P the table projection meanfield.ratio_projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import SystemParams, ValidationError, arrival_rate
-from .meanfield import TINY_DENOM, _check_start, _drift_into, _Kernel, _rk4_buffered
+from .model import ChoiceSpec, SystemParams, ValidationError, arrival_rate
+from .meanfield import (TINY_DENOM, _check_start, _drift_into, _informed_choice,
+                        _Kernel, _operators, _rk4_buffered)
 
 __all__ = [
     "CovarianceState",
@@ -54,45 +57,62 @@ def _require_uniform(params: SystemParams) -> int:
     return params.uniform_capacity
 
 
+@lru_cache(maxsize=128)
+def _covariance_operators(capacities: tuple[int, ...], choice: ChoiceSpec):
+    """The fixed parts of the packed covariance system: (band, at, ones).
+
+    With the kernel's block weights c, the bracket is A = c0 D diag(y) D^T
+    + c1 D diag(g y) D^T + c2 U diag(y) U^T over the rows D, DG = D diag(g)
+    and U of the drift stack. Each term is symmetric tridiagonal with
+    diagonal (P*Q) @ y and superdiagonal (P[:-1]*Q[1:]) @ y for (P, Q) =
+    (D, D), (D, DG), (U, U); band stacks those 3 (2L - 1) rows over the L
+    cells, 6L^2 doubles against 3L^3 for a dense map of y onto A. Dead
+    cells' columns, and rows that touch a dead cell or cross classes, are
+    exact zeros. at holds the offsets of A's three bands in the packed state
+    [y; Sigma], ones the guard's summing vector; all three are read-only.
+    """
+    stack = _operators(capacities, choice)
+    dim = stack.shape[1]
+    d, dg, u = stack[: 3 * dim].reshape(3, dim, dim)
+    band = np.vstack([a * b if diag else a[:-1] * b[1:]
+                      for a, b in ((d, d), (d, dg), (u, u)) for diag in (True, False)])
+    diagonal = dim + (dim + 1) * np.arange(dim)
+    at = np.concatenate([diagonal, diagonal[:-1] + 1, diagonal[1:] - 1])
+    fixed = band, at, np.ones(dim)
+    for arr in fixed:
+        arr.setflags(write=False)
+    return fixed
+
+
 def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
     """rhs_into(lam, z, out) of z = [y; Sigma], J's buffer and the stiffness guard.
 
-    One kernel pass gives the drift and leaves z = M y and the block weights;
-    a vanished choice normaliser raises, as J and A need the informed term.
-    J (see jacobian) is one product of the block weights with the cached
-    operators and two rank-one updates. A = D diag(f) D^T + U diag(u) U^T is
-    tridiagonal: (f_i + f_{i+1}) + (u_{i-1} + u_i) on the diagonal and
-    -(f_{i+1} + u_i) next to it, over the pickup flows f and dropoff flows u
-    where D and U move mass. Each bracket sums at most two nonzero terms, so
-    these are the bits of the dense products. Everything is written into
-    buffers made here. guard(dt), on the J of the last call, is True when
-    2 dt min(|J|_1, |J|_inf), which bounds dt times the spectral radius of
-    Sigma -> J Sigma + Sigma J^T, leaves RK4's stability interval.
+    One kernel pass gives the drift and leaves z = M y and the block weights
+    c; a vanished choice normaliser raises, as J and A need the informed
+    term. J (see jacobian) is c times the cached operators less one
+    (L, 2) @ (2, L) product of both rank-one pieces; A is c times the cached
+    bands (_covariance_operators) applied to y, added onto dSigma's three
+    bands. All is written into buffers made here. guard(dt), on the J of
+    the last call, is True when 2 dt min(|J|_1, |J|_inf), which bounds dt
+    times the spectral radius of Sigma -> J Sigma + Sigma J^T, leaves RK4's
+    stability interval.
     """
     _require_uniform(params)
     kern = _Kernel(params)
     dim = kern.stack.shape[1]
     stack, coef, z = kern.stack, kern.coef, kern.z
     ops = stack[: 3 * dim].reshape(3, -1)
-    g, ones = stack[-2], np.ones(dim)
-    # the rank-one pieces (Uy) (mu n)^T and (DGy) (c g)^T, made by one product
-    cols = kern.blocks[2:0:-1, :, None]
-    rows = np.stack([kern.mu * stack[-1], g])[:, None]
-    j, jsig, a = (np.zeros((dim, dim)) for _ in range(3))
-    rank1 = np.zeros((2, dim, dim))
-    vec, pair = np.empty(dim), np.empty((2, dim))
-    a_diag, a_up, a_low = (a.reshape(-1)[k :: dim + 1] for k in (0, 1, dim))
-    # the negated pickup flows -f and the dropoff flows u, zero where D or U
-    # moves nothing, in two zero-padded rows laid out so that one sum over
-    # neighbours gives -(f_i + f_{i+1}) and u_{i-1} + u_i
-    pad = np.zeros((2, dim + 2))
-    flows = np.lib.stride_tricks.as_strided(
-        pad.reshape(-1)[1:], (2, dim), ((dim + 3) * pad.itemsize, pad.itemsize))
-    masks = np.array([np.diagonal(stack[k * dim : (k + 1) * dim]) != 0.0
-                      for k in (0, 2)], dtype=float)
-    # scalars as arrays, which numpy multiplies by faster: (-c0, c2) and
-    # -c1 for the flows, lam p / s^2 for the rank-one row
-    scale, c1, c_rank = np.empty((2, 1)), np.zeros(()), np.zeros(())
+    band, at, ones = _covariance_operators(params.capacity_values,
+                                           _informed_choice(params))
+    # (DGy) (c g)^T + (Uy) (mu n)^T, with c = lam p / s^2
+    g, cols, rows = stack[-2], kern.blocks[1:].T, np.empty((2, dim))
+    np.multiply(stack[-1], kern.mu, rows[1])
+    j, jsig, rank1 = (np.empty((dim, dim)) for _ in range(3))
+    # the blocks' bands, and A's diagonal, superdiagonal and subdiagonal
+    flat_bands, a = np.empty(3 * (2 * dim - 1)), np.empty(3 * dim - 2)
+    bands = flat_bands.reshape(3, -1)
+    a_main, a_sup, a_sub = a[: 2 * dim - 1], a[dim : 2 * dim - 1], a[2 * dim - 1 :]
+    c_rank = np.zeros(())  # a 0-d array, which numpy multiplies by faster
     informed = params.p > 0.0
 
     def rhs_into(lam, x, out):
@@ -104,26 +124,17 @@ def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
             )
         np.dot(coef, ops, j.reshape(-1))
         c_rank[()] = coef[1] / z[-2]
-        np.multiply(g, c_rank, rows[1, 0])
-        np.multiply(cols, rows, rank1)
-        np.subtract(j, rank1[0], j)
-        if coef[1] != 0.0:
-            np.subtract(j, rank1[1], j)
-        dsig = out[dim:].reshape(dim, dim)
+        np.multiply(g, c_rank, rows[0])
+        np.matmul(cols, rows, rank1)
+        np.subtract(j, rank1, j)
         np.matmul(j, x[dim:].reshape(dim, dim), jsig)
-        np.add(jsig, jsig.T, dsig)
+        np.add(jsig, jsig.T, out[dim:].reshape(dim, dim))
         if zero_bracket:
             return
-        scale[0, 0], scale[1, 0], c1[()] = -coef[0], coef[2], -coef[1]
-        np.multiply(scale, y, flows)
-        np.multiply(g, y, vec)
-        np.add(flows[0], np.multiply(vec, c1, vec), flows[0])
-        np.multiply(flows, masks, flows)
-        np.add(pad[:, 1:-1], pad[:, 2:], pair)
-        np.subtract(pair[1], pair[0], a_diag)
-        np.subtract(pad[0, 2:-1], pad[1, 2:-1], a_up)
-        np.subtract(pad[0, 2:-1], pad[1, 2:-1], a_low)
-        np.add(dsig, a, dsig)
+        np.dot(band, y, flat_bands)
+        np.dot(coef, bands, a_main)
+        np.copyto(a_sub, a_sup)
+        out[at] += a
 
     def guard(dt):
         absj = np.abs(j, jsig)
@@ -135,11 +146,12 @@ def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
 
 def _linearized(y, params: SystemParams, t: float):
     """J and A at y: the packed right-hand side at Sigma = 0 holds A."""
-    y = np.asarray(y, dtype=float)
     dim = _require_uniform(params) + 1
     rhs_into, j, _ = _packed_rhs(params)
-    out = np.empty(dim + dim * dim)
-    rhs_into(arrival_rate(params.arrival, t), np.concatenate([y, np.zeros(dim * dim)]), out)
+    x = np.zeros(dim + dim * dim)
+    x[:dim] = y
+    out = np.empty_like(x)
+    rhs_into(arrival_rate(params.arrival, t), x, out)
     return j, out[dim:].reshape(dim, dim)
 
 
@@ -148,7 +160,8 @@ def jacobian(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
 
     The drift b = lam(1-p) Dy + (lam p/s) DGy + a Uy is linear in y apart
     from a = mu(gamma - n.y) and s = g.y, so J is the three shift operators
-    plus two dense rank-one pieces: -mu (Uy) n^T and -(lam p/s^2) (DGy) g^T.
+    plus two dense rank-one pieces, -mu (Uy) n^T and -(lam p/s^2) (DGy) g^T,
+    formed as one (L, 2) @ (2, L) product.
     """
     return _linearized(y, params, t)[0]
 

@@ -261,7 +261,8 @@ def interchange_experiment(
 
 
 def _parse_f_spec(f_spec: str, dim: int):
-    """Test functions on measures: coord@j is y_j, square@j is y_j^2."""
+    """Test functions on measures, acting on the last axis of a stack of
+    them: coord@j is y_j, square@j is y_j^2."""
     try:
         kind, _, idx = f_spec.partition("@")
         j = int(idx)
@@ -270,47 +271,35 @@ def _parse_f_spec(f_spec: str, dim: int):
     if kind not in ("coord", "square") or not (0 <= j < dim):
         raise ValidationError(f"bad f_spec {f_spec!r}; use coord@j or square@j")
     if kind == "coord":
-        return lambda y: float(y[j])
-    return lambda y: float(y[j]) ** 2
+        return lambda y: y[..., j]
+    return lambda y: y[..., j] ** 2
 
 
-def _generator_apply(f, y: np.ndarray, par: SystemParams, t: float) -> float:
-    """Exact generator action sum_e rate(e) (f(y + jump_e) - f(y)).
+def _generator_apply(f, y: np.ndarray, par: SystemParams, t: float) -> np.ndarray:
+    """Exact generator action sum_e rate(e) (f(y + jump_e) - f(y)) on a stack
+    of measures y, shape (..., K+1); returns shape y.shape[:-1].
 
     Rates are rebuilt here from the transition definitions rather than from
     the drift code, so the forward-equation check compares two independent
-    routes.
+    routes. A pickup at i moves 1/N of mass to i-1, a dropoff at i to i+1;
+    a cell without mass fires neither.
     """
-    k = par.uniform_capacity
-    n = par.n_stations
+    k, n, p = par.uniform_capacity, par.n_stations, par.p
     g = choice_weights(_informed_choice(par), k)
     lam = arrival_rate(par.arrival, t)
-    p = par.p
-    denom = float(g @ y)
-    total = 0.0
-    fy = f(y)
-    m1 = float(np.arange(k + 1) @ y)
-    spare = par.mu * (par.gamma - m1)
-    for i in range(1, k + 1):
-        if y[i] <= 0:
-            continue
-        c = (1.0 - p)
-        if p > 0.0 and denom > TINY_DENOM:
-            c += p * g[i] / denom
-        rate = n * lam * c * y[i]
-        shifted = y.copy()
-        shifted[i] -= 1.0 / n
-        shifted[i - 1] += 1.0 / n
-        total += rate * (f(shifted) - fy)
-    for i in range(0, k):
-        if y[i] <= 0:
-            continue
-        rate = n * spare * y[i]
-        shifted = y.copy()
-        shifted[i] -= 1.0 / n
-        shifted[i + 1] += 1.0 / n
-        total += rate * (f(shifted) - fy)
-    return total
+    held = np.where(y > 0, y, 0.0)
+    pick = 1.0 - p
+    if p > 0.0:
+        # a vanished denominator drops the informed term
+        denom = y @ g
+        pick = pick + p * g[1:] / np.where(denom > TINY_DENOM, denom, np.inf)[..., None]
+    spare = par.mu * (par.gamma - y @ np.arange(k + 1))
+    rates = np.concatenate([n * lam * pick * held[..., 1:],
+                            n * spare[..., None] * held[..., :-1]], axis=-1)
+    step = np.eye(k + 1) / n
+    jumps = np.concatenate([step[:-1] - step[1:], step[1:] - step[:-1]])
+    moved = f(y[..., None, :] + jumps) - f(y)[..., None]
+    return np.sum(rates * moved, axis=-1)
 
 
 def forward_equation_residual(
@@ -349,21 +338,16 @@ def forward_equation_residual(
     # replica r is simulate(par_n, horizon, delta, child_seed(seed, r))
     samples, stats = _lockstep(par_n, horizon, _sample_grid(horizon, delta),
                                [child_seed(seed, r) for r in range(reps)])
-    diffs = np.empty(reps)
-    for r, ys in enumerate(samples):
-        if one_sided:
-            # third-order forward difference; the transient is steepest at
-            # the start, so lower-order stencils leave visible bias
-            lhs = (
-                -11 * f(ys[0]) + 18 * f(ys[1]) - 9 * f(ys[2]) + 2 * f(ys[3])
-            ) / (6 * delta)
-            state = ys[0]
-        else:
-            lhs = (f(ys[t_idx + 1]) - f(ys[t_idx - 1])) / (2 * delta)
-            state = ys[t_idx]
-        rhs = _generator_apply(f, state, par_n, t)
-        diffs[r] = lhs - rhs
-
+    if one_sided:
+        # third-order forward difference; the transient is steepest at the
+        # start, so lower-order stencils leave visible bias
+        f0, f1, f2, f3 = (f(samples[:, i]) for i in range(4))
+        lhs = (-11 * f0 + 18 * f1 - 9 * f2 + 2 * f3) / (6 * delta)
+        states = samples[:, 0]
+    else:
+        lhs = (f(samples[:, t_idx + 1]) - f(samples[:, t_idx - 1])) / (2 * delta)
+        states = samples[:, t_idx]
+    diffs = lhs - _generator_apply(f, states, par_n, t)
     mean_diff = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
     passed = abs(mean_diff) <= 3.0 * se

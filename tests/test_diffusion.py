@@ -8,6 +8,7 @@ from bss.simulator import NetworkState, empirical_measure, ensemble, round_robin
 from bss.diffusion import (
     STIFF_LIMIT,
     CovarianceState,
+    _covariance_operators,
     _packed_rhs,
     bracket_matrix,
     integrate_covariance,
@@ -142,12 +143,15 @@ def test_bracket_support_of_point_mass():
     assert a[3, 3] > 0.0
 
 
-@pytest.mark.parametrize("p", [0.0, 0.5])
-def test_bracket_matches_transition_sum(p):
+@pytest.mark.parametrize("p, k, gamma", [
+    pytest.param(p, k, gamma, id=f"{p}" if k == 6 else f"{p}-k{k}")
+    for k, gamma in ((6, 3.0), (1, 0.5)) for p in (0.0, 0.5, 1.0)])
+def test_bracket_matches_transition_sum(p, k, gamma):
     # sum over transitions of rate * (e_to - e_from)(e_to - e_from)^T, with
     # the rates written out from the model: pickups lam*((1-p) + p*g(n)/s)
-    # per station at n, dropoffs mu*(gamma - mean) per station below K
-    k, lam, gamma = 6, 1.3, 3.0
+    # per station at n, dropoffs mu*(gamma - mean) per station below K; at
+    # p=1 the uninformed block weight lam*(1-p) is zero
+    lam = 1.3
     par = make_params(capacity=k, gamma=gamma, p=p, arrival={"constant": lam})
     y = interior_point(np.random.default_rng(4), k + 1)
     g = np.exp(np.arange(k + 1.0))  # exponential choice, theta = 1
@@ -163,6 +167,47 @@ def test_bracket_matches_transition_sum(p):
             jump = eye[n + 1] - eye[n]
             want += spare * y[n] * np.outer(jump, jump)
     np.testing.assert_allclose(bracket_matrix(y, par), want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("caps", [(2, 4), (3, 7, 12)])
+def test_bracket_band_on_capacity_mix(caps):
+    # the cached bands over a mix's flattened (class, count) table: zero on
+    # dead cells (n > K_c) and across class boundaries, and on live cells
+    # the per-class sum over transitions for any block weights c
+    par = make_params(gamma=1.0, capacity={"values": list(caps),
+                                           "fractions": [1 / len(caps)] * len(caps)})
+    band, _, _ = _covariance_operators(par.capacity_values, par.choice)
+    width = caps[-1] + 1
+    dim = len(caps) * width
+    assert band.shape == (3 * (2 * dim - 1), dim)
+    live = (np.arange(width) <= np.array(caps)[:, None]).ravel()
+    assert np.all(band[:, ~live] == 0.0)
+    # a diagonal row is dead with its cell, a superdiagonal row (i, i+1)
+    # when either cell is dead or they lie in different classes
+    pair = live[:-1] & live[1:] & (np.arange(1, dim) % width != 0)
+    rows_live = np.concatenate([live, pair] * 3)
+    assert np.all(band[~rows_live] == 0.0)
+
+    rng = np.random.default_rng(8)
+    y = np.where(live, rng.uniform(0.1, 1.0, dim), 0.0)
+    y /= y.sum()
+    c = rng.uniform(0.2, 2.0, 3)
+    a = c @ (band @ y).reshape(3, -1)
+    got = np.diag(a[:dim]) + np.diag(a[dim:], 1) + np.diag(a[dim:], -1)
+    g = np.exp(np.arange(width, dtype=float))  # exponential choice, theta = 1
+    eye = np.eye(dim)
+    want = np.zeros((dim, dim))
+    for cls, k in enumerate(caps):
+        for n in range(k + 1):
+            cell = cls * width + n
+            if n > 0:
+                jump = eye[cell - 1] - eye[cell]
+                want += (c[0] + c[1] * g[n]) * y[cell] * np.outer(jump, jump)
+            if n < k:
+                jump = eye[cell + 1] - eye[cell]
+                want += c[2] * y[cell] * np.outer(jump, jump)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    assert np.all(got[~live] == 0.0) and np.all(got[:, ~live] == 0.0)
 
 
 def test_bracket_tridiagonal():

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from bss.model import ConvergenceError, ValidationError, validate_params
+from bss.model import (
+    ConvergenceError,
+    ValidationError,
+    arrival_rate,
+    choice_weights,
+    validate_params,
+)
 from bss.diffusion import integrate_covariance
 from bss.equilibrium import solve_equilibrium
 from bss.harness import (
@@ -17,8 +23,15 @@ from bss.harness import (
     sweep,
 )
 from bss.harness import _generator_apply, _parse_f_spec, _with_n
-from bss.meanfield import builtin_measure, integrate, integrate_hetero
-from bss.simulator import child_seed, ensemble, simulate
+from bss.meanfield import (
+    TINY_DENOM,
+    _informed_choice,
+    _sample_grid,
+    builtin_measure,
+    integrate,
+    integrate_hetero,
+)
+from bss.simulator import _lockstep, child_seed, ensemble, simulate
 
 
 def make_params(**overrides):
@@ -218,28 +231,86 @@ def test_forward_equation_coordinate_function():
     assert abs(rep.metrics["mean_residual"]) <= 3 * rep.metrics["standard_error"]
 
 
+def generator_apply_loop(f, y, par, t):
+    """The generator action on one measure, one transition at a time on a
+    copy of y: the oracle of the stacked _generator_apply."""
+    k = par.uniform_capacity
+    n = par.n_stations
+    g = choice_weights(_informed_choice(par), k)
+    lam = arrival_rate(par.arrival, t)
+    p = par.p
+    denom = float(g @ y)
+    total = 0.0
+    fy = f(y)
+    m1 = float(np.arange(k + 1) @ y)
+    spare = par.mu * (par.gamma - m1)
+    for i in range(1, k + 1):
+        if y[i] <= 0:
+            continue
+        c = (1.0 - p)
+        if p > 0.0 and denom > TINY_DENOM:
+            c += p * g[i] / denom
+        rate = n * lam * c * y[i]
+        shifted = y.copy()
+        shifted[i] -= 1.0 / n
+        shifted[i - 1] += 1.0 / n
+        total += rate * (f(shifted) - fy)
+    for i in range(0, k):
+        if y[i] <= 0:
+            continue
+        rate = n * spare * y[i]
+        shifted = y.copy()
+        shifted[i] -= 1.0 / n
+        shifted[i + 1] += 1.0 / n
+        total += rate * (f(shifted) - fy)
+    return total
+
+
+@pytest.mark.parametrize("cfg, f_spec", [
+    # the benchmark's forward shape, and an informed K=20 network
+    ({"n_stations": 100, "gamma": 1.5, "capacity": 3, "p": 0.5}, "coord@0"),
+    ({"n_stations": 100, "gamma": 1.5, "capacity": 3, "p": 0.5}, "square@2"),
+    ({"n_stations": 500, "gamma": 10.0, "capacity": 20, "p": 0.25,
+      "choice": {"kind": "exponential", "theta": 0.5}}, "coord@7"),
+    ({"n_stations": 500, "gamma": 10.0, "capacity": 20, "p": 0.25,
+      "choice": {"kind": "exponential", "theta": 0.5}}, "square@10"),
+])
+def test_stacked_generator_matches_transition_loop(cfg, f_spec):
+    par = make_params(**cfg)
+    dim = par.uniform_capacity + 1
+    f = _parse_f_spec(f_spec, dim)
+    samples, _ = _lockstep(par, 1.0, _sample_grid(1.0, 0.5),
+                           [child_seed(5, r) for r in range(400)])
+    states = samples[:, -1]
+    got = _generator_apply(f, states, par, 1.0)
+    want = np.array([generator_apply_loop(f, y, par, 1.0) for y in states])
+    assert got.shape == (400,)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def forward_by_simulate(par, n, f_spec, t, reps, seed, delta=0.25):
     """The forward-equation check as a loop over simulate, one run per
-    replica: the oracle the lockstep route must reproduce exactly."""
+    replica: the oracle the lockstep route must reproduce exactly. The
+    generator side acts on the replicas' stacked states, as the check's."""
     par_n = _with_n(par, n)
     f = _parse_f_spec(f_spec, par_n.uniform_capacity + 1)
     one_sided = t < delta
     t_idx = int(round(t / delta))
     horizon = (t_idx + 1) * delta if not one_sided else 3 * delta
-    diffs = np.empty(reps)
+    lhs, states = np.empty(reps), []
     events = 0
     for r in range(reps):
         traj = simulate(par_n, horizon, delta, child_seed(seed, r))
         events += traj.event_count
         ys = traj.y_series
         if one_sided:
-            lhs = (-11 * f(ys[0]) + 18 * f(ys[1]) - 9 * f(ys[2])
-                   + 2 * f(ys[3])) / (6 * delta)
-            state = ys[0]
+            lhs[r] = (-11 * f(ys[0]) + 18 * f(ys[1]) - 9 * f(ys[2])
+                      + 2 * f(ys[3])) / (6 * delta)
+            states.append(ys[0])
         else:
-            lhs = (f(ys[t_idx + 1]) - f(ys[t_idx - 1])) / (2 * delta)
-            state = ys[t_idx]
-        diffs[r] = lhs - _generator_apply(f, state, par_n, t)
+            lhs[r] = (f(ys[t_idx + 1]) - f(ys[t_idx - 1])) / (2 * delta)
+            states.append(ys[t_idx])
+    diffs = lhs - _generator_apply(f, np.array(states), par_n, t)
     mean_diff = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(reps))
     return mean_diff, se, abs(mean_diff) / se, events

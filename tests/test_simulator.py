@@ -794,7 +794,7 @@ LOCKSTEP_GOLDEN = {
     "ctmc_k3": (K3, (40, 0.5, 0.25), None, (100, "coord@0"),
                 "e54c025829ed5189d87a94dca1cae988a44b37c3889dd27aabdf6c560e79f7fe",
                 (1216, 45242, 0, 0, 0),
-                "42d85f981705b89681814a93aa13b3344057afd760c1e8c44795c9eb99833f1a",
+                "9ec13d41654e4c985315eab19ed12d3f4ae4d1d4d7592f2481d8ff412c62b3d5",
                 (181, 4615)),
     "k1": ({"capacity": 1, "gamma": 0.5}, (20, 2.0, 0.5), None, (50, "coord@0"),
            "aaa7bf6c915ec8420c848a4c073ec12121e8d03126bb2cf6127742ec83c6c859",
@@ -805,7 +805,7 @@ LOCKSTEP_GOLDEN = {
                    (20, 1.0, 0.25), None, (50, "coord@10"),
                    "761028e7694eb42862a3a89959ad8ccee9ee73e0e4844ed95a854a766456f43a",
                    (89, 1358, 0, 0, 0),
-                   "20e20d6b5f4df9bcbe1976d85cccd99ede55b9c251149496d1e9ed6ad32b379f",
+                   "ebb50a10dbaf235ccb88f540e9c48e29bdef0b63ee21d486b12e72ef5cf81315",
                    (108, 2659)),
     "fourier": ({"arrival": FOURIER_RATE}, (20, 2.0, 0.5), None, (50, "coord@0"),
                 "09c6b65e8c6cd71da07b180410a99b5e357bf5af6d3fb755d6c8c28585f9a954",
