@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -445,6 +446,7 @@ def _cmd_gbfs_hist(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@cache  # once per process: parse_args leaves the parser as it found it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bss", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)

@@ -114,31 +114,34 @@ def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
     a_main, a_sup, a_sub = a[: 2 * dim - 1], a[dim : 2 * dim - 1], a[2 * dim - 1 :]
     c_rank = np.zeros(())  # a 0-d array, which numpy multiplies by faster
     informed = params.p > 0.0
+    # bound products and views made once; a bound dot skips numpy's dispatch
+    weigh, at_band = kern.weigh, band.dot
+    rank_into, j_into, j_flat, row_g = cols.dot, j.dot, j.reshape(-1), rows[0]
 
     def rhs_into(lam, x, out):
         y = x[:dim]
-        _drift_into(y, kern, lam, out[:dim])
+        _drift_into(kern, lam, y, out[:dim])
         if informed and not (z[-2] > TINY_DENOM):
             raise ValidationError(
                 "choice denominator vanished; interior measure required"
             )
-        np.dot(coef, ops, j.reshape(-1))
+        weigh(ops, j_flat)
         c_rank[()] = coef[1] / z[-2]
-        np.multiply(g, c_rank, rows[0])
-        np.matmul(cols, rows, rank1)
+        np.multiply(g, c_rank, row_g)
+        rank_into(rows, rank1)
         np.subtract(j, rank1, j)
-        np.matmul(j, x[dim:].reshape(dim, dim), jsig)
+        j_into(x[dim:].reshape(dim, dim), jsig)
         np.add(jsig, jsig.T, out[dim:].reshape(dim, dim))
         if zero_bracket:
             return
-        np.dot(band, y, flat_bands)
-        np.dot(coef, bands, a_main)
+        at_band(y, flat_bands)
+        weigh(bands, a_main)
         np.copyto(a_sub, a_sup)
         out[at] += a
 
     def guard(dt):
         absj = np.abs(j, jsig)
-        bound = min(max(np.dot(ones, absj).tolist()), max(np.dot(absj, ones).tolist()))
+        bound = min(max(ones.dot(absj).tolist()), max(absj.dot(ones).tolist()))
         return 2.0 * dt * bound > STIFF_LIMIT
 
     return rhs_into, j, guard

@@ -261,8 +261,8 @@ def interchange_experiment(
 
 
 def _parse_f_spec(f_spec: str, dim: int):
-    """Test functions on measures, acting on the last axis of a stack of
-    them: coord@j is y_j, square@j is y_j^2."""
+    """The test function f(y) = phi(y_j) on measures, as (j, phi) with phi
+    elementwise: coord@j is y_j, square@j is y_j^2."""
     try:
         kind, _, idx = f_spec.partition("@")
         j = int(idx)
@@ -270,14 +270,14 @@ def _parse_f_spec(f_spec: str, dim: int):
         raise ValidationError(f"bad f_spec {f_spec!r}; use coord@j or square@j") from None
     if kind not in ("coord", "square") or not (0 <= j < dim):
         raise ValidationError(f"bad f_spec {f_spec!r}; use coord@j or square@j")
-    if kind == "coord":
-        return lambda y: y[..., j]
-    return lambda y: y[..., j] ** 2
+    return j, ((lambda v: v) if kind == "coord" else (lambda v: v ** 2))
 
 
-def _generator_apply(f, y: np.ndarray, par: SystemParams, t: float) -> np.ndarray:
-    """Exact generator action sum_e rate(e) (f(y + jump_e) - f(y)) on a stack
-    of measures y, shape (..., K+1); returns shape y.shape[:-1].
+def _generator_apply(j, phi, y: np.ndarray, par: SystemParams, t: float) -> np.ndarray:
+    """Exact generator action sum_e rate(e) (f(y + jump_e) - f(y)) of
+    f(y) = phi(y_j) on a stack of measures y, shape (..., K+1); returns
+    shape y.shape[:-1]. f reads y_j alone, so its change on each jump is
+    phi(y_j + jump_e[j]) - phi(y_j), linear in K per measure.
 
     Rates are rebuilt here from the transition definitions rather than from
     the drift code, so the forward-equation check compares two independent
@@ -298,7 +298,8 @@ def _generator_apply(f, y: np.ndarray, par: SystemParams, t: float) -> np.ndarra
                             n * spare[..., None] * held[..., :-1]], axis=-1)
     step = np.eye(k + 1) / n
     jumps = np.concatenate([step[:-1] - step[1:], step[1:] - step[:-1]])
-    moved = f(y[..., None, :] + jumps) - f(y)[..., None]
+    y_j = y[..., j, None]
+    moved = phi(y_j + jumps[:, j]) - phi(y_j)
     return np.sum(rates * moved, axis=-1)
 
 
@@ -322,7 +323,7 @@ def forward_equation_residual(
         raise ValidationError("forward-equation check needs a uniform capacity")
     par_n = _with_n(params, n)
     dim = par_n.uniform_capacity + 1
-    f = _parse_f_spec(f_spec, dim)
+    j, phi = _parse_f_spec(f_spec, dim)
     if not (0 < delta < math.inf):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
     if t < 0:
@@ -341,13 +342,14 @@ def forward_equation_residual(
     if one_sided:
         # third-order forward difference; the transient is steepest at the
         # start, so lower-order stencils leave visible bias
-        f0, f1, f2, f3 = (f(samples[:, i]) for i in range(4))
+        f0, f1, f2, f3 = (phi(samples[:, i, j]) for i in range(4))
         lhs = (-11 * f0 + 18 * f1 - 9 * f2 + 2 * f3) / (6 * delta)
         states = samples[:, 0]
     else:
-        lhs = (f(samples[:, t_idx + 1]) - f(samples[:, t_idx - 1])) / (2 * delta)
+        lhs = (phi(samples[:, t_idx + 1, j])
+               - phi(samples[:, t_idx - 1, j])) / (2 * delta)
         states = samples[:, t_idx]
-    diffs = lhs - _generator_apply(f, states, par_n, t)
+    diffs = lhs - _generator_apply(j, phi, states, par_n, t)
     mean_diff = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(reps)) if reps > 1 else math.inf
     passed = abs(mean_diff) <= 3.0 * se

@@ -14,19 +14,20 @@ come.
 
 Every drift evaluation runs one kernel over the flattened table: the shift
 operators of each (capacities, choice) pair are cached (_operators), and
-_drift_into weights them in two BLAS calls; the diffusion layer builds the
-Jacobian and the jump bracket from the same operators. One buffered RK4
-stepper, _rk4_buffered, integrates any flat state that starts with a
-measure: integrate runs it over _drift_into, and the diffusion layer runs
-the packed mean and covariance system on it. The tests keep an allocating
-RK4 stepper over drift, whose stage sum is the same one product, as its
-bitwise oracle.
+_drift_into weights them in two bound BLAS calls; the diffusion layer
+builds the Jacobian and the jump bracket from the same operators. One
+buffered RK4 stepper, _rk4_buffered, integrates any flat state that starts
+with a measure, setting its weights once per step size and reading a
+constant rate once: integrate runs it over _drift_into, the traced
+per-stage hook, and the diffusion layer runs the packed mean and covariance
+system on it. The tests keep an allocating RK4 stepper and a copy of the
+kernel's arithmetic as bitwise oracles.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -103,31 +104,33 @@ def _informed_choice(params: SystemParams) -> ChoiceSpec:
 
 
 class _Kernel:
-    """A caller's operator stack and rates, with scratch for z = M y and the
-    block weights (lam(1-p), lam p/s, a)."""
+    """A caller's operator stack and rates, scratch for z = M y and the block
+    weights (lam(1-p), lam p/s, a), and both products bound once."""
 
-    __slots__ = ("stack", "p", "mu", "gamma", "z", "blocks", "coef")
+    __slots__ = ("stack", "p", "mu", "gamma", "z", "blocks", "tail", "coef",
+                 "apply", "weigh")
 
     def __init__(self, params: SystemParams):
         self.stack = _operators(params.capacity_values, _informed_choice(params))
         self.p, self.mu, self.gamma = params.p, params.mu, params.gamma
         self.z = np.empty(self.stack.shape[0])
-        self.blocks = self.z[:-2].reshape(3, -1)
+        self.blocks, self.tail = self.z[:-2].reshape(3, -1), self.z[-2:]
         self.coef = np.empty(3)
+        self.apply, self.weigh = self.stack.dot, self.coef.dot
 
 
-def _drift_into(y, kern: _Kernel, lam, out):
+def _drift_into(kern: _Kernel, lam, y, out):
     """Drift b(y) on the flattened table, written into out: two BLAS calls.
 
-    A choice normaliser at or below TINY_DENOM drops the informed term.
+    A choice normaliser s at or below TINY_DENOM drops the informed term.
     """
-    z, coef, p = kern.z, kern.coef, kern.p
-    np.dot(kern.stack, y, z)
-    s = z[-2]
+    coef, p = kern.coef, kern.p
+    kern.apply(y, kern.z)
+    s, m = kern.tail.tolist()
     coef[0] = lam * (1.0 - p)
     coef[1] = lam * p / s if p > 0.0 and s > TINY_DENOM else 0.0
-    coef[2] = kern.mu * (kern.gamma - z[-1])
-    return np.dot(coef, kern.blocks, out)
+    coef[2] = kern.mu * (kern.gamma - m)
+    return kern.weigh(kern.blocks, out)
 
 
 def _as_measure(y, params: SystemParams) -> np.ndarray:
@@ -153,7 +156,7 @@ def drift(y, params: SystemParams, t: float = 0.0) -> np.ndarray:
     denominator drops the informed term.
     """
     y = _as_measure(y, params)
-    b = _drift_into(y.ravel(), _Kernel(params), arrival_rate(params.arrival, t),
+    b = _drift_into(_Kernel(params), arrival_rate(params.arrival, t), y.ravel(),
                     np.empty(y.size))
     return b.reshape(y.shape)
 
@@ -198,12 +201,12 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
     z0 is a flat state whose first dim entries (all by default) are a
     measure; rhs_into(lam, x, out) writes dx/dt at arrival rate lam into out.
     The stage sum is one product, z + dot((1, 2, 2, 1) dt/6, k1..k4), as in
-    the tests' oracle, an allocating stepper over drift or drift_hetero, so
-    the measure matches it bit for bit. lam is read once per stage time, and
-    once in all for a constant rate. A step whose measure dips below -1e-9,
-    or whose guard(dt) is True after the first stage, is redone as two half
-    steps; an accepted measure off unit mass by more than 1e-12 is
-    renormalized.
+    the tests' oracle, so the measure matches it bit for bit; the weights
+    are set only when dt changes (a new grid interval or a halving). lam is
+    read once per stage time, and a constant rate once in all. A step whose
+    measure dips below -1e-9, or whose guard(dt) is True after the first
+    stage, is redone as two half steps; an accepted measure off unit mass by
+    more than 1e-12 is renormalized.
 
     Under a constant rate a step is a fixed map of (z, dt). Once a step
     returns its input bytes, or those of two steps back (a last-bit
@@ -218,7 +221,7 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
     k1, k2, k3, k4 = stages = np.empty((4, size))
     ys, acc = np.empty(size), np.empty(size)
     rate, autonomous = arrival.rate, arrival.is_constant
-    lam = (lambda t: rate) if autonomous else arrival.fourier.at
+    lam = None if autonomous else arrival.fourier.at
     count = dict.fromkeys(("steps", "halvings", "stiff_halvings", "renormalized",
                            "fixed_point_exits", "cycle_exits"), 0)
     count["renormalized_mass"] = 0.0
@@ -238,23 +241,26 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
     # the step's scalars as 0-d arrays, which numpy multiplies by faster,
     # and the RK4 weights (1, 2, 2, 1) dt/6, whose doubling is exact
     c_half, c_dt, weights = np.zeros(()), np.zeros(()), np.empty(4)
-    add, mul, dot = np.add, np.multiply, np.dot
+    add, mul, weigh = np.add, np.multiply, weights.dot
+    set_dt = math.nan
 
     def accept(t, y, dt, out):
         # one accepted RK4 step from y into out (not y); each out goes
         # positionally, which numpy parses faster than out=
-        half = 0.5 * dt
-        rhs_into(lam(t), y, k1)
+        nonlocal set_dt
+        rhs_into(rate if autonomous else lam(t), y, k1)
         if guard is not None and guard(dt):
             return halve(t, y, dt, out, "stiff_halvings")
-        c_half[()], c_dt[()], sixth = half, dt, dt / 6.0
-        weights[0] = weights[3] = sixth
-        weights[1] = weights[2] = sixth + sixth
-        mid = lam(t + half)
+        if dt != set_dt:
+            c_half[()], c_dt[()], sixth = 0.5 * dt, dt, dt / 6.0
+            weights[0] = weights[3] = sixth
+            weights[1] = weights[2] = sixth + sixth
+            set_dt = dt
+        mid, end = (rate, rate) if autonomous else (lam(t + 0.5 * dt), lam(t + dt))
         rhs_into(mid, add(mul(k1, c_half, ys), y, ys), k2)
         rhs_into(mid, add(mul(k2, c_half, ys), y, ys), k3)
-        rhs_into(lam(t + dt), add(mul(k3, c_dt, ys), y, ys), k4)
-        add(dot(weights, stages, out), y, out)
+        rhs_into(end, add(mul(k3, c_dt, ys), y, ys), k4)
+        add(weigh(stages, out), y, out)
         head = out if whole else out[:dim]
         vals = head.tolist()
         # Python's min and sum are the cheap tests; numpy's decide
@@ -301,8 +307,8 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
 
 
 def _mean_rhs(params: SystemParams):
-    kern = _Kernel(params)
-    return lambda lam, x, out: _drift_into(x, kern, lam, out)
+    # reads the module global per integration, so a swapped-in wrapper counts
+    return partial(_drift_into, _Kernel(params))
 
 
 def integrate(

@@ -110,6 +110,36 @@ def test_convergence_error_exits_two(base_cfg, tmp_path, monkeypatch, capsys):
     assert "settle" in capsys.readouterr().err
 
 
+def test_repeated_main_writes_identical_csvs(base_cfg, tmp_path):
+    # main builds its parser once per process; a flag given in one call
+    # must not carry into the next
+    argvs = [
+        ["equilibrium", "--config", base_cfg],
+        ["meanfield", "--config", base_cfg, "--horizon", "0.5", "--sample-dt", "0.1"],
+        ["simulate", "--config", base_cfg, "--horizon", "2", "--seed", "3"],
+        ["simulate", "--config", base_cfg, "--horizon", "2"],
+    ]
+    for k, argv in enumerate(argvs):
+        runs = [tmp_path / f"{k}-{i}.csv" for i in range(2)]
+        for out in runs:
+            assert main(argv + ["--out", str(out)]) == 0
+        assert runs[0].read_bytes() == runs[1].read_bytes()
+    seeded = tmp_path / "seed0.csv"
+    assert main(argvs[-1] + ["--seed", "0", "--out", str(seeded)]) == 0
+    assert seeded.read_bytes() == (tmp_path / "3-0.csv").read_bytes()
+    assert seeded.read_bytes() != (tmp_path / "2-0.csv").read_bytes()
+
+
+def test_usage_error_after_good_call_exits_one(base_cfg, tmp_path, capsys):
+    out = str(tmp_path / "eq.csv")
+    assert main(["equilibrium", "--config", base_cfg, "--out", out]) == 0
+    assert main(["equilibrium", "--config", base_cfg]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert main(["meanfield", "--config", base_cfg, "--bogus", "1", "--out", out]) == 1
+    assert main([]) == 1
+    assert main(["equilibrium", "--config", base_cfg, "--out", out]) == 0
+
+
 # ---------------------------------------------------------------- equilibrium
 
 def test_equilibrium_csv_and_manifest(base_cfg, tmp_path):

@@ -274,17 +274,22 @@ def generator_apply_loop(f, y, par, t):
       "choice": {"kind": "exponential", "theta": 0.5}}, "coord@7"),
     ({"n_stations": 500, "gamma": 10.0, "capacity": 20, "p": 0.25,
       "choice": {"kind": "exponential", "theta": 0.5}}, "square@10"),
+    # K=20 at both ends of the count axis, which one jump direction misses,
+    # with fleets that keep those ends occupied
+    ({"n_stations": 200, "gamma": 19.0, "capacity": 20, "p": 0.5}, "coord@20"),
+    ({"n_stations": 200, "gamma": 1.0, "capacity": 20, "p": 0.5}, "square@0"),
 ])
 def test_stacked_generator_matches_transition_loop(cfg, f_spec):
     par = make_params(**cfg)
     dim = par.uniform_capacity + 1
-    f = _parse_f_spec(f_spec, dim)
+    j, phi = _parse_f_spec(f_spec, dim)
     samples, _ = _lockstep(par, 1.0, _sample_grid(1.0, 0.5),
                            [child_seed(5, r) for r in range(400)])
     states = samples[:, -1]
-    got = _generator_apply(f, states, par, 1.0)
-    want = np.array([generator_apply_loop(f, y, par, 1.0) for y in states])
-    assert got.shape == (400,)
+    got = _generator_apply(j, phi, states, par, 1.0)
+    want = np.array([generator_apply_loop(lambda v: phi(v[j]), y, par, 1.0)
+                     for y in states])
+    assert got.shape == (400,) and np.count_nonzero(want) > 0
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -293,7 +298,11 @@ def forward_by_simulate(par, n, f_spec, t, reps, seed, delta=0.25):
     replica: the oracle the lockstep route must reproduce exactly. The
     generator side acts on the replicas' stacked states, as the check's."""
     par_n = _with_n(par, n)
-    f = _parse_f_spec(f_spec, par_n.uniform_capacity + 1)
+    j, phi = _parse_f_spec(f_spec, par_n.uniform_capacity + 1)
+
+    def f(y):
+        return phi(y[j])
+
     one_sided = t < delta
     t_idx = int(round(t / delta))
     horizon = (t_idx + 1) * delta if not one_sided else 3 * delta
@@ -310,7 +319,7 @@ def forward_by_simulate(par, n, f_spec, t, reps, seed, delta=0.25):
         else:
             lhs[r] = (f(ys[t_idx + 1]) - f(ys[t_idx - 1])) / (2 * delta)
             states.append(ys[t_idx])
-    diffs = lhs - _generator_apply(f, np.array(states), par_n, t)
+    diffs = lhs - _generator_apply(j, phi, np.array(states), par_n, t)
     mean_diff = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(reps))
     return mean_diff, se, abs(mean_diff) / se, events

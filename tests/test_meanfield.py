@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bss import meanfield
-from bss.model import ArrivalModel, ConvergenceError, ValidationError, validate_params
+from bss.model import (ArrivalModel, ConvergenceError, ValidationError, arrival_rate,
+                       validate_params)
 from bss.meanfield import (
     builtin_measure,
     drift,
@@ -65,6 +66,28 @@ def _rk4_path(fun, y0: np.ndarray, t_grid: np.ndarray, h: float) -> np.ndarray:
             t += dt
         out[i + 1] = y
     return out
+
+
+# The drift kernel's arithmetic written out on its own, with two np.dot
+# calls and numpy-scalar weights. The RK4 stepper over drift runs
+# _drift_into itself, so only this copy sees a change of bits inside the
+# kernel.
+
+def _drift_into_oracle(y, kern, lam, out):
+    z, coef, p = kern.z, kern.coef, kern.p
+    np.dot(kern.stack, y, z)
+    s = z[-2]
+    coef[0] = lam * (1.0 - p)
+    coef[1] = lam * p / s if p > 0.0 and s > meanfield.TINY_DENOM else 0.0
+    coef[2] = kern.mu * (kern.gamma - z[-1])
+    return np.dot(coef, kern.blocks, out)
+
+
+def _oracle_drift(params):
+    """fun(t, y) on the flat table for _rk4_path, over _drift_into_oracle."""
+    kern = meanfield._Kernel(params)
+    return lambda t, y: _drift_into_oracle(y, kern, arrival_rate(params.arrival, t),
+                                           np.empty(y.size))
 
 
 def make_params(**overrides):
@@ -332,6 +355,47 @@ class TestIntegrate:
         assert np.array_equal(fast, slow)
         # the name the benchmark calls is the same integration
         assert integrate_hetero(ym0, params, grid, h=0.01).tobytes() == fast.tobytes()
+
+    @pytest.mark.parametrize("case", ["p0", "informed", "mix", "fourier"])
+    def test_kernel_matches_oracle_kernel_bitwise(self, case):
+        # the benchmark's ode configs at T=2: integrate against the RK4
+        # oracle over the copied kernel, which no change to _drift_into moves
+        half = {"kind": "exponential", "theta": 0.5}
+        overrides = {
+            "p0": {"n_stations": 500, "p": 0.0},
+            "informed": {"n_stations": 500, "p": 0.25, "choice": half},
+            "mix": {"n_stations": 500, "gamma": 7.5, "choice": half,
+                    "capacity": {"values": [10, 20], "fractions": [0.5, 0.5]}},
+            "fourier": {"n_stations": 500, "choice": half, "arrival": {"fourier": {
+                "intercept": 1.0, "sin": [0.5, 0.2], "cos": [0.3, 0.0], "period": 24.0}}},
+        }[case]
+        params = make_params(**overrides)
+        y0 = builtin_measure(params, "uniform")
+        grid = np.linspace(0.0, 2.0, 5)
+        fast = integrate(y0, params, grid, h=0.01)
+        slow = _rk4_path(_oracle_drift(params), y0.ravel(), grid, 0.01)
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_oracle_kernel_agrees_through_dt_changes(self):
+        # the stepper sets its RK4 weights only when dt changes: on step
+        # halvings, and on a grid of uneven intervals under a Fourier rate
+        params = make_params(choice={"kind": "exponential", "theta": 1.2})
+        y0 = builtin_measure(params, "uniform")
+        grid = np.array([0.0, 1.0, 2.0])
+        stats = {}
+        fast = integrate(y0, params, grid, h=0.01, stats=stats)
+        assert stats["halvings"] > 0
+        slow = _rk4_path(_oracle_drift(params), y0, grid, 0.01)
+        assert fast.tobytes() == slow.tobytes()
+
+        params = make_params(
+            choice={"kind": "exponential", "theta": 0.5},
+            arrival={"fourier": {"intercept": 1.0, "sin": [0.5, 0.2], "cos": [0.3, 0.0]}})
+        # every interval has its own dt: 0.013/2, 0.487/49, 0.0071, ...
+        grid = np.array([0.0, 0.013, 0.5, 0.5071, 2.0, 3.33])
+        fast = integrate(y0, params, grid, h=0.01)
+        slow = _rk4_path(_oracle_drift(params), y0, grid, 0.01)
+        assert fast.tobytes() == slow.tobytes()
 
     def test_buffered_route_exact_past_fixed_point(self):
         # the buffered route stops an interval's stepping once a step returns
