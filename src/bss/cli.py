@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from functools import cache
@@ -130,17 +129,6 @@ def _load_params(path: str) -> SystemParams:
     return validate_params(raw)
 
 
-def _resolve_threads(args) -> int:
-    t = getattr(args, "threads", None)
-    if t is None:
-        env = os.environ.get("BSS_THREADS")
-        t = int(env) if env else (os.cpu_count() or 1)
-    t = int(t)
-    if t < 1:
-        raise ValidationError(f"threads must be >= 1, got {t}")
-    return t
-
-
 def _manifest(
     out: str, subcommand: str, config, seed, outputs, started: float, details=None
 ) -> str:
@@ -229,17 +217,25 @@ def _cmd_diffusion(args) -> int:
     par = _load_params(args.config)
     grid = _sample_grid(args.horizon, args.sample_dt)
     y0 = np.asarray(_parse_y0(par, args.y0), dtype=float)
-    dim = par.uniform_capacity + 1
     stats: dict = {}
-    states = integrate_covariance(y0, np.zeros((dim, dim)), par, grid, h=args.step,
-                                  stats=stats)
-    n_t = len(states)
+    states = integrate_covariance(y0, np.zeros((y0.size, y0.size)), par, grid,
+                                  h=args.step, stats=stats)
+    caps = par.capacity_values
+    sigma = np.array([state.sigma for state in states])
+    # the ratio covariance P Sigma P^T, P the table projection (the identity
+    # on one class), as meanfield writes r: each pass projects the last axis
+    # and swaps it inward; they add in another order, so symmetrize as Sigma
+    for _ in range(2):
+        sigma = ratio_projection(sigma.reshape(*sigma.shape[:2], len(caps), -1),
+                                 caps).swapaxes(1, 2)
+    sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
+    n_t, dim = sigma.shape[:2]
     _write_csv(
         args.out, ("t", "i", "j", "sigma_ij"),
         np.repeat([state.t for state in states], dim * dim),
         np.tile(np.repeat(np.arange(dim), dim), n_t),
         np.tile(np.arange(dim), n_t * dim),
-        np.array([state.sigma for state in states]).ravel(),
+        sigma.ravel(),
     )
     _manifest(
         args.out, "diffusion", par.to_config(), None, [args.out], started,
@@ -330,8 +326,9 @@ def _cmd_sweep(args) -> int:
     par = _load_params(args.config)
     x_values, y_values = _parse_grid_spec(args.grid, args.plane)
     # a node solve holds the interpreter lock almost throughout, so threads
-    # only added overhead; the thread count is still validated and recorded
-    threads = _resolve_threads(args)
+    # only added overhead; the thread count given is validated and recorded
+    if args.threads is not None and args.threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {args.threads}")
     rows = sweep(args.plane, x_values, y_values, par)
     header = ("x", "y", "ybar0", "ybar1", "ybarKm1", "ybarK", "entropy",
               "converged")
@@ -339,7 +336,7 @@ def _cmd_sweep(args) -> int:
     failed = sum(1 for row in rows if row["converged"] == 0)
     _manifest(
         args.out, "sweep", par.to_config(), None, [args.out], started,
-        details={"plane": args.plane, "grid": args.grid, "threads": threads,
+        details={"plane": args.plane, "grid": args.grid, "threads": args.threads,
                  "nodes": len(rows), "failed_nodes": failed},
     )
     return 0
@@ -494,8 +491,7 @@ def _build_parser() -> _Parser:
                    help="e.g. 'p=0:1:0.05,theta=0:2:0.1' (endpoints inclusive)")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=None,
-                   help="recorded in the manifest; the sweep runs serially "
-                        "(default: BSS_THREADS or cores)")
+                   help="recorded in the manifest; the sweep runs serially")
     p.add_argument("--out", required=True)
 
     p = add("verify", _cmd_verify, "run one verification experiment")

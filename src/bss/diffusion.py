@@ -14,9 +14,12 @@ system [y; Sigma] runs on the mean field's one RK4 stepper; its right-hand
 side writes into buffers made once per integration, and a stiffness guard
 halves every step that would leave RK4's stability interval for Sigma.
 
-The matrices cover a uniform capacity; a capacity mix needs the joint
-Sigma over the (class, count) table, whose ratio covariance is P Sigma P^T
-with P the table projection meanfield.ratio_projection.
+J, A and Sigma are L x L over the flattened (class, count) table, a
+uniform capacity being its one-class case. J and A are exact zeros in the
+rows and columns of cells above a class's capacity, so Sigma from a zero
+start is too, and it stays null along each class's indicator. A capacity
+mix's ratio covariance is P Sigma P^T, with P the table projection
+meanfield.ratio_projection.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ChoiceSpec, SystemParams, ValidationError, arrival_rate
-from .meanfield import (TINY_DENOM, _check_start, _drift_into, _informed_choice,
-                        _Kernel, _operators, _rk4_buffered)
+from .meanfield import (TINY_DENOM, _as_measure, _check_start, _drift_into,
+                        _informed_choice, _Kernel, _operators, _rk4_buffered)
 
 __all__ = [
     "CovarianceState",
@@ -49,12 +52,6 @@ class CovarianceState:
 
 # RK4's stability interval on the negative real axis is about [-2.785, 0]
 STIFF_LIMIT = 2.78
-
-
-def _require_uniform(params: SystemParams) -> int:
-    if not params.is_uniform:
-        raise ValidationError("fluctuation matrices need a uniform capacity")
-    return params.uniform_capacity
 
 
 @lru_cache(maxsize=128)
@@ -97,7 +94,6 @@ def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
     times the spectral radius of Sigma -> J Sigma + Sigma J^T, leaves RK4's
     stability interval.
     """
-    _require_uniform(params)
     kern = _Kernel(params)
     dim = kern.stack.shape[1]
     stack, coef, z = kern.stack, kern.coef, kern.z
@@ -149,17 +145,18 @@ def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
 
 def _linearized(y, params: SystemParams, t: float):
     """J and A at y: the packed right-hand side at Sigma = 0 holds A."""
-    dim = _require_uniform(params) + 1
     rhs_into, j, _ = _packed_rhs(params)
+    dim = len(j)
     x = np.zeros(dim + dim * dim)
-    x[:dim] = y
+    x[:dim] = _as_measure(y, params).ravel()
     out = np.empty_like(x)
     rhs_into(arrival_rate(params.arrival, t), x, out)
     return j, out[dim:].reshape(dim, dim)
 
 
 def jacobian(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
-    """Drift Jacobian J[n, i] = d b_n / d y_i, assembled in closed form.
+    """Drift Jacobian J[n, i] = d b_n / d y_i over the flattened table of
+    y (see meanfield._as_measure), L x L, assembled in closed form.
 
     The drift b = lam(1-p) Dy + (lam p/s) DGy + a Uy is linear in y apart
     from a = mu(gamma - n.y) and s = g.y, so J is the three shift operators
@@ -170,7 +167,8 @@ def jacobian(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
 
 
 def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
-    """Instantaneous covariance rate of the scaled fluctuations.
+    """Instantaneous covariance rate of the scaled fluctuations, L x L over
+    the flattened table of y.
 
     Each pickup at a station holding n bikes moves empirical mass n -> n-1,
     each dropoff n -> n+1; the bracket is the sum of rate * (e_to - e_from)
@@ -197,15 +195,13 @@ def integrate_covariance(
     unless the stiffness guard of _packed_rhs halves steps (stiff_halvings
     in stats, as in meanfield.integrate). zero_bracket drops the A(y) source
     term: pure transport, a should-fail control next to Monte-Carlo
-    covariance estimates.
+    covariance estimates. Each y comes in the shape of y0, a measure as
+    integrate takes it; sigma0 and each sigma are L x L over its table.
     """
-    k = _require_uniform(params)
-    dim = k + 1
-    y0 = np.asarray(y0, dtype=float)
-    sigma0 = np.asarray(sigma0, dtype=float)
-    if y0.shape != (dim,):
-        raise ValidationError(f"y0 must have length {dim}")
+    y0 = _as_measure(y0, params)
     _check_start(y0, params)
+    dim = y0.size
+    sigma0 = np.asarray(sigma0, dtype=float)
     if sigma0.shape != (dim, dim):
         raise ValidationError(f"sigma0 must be {dim}x{dim}")
     if not (np.abs(sigma0 - sigma0.T).max() <= 1e-10):
@@ -213,11 +209,12 @@ def integrate_covariance(
     # with Sigma exactly symmetric, Sigma J^T is the transpose of J Sigma
     sigma0 = 0.5 * (sigma0 + sigma0.T)
     rhs_into, _, guard = _packed_rhs(params, zero_bracket)
-    z0 = np.concatenate([y0, sigma0.ravel()])
+    z0 = np.concatenate([y0.ravel(), sigma0.ravel()])
     path = _rk4_buffered(rhs_into, z0, params.arrival, t_grid, h, dim=dim,
                          guard=guard, stats=stats)
     states = []
     for row, t in zip(path, np.asarray(t_grid, dtype=float)):
         sig = row[dim:].reshape(dim, dim)
-        states.append(CovarianceState(sigma=0.5 * (sig + sig.T), t=float(t), y=row[:dim]))
+        states.append(CovarianceState(sigma=0.5 * (sig + sig.T), t=float(t),
+                                      y=row[:dim].reshape(y0.shape)))
     return states

@@ -21,7 +21,8 @@ from .model import (
     arrival_rate,
     choice_weights,
 )
-from .meanfield import TINY_DENOM, _informed_choice, _sample_grid, integrate
+from .meanfield import (TINY_DENOM, _informed_choice, _sample_grid, integrate,
+                        ratio_projection)
 from .diffusion import integrate_covariance
 from .equilibrium import entropy, solve_equilibrium
 from .simulator import (
@@ -112,7 +113,9 @@ def flln_experiment(
     seed: int,
     sample_dt: float = 0.25,
 ) -> ExperimentReport:
-    """Mean sup-norm error of Y^N against the mean-field path, per N.
+    """Mean sup-norm error of the ratio process R^N against the ratio image
+    of the mean-field path, per N; on a uniform capacity both are the
+    empirical measure and its path.
 
     The error should shrink like 1/sqrt(N); the check is that each
     consecutive error ratio falls within a factor 2 of sqrt(N ratio).
@@ -124,8 +127,7 @@ def flln_experiment(
         raise ValidationError("n_list must be non-decreasing")
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    if not params.is_uniform:
-        raise ValidationError("flln experiment needs a uniform capacity")
+    caps = params.capacity_values
     errors = []
     counter = 0
     for n in n_list:
@@ -134,11 +136,12 @@ def flln_experiment(
         y0 = empirical_measure(init)
         grid = _sample_grid(horizon, sample_dt)
         path = integrate(y0, par_n, grid)
+        r_path = ratio_projection(path.reshape(len(grid), len(caps), -1), caps)
         sups = []
         for _ in range(reps):
             traj = simulate(par_n, horizon, sample_dt, child_seed(seed, counter))
             counter += 1
-            sups.append(float(np.abs(traj.y_series - path).max()))
+            sups.append(float(np.abs(traj.r_series - r_path).max()))
         errors.append(float(np.mean(sups)))
 
     ratios = []
@@ -178,24 +181,21 @@ def fclt_experiment(
     seed: int,
     zero_bracket: bool = False,
 ) -> ExperimentReport:
-    """Sample covariance of sqrt(N)(Y^N - y) against the fluctuation ODE.
+    """Sample covariance of sqrt(N)(Y^N - y) against the fluctuation ODE,
+    both over the flattened (class, count) table.
 
     Passes when the relative Frobenius error is at most 15% and the scaled
     mean is within 3 standard errors of zero componentwise. zero_bracket
     integrates the covariance without its source term; that control must
     fail, guarding against a vacuous comparison.
     """
-    if not params.is_uniform:
-        raise ValidationError("fclt experiment needs a uniform capacity")
     par_n = _with_n(params, n)
     init = round_robin_state(par_n)
     y0 = empirical_measure(init)
-    dim = par_n.uniform_capacity + 1
 
-    states = integrate_covariance(
-        y0, np.zeros((dim, dim)), par_n, [0.0, t_check], zero_bracket=zero_bracket
-    )
-    sigma, ymf = states[-1].sigma, states[-1].y
+    states = integrate_covariance(y0, np.zeros((y0.size,) * 2), par_n, [0.0, t_check],
+                                  zero_bracket=zero_bracket)
+    sigma, ymf = states[-1].sigma, states[-1].y.ravel()
 
     res = ensemble(par_n, reps, horizon=t_check, sample_dt=t_check, seed=seed,
                    initial=init)
@@ -448,17 +448,15 @@ def nonstationary_run(
 ):
     """Mean-field frames for a time-varying arrival model.
 
-    Returns one dict per grid instant with the measure, its entropy, and
-    optionally the co-integrated fluctuation variance diagonal.
+    Returns one dict per grid instant with the measure (in y0's shape), its
+    entropy, and optionally the co-integrated fluctuation variance diagonal
+    over the flattened (class, count) table.
     """
-    if not params.is_uniform:
-        raise ValidationError("nonstationary run needs a uniform capacity")
     t_grid = np.asarray(t_grid, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    dim = params.uniform_capacity + 1
     if with_covariance:
         # the packed path carries the mean: one integration gives both
-        states = integrate_covariance(y0, np.zeros((dim, dim)), params, t_grid, h=h)
+        states = integrate_covariance(y0, np.zeros((y0.size,) * 2), params, t_grid, h=h)
         path = [state.y for state in states]
         diags = [np.diag(state.sigma).copy() for state in states]
     else:

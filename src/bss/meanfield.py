@@ -203,7 +203,8 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
     The stage sum is one product, z + dot((1, 2, 2, 1) dt/6, k1..k4), as in
     the tests' oracle, so the measure matches it bit for bit; the weights
     are set only when dt changes (a new grid interval or a halving). lam is
-    read once per stage time, and a constant rate once in all. A step whose
+    read once per stage time, stage 4's value serving the next step's stage
+    1 at the same float time, and a constant rate once in all. A step whose
     measure dips below -1e-9, or whose guard(dt) is True after the first
     stage, is redone as two half steps; an accepted measure off unit mass by
     more than 1e-12 is renormalized.
@@ -242,13 +243,13 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
     # and the RK4 weights (1, 2, 2, 1) dt/6, whose doubling is exact
     c_half, c_dt, weights = np.zeros(()), np.zeros(()), np.empty(4)
     add, mul, weigh = np.add, np.multiply, weights.dot
-    set_dt = math.nan
+    set_dt = end_t = end_lam = math.nan
 
     def accept(t, y, dt, out):
         # one accepted RK4 step from y into out (not y); each out goes
         # positionally, which numpy parses faster than out=
-        nonlocal set_dt
-        rhs_into(rate if autonomous else lam(t), y, k1)
+        nonlocal set_dt, end_t, end_lam
+        rhs_into(rate if autonomous else end_lam if t == end_t else lam(t), y, k1)
         if guard is not None and guard(dt):
             return halve(t, y, dt, out, "stiff_halvings")
         if dt != set_dt:
@@ -257,6 +258,7 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
             weights[1] = weights[2] = sixth + sixth
             set_dt = dt
         mid, end = (rate, rate) if autonomous else (lam(t + 0.5 * dt), lam(t + dt))
+        end_t, end_lam = t + dt, end
         rhs_into(mid, add(mul(k1, c_half, ys), y, ys), k2)
         rhs_into(mid, add(mul(k2, c_half, ys), y, ys), k3)
         rhs_into(end, add(mul(k3, c_dt, ys), y, ys), k4)

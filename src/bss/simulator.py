@@ -18,11 +18,11 @@ aggregates in local variables and each cell's move precomputed. Uninformed
 pickups and dropoffs weigh stations equally, so it finds their cell by
 rank, with a bisection of the prefix counts (_rank_cell); informed pickups
 weigh them by g and keep a sequential scan. _lockstep advances many
-uniform-capacity replicas at once (ensemble, forward_equation_residual):
-each round, every live replica takes the next candidate event of its own
-scalar run, on its own clock t_r += e_r / total_r with its own total rate,
-so replica r is bitwise simulate on its seed. Its state is cell-major, a
-column per replica, and its cell is the count of its running sums <= its
+replicas at once (ensemble, forward_equation_residual): each round, every
+live replica takes the next candidate event of its own scalar run, on its
+own clock t_r += e_r / total_r with its own total rate, so replica r is
+bitwise simulate on its seed. Its state is the flattened table, cell-major,
+a column per replica, and its cell is the count of its running sums <= its
 target: targets are >= 0 and the sums never decrease, so that count is
 where the scan stops. Both read a generator through one stream layout:
 blocks of BLOCK exponentials, then BLOCK x 2 uniforms, one exponential and
@@ -108,7 +108,7 @@ class NetworkState:
 @dataclass(frozen=True)
 class TrajectorySample:
     """Sampled observables on a regular grid; y_series is None for capacity
-    mixes (the empirical measure is then ill-typed, use r_series)."""
+    mixes, whose empirical measure is a (class, count) table: use r_series."""
 
     times: np.ndarray
     y_series: np.ndarray | None
@@ -153,15 +153,14 @@ def round_robin_state(params: SystemParams) -> NetworkState:
 
 
 def empirical_measure(state: NetworkState) -> np.ndarray:
-    """Fraction of stations at each count 0..K; uniform capacities only."""
-    caps = np.unique(state.capacities)
-    if caps.size != 1:
-        raise ValidationError(
-            "empirical_measure needs a uniform capacity; a capacity mix is "
-            "described by its ratio histogram"
-        )
-    k = int(caps[0])
-    return np.bincount(state.counts, minlength=k + 1) / state.n_stations
+    """Fraction of stations at each (capacity class, count) cell: the
+    (C, k_max+1) table in the layout of meanfield._operators, or for a
+    uniform capacity the (K+1,) vector, as builtin_measure gives them."""
+    caps, cls = np.unique(state.capacities, return_inverse=True)
+    width = int(caps[-1]) + 1
+    table = np.bincount(cls * width + state.counts, minlength=caps.size * width)
+    table = table.reshape(caps.size, width) / state.n_stations
+    return table[0] if caps.size == 1 else table
 
 
 class _Lumped:
@@ -555,65 +554,73 @@ def _first_over(cells, cum, target) -> np.ndarray:
     return cell
 
 
-def _move_table(g: np.ndarray, k: int) -> np.ndarray:
-    """Change of a lockstep column per move code: its k + 1 table cells,
-    five aggregates and event count.
+def _move_table(g: np.ndarray, caps) -> tuple[np.ndarray, np.ndarray]:
+    """Change of a lockstep column (its L table cells, five aggregates and
+    event count) per move code, and the flattened-table index of each of
+    the P pickup cells (counts 1..K_c), class-major as _run_engine walks them.
 
-    Code c < k is a pickup from pickup cell c (count c + 1), code k + 1 + c
-    a dropoff into dropoff cell c (count c); codes k and 2k + 1, cell k of
-    either kind (no cell), move nothing. The aggregate changes are the float
+    Code i < P is a pickup from pickup cell i, code P + 1 + i a dropoff into
+    the cell below it, the dropoff cell in the same place of the walk; codes
+    P and 2P + 1 (no cell) move nothing. The aggregate changes are the float
     differences the event loop of _run_engine adds per move, so adding a
     column reproduces its arithmetic.
     """
-    delta = np.zeros((k + 7, 2 * k + 2))
-    moves = [(c, c + 1, -1) for c in range(k)] + [(k + 1 + c, c, 1) for c in range(k)]
-    for code, m, s in moves:
-        delta[m, code] -= 1.0
-        delta[m + s, code] += 1.0
-        dg = g[m + s] - g[m]
-        # the station turns empty or nonempty; it leaves or joins the open ones
-        edge = m == 1 if s < 0 else m == 0
-        fills = m == k if s < 0 else m + 1 == k
-        delta[k + 1:, code] = (s, dg, s * g[1] if edge else dg,
-                               s if edge else 0, -s if fills else 0, 1)
-    return delta
+    width = caps[-1] + 1
+    size = len(caps) * width
+    picks = [c * width + m for c, k in enumerate(caps) for m in range(1, k + 1)]
+    delta = np.zeros((size + 6, 2 * len(picks) + 2))
+    for i, f in enumerate(picks):
+        m, k = f % width, caps[f // width]
+        # a dropoff into f - 1 reverses a pickup from f: the station turns
+        # empty or nonempty at m = 1, and leaves or joins the open ones at K_c
+        for code, s in ((i, -1.0), (len(picks) + 1 + i, 1.0)):
+            dg = s * (g[m] - g[m - 1])
+            delta[[f - 1, f], code] = -s, s
+            delta[size:, code] = (s, dg, s * g[1] if m == 1 else dg,
+                                  s if m == 1 else 0, -s if m == k else 0, 1)
+    return delta, np.array(picks)
 
 
 def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
               initial: NetworkState | None = None):
-    """_run_engine for many seeds at once; uniform capacities only.
+    """_run_engine for many seeds at once.
 
-    The state is cell-major, one float column per live replica: its k + 1
-    table cells, five aggregates and event count. Each round every live
-    replica takes its next candidate event: its own clock and total rate,
-    the same thinning test against lam_max, the same cell (_first_over on
-    the running sums of its eligible cells, added in the scan's order), the
-    same aggregate arithmetic (a column of _move_table) and its own
+    The state is cell-major, one float column per live replica: the L =
+    C (k_max + 1) cells of its flattened (class, count) table, five
+    aggregates and event count. Each round every live replica takes its
+    next candidate event: its own clock and total rate, the same thinning
+    test against lam_max, the same cell (_first_over on the running sums of
+    its P pickup or dropoff cells, added in the scan's class-major order),
+    the same aggregate arithmetic (a column of _move_table) and its own
     recompute every RECOMPUTE_EVERY events, on its own generator read in
     the same blocks. A replica stops at the horizon or when its total rate
     reaches 0, and grid instants it did not reach get its final state.
-    Returns (samples, stats): samples[r] is bitwise simulate(params,
-    horizon, dt, seeds[r], initial).y_series, and stats sums simulate's
-    counters over replicas and adds rounds, the most candidate draws of any
-    replica.
+    Returns (samples, stats): samples[r] is bitwise the flattened station
+    fractions of simulate(params, horizon, dt, seeds[r], initial), its
+    y_series on one class, and stats sums simulate's counters over replicas
+    and adds rounds, the most candidate draws of any replica.
     """
     lump = _Lumped(params, _prepare_initial(params, initial))
-    k, n, fleet, caps = lump.k_max, lump.n, lump.fleet, lump.caps
+    n, fleet, caps = lump.n, lump.fleet, lump.caps
     p, mu = params.p, params.mu
     g = np.asarray(lump.g)
-    g_cells = g[1:, None]
+    delta, picks = _move_table(g, caps)
+    n_p = picks.size
+    g_cells = np.tile(g, len(caps))[picks, None]
+    # basic slices are views, where indexing by rows copies both per round
+    pick_rows, drop_rows = ((slice(1, None), slice(None, n_p)) if len(caps) == 1
+                            else (picks, picks - 1))
     lam_bound, thinning = _rate_bound(params.arrival)
     lam_at = params.arrival.fourier.at if thinning else None
     gens = [np.random.default_rng(s) for s in seeds]
     r = len(gens)
-    samples = np.empty((r, len(times), k + 1))
+    samples = np.empty((r, len(times), len(caps) * (lump.k_max + 1)))
     # instants past the horizon are never due; the final fill covers them
     grid = np.append(np.where(times <= horizon, times, np.inf), np.inf)
-    delta = _move_table(g, k)
 
     # per live replica: index, state column, clock, next grid instant, its time
     ids = np.arange(r)
-    state = np.tile(np.array([*lump.w[0], *lump.recompute(), 0.0])[:, None], r)
+    state = np.tile(np.array([*sum(lump.w, []), *lump.recompute(), 0.0])[:, None], r)
     t = np.zeros(r)
     nxt = np.zeros(r, dtype=np.int64)
     due = np.full(r, grid[0])
@@ -631,7 +638,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
                 nxt, due = nxt[keep], due[keep]
             if not ids.size:
                 break
-            w, agg = state[: k + 1], state[k + 1 : k + 6]
+            w, agg = state[:-6], state[-6:-1]
             w_un, w_in, pick, drop = _totals(lam_bound, p, mu, n, fleet, *agg)
             total = pick + drop
 
@@ -661,7 +668,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
 
             x = u1 * total
             is_pick = x < pick
-            cells = np.where(is_pick, w[1:], w[:k])
+            cells = np.where(is_pick, w[pick_rows], w[drop_rows])
             y = u2 * (w_un + w_in)
             target = np.where(
                 is_pick, y / (1.0 - p) if p < 1.0 else 0.0,
@@ -678,22 +685,22 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
             for row in cum[1:]:
                 prev = np.add(prev, row, row)
             cell = _first_over(cells, cum, target)
-            code = np.where(is_pick, cell, cell + (k + 1))
-            np.putmask(code, done, k)
+            code = np.where(is_pick, cell, cell + (n_p + 1))
+            np.putmask(code, done, n_p)
             if thinning:
                 rows = (is_pick & ~done).nonzero()[0]
                 lam_t = [lam_at(v) for v in t[rows].tolist()]
                 rejected = rows[(x[rows] / pick[rows]) * lam_bound >= lam_t]
-                code[rejected] = k
+                code[rejected] = n_p
                 rejections += rejected.size
 
             state += delta.take(code, axis=1)
             # no replica has more events than there were rounds
             if rounds >= RECOMPUTE_EVERY:
-                moved = code % (k + 1) != k
+                moved = code % (n_p + 1) != n_p
                 due_recompute = moved & (state[-1] % RECOMPUTE_EVERY == 0)
                 for row in due_recompute.nonzero()[0].tolist():
-                    agg[:, row] = _aggregates([w[:, row]], g, caps)
+                    agg[:, row] = _aggregates(w[:, row].reshape(len(caps), -1), g, caps)
                     recomputes += 1
 
     stats = {
@@ -716,15 +723,13 @@ def ensemble(
 ) -> EnsembleResult:
     """Mean and unbiased covariance of Y^N across independent replications.
 
-    Uniform capacities only. Replication r is simulate(params, horizon,
-    sample_dt, child_seed(seed, r), initial), replayed bitwise by the
-    lockstep engine. stats reports the engine's rounds and simulate's counters
-    summed over replications.
+    Y^N is the empirical measure over the flattened (class, count) table.
+    Replication r is simulate(params, horizon, sample_dt, child_seed(seed,
+    r), initial), replayed bitwise by the lockstep engine. stats reports the
+    engine's rounds and simulate's counters summed over replications.
     """
     if replications < 2:
         raise ValidationError("ensemble needs at least 2 replications")
-    if not params.is_uniform:
-        raise ValidationError("ensemble supports uniform capacities only")
     times = _sample_grid(horizon, sample_dt)
     r = replications
     samples, stats = _lockstep(params, horizon, times,

@@ -409,22 +409,36 @@ def test_criterion_10b_drift_components_sum_to_zero():
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("k, theta", [(3, 1.0), (20, 0.5)])
+@pytest.mark.parametrize("k, theta", [
+    (3, 1.0), (20, 0.5),
+    # a capacity mix: Sigma over the (class, count) table, exact zeros on
+    # cells above a class's capacity, null along each class's indicator
+    ({"values": [2, 4], "fractions": [0.5, 0.5]}, 1.0),
+])
 def test_criterion_10c_covariance_psd_and_ones_null(k, theta):
+    mix = isinstance(k, dict)
     par = validate_params({
-        "n_stations": 10 if k == 3 else 20, "gamma": k / 2.0, "capacity": k,
-        "mu": 1.0, "p": 0.5, "arrival": {"constant": 1.0},
+        "n_stations": 10 if k == 3 else 20, "gamma": 1.5 if mix else k / 2.0,
+        "capacity": k, "mu": 1.0, "p": 0.5, "arrival": {"constant": 1.0},
         "choice": {"kind": "exponential", "theta": theta},
     })
     y0 = np.asarray(builtin_measure(par, "uniform"))
+    dim = y0.size
     grid = np.arange(21) * 0.25
-    states = integrate_covariance(y0, np.zeros((k + 1, k + 1)), par, grid)
-    ones = np.ones(k + 1)
-    worst_eig = min(float(np.linalg.eigvalsh(s.sigma).min()) for s in states)
-    worst_null = max(float(np.abs(s.sigma @ ones).max()) for s in states)
-    ok = worst_eig >= -1e-10 and worst_null <= 1e-12
-    print(f"[criterion 10c/K={k}] min eigenvalue {worst_eig:.2e} "
-          f"(tol -1e-10), ones-direction {worst_null:.2e} (tol 1e-12) "
+    states = integrate_covariance(y0, np.zeros((dim, dim)), par, grid)
+    # builtin uniform puts mass on every live cell; one indicator per class
+    live = y0.ravel() > 0.0
+    classes = np.kron(np.eye(len(par.capacity_values)), np.ones(par.k_max + 1)).T
+    live_sigmas = [s.sigma[np.ix_(live, live)] for s in states]
+    worst_eig = min(float(np.linalg.eigvalsh(s).min()) for s in live_sigmas)
+    worst_null = max(float(np.abs(s.sigma @ classes).max()) for s in states)
+    dead = max(float(np.abs(s.sigma[~live]).max(initial=0.0)) for s in states)
+    ok = worst_eig >= -1e-10 and worst_null <= 1e-12 and dead == 0.0
+    caps = ",".join(map(str, par.capacity_values))
+    print(f"[criterion 10c/K={caps}] min eigenvalue "
+          f"{worst_eig:.2e} (tol -1e-10), ones-direction {worst_null:.2e} "
+          f"(tol 1e-12), dead cells {dead:.1e} (exact 0) "
           f"-> {'PASS' if ok else 'FAIL'}")
     assert worst_eig >= -1e-10
     assert worst_null <= 1e-12
+    assert dead == 0.0

@@ -15,6 +15,7 @@ from bss.meanfield import (
     builtin_measure,
     integrate,
     integrate_hetero,
+    ratio_bins,
     ratio_projection,
 )
 from bss.model import ConvergenceError, validate_params
@@ -375,6 +376,9 @@ def test_sweep_surface_schema_and_endpoints(tmp_path):
     assert len(rows) == 3 * 3
     assert {r[0] for r in rows} == {"0", "0.5", "1"}
     assert all(r[7] == "1" for r in rows)
+    # no --threads given: the manifest records none
+    man = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert man["details"]["threads"] is None
 
 
 def test_sweep_thread_count_does_not_change_bytes(tmp_path):
@@ -387,16 +391,11 @@ def test_sweep_thread_count_does_not_change_bytes(tmp_path):
     assert main(argv + ["--threads", "1", "--out", str(out1)]) == 0
     assert main(argv + ["--threads", "3", "--out", str(out3)]) == 0
     assert out1.read_bytes() == out3.read_bytes()
+    man = json.loads((tmp_path / "s3.csv.manifest.json").read_text())
+    assert man["details"]["threads"] == 3
+    assert main(argv + ["--threads", "0", "--out", str(tmp_path / "s0.csv")]) == 1
 
 
-def test_sweep_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "c.json")
-    out = tmp_path / "s.csv"
-    monkeypatch.setenv("BSS_THREADS", "2")
-    assert main(["sweep", "--plane", "p-theta", "--grid", "p=0:1:0.5,theta=1",
-                 "--config", cfg, "--out", str(out)]) == 0
-    man = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-    assert man["details"]["threads"] == 2
 
 
 def test_sweep_rejects_bad_axis_names(tmp_path, capsys):
@@ -781,11 +780,20 @@ def _meanfield_case(par):
 
 
 def _diffusion_case(par):
-    dim = par.uniform_capacity + 1
-    states = integrate_covariance(builtin_measure(par, "uniform"),
-                                  np.zeros((dim, dim)), par, _grid(1.0, 0.1))
-    rows = [(s.t, i, j, s.sigma[i, j])
-            for s in states for i in range(dim) for j in range(dim)]
+    # the ratio covariance P Sigma P^T, with P built cell by cell: cell (c, n)
+    # of the flattened table to bin ratio_bins(K_c, k_max)[n]
+    y0 = builtin_measure(par, "uniform")
+    states = integrate_covariance(y0, np.zeros((y0.size, y0.size)), par,
+                                  _grid(1.0, 0.1))
+    caps = par.capacity_values
+    dim = caps[-1] + 1
+    proj = np.zeros((dim, y0.size))
+    for c, k in enumerate(caps):
+        proj[ratio_bins(k, caps[-1]), c * dim + np.arange(k + 1)] = 1.0
+    sigmas = [proj @ (s.sigma @ proj.T) for s in states]
+    sigmas = [0.5 * (sig + sig.T) for sig in sigmas]
+    rows = [(s.t, i, j, sig[i, j]) for s, sig in zip(states, sigmas)
+            for i in range(dim) for j in range(dim)]
     return (["diffusion", "--horizon", "1", "--sample-dt", "0.1"],
             ("t", "i", "j", "sigma_ij"), rows)
 
@@ -808,11 +816,11 @@ def _sweep_case(par):
 @pytest.mark.parametrize("case, capacity", [
     (_simulate_case, 3), (_simulate_case, MIX),
     (_meanfield_case, 3), (_meanfield_case, MIX),
-    (_diffusion_case, 3),
+    (_diffusion_case, 3), (_diffusion_case, MIX),
     (_equilibrium_case, 3), (_equilibrium_case, MIX),
     (_sweep_case, 3),
 ], ids=["simulate", "simulate-mix", "meanfield", "meanfield-mix", "diffusion",
-        "equilibrium", "equilibrium-mix", "sweep"])
+        "diffusion-mix", "equilibrium", "equilibrium-mix", "sweep"])
 def test_csv_bytes_match_row_oracle(tmp_path, case, capacity):
     cfg = write_config(tmp_path / "c.json", capacity=capacity)
     par = validate_params(json.loads((tmp_path / "c.json").read_text()))

@@ -99,12 +99,26 @@ def test_jacobian_rejects_vanished_denominator():
         jacobian(y, par)
 
 
-def test_jacobian_needs_uniform_capacity():
-    par = make_params(
-        gamma=2.0, capacity={"values": [2, 4], "fractions": [0.5, 0.5]},
-    )
-    with pytest.raises(ValidationError):
-        jacobian(np.full(5, 0.2), par)
+@pytest.mark.parametrize("caps", [(2, 4), (3, 7, 12)])
+def test_jacobian_matches_finite_differences_on_capacity_mix(caps):
+    # over the flattened (class, count) table: central differences of the
+    # drift on the live cells, exact zeros in dead cells' rows and columns
+    par = make_params(gamma=1.0, p=0.6, capacity={
+        "values": list(caps), "fractions": [1 / len(caps)] * len(caps)})
+    width = caps[-1] + 1
+    live = np.arange(width) <= np.array(caps)[:, None]
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        y = np.where(live, rng.uniform(0.1, 1.0, live.shape), 0.0)
+        y *= 1.0 / len(caps) / y.sum(axis=1, keepdims=True)
+        j = jacobian(y, par)
+        assert np.all(j[~live.ravel()] == 0.0) and np.all(j[:, ~live.ravel()] == 0.0)
+        for cell in np.flatnonzero(live):
+            e = np.zeros(y.size)
+            e[cell] = 1e-6
+            e = e.reshape(y.shape)
+            fd = (drift(y + e, par) - drift(y - e, par)).ravel() / 2e-6
+            assert np.abs(j[:, cell] - fd).max() <= 1e-6
 
 
 # ---------------------------------------------------------------- bracket

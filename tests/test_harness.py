@@ -34,6 +34,9 @@ from bss.meanfield import (
 from bss.simulator import _lockstep, child_seed, ensemble, simulate
 
 
+MIX = {"values": [2, 4], "fractions": [0.5, 0.5]}
+
+
 def make_params(**overrides):
     cfg = {
         "n_stations": 10,
@@ -84,10 +87,9 @@ def test_report_to_dict_writes_non_finite_metrics_as_null():
 
 # ---------------------------------------------------------------- flln
 
-def test_flln_error_ratio_tracks_sqrt_n():
+def check_flln_ratio(par):
     # error(N) ~ 1/sqrt(N), so the 200 -> 2000 ratio should sit near
     # sqrt(10) and inside the factor-2 band the experiment enforces
-    par = make_params()
     rep = flln_experiment(par, [200, 2000], horizon=6.0, reps=5, seed=11,
                           sample_dt=0.5)
     assert rep.passed is True
@@ -95,6 +97,15 @@ def test_flln_error_ratio_tracks_sqrt_n():
     assert math.sqrt(10) / 2 <= ratio <= 2 * math.sqrt(10)
     errs = rep.metrics["mean_sup_error"]
     assert errs[0] > errs[1] > 0
+
+
+def test_flln_error_ratio_tracks_sqrt_n():
+    check_flln_ratio(make_params())
+
+
+def test_flln_error_ratio_tracks_sqrt_n_on_capacity_mix():
+    # a mix compares its ratio process
+    check_flln_ratio(make_params(capacity=MIX))
 
 
 def test_flln_repeated_n_gives_unit_ratio():
@@ -134,18 +145,9 @@ def test_flln_rejects_non_integer_fleet():
         flln_experiment(make_params(), [7], 1.0, 1, 0)
 
 
-def test_flln_rejects_capacity_mix():
-    par = make_params(
-        capacity={"values": [2, 4], "fractions": [0.5, 0.5]}
-    )
-    with pytest.raises(ValidationError, match="uniform"):
-        flln_experiment(par, [10, 20], 1.0, 1, 0)
-
-
 # ---------------------------------------------------------------- fclt
 
-def test_fclt_matches_fluctuation_covariance():
-    par = make_params()
+def check_fclt_passes(par):
     rep = fclt_experiment(par, n=600, reps=600, t_check=2.0, seed=29)
     assert rep.passed is True
     assert rep.metrics["rel_frobenius"] <= 0.15
@@ -153,14 +155,23 @@ def test_fclt_matches_fluctuation_covariance():
     assert rep.metrics["events"] >= rep.metrics["rounds"] > 0
 
 
+def test_fclt_matches_fluctuation_covariance():
+    check_fclt_passes(make_params())
+
+
+def test_fclt_matches_fluctuation_covariance_on_capacity_mix():
+    # a mix compares the covariance over its (class, count) table
+    check_fclt_passes(make_params(capacity=MIX))
+
+
 def test_fclt_zero_bracket_control_fails():
     # dropping the source term must break the comparison, otherwise the
     # experiment could not distinguish the real covariance from noise
-    par = make_params()
-    rep = fclt_experiment(par, n=600, reps=600, t_check=2.0, seed=29,
-                          zero_bracket=True)
-    assert rep.passed is False
-    assert rep.metrics["rel_frobenius"] > 0.5
+    for capacity in (3, MIX):
+        rep = fclt_experiment(make_params(capacity=capacity), n=600, reps=600,
+                              t_check=2.0, seed=29, zero_bracket=True)
+        assert rep.passed is False, capacity
+        assert rep.metrics["rel_frobenius"] > 0.5
 
 
 def test_fclt_two_reps_is_insufficient():
@@ -180,14 +191,6 @@ def test_fclt_integrates_the_mean_once(monkeypatch):
     monkeypatch.setattr(harness, "integrate", refuse)
     rep = fclt_experiment(make_params(), n=100, reps=2, t_check=1.0, seed=5)
     assert rep.metrics["reps"] == 2
-
-
-def test_fclt_rejects_capacity_mix():
-    par = make_params(
-        capacity={"values": [2, 4], "fractions": [0.5, 0.5]}
-    )
-    with pytest.raises(ValidationError, match="uniform"):
-        fclt_experiment(par, 100, 100, 1.0, 0)
 
 
 # ---------------------------------------------------------------- interchange
@@ -547,11 +550,12 @@ def test_sweep_rejects_time_varying_arrivals():
 
 # ---------------------------------------------------------------- frames
 
-def toy_nonstationary():
+def toy_nonstationary(**overrides):
     # lam(t) = 1 + 0.5 sin(t/2), period 4*pi
     return make_params(
         arrival={"fourier": {"intercept": 1.0, "sin": [0.5], "cos": [0.0],
                              "period": 4 * math.pi}},
+        **overrides,
     )
 
 
@@ -600,25 +604,23 @@ def test_nonstationary_constant_rate_converges():
     assert np.abs(frames[2]["y"] - ybar).max() < 1e-4
 
 
-def test_nonstationary_rejects_capacity_mix():
-    par = make_params(
-        capacity={"values": [2, 4], "fractions": [0.5, 0.5]}
-    )
-    with pytest.raises(ValidationError, match="uniform"):
-        nonstationary_run(par, np.ones(5) / 5, [0.0, 1.0])
-
-
 def test_nonstationary_covariance_frames_carry_the_same_mean(monkeypatch):
     # with the covariance the mean comes from the packed path, integrated
     # once, and its frames are the bytes of the mean-only run
     import bss.harness as harness
 
-    par = toy_nonstationary()
-    y0 = np.array([0.4, 0.3, 0.2, 0.1])
+    mix = toy_nonstationary(capacity=MIX)
     grid = [0.0, 1.0, 2.5, 4.0]
-    plain = nonstationary_run(par, y0, grid, h=0.01)
-    monkeypatch.setattr(harness, "integrate", None)
-    both = nonstationary_run(par, y0, grid, h=0.01, with_covariance=True)
-    for a, b in zip(plain, both):
-        assert a["y"].tobytes() == b["y"].tobytes()
-        assert a["entropy"] == b["entropy"]
+    # a mix runs on its (class, count) table, with Sigma over the flattened
+    # table
+    for par, y0 in ((toy_nonstationary(), np.array([0.4, 0.3, 0.2, 0.1])),
+                    (mix, builtin_measure(mix, "uniform"))):
+        plain = nonstationary_run(par, y0, grid, h=0.01)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "integrate", None)
+            both = nonstationary_run(par, y0, grid, h=0.01, with_covariance=True)
+        for a, b in zip(plain, both):
+            assert a["y"].shape == y0.shape
+            assert a["y"].tobytes() == b["y"].tobytes()
+            assert a["entropy"] == b["entropy"]
+            assert b["sigma_diag"].shape == (y0.size,)

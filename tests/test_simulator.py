@@ -12,7 +12,8 @@ from bss.harness import forward_equation_residual
 from bss.model import (ChoiceSpec, ValidationError, arrival_rate,
                        choice_weights, validate_params)
 from bss.equilibrium import solve_equilibrium
-from bss.meanfield import TINY_DENOM, _informed_choice, _sample_grid, ratio_histogram
+from bss.meanfield import (TINY_DENOM, _informed_choice, _sample_grid, ratio_histogram,
+                           ratio_projection)
 from bss.simulator import (
     _Lumped,
     _lockstep,
@@ -319,10 +320,12 @@ def test_empirical_measure_counts():
     np.testing.assert_allclose(empirical_measure(st), [0.25, 0.0, 0.5, 0.25])
 
 
-def test_empirical_measure_rejects_capacity_mix():
-    st = state_of([0, 2], [2, 4], 4)
-    with pytest.raises(ValidationError):
-        empirical_measure(st)
+def test_empirical_measure_capacity_mix_table():
+    # a capacity mix gives the (class, count) table, zero above each capacity
+    st = state_of([0, 2, 1, 4], [2, 4, 2, 4], 7)
+    np.testing.assert_array_equal(empirical_measure(st),
+                                  [[0.25, 0.25, 0.0, 0.0, 0.0],
+                                   [0.0, 0.0, 0.25, 0.0, 0.25]])
 
 
 def test_ratio_histogram_bin_placement():
@@ -640,6 +643,8 @@ def test_simulate_fills_grid_instant_past_horizon():
 FOURIER_RATE = {"fourier": {"intercept": 1.0, "sin": [0.6, 0.2],
                             "cos": [0.3, 0.0], "period": 3.0}}
 THETA2 = {"kind": "exponential", "theta": 2.0}
+GOLDEN_MIX = {"values": [10, 20], "fractions": [0.5, 0.5]}
+GOLDEN_MIX3 = {"values": [1, 4, 9], "fractions": [0.4, 0.3, 0.3]}
 
 REPLAY_CASES = {
     # name: (params overrides, horizon, sample_dt, initial counts)
@@ -656,6 +661,18 @@ REPLAY_CASES = {
     # mostly informed pickups over 20 cells
     "k20_theta2": ({"capacity": 20, "gamma": 10.0, "choice": THETA2}, 1.0, 0.25,
                    None),
+    # capacity mixes: pickup and dropoff cells walked class-major; the
+    # {1, 4, 9} mix starts with its K=9 class empty
+    "mix_p0": ({"capacity": GOLDEN_MIX, "gamma": 7.5, "p": 0.0}, 2.0, 0.5, None),
+    "mix_p0.5": ({"capacity": GOLDEN_MIX, "gamma": 7.5}, 2.0, 0.5, None),
+    "mix_p1": ({"capacity": GOLDEN_MIX, "gamma": 7.5, "p": 1.0}, 2.0, 0.5, None),
+    "mix_fourier": ({"capacity": GOLDEN_MIX, "gamma": 7.5, "arrival": FOURIER_RATE},
+                    2.0, 0.5, None),
+    "mix3_p0": ({"capacity": GOLDEN_MIX3, "gamma": 0.5, "p": 0.0}, 2.0, 0.5, None),
+    "mix3_p0.5": ({"capacity": GOLDEN_MIX3, "gamma": 0.5}, 2.0, 0.5, None),
+    "mix3_p1": ({"capacity": GOLDEN_MIX3, "gamma": 0.5, "p": 1.0}, 2.0, 0.5, None),
+    "mix3_fourier": ({"capacity": GOLDEN_MIX3, "gamma": 0.5, "arrival": FOURIER_RATE},
+                     2.0, 0.5, None),
 }
 
 
@@ -667,19 +684,24 @@ def test_lockstep_replays_simulate(case, recompute_every, monkeypatch):
     par = make_params(**overrides)
     init = None if counts is None else state_of(counts, np.full(50, 5), 100)
     seeds = [child_seed(13, r) for r in range(8)]
-    samples, stats = _lockstep(par, horizon, _sample_grid(horizon, dt), seeds, init)
+    times = _sample_grid(horizon, dt)
+    samples, stats = _lockstep(par, horizon, times, seeds, init)
+    caps = par.capacity_values
     want = {"events": 0, "thinning_rejections": 0, "empty_draws": 0,
             "recomputes": 0}
     for r, seed in enumerate(seeds):
         traj = simulate(par, horizon, dt, seed, initial=init)
-        assert np.array_equal(samples[r], traj.y_series), r
+        tables = samples[r].reshape(len(times), len(caps), -1)
+        assert ratio_projection(tables, caps).tobytes() == traj.r_series.tobytes(), r
+        if traj.y_series is not None:
+            assert np.array_equal(samples[r], traj.y_series), r
         for key in want:
             want[key] += traj.stats[key]
     assert {key: stats[key] for key in want} == want
     assert stats["rounds"] >= want["events"] / len(seeds)
     if case == "absorbing":
         assert want["events"] == 100 * len(seeds)
-    if case == "fourier":
+    if case.endswith("fourier"):
         assert want["thinning_rejections"] > 0
     if recompute_every == 7 and case != "horizon0":
         assert want["recomputes"] > 0
@@ -700,9 +722,6 @@ def test_ensemble_matches_stacked_simulate():
 
 
 # ------------------------------------------------------------ golden bytes
-
-GOLDEN_MIX = {"values": [10, 20], "fractions": [0.5, 0.5]}
-GOLDEN_MIX3 = {"values": [1, 4, 9], "fractions": [0.4, 0.3, 0.3]}
 
 GOLDEN_CASES = {
     # name: (params overrides, sha256 of the output arrays, stats of simulate
@@ -850,15 +869,6 @@ def test_ensemble_requires_two_replications():
     par = make_params()
     with pytest.raises(ValidationError):
         ensemble(par, replications=1, horizon=1.0, sample_dt=0.5, seed=1)
-
-
-def test_ensemble_rejects_capacity_mix():
-    par = make_params(
-        n_stations=10, gamma=1.0,
-        capacity={"values": [2, 4], "fractions": [0.5, 0.5]},
-    )
-    with pytest.raises(ValidationError):
-        ensemble(par, replications=4, horizon=1.0, sample_dt=0.5, seed=1)
 
 
 def test_ensemble_forced_identical_seeds_zero_covariance(monkeypatch):
