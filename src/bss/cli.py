@@ -383,9 +383,12 @@ def _cmd_verify(args) -> int:
 
     _write_json(args.out, report.to_dict())
     details = {"suite": args.suite, **{k: opt[k] for k in sorted(opt)}}
-    if args.suite in ("fclt", "forward"):
-        # the lockstep engine's counters
-        details["stats"] = {k: report.metrics[k] for k in ("rounds", "events")}
+    # the engines' counters: rounds and events of the lockstep engine (fclt,
+    # forward), events of the scalar one (interchange)
+    counters = {k: report.metrics[k] for k in ("rounds", "events")
+                if k in report.metrics}
+    if counters:
+        details["stats"] = counters
     _manifest(args.out, "verify", par.to_config(), args.seed, [args.out],
               started, details=details)
     print(f"{args.suite}: {report.status}")

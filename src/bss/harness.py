@@ -244,7 +244,8 @@ def interchange_experiment(
         raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     par_n = _with_n(params, n)
     target = solve_equilibrium(par_n).r_bar
-    avg = stationary_average(par_n, burn_in, horizon, seed)
+    stats: dict = {}
+    avg = stationary_average(par_n, burn_in, horizon, seed, stats=stats)
     tv = 0.5 * float(np.abs(avg - target).sum())
     return ExperimentReport(
         name="interchange",
@@ -256,6 +257,7 @@ def interchange_experiment(
             "tv_distance": tv,
             "tolerance": tol,
             "observable": "y" if par_n.is_uniform else "r",
+            "events": stats["events"],
         },
     )
 

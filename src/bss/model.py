@@ -7,7 +7,7 @@ safe to share across concurrent tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -89,6 +89,9 @@ class FourierRateModel:
     sin_coeffs: tuple[float, ...] = ()
     cos_coeffs: tuple[float, ...] = ()
     period: float = 24.0
+    # (j, b_j, c_j) per harmonic for at(): derived from the coefficients, so
+    # it takes no part in equality, hashing or repr
+    _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
@@ -102,6 +105,8 @@ class FourierRateModel:
             )
         if not (self.period > 0):
             raise ValidationError(f"fourier period must be > 0, got {self.period}")
+        object.__setattr__(self, "_terms", tuple(
+            zip(range(1, self.order + 1), self.sin_coeffs, self.cos_coeffs)))
 
     @property
     def order(self) -> int:
@@ -111,9 +116,10 @@ class FourierRateModel:
         """lambda(t) at one scalar instant: the path every ODE stage takes."""
         w = 2.0 * math.pi * float(t) / self.period
         val = self.intercept
-        for j in range(self.order):
-            val += self.sin_coeffs[j] * math.sin(w * (j + 1))
-            val += self.cos_coeffs[j] * math.cos(w * (j + 1))
+        sin, cos = math.sin, math.cos
+        for j, b, c in self._terms:
+            wj = w * j
+            val = val + b * sin(wj) + c * cos(wj)
         return val
 
 
@@ -287,13 +293,19 @@ def arrival_rate(model: ArrivalModel, t):
     f = model.fourier
     if np.ndim(t) == 0:
         return f.at(t)
-    tt = np.asarray(t, dtype=float)
-    js = np.arange(1, f.order + 1)
-    w = (2.0 * math.pi / f.period) * tt[..., None] * js
+    return _harmonic_sum(f, np.asarray(t, dtype=float), range(f.order))
+
+
+def _harmonic_sum(f: FourierRateModel, tt: np.ndarray, harmonics) -> np.ndarray:
+    """intercept plus the terms of the given harmonics (0-based indices) at
+    the instants tt: lambda(tt) when they include every harmonic with a
+    nonzero coefficient."""
+    idx = np.asarray(harmonics, dtype=np.int64)
+    w = (2.0 * math.pi / f.period) * tt[..., None] * (idx + 1)
     return (
         f.intercept
-        + np.sin(w) @ np.asarray(f.sin_coeffs)
-        + np.cos(w) @ np.asarray(f.cos_coeffs)
+        + np.sin(w) @ np.asarray(f.sin_coeffs)[idx]
+        + np.cos(w) @ np.asarray(f.cos_coeffs)[idx]
     )
 
 
@@ -322,11 +334,13 @@ def _first_negative(model: ArrivalModel):
     f = model.fourier
     scale, slope = _rate_bounds(f)
     tol = RATE_DIP_RESOLUTION * scale
+    # a harmonic whose coefficients are both zero adds nothing to the rate
+    live = [j for j, bc in enumerate(zip(f.sin_coeffs, f.cos_coeffs)) if any(bc)]
     ts = _period_grid(f)
     block = ts.size  # instants per evaluation, which bounds the temporaries
     half = f.period / (ts.size - 1) / 2.0
     while ts.size:
-        vals = np.concatenate([arrival_rate(model, ts[i : i + block])
+        vals = np.concatenate([_harmonic_sum(f, ts[i : i + block], live)
                                for i in range(0, ts.size, block)])
         neg = np.flatnonzero(~(vals >= -tol))  # NaN counts as negative
         if neg.size:

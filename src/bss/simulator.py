@@ -14,20 +14,24 @@ One event law, two engines. _Lumped holds the table, its per-class prefix
 counts and the fresh sum of its rate aggregates; each engine keeps the
 aggregates itself and updates them per move. _run_engine steps one replica
 on Python scalars (simulate, stationary_average, flln_experiment), its
-aggregates in local variables and each cell's move precomputed. Uninformed
-pickups and dropoffs weigh stations equally, so it finds their cell by
-rank, with a bisection of the prefix counts (_rank_cell); informed pickups
-weigh them by g and keep a sequential scan. _lockstep advances many
-replicas at once (ensemble, forward_equation_residual): each round, every
-live replica takes the next candidate event of its own scalar run, on its
-own clock t_r += e_r / total_r with its own total rate, so replica r is
-bitwise simulate on its seed. Its state is the flattened table, cell-major,
-a column per replica, and its cell is the count of its running sums <= its
-target: targets are >= 0 and the sums never decrease, so that count is
-where the scan stops. Both read a generator through one stream layout:
-blocks of BLOCK exponentials, then BLOCK x 2 uniforms, one exponential and
-two uniforms per candidate event, whether it moves a bike, is thinned away
-or finds no cell.
+aggregates in local variables and each cell's move precomputed. It reads
+its stream as one iterator of (e, u1, u2) chained over the blocks, works
+out the rates right after each move (a thinned or empty candidate leaves
+them as they are) and derives its event count from the countdown to the
+next recompute. Uninformed pickups and dropoffs weigh stations equally, so
+it finds their cell by rank, with an inline bisection of the prefix counts
+(_rank_cell takes a rank that rounding puts past the eligible total);
+informed pickups weigh them by g and keep a sequential scan. _lockstep
+advances many replicas at once (ensemble, forward_equation_residual): each
+round, every live replica takes the next candidate event of its own scalar
+run, on its own clock t_r += e_r / total_r with its own total rate, so
+replica r is bitwise simulate on its seed. Its state is the flattened
+table, cell-major, a column per replica, and its cell is the count of its
+running sums <= its target: targets are >= 0 and the sums never decrease,
+so that count is where the scan stops. Both read a generator through one
+stream layout: blocks of BLOCK exponentials, then BLOCK x 2 uniforms, one
+exponential and two uniforms per candidate event, whether it moves a bike,
+is thinned away or finds no cell.
 
 Replication seeding: child seed r = splitmix64(master + (r+1)*GOLDEN), the
 standard 64-bit mixing finalizer, so runs reproduce across platforms.
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -300,8 +304,9 @@ def _run_engine(
     With occupancy_from=b, occ[c][m] is the integral over [b, horizon] of the
     number of class-c stations holding m bikes (occ is None otherwise). An
     event changes two cells, so only those are credited before it, each from
-    its own timestamp up to max(event time, b); every cell is credited once
-    more up to the horizon at the end.
+    its own timestamp up to the event time; events at or before b are
+    skipped, as every timestamp is still b and they would credit zero.
+    Every cell is credited once more up to the horizon at the end.
     """
     state = _prepare_initial(params, initial)
     lump = _Lumped(params, state)
@@ -313,18 +318,24 @@ def _run_engine(
     lam_at = params.arrival.fourier.at if thinning else None
     # leading factors of the rate expressions, multiplied in the same order
     q, pn, lam_pn = 1.0 - p, p * n, lam_bound * p * n
+    # occupancy integral and each cell's timestamp; without occupancy_from
+    # no event passes lo and nothing is credited
+    lo = np.inf if occupancy_from is None else occupancy_from
+    occ = [[0.0] * len(row) for row in rows]
+    stamp = [[lo] * len(row) for row in rows]
 
     def move(c, m, step):
         # a class-c station at count m gains step bikes: the cells it leaves
-        # and enters, the one prefix count that changes (f[c][min(m, m2)] by
-        # -step), and the changes of docked, big_g, g_pos, nonempty and open
-        # (_move_tables' columns)
+        # and enters, the class's occupancy and timestamp rows, the one
+        # prefix count that changes (f[c][min(m, m2)] by -step), and the
+        # changes of docked, big_g, g_pos, nonempty and open (_move_table's
+        # columns)
         m2 = m + step
         dg = g[m2] - g[m]
         edge = min(m, m2) == 0
-        return (rows[c], m, m2, c, prefix[c], min(m, m2), step, dg,
-                step * g[1] if edge else dg, step if edge else 0,
-                -step if max(m, m2) == caps[c] else 0)
+        return (rows[c], m, m2, occ[c], stamp[c], prefix[c],
+                min(m, m2), step, dg, step * g[1] if edge else dg,
+                step if edge else 0, -step if max(m, m2) == caps[c] else 0)
 
     # _rank_cell's classes: a pickup needs m >= 1 and a dropoff m < K_c
     pick_classes = [
@@ -337,11 +348,6 @@ def _run_engine(
     pick_cells = [(rows[c], m, cells[m])
                   for c, (_, k, cells) in enumerate(pick_classes)
                   for m in range(1, k + 1)]
-    occ = stamp = None
-    if occupancy_from is not None:
-        lo = occupancy_from
-        occ = [[0.0] * len(row) for row in rows]
-        stamp = [[lo] * len(row) for row in rows]
 
     # grid instants, then a sentinel; a candidate takes the slow path only
     # once it reaches stop, the earlier of the next instant and the horizon
@@ -350,112 +356,124 @@ def _run_engine(
     grid_idx = 0
     stop = min(grid[0], horizon)
     t = 0.0
-    events = rejections = empty_draws = recomputes = 0
-    countdown = RECOMPUTE_EVERY
+    rejections = empty_draws = recomputes = 0
+    every = countdown = RECOMPUTE_EVERY
     docked, big_g, g_pos, nonempty, open_ = lump.recompute()
-    stale = True
-    cursor = BLOCK
+    informed, tiny = p > 0.0, TINY_DENOM
+    # (e, u1, u2) per candidate, the next block drawn once one runs out
+    stream = chain.from_iterable(zip(exps.tolist(), *unis.T.tolist())
+                                 for exps, unis in map(_draws, repeat(rng)))
 
-    while True:
-        if stale:
-            # rates from the aggregates; they hold until a bike moves
-            w_un = q * nonempty
-            pick_bound = lam_bound * w_un
-            w_in = 0.0
-            if p > 0.0 and big_g > TINY_DENOM:
-                frac = g_pos / big_g
-                w_in = pn * frac
-                pick_bound += lam_pn * frac
-            drop_tot = mu * (fleet - docked) / n * open_
-            total = pick_bound + drop_tot
-            if total <= 0.0:
-                break
-            stale = False
+    # one pass per move: the rates from the aggregates, then candidates at
+    # those rates until one moves a bike or passes the horizon
+    while t < horizon:
+        w_un = q * nonempty
+        pick_bound = lam_bound * w_un
+        w_in = 0.0
+        if informed and big_g > tiny:
+            frac = g_pos / big_g
+            w_in = pn * frac
+            pick_bound += lam_pn * frac
+        drop_tot = mu * (fleet - docked) / n * open_
+        total = pick_bound + drop_tot
+        if total <= 0.0:
+            break
 
-        if cursor == BLOCK:
-            exps, unis = (a.tolist() for a in _draws(rng))
-            cursor = 0
-        t_new = t + exps[cursor] / total
-        u1, u2 = unis[cursor]
-        cursor += 1
+        for e, u1, u2 in stream:
+            t += e / total
+            if t >= stop:
+                reach = min(t, horizon)
+                while grid[grid_idx] <= reach:
+                    on_grid(grid_idx, lump)
+                    grid_idx += 1
+                if t >= horizon:
+                    break
+                stop = min(grid[grid_idx], horizon)
 
-        if t_new >= stop:
-            reach = min(t_new, horizon)
-            while grid[grid_idx] <= reach:
-                on_grid(grid_idx, lump)
-                grid_idx += 1
-            if t_new >= horizon:
-                break
-            stop = min(grid[grid_idx], horizon)
-        t = t_new
-
-        x = u1 * total
-        if x < pick_bound:
-            # x/pick_bound is uniform given the branch; accept at lam(t)/bound
-            if thinning and (x / pick_bound) * lam_bound >= lam_at(t):
-                rejections += 1
-                continue
-            y = u2 * (w_un + w_in)
-            if y < w_un or w_in == 0.0:
-                # integer weights: the scan's exact partial sums exceed the
-                # target where they exceed its integer part
-                hit = _rank_cell(pick_classes,
-                                 int(y / q) if p < 1.0 else 0, True)
-            else:
-                # float weights: a sequential scan, whose partial sums
-                # _lockstep's cumsum reproduces
-                target = (y - w_un) / w_in * g_pos
-                hit = None
-                acc = 0.0
-                for row, m, cell in pick_cells:
-                    wv = row[m]
-                    if wv:
-                        acc += wv * g[m]
-                        hit = cell
-                        if acc > target:
+            # uninformed pickups and dropoffs find their cell as _rank_cell
+            # does, inline; it serves a rank rounded past the eligible total
+            x = u1 * total
+            if x < pick_bound:
+                # x/pick_bound is uniform given the branch; accept at lam(t)/bound
+                if thinning and (x / pick_bound) * lam_bound >= lam_at(t):
+                    rejections += 1
+                    continue
+                y = u2 * (w_un + w_in)
+                if y < w_un or w_in == 0.0:
+                    # integer weights: the scan's exact partial sums exceed the
+                    # target where they exceed its integer part
+                    j = int(y / q) if p < 1.0 else 0
+                    for f, top, cells in pick_classes:
+                        base = f[0]
+                        size = f[top] - base
+                        if j < size:
+                            hit = cells[bisect_right(f, j + base)]
                             break
-        else:
-            hit = _rank_cell(drop_classes,
-                             int((x - pick_bound) / drop_tot * open_), False)
-        if hit is None:
-            empty_draws += 1
-            continue
+                        j -= size
+                    else:
+                        hit = _rank_cell(pick_classes, nonempty, True)
+                else:
+                    # float weights: a sequential scan, whose partial sums
+                    # _lockstep's cumsum reproduces
+                    target = (y - w_un) / w_in * g_pos
+                    hit = None
+                    acc = 0.0
+                    for row, m, cell in pick_cells:
+                        wv = row[m]
+                        if wv:
+                            acc += wv * g[m]
+                            hit = cell
+                            if acc > target:
+                                break
+            else:
+                j = int((x - pick_bound) / drop_tot * open_)
+                for f, top, cells in drop_classes:
+                    size = f[top]
+                    if j < size:
+                        hit = cells[bisect_right(f, j)]
+                        break
+                    j -= size
+                else:
+                    hit = _rank_cell(drop_classes, open_, False)
+            if hit is None:
+                empty_draws += 1
+                continue
 
-        row, m, m2, c, f, fi, step, dg, dg_pos, d_nonempty, d_open = hit
-        if occ is not None:
-            until = t if t > lo else lo
-            o, s = occ[c], stamp[c]
-            o[m] += row[m] * (until - s[m])
-            o[m2] += row[m2] * (until - s[m2])
-            s[m] = s[m2] = until
-        row[m] -= 1
-        row[m2] += 1
-        f[fi] -= step
-        docked += step
-        big_g += dg
-        g_pos += dg_pos
-        nonempty += d_nonempty
-        open_ += d_open
-        stale = True
-        events += 1
-        if check_conservation:
-            lump.check(docked, nonempty, open_)
-        countdown -= 1
-        if not countdown:
-            docked, big_g, g_pos, nonempty, open_ = lump.recompute()
-            recomputes += 1
-            countdown = RECOMPUTE_EVERY
+            row, m, m2, o, s, f, fi, step, dg, dg_pos, d_nonempty, d_open = hit
+            if t > lo:
+                o[m] += row[m] * (t - s[m])
+                o[m2] += row[m2] * (t - s[m2])
+                s[m] = s[m2] = t
+            row[m] -= 1
+            row[m2] += 1
+            f[fi] -= step
+            docked += step
+            big_g += dg
+            g_pos += dg_pos
+            nonempty += d_nonempty
+            open_ += d_open
+            if check_conservation:
+                lump.check(docked, nonempty, open_)
+            countdown -= 1
+            if not countdown:
+                docked, big_g, g_pos, nonempty, open_ = lump.recompute()
+                recomputes += 1
+                countdown = every
+            break
 
     # grid instants no candidate reached (absorbing or quiet tail), and a
     # last instant that rounding puts past the horizon, see the final state
     for idx in range(grid_idx, n_grid):
         on_grid(idx, lump)
-    if occ is not None:
+    if occupancy_from is None:
+        occ = None
+    else:
         for o, s, row in zip(occ, stamp, rows):
             for m, v in enumerate(row):
                 o[m] += v * (horizon - s[m])
     stats = {
-        "events": events,
+        # every move counts down to the next recompute
+        "events": recomputes * every + every - countdown,
         "thinning_rejections": rejections,
         "empty_draws": empty_draws,
         "recomputes": recomputes,
@@ -503,6 +521,7 @@ def stationary_average(
     horizon: float,
     seed: int,
     initial: NetworkState | None = None,
+    stats: dict | None = None,
 ) -> np.ndarray:
     """Time-weighted average of the natural observable over [burn_in, horizon].
 
@@ -510,13 +529,17 @@ def stationary_average(
     histogram. Weighting is event-exact, not grid-sampled. burn_in and
     horizon must be finite with 0 <= burn_in < horizon: the run ends only
     once an event passes the horizon, and before time 0 there is no path.
+    A stats dict, if given, receives the engine's counters, as
+    TrajectorySample.stats holds them.
     """
     if not (0.0 <= burn_in < horizon < np.inf):
         raise ValidationError(
             f"need finite 0 <= burn_in < horizon, got burn_in={burn_in} and "
             f"horizon={horizon}"
         )
-    _, occ = _run_engine(params, horizon, seed, initial, occupancy_from=burn_in)
+    counts, occ = _run_engine(params, horizon, seed, initial, occupancy_from=burn_in)
+    if stats is not None:
+        stats.update(counts)
     return ratio_projection(np.asarray(occ) / params.n_stations,
                             params.capacity_values) / (horizon - burn_in)
 

@@ -487,6 +487,18 @@ def test_verify_manifest_copies_engine_counters(base_cfg, tmp_path, suite,
     assert metrics["events"] >= metrics["rounds"] > 0
 
 
+def test_verify_interchange_manifest_copies_events(base_cfg, tmp_path):
+    # the scalar engine's event count behind the average; it has no rounds
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", "interchange", "--config", base_cfg,
+                 "--n", "16", "--burn-in", "5", "--horizon", "20", "--seed", "2",
+                 "--out", str(out)]) in (0, 2)
+    metrics = json.loads(out.read_text())["metrics"]
+    man = json.loads((tmp_path / "rep.json.manifest.json").read_text())
+    assert man["details"]["stats"] == {"events": metrics["events"]}
+    assert metrics["events"] > 0
+
+
 @pytest.mark.parametrize("delta", ["0", "-0.25", "nan", "inf"])
 def test_verify_forward_bad_delta_exits_one(base_cfg, tmp_path, capsys, delta):
     code = main(["verify", "--suite", "forward", "--config", base_cfg,

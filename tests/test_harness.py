@@ -31,7 +31,8 @@ from bss.meanfield import (
     integrate,
     integrate_hetero,
 )
-from bss.simulator import _lockstep, child_seed, ensemble, simulate
+from bss.simulator import (_lockstep, child_seed, ensemble, simulate,
+                           stationary_average)
 
 
 MIX = {"values": [2, 4], "fractions": [0.5, 0.5]}
@@ -222,6 +223,15 @@ def test_interchange_small_n_still_reports():
                                  seed=3, tol=0.05)
     assert isinstance(rep.passed, bool)
     assert rep.metrics["tv_distance"] > 0.0
+
+
+def test_interchange_reports_engine_events():
+    # the events of the one stationary_average run behind the distance
+    par = make_params()
+    rep = interchange_experiment(par, n=16, burn_in=10.0, horizon=40.0, seed=3)
+    stats = {}
+    stationary_average(_with_n(par, 16), 10.0, 40.0, 3, stats=stats)
+    assert rep.metrics["events"] == stats["events"] > 0
 
 
 # ---------------------------------------------------------------- forward eqn

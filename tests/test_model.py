@@ -121,6 +121,28 @@ class TestArrivalRate:
         m = ArrivalModel(fourier=WEEKEND_FIT)
         assert abs(arrival_rate(m, t) - arrival_rate(m, t + 24.0)) < 1e-12
 
+    @pytest.mark.parametrize("order", [0, 2, 5])
+    def test_at_matches_the_harmonic_loop_bitwise(self, order):
+        # at() iterates precomputed (j, b_j, c_j) terms; its sum must keep
+        # the order and bits of the plain loop over harmonic indices
+        def loop_at(f, t):
+            w = 2.0 * math.pi * float(t) / f.period
+            val = f.intercept
+            for j in range(f.order):
+                val += f.sin_coeffs[j] * math.sin(w * (j + 1))
+                val += f.cos_coeffs[j] * math.cos(w * (j + 1))
+            return val
+
+        rng = np.random.default_rng(order)
+        f = FourierRateModel(intercept=2.5, sin_coeffs=tuple(rng.normal(size=order)),
+                             cos_coeffs=tuple(rng.normal(size=order)), period=7.3)
+        for t in rng.uniform(-30.0, 300.0, size=1000).tolist() + [0.0, 7.3]:
+            assert f.at(t) == loop_at(f, t)
+        # the terms are derived: equality, hashing and repr see the fields only
+        twin = FourierRateModel(2.5, f.sin_coeffs, f.cos_coeffs, 7.3)
+        assert twin == f and hash(twin) == hash(f)
+        assert "_terms" not in repr(f)
+
     def test_scalar_and_array_agree(self):
         m = ArrivalModel(fourier=WEEKDAY_FIT)
         ts = np.array([0.0, 1.1, 7.7, 23.0])
@@ -189,6 +211,23 @@ class TestValidateParams:
             "intercept": 5.0, "sin": [0.0] * 1199 + [5.1], "cos": [0.0] * 1200}})
         with pytest.raises(ValidationError, match=r"negative at t=0\.01\d* h"):
             validate_params(cfg)
+
+    @pytest.mark.parametrize("amplitude, dip", [
+        (4.9, None),
+        (5.1, r"negative at t=0\.014375 h \(value -0\.002"),
+    ])
+    def test_lone_high_harmonic_dip_search(self, amplitude, dip):
+        # 1199 zero harmonics and one of amplitude 4.9 (the rate stays >= 0.1)
+        # or 5.1 (it first dips below zero at t = 0.014375 h, value -0.002):
+        # the dip search evaluates the live harmonic alone
+        cfg = base_config(arrival={"fourier": {
+            "intercept": 5.0, "sin": [0.0] * 1199 + [amplitude],
+            "cos": [0.0] * 1200}})
+        if dip is None:
+            validate_params(cfg)
+        else:
+            with pytest.raises(ValidationError, match=dip):
+                validate_params(cfg)
 
     @pytest.mark.parametrize("fourier", [
         {"intercept": 1.0, "sin": [1.0], "cos": [0.0]},

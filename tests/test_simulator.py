@@ -630,6 +630,51 @@ def test_stationary_average_rejects_bad_times(burn_in, horizon):
         stationary_average(make_params(n_stations=20), burn_in, horizon, seed=1)
 
 
+@pytest.mark.parametrize("recompute_every", [1_000_000, 7])
+@pytest.mark.parametrize("capacity", [5, {"values": [3, 6], "fractions": [0.5, 0.5]}])
+def test_stationary_average_reports_engine_stats(capacity, recompute_every,
+                                                 monkeypatch):
+    # one seed's stream whatever it records: the counters of simulate over
+    # the same horizon
+    monkeypatch.setattr(bss.simulator, "RECOMPUTE_EVERY", recompute_every)
+    par = make_params(capacity=capacity, arrival=FOURIER_RATE)
+    stats = {}
+    stationary_average(par, 1.0, 6.0, seed=9, stats=stats)
+    assert stats == simulate(par, 6.0, 0.5, seed=9).stats
+    assert stats["events"] > 0 and stats["thinning_rejections"] > 0
+    assert stats["recomputes"] == stats["events"] // recompute_every
+
+
+def test_stationary_average_quiet_start_is_the_start_measure():
+    # all bikes docked and lam=0: the total rate is 0 before the first draw;
+    # over a window of 2 h the average is the start measure to the bit
+    par = make_params(n_stations=5, capacity=4, gamma=2.0, p=0.0,
+                      arrival={"constant": 0.0})
+    stats = {}
+    avg = stationary_average(par, 1.0, 3.0, seed=4, stats=stats)
+    assert np.array_equal(avg, empirical_measure(round_robin_state(par)))
+    assert stats == {"events": 0, "thinning_rejections": 0, "empty_draws": 0,
+                     "recomputes": 0}
+
+
+def test_stationary_average_credits_the_absorbed_table_to_the_horizon():
+    # REPLAY_CASES' absorbing run: the 100 bikes dock within the first 2 h,
+    # then the total rate is 0 and the run ends before any draw passes the
+    # horizon; the absorbed table still counts up to the horizon
+    overrides, _, _, counts = REPLAY_CASES["absorbing"]
+    par = make_params(**overrides)
+    init = state_of(counts, np.full(50, 5), 100)
+    runs = {}
+    for b, h in [(0.0, 2.0), (2.0, 4.0), (0.0, 4.0)]:
+        stats = {}
+        runs[b, h] = (h - b) * stationary_average(par, b, h, seed=11,
+                                                  initial=init, stats=stats)
+        assert stats["events"] == 100
+    final = simulate(par, 4.0, 2.0, seed=11, initial=init).y_series[-1]
+    assert np.array_equal(runs[2.0, 4.0], 2.0 * final)
+    assert np.abs(runs[0.0, 4.0] - runs[0.0, 2.0] - runs[2.0, 4.0]).max() <= 1e-12
+
+
 def test_simulate_fills_grid_instant_past_horizon():
     # 3 * 0.1 rounds to 0.30000000000000004 > 0.3: that last instant gets
     # the final state instead of staying all zero
@@ -761,6 +806,12 @@ GOLDEN_CASES = {
     "stationary_mix3": ({"capacity": GOLDEN_MIX3, "gamma": 0.5, "p": 0.0},
                         "b69f229563bef64e2c02defbace96174437238053a419ef606c69f6a6cf6088d",
                         None),
+    # the ctmc benchmark's stationary config (N=500, theta=2) on this
+    # window: 39,460 events
+    "stationary_mix_n500": ({"n_stations": 500, "capacity": GOLDEN_MIX, "gamma": 7.5,
+                             "choice": THETA2},
+                            "8c5c81cf2937bc74747ca20691650ebf27365316838e4219a400bdbea07df7ad",
+                            None),
 }
 
 
