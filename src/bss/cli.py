@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .model import ConvergenceError, SystemParams, ValidationError, validate_params
 from .meanfield import (
+    _observable,
     _sample_grid,
     builtin_measure,
     integrate,
@@ -149,15 +150,13 @@ def _manifest(
 
 
 def _parse_y0(par: SystemParams, spec: str):
-    """builtin:<name> or a CSV file holding one value per line."""
+    """builtin:<name>, or a CSV file holding the (class, count) table: one
+    comma-separated row of k_max+1 values per capacity class, ascending, with
+    zeros above each class's capacity. On one class the file may also hold
+    one value per line. The integrators check the shape (_as_measure)."""
     if spec.startswith("builtin:"):
         return builtin_measure(par, spec.split(":", 1)[1])
-    if not par.is_uniform:
-        raise ValidationError(
-            "y0 from file needs a uniform capacity; use builtin: measures"
-        )
-    vals = np.loadtxt(spec, delimiter=",", dtype=float, ndmin=1)
-    return vals
+    return np.loadtxt(spec, delimiter=",", dtype=float, ndmin=1)
 
 
 # ---------------------------------------------------------------- handlers
@@ -176,10 +175,7 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     par = _load_params(args.config)
     traj = simulate(par, args.horizon, args.sample_dt, args.seed)
-    if par.is_uniform:
-        _write_series(args.out, traj.times, "y", traj.y_series)
-    else:
-        _write_series(args.out, traj.times, "r", traj.r_series)
+    _write_series(args.out, traj.times, _observable(par), traj.r_series)
     _manifest(
         args.out, "simulate", par.to_config(), args.seed, [args.out],
         started,
@@ -200,10 +196,9 @@ def _cmd_meanfield(args) -> int:
     y0 = _parse_y0(par, args.y0)
     stats: dict = {}
     path = integrate(y0, par, grid, args.step, stats)
-    if par.is_uniform:
-        _write_series(args.out, grid, "y", path)
-    else:
-        _write_series(args.out, grid, "r", ratio_projection(path, par.capacity_values))
+    caps = par.capacity_values
+    _write_series(args.out, grid, _observable(par),
+                  ratio_projection(path.reshape(len(grid), len(caps), -1), caps))
     _manifest(
         args.out, "meanfield", par.to_config(), None, [args.out], started,
         details={"horizon": args.horizon, "sample_dt": args.sample_dt,

@@ -17,12 +17,13 @@ from .model import (
     ConvergenceError,
     SystemParams,
     ValidationError,
+    _integer_fleet,
     _require_finite_weights,
     arrival_rate,
     choice_weights,
 )
-from .meanfield import (TINY_DENOM, _informed_choice, _sample_grid, integrate,
-                        ratio_projection)
+from .meanfield import (TINY_DENOM, _informed_choice, _observable, _sample_grid,
+                        integrate, ratio_projection)
 from .diffusion import integrate_covariance
 from .equilibrium import entropy, solve_equilibrium
 from .simulator import (
@@ -96,13 +97,7 @@ class ExperimentReport:
 
 def _with_n(params: SystemParams, n: int) -> SystemParams:
     """Same model at a different network size; gamma must stay exact."""
-    fleet_f = params.gamma * n
-    fleet = int(round(fleet_f))
-    if abs(fleet_f - fleet) > 1e-6:
-        raise ValidationError(
-            f"gamma {params.gamma} does not give an integer fleet at N={n}"
-        )
-    return replace(params, n_stations=n, fleet=fleet)
+    return replace(params, n_stations=n, fleet=_integer_fleet(params.gamma, n))
 
 
 def flln_experiment(
@@ -256,7 +251,7 @@ def interchange_experiment(
             "horizon": horizon,
             "tv_distance": tv,
             "tolerance": tol,
-            "observable": "y" if par_n.is_uniform else "r",
+            "observable": _observable(par_n),
             "events": stats["events"],
         },
     )
@@ -277,31 +272,36 @@ def _parse_f_spec(f_spec: str, dim: int):
 
 def _generator_apply(j, phi, y: np.ndarray, par: SystemParams, t: float) -> np.ndarray:
     """Exact generator action sum_e rate(e) (f(y + jump_e) - f(y)) of
-    f(y) = phi(y_j) on a stack of measures y, shape (..., K+1); returns
-    shape y.shape[:-1]. f reads y_j alone, so its change on each jump is
-    phi(y_j + jump_e[j]) - phi(y_j), linear in K per measure.
+    f(y) = phi(y_j) on a stack of flattened (class, count) tables y, shape
+    (..., L); returns shape y.shape[:-1]. f reads y_j alone, so its change
+    on each jump is phi(y_j + jump_e[j]) - phi(y_j), linear in L per table.
 
     Rates are rebuilt here from the transition definitions rather than from
     the drift code, so the forward-equation check compares two independent
-    routes. A pickup at i moves 1/N of mass to i-1, a dropoff at i to i+1;
-    a cell without mass fires neither.
+    routes. The pickup cells are counts 1..K_c, class-major as the simulator
+    walks them; a pickup there moves 1/N of mass one count down, a dropoff
+    at the cell below one count up, and a cell without mass fires neither.
     """
-    k, n, p = par.uniform_capacity, par.n_stations, par.p
-    g = choice_weights(_informed_choice(par), k)
+    caps, n, p = par.capacity_values, par.n_stations, par.p
+    width = caps[-1] + 1
+    picks = np.array([c * width + m for c, k in enumerate(caps) for m in range(1, k + 1)])
+    counts = np.tile(np.arange(width), len(caps))
+    g = np.tile(choice_weights(_informed_choice(par), width - 1), len(caps))
     lam = arrival_rate(par.arrival, t)
     held = np.where(y > 0, y, 0.0)
     pick = 1.0 - p
     if p > 0.0:
         # a vanished denominator drops the informed term
         denom = y @ g
-        pick = pick + p * g[1:] / np.where(denom > TINY_DENOM, denom, np.inf)[..., None]
-    spare = par.mu * (par.gamma - y @ np.arange(k + 1))
-    rates = np.concatenate([n * lam * pick * held[..., 1:],
-                            n * spare[..., None] * held[..., :-1]], axis=-1)
-    step = np.eye(k + 1) / n
-    jumps = np.concatenate([step[:-1] - step[1:], step[1:] - step[:-1]])
+        pick = pick + p * g[picks] / np.where(denom > TINY_DENOM, denom, np.inf)[..., None]
+    spare = par.mu * (par.gamma - y @ counts)
+    rates = np.concatenate([n * lam * pick * held[..., picks],
+                            n * spare[..., None] * held[..., picks - 1]], axis=-1)
+    # the change of cell j on a pickup from each pickup cell, then on the
+    # reverse move, a dropoff into it from the cell below
+    down = (picks - 1 == j).astype(int) - (picks == j)
     y_j = y[..., j, None]
-    moved = phi(y_j + jumps[:, j]) - phi(y_j)
+    moved = phi(y_j + np.concatenate([down, -down]) / n) - phi(y_j)
     return np.sum(rates * moved, axis=-1)
 
 
@@ -318,14 +318,18 @@ def forward_equation_residual(
 
     The left side is a finite difference of E[f] across nearby sample
     instants of the same trajectories; the right side averages the exact
-    generator action at t. Passes when the paired difference is within 3
-    standard errors.
+    generator action at t. f_spec coord@j or square@j reads cell j of the
+    flattened (class, count) table, c*(k_max+1) + n for class c at n bikes;
+    a cell above its class's capacity, which would pass with z = inf, is
+    refused. Passes when the paired difference is within 3 standard errors.
     """
-    if not params.is_uniform:
-        raise ValidationError("forward-equation check needs a uniform capacity")
     par_n = _with_n(params, n)
-    dim = par_n.uniform_capacity + 1
-    j, phi = _parse_f_spec(f_spec, dim)
+    caps, width = par_n.capacity_values, par_n.k_max + 1
+    j, phi = _parse_f_spec(f_spec, len(caps) * width)
+    if j % width > caps[j // width]:
+        # a dead cell holds an exact zero on every path: both sides vanish
+        raise ValidationError(
+            f"f_spec {f_spec!r} names a cell above its class's capacity in {caps}")
     if not (0 < delta < math.inf):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
     if t < 0:
@@ -378,17 +382,16 @@ def forward_equation_residual(
 def sweep(plane: str, x_values, y_values, base: SystemParams):
     """Equilibrium surface over a (p, second-parameter) grid.
 
-    Returns one row dict per node with boundary masses, entropy, and a
-    converged flag; solver failures leave NaN metrics so the surface stays
-    rectangular.
+    Returns one row dict per node with bins 0, 1, k_max-1 and k_max of the
+    ratio histogram r_bar (y-bar on one class) as ybar0, ybar1, ybarKm1 and
+    ybarK, its entropy, and a converged flag; solver failures leave NaN
+    metrics so the surface stays rectangular.
     """
     if plane not in SWEEP_PLANES:
         raise ValidationError(f"plane must be one of {SWEEP_PLANES}")
-    if not base.is_uniform:
-        raise ValidationError("sweep needs a uniform capacity")
     if not base.arrival.is_constant:
         raise ValidationError("sweep needs a constant arrival rate")
-    k = base.uniform_capacity
+    k = base.k_max
     # every node is checked before any is solved: replace() skips
     # validate_params
     ps = [float(x) for x in x_values]
@@ -401,14 +404,9 @@ def sweep(plane: str, x_values, y_values, base: SystemParams):
         fleet, choice = base.fleet, base.choice
         try:
             if plane == "p-gamma":
-                fleet_f = y * base.n_stations
-                if not (math.isfinite(fleet_f) and y > 0):
-                    raise ValidationError("must be positive and finite")
-                fleet = int(round(fleet_f))
-                if abs(fleet_f - fleet) > 1e-6:
-                    raise ValidationError(
-                        f"does not give an integer fleet at N={base.n_stations}"
-                    )
+                if not y > 0:
+                    raise ValidationError("must be positive")
+                fleet = _integer_fleet(y, base.n_stations)
             else:
                 choice = ChoiceSpec(_SWEEP_KINDS[plane], y)
             if any(p > 0.0 for p in ps):
@@ -422,21 +420,13 @@ def sweep(plane: str, x_values, y_values, base: SystemParams):
             par = replace(base, fleet=fleet, p=p, choice=choice)
             row = {"x": p, "y": y}
             try:
-                eq = solve_equilibrium(par)
-                yb = eq.y_bar
-                row.update(
-                    ybar0=float(yb[0]),
-                    ybar1=float(yb[1]),
-                    ybarKm1=float(yb[k - 1]),
-                    ybarK=float(yb[k]),
-                    entropy=float(entropy(yb)),
-                    converged=1,
-                )
+                rb = solve_equilibrium(par).r_bar
+                row.update(ybar0=float(rb[0]), ybar1=float(rb[1]),
+                           ybarKm1=float(rb[k - 1]), ybarK=float(rb[k]),
+                           entropy=entropy(rb), converged=1)
             except ConvergenceError:
-                row.update(
-                    ybar0=math.nan, ybar1=math.nan, ybarKm1=math.nan,
-                    ybarK=math.nan, entropy=math.nan, converged=0,
-                )
+                row.update(ybar0=math.nan, ybar1=math.nan, ybarKm1=math.nan,
+                           ybarK=math.nan, entropy=math.nan, converged=0)
             rows.append(row)
     return rows
 

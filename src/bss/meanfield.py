@@ -363,6 +363,11 @@ def ratio_projection(tables, capacities) -> np.ndarray:
     return r
 
 
+def _observable(params: SystemParams) -> str:
+    """Label of ratio_projection's output: y, the measure, on one class."""
+    return "y" if params.is_uniform else "r"
+
+
 def ratio_histogram(counts, capacities, k_max: int) -> np.ndarray:
     """Fill-ratio histogram of stations: station i, holding counts[i] of
     capacities[i] docks, adds 1/N to bin ratio_bins(capacities[i], k_max)

@@ -7,6 +7,7 @@ safe to share across concurrent tasks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -89,8 +90,9 @@ class FourierRateModel:
     sin_coeffs: tuple[float, ...] = ()
     cos_coeffs: tuple[float, ...] = ()
     period: float = 24.0
-    # (j, b_j, c_j) per harmonic for at(): derived from the coefficients, so
-    # it takes no part in equality, hashing or repr
+    # (j, b_j, c_j) per live harmonic, one whose coefficients are not both
+    # zero: the terms at(), the array rate and the dip search add up. Derived
+    # from the coefficients, so it takes no part in equality, hashing or repr
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -106,7 +108,8 @@ class FourierRateModel:
         if not (self.period > 0):
             raise ValidationError(f"fourier period must be > 0, got {self.period}")
         object.__setattr__(self, "_terms", tuple(
-            zip(range(1, self.order + 1), self.sin_coeffs, self.cos_coeffs)))
+            (j, b, c) for j, b, c in zip(range(1, self.order + 1), self.sin_coeffs,
+                                         self.cos_coeffs) if b or c))
 
     @property
     def order(self) -> int:
@@ -293,20 +296,15 @@ def arrival_rate(model: ArrivalModel, t):
     f = model.fourier
     if np.ndim(t) == 0:
         return f.at(t)
-    return _harmonic_sum(f, np.asarray(t, dtype=float), range(f.order))
+    return _harmonic_sum(f, np.asarray(t, dtype=float))
 
 
-def _harmonic_sum(f: FourierRateModel, tt: np.ndarray, harmonics) -> np.ndarray:
-    """intercept plus the terms of the given harmonics (0-based indices) at
-    the instants tt: lambda(tt) when they include every harmonic with a
-    nonzero coefficient."""
-    idx = np.asarray(harmonics, dtype=np.int64)
-    w = (2.0 * math.pi / f.period) * tt[..., None] * (idx + 1)
-    return (
-        f.intercept
-        + np.sin(w) @ np.asarray(f.sin_coeffs)[idx]
-        + np.cos(w) @ np.asarray(f.cos_coeffs)[idx]
-    )
+def _harmonic_sum(f: FourierRateModel, tt: np.ndarray) -> np.ndarray:
+    """lambda(tt) at an array of instants: the intercept plus the terms of
+    the live harmonics."""
+    j, b, c = np.array(f._terms, dtype=float).reshape(-1, 3).T
+    w = (2.0 * math.pi / f.period) * tt[..., None] * j
+    return f.intercept + np.sin(w) @ b + np.cos(w) @ c
 
 
 def _period_grid(f: FourierRateModel) -> np.ndarray:
@@ -334,13 +332,11 @@ def _first_negative(model: ArrivalModel):
     f = model.fourier
     scale, slope = _rate_bounds(f)
     tol = RATE_DIP_RESOLUTION * scale
-    # a harmonic whose coefficients are both zero adds nothing to the rate
-    live = [j for j, bc in enumerate(zip(f.sin_coeffs, f.cos_coeffs)) if any(bc)]
     ts = _period_grid(f)
     block = ts.size  # instants per evaluation, which bounds the temporaries
     half = f.period / (ts.size - 1) / 2.0
     while ts.size:
-        vals = np.concatenate([_harmonic_sum(f, ts[i : i + block], live)
+        vals = np.concatenate([_harmonic_sum(f, ts[i : i + block])
                                for i in range(0, ts.size, block)])
         neg = np.flatnonzero(~(vals >= -tol))  # NaN counts as negative
         if neg.size:
@@ -372,9 +368,21 @@ def _require_finite_weights(n: int, choice: ChoiceSpec, k_max: int) -> None:
 def _as_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{field} must be a number, got {value!r}")
+    # an exact comparison for ints: NaN, infinities and huge ints all fail
+    _require(abs(value) <= sys.float_info.max, f"{field} must be finite")
     if float(value) != int(value):
         raise ValidationError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def _integer_fleet(gamma: float, n: int) -> int:
+    """The fleet gamma * n, which must be finite and within 1e-6 of an integer."""
+    fleet_f = gamma * n
+    _require(
+        math.isfinite(fleet_f) and abs(fleet_f - round(fleet_f)) <= 1e-6,
+        f"gamma={gamma} times n_stations={n} is not an integer fleet",
+    )
+    return int(round(fleet_f))
 
 
 def _parse_choice(raw, path: str) -> ChoiceSpec:
@@ -497,12 +505,7 @@ def validate_params(raw) -> SystemParams:
     else:
         g = float(raw["gamma"])
         _require(g >= 0, f"gamma must be >= 0, got {g}")
-        fleet_f = g * n
-        _require(
-            abs(fleet_f - round(fleet_f)) <= 1e-6,
-            f"gamma={g} times n_stations={n} is not an integer fleet",
-        )
-        fleet = int(round(fleet_f))
+        fleet = _integer_fleet(g, n)
 
     mu = float(raw["mu"])
     _require(math.isfinite(mu) and mu > 0, f"mu must be > 0, got {raw['mu']!r}")
@@ -522,6 +525,9 @@ def validate_params(raw) -> SystemParams:
             raise ValidationError(
                 f"arrival rate is negative at t={neg[0]:.6g} h (value {neg[1]:.6g})"
             )
+        # an infinite intercept passes the dip search, whose resolution it sets
+        _require(math.isfinite(_rate_bounds(arrival.fourier)[0]),
+                 "arrival.fourier coefficients must be finite")
 
     return SystemParams(
         n_stations=n,

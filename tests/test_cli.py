@@ -84,6 +84,19 @@ def test_invalid_p_exits_one_and_names_field(tmp_path, capsys):
     assert "p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("n_stations", math.inf),
+                                        ("n_stations", 10 ** 400),
+                                        ("gamma", math.inf), ("capacity", math.nan)],
+                         ids=lambda v: "10**400" if v == 10 ** 400 else None)
+def test_non_finite_config_number_exits_one(tmp_path, capsys, key, value):
+    # these escaped main as OverflowError or ValueError tracebacks
+    cfg = write_config(tmp_path / "bad.json", **{key: value})
+    code = main(["equilibrium", "--config", cfg,
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert key in capsys.readouterr().err
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     code = main(["equilibrium", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o.csv")])
@@ -328,6 +341,33 @@ def test_meanfield_capacity_mix_ratio_rows(tmp_path):
     assert {r[1] for r in rows} == {"r"}
     first = [float(r[3]) for r in rows if r[0] == "0"]
     assert sum(first) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sub", ["meanfield", "diffusion"])
+def test_y0_table_file_on_a_capacity_mix(tmp_path, sub):
+    # the (class, count) table of builtin:uniform, one class a row, written
+    # with FLOAT_FMT: the run reads it back bit for bit
+    cfg = write_config(tmp_path / "h.json", capacity=MIX)
+    table = builtin_measure(validate_params(json.loads((tmp_path / "h.json")
+                                                       .read_text())), "uniform")
+    assert table.shape == (2, 5)
+    np.savetxt(tmp_path / "y0.csv", table, fmt="%.17g", delimiter=",")
+    outs = []
+    for y0 in ("builtin:uniform", str(tmp_path / "y0.csv")):
+        outs.append(tmp_path / f"{len(outs)}.csv")
+        assert main([sub, "--config", cfg, "--horizon", "1", "--sample-dt",
+                     "0.5", "--y0", y0, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_y0_table_file_of_the_wrong_shape_exits_one(tmp_path, capsys):
+    # a one-class vector for a two-class config
+    cfg = write_config(tmp_path / "h.json", capacity=MIX)
+    (tmp_path / "y0.csv").write_text("0.2\n0.2\n0.2\n0.2\n0.2\n")
+    code = main(["meanfield", "--config", cfg, "--horizon", "1", "--y0",
+                 str(tmp_path / "y0.csv"), "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert "does not match capacities" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- diffusion
@@ -830,9 +870,9 @@ def _sweep_case(par):
     (_meanfield_case, 3), (_meanfield_case, MIX),
     (_diffusion_case, 3), (_diffusion_case, MIX),
     (_equilibrium_case, 3), (_equilibrium_case, MIX),
-    (_sweep_case, 3),
+    (_sweep_case, 3), (_sweep_case, MIX),
 ], ids=["simulate", "simulate-mix", "meanfield", "meanfield-mix", "diffusion",
-        "diffusion-mix", "equilibrium", "equilibrium-mix", "sweep"])
+        "diffusion-mix", "equilibrium", "equilibrium-mix", "sweep", "sweep-mix"])
 def test_csv_bytes_match_row_oracle(tmp_path, case, capacity):
     cfg = write_config(tmp_path / "c.json", capacity=capacity)
     par = validate_params(json.loads((tmp_path / "c.json").read_text()))

@@ -12,7 +12,7 @@ from bss.model import (
     validate_params,
 )
 from bss.diffusion import integrate_covariance
-from bss.equilibrium import solve_equilibrium
+from bss.equilibrium import entropy, solve_equilibrium
 from bss.harness import (
     ExperimentReport,
     fclt_experiment,
@@ -245,37 +245,39 @@ def test_forward_equation_coordinate_function():
 
 
 def generator_apply_loop(f, y, par, t):
-    """The generator action on one measure, one transition at a time on a
-    copy of y: the oracle of the stacked _generator_apply."""
-    k = par.uniform_capacity
-    n = par.n_stations
-    g = choice_weights(_informed_choice(par), k)
+    """The generator action on one flattened (class, count) table, one
+    transition at a time on a copy of y, each class stopping at its own
+    capacity: the oracle of the stacked _generator_apply."""
+    caps, n, p = par.capacity_values, par.n_stations, par.p
+    width = caps[-1] + 1
+    g = choice_weights(_informed_choice(par), width - 1)
     lam = arrival_rate(par.arrival, t)
-    p = par.p
-    denom = float(g @ y)
+    table = y.reshape(len(caps), width)
+    denom = float(sum(g @ row for row in table))
     total = 0.0
     fy = f(y)
-    m1 = float(np.arange(k + 1) @ y)
+    m1 = float(sum(np.arange(width) @ row for row in table))
     spare = par.mu * (par.gamma - m1)
-    for i in range(1, k + 1):
-        if y[i] <= 0:
-            continue
-        c = (1.0 - p)
-        if p > 0.0 and denom > TINY_DENOM:
-            c += p * g[i] / denom
-        rate = n * lam * c * y[i]
-        shifted = y.copy()
-        shifted[i] -= 1.0 / n
-        shifted[i - 1] += 1.0 / n
-        total += rate * (f(shifted) - fy)
-    for i in range(0, k):
-        if y[i] <= 0:
-            continue
-        rate = n * spare * y[i]
-        shifted = y.copy()
-        shifted[i] -= 1.0 / n
-        shifted[i + 1] += 1.0 / n
-        total += rate * (f(shifted) - fy)
+    for c, k in enumerate(caps):
+        for i in range(1, k + 1):
+            if table[c, i] <= 0:
+                continue
+            rate = (1.0 - p)
+            if p > 0.0 and denom > TINY_DENOM:
+                rate += p * g[i] / denom
+            rate *= n * lam * table[c, i]
+            shifted = table.copy()
+            shifted[c, i] -= 1.0 / n
+            shifted[c, i - 1] += 1.0 / n
+            total += rate * (f(shifted.ravel()) - fy)
+        for i in range(0, k):
+            if table[c, i] <= 0:
+                continue
+            rate = n * spare * table[c, i]
+            shifted = table.copy()
+            shifted[c, i] -= 1.0 / n
+            shifted[c, i + 1] += 1.0 / n
+            total += rate * (f(shifted.ravel()) - fy)
     return total
 
 
@@ -291,11 +293,18 @@ def generator_apply_loop(f, y, par, t):
     # with fleets that keep those ends occupied
     ({"n_stations": 200, "gamma": 19.0, "capacity": 20, "p": 0.5}, "coord@20"),
     ({"n_stations": 200, "gamma": 1.0, "capacity": 20, "p": 0.5}, "square@0"),
+    # the {2, 4} mix, flattened 5 cells a class: the small class's top
+    # (cell 2, where its dropoffs stop), the large class's empty cell (5) and
+    # top (9), and one cell inside it
+    ({"n_stations": 100, "gamma": 1.5, "capacity": MIX, "p": 0.5}, "coord@2"),
+    ({"n_stations": 100, "gamma": 1.5, "capacity": MIX, "p": 0.5}, "square@5"),
+    ({"n_stations": 100, "gamma": 2.5, "capacity": MIX, "p": 1.0}, "coord@9"),
+    ({"n_stations": 100, "gamma": 1.5, "capacity": MIX, "p": 0.0}, "square@7"),
 ])
 def test_stacked_generator_matches_transition_loop(cfg, f_spec):
     par = make_params(**cfg)
-    dim = par.uniform_capacity + 1
-    j, phi = _parse_f_spec(f_spec, dim)
+    caps = par.capacity_values
+    j, phi = _parse_f_spec(f_spec, len(caps) * (caps[-1] + 1))
     samples, _ = _lockstep(par, 1.0, _sample_grid(1.0, 0.5),
                            [child_seed(5, r) for r in range(400)])
     states = samples[:, -1]
@@ -304,6 +313,26 @@ def test_stacked_generator_matches_transition_loop(cfg, f_spec):
                      for y in states])
     assert got.shape == (400,) and np.count_nonzero(want) > 0
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("f_spec", ["coord@0", "coord@2", "coord@6",
+                                    "square@1", "square@9"])
+def test_forward_equation_passes_on_a_capacity_mix(f_spec):
+    # live cells of the {2, 4} mix: the small class's counts 0..2 and the
+    # large class's 0..4 at flattened cells 5..9
+    rep = forward_equation_residual(make_params(capacity=MIX), n=100,
+                                    f_spec=f_spec, t=1.0, reps=400, seed=17)
+    assert rep.passed is True, rep.metrics
+    assert rep.metrics["z"] <= 3.0
+
+
+@pytest.mark.parametrize("f_spec", ["coord@3", "coord@4", "square@3"])
+def test_forward_equation_rejects_a_dead_cell(f_spec):
+    # counts 3 and 4 of the capacity-2 class hold an exact zero on every
+    # path, so the residual and its standard error would both be 0
+    with pytest.raises(ValidationError, match="above its class's capacity"):
+        forward_equation_residual(make_params(capacity=MIX), 100, f_spec, 1.0,
+                                  400, 17)
 
 
 def forward_by_simulate(par, n, f_spec, t, reps, seed, delta=0.25):
@@ -544,6 +573,26 @@ def test_sweep_flags_node_without_interior_equilibrium():
     rows = sweep("p-gamma", [1.0], [0.5, 1.5], base)
     assert [row["converged"] for row in rows] == [0, 1]
     assert math.isnan(rows[0]["ybar0"])
+
+
+@pytest.mark.parametrize("plane, ys", [("p-theta", [0.5, 2.0]),
+                                       ("p-c", [1, 3]), ("p-gamma", [1.0, 2.5])])
+def test_sweep_on_a_capacity_mix_reads_r_bar(plane, ys):
+    base = big_base(capacity={"values": [2, 4], "fractions": [0.25, 0.75]},
+                    gamma=1.5)
+    rows = sweep(plane, [0.0, 0.5, 1.0], ys, base)
+    assert len(rows) == 6
+    for row in rows:
+        fleet = round(row["y"] * 20) if plane == "p-gamma" else base.fleet
+        choice = ({"kind": "minimum", "c": row["y"]} if plane == "p-c"
+                  else {"kind": "exponential", "theta": row["y"]}
+                  if plane == "p-theta" else base.to_config()["choice"])
+        cfg = base.to_config() | {"fleet": fleet, "p": row["x"], "choice": choice}
+        rb = solve_equilibrium(validate_params(cfg)).r_bar
+        assert row["converged"] == 1
+        assert [row[key] for key in ("ybar0", "ybar1", "ybarKm1", "ybarK")] \
+            == [rb[0], rb[1], rb[3], rb[4]]
+        assert row["entropy"] == entropy(rb)
 
 
 def test_sweep_rejects_unknown_plane():

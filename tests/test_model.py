@@ -165,6 +165,20 @@ class TestArrivalRate:
         dense = arrival_rate(m, np.linspace(0.0, 24.0, 240_001)).max()
         assert dense <= m.max_rate() <= dense + 0.01 * dense
 
+    def test_terms_hold_the_live_harmonics(self):
+        # harmonics with both coefficients zero (-0.0 included) add nothing
+        f = FourierRateModel(intercept=1.0, sin_coeffs=(0.0, 0.5, 0.0),
+                             cos_coeffs=(-0.0, 0.0, 0.25))
+        assert f._terms == ((2, 0.5, 0.0), (3, 0.0, 0.25))
+        lone = FourierRateModel(intercept=5.0, sin_coeffs=(0.0,) * 1199 + (4.9,),
+                                cos_coeffs=(0.0,) * 1200)
+        assert lone._terms == ((1200, 4.9, 0.0),)
+        ts = np.linspace(0.0, 0.1, 2001)
+        want = 5.0 + 4.9 * np.sin(2.0 * math.pi * ts / 24.0 * 1200)
+        m = ArrivalModel(fourier=lone)
+        assert np.abs(arrival_rate(m, ts) - want).max() <= 1e-12
+        assert max(abs(m.fourier.at(t) - w) for t, w in zip(ts, want)) <= 1e-12
+
     def test_negative_constant_rejected(self):
         with pytest.raises(ValidationError):
             ArrivalModel(rate=-0.1)
@@ -293,6 +307,26 @@ class TestValidateParams:
             validate_params(base_config(n_stations=n, choice=choice))
         # without informed users the weights never enter
         assert validate_params(base_config(n_stations=n, choice=choice, p=0.0)).p == 0.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", math.inf),
+        ("fleet", math.inf), ("fleet", -math.inf), ("fleet", math.nan),
+        ("fleet", 10 ** 400),
+        ("capacity", math.inf), ("capacity", math.nan), ("capacity", 10 ** 400),
+        ("capacity", {"values": [2, math.inf], "fractions": [0.5, 0.5]}),
+        ("n_stations", math.inf), ("n_stations", math.nan),
+        ("n_stations", 10 ** 400),
+        ("arrival", {"fourier": {"intercept": math.inf, "sin": [1.0], "cos": [0.0]}}),
+        ("arrival", {"fourier": {"intercept": -math.inf, "sin": [1.0], "cos": [0.0]}}),
+    ], ids=lambda v: "10**400" if v == 10 ** 400 else None)
+    def test_non_finite_numbers_rejected(self, key, value):
+        # these raised OverflowError or a bare ValueError, and an infinite
+        # Fourier intercept, even a negative one, validated
+        cfg = base_config(**{key: value})
+        if key == "fleet":
+            del cfg["gamma"]
+        with pytest.raises(ValidationError, match=key):
+            validate_params(cfg)
 
     def test_mu_positive(self):
         with pytest.raises(ValidationError, match="mu"):
