@@ -1,4 +1,4 @@
-"""Steady states of the mean-field limit and entropy diagnostics.
+"""Steady states of the mean-field limit.
 
 One solve serves every capacity mix; a uniform capacity is the one-class
 case. The equilibrium is a measure of meanfield's one type, the (class,
@@ -34,16 +34,13 @@ from .model import (
     ValidationError,
     choice_weights,
 )
-from .meanfield import TINY_DENOM, _informed_choice, drift, ratio_projection
+from .meanfield import _informed_choice, drift, ratio_projection
 
 __all__ = [
     "EquilibriumResult",
-    "birth_death_stationary",
     "solve_equilibrium",
     "solve_equilibrium_hetero",
     "entropy",
-    "relative_entropy",
-    "lyapunov_derivative",
 ]
 
 # residual gate on the largest |drift| over the equilibrium table
@@ -109,20 +106,6 @@ def _birth_death(logrho, caps) -> np.ndarray:
         y = np.exp(w - (m + np.log(np.exp(w - m).sum(axis=-1, keepdims=True))))
         out[..., c, : k + 1] = y / y.sum(axis=-1, keepdims=True)
     return out
-
-
-def birth_death_stationary(rho) -> np.ndarray:
-    """Stationary measure of a birth-death chain with up/down ratios rho.
-
-    y_n is proportional to the product of rho_0..rho_{n-1}: the one-class
-    case of _birth_death.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1 or rho.size < 1:
-        raise ValidationError("rho must be a nonempty vector")
-    if not np.all(np.isfinite(rho) & (rho > 0.0)):
-        raise ValidationError("rho must be strictly positive and finite")
-    return _birth_death(np.log(rho), (rho.size,))[0]
 
 
 def _require_constant(params: SystemParams) -> float:
@@ -358,53 +341,3 @@ def entropy(y) -> float:
     pos = y[y > 0.0]
     return float(-(pos * np.log(pos)).sum())
 
-
-def _reference_measure(y, params: SystemParams):
-    """nu_{rho(y)}: birth-death measure built from the rates frozen at y."""
-    lam = _require_constant(params)
-    k = params.uniform_capacity
-    y = np.asarray(y, dtype=float)
-    if y.shape != (k + 1,):
-        raise ValidationError(f"measure must have length {k + 1}, got {y.shape}")
-    if not (y.min() > 0.0):
-        raise ValidationError("boundary measure: reference needs interior y")
-    g = choice_weights(_informed_choice(params), k)
-    a = params.gamma - float(np.arange(k + 1) @ y)
-    if not (a > 0.0):
-        raise ValidationError(
-            "docked mean exceeds gamma; reference birth-death chain undefined"
-        )
-    s = float(g @ y)
-    p = params.p
-    if p > 0.0 and s <= TINY_DENOM:
-        p = 0.0
-    rho = np.exp(_log_rho(a, s if s > TINY_DENOM else 1.0, lam, params.mu, p, g))
-    return birth_death_stationary(rho), rho, a, s
-
-
-def relative_entropy(y, params: SystemParams) -> float:
-    """h(y) = sum y_n log(y_n / nu_n) against the frozen-rate reference.
-
-    Zero exactly at the equilibrium, positive elsewhere (Gibbs inequality).
-    """
-    nu, _, _, _ = _reference_measure(y, params)
-    y = np.asarray(y, dtype=float)
-    return float((y * (np.log(y) - np.log(nu))).sum())
-
-
-def lyapunov_derivative(y, params: SystemParams) -> float:
-    """Entropy-production rate of the relative entropy along the flow.
-
-    Dirichlet form over the birth-death edges: with f = y/nu and edge flux
-    q_k = nu_k * mu * a(y),
-
-        sum_k -q_k (f_{k+1} - f_k)(log f_{k+1} - log f_k) <= 0,
-
-    vanishing iff f is constant, i.e. y is the equilibrium.
-    """
-    nu, _, a, _ = _reference_measure(y, params)
-    y = np.asarray(y, dtype=float)
-    f = y / nu
-    logf = np.log(f)
-    q = nu[:-1] * (params.mu * a)
-    return float(-(q * np.diff(f) * np.diff(logf)).sum())

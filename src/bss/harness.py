@@ -332,8 +332,8 @@ def forward_equation_residual(
             f"f_spec {f_spec!r} names a cell above its class's capacity in {caps}")
     if not (0 < delta < math.inf):
         raise ValidationError(f"delta must be positive and finite, got {delta}")
-    if t < 0:
-        raise ValidationError("t must be >= 0")
+    if not (0 <= t < math.inf):
+        raise ValidationError(f"t must be finite and >= 0, got {t}")
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     one_sided = t < delta

@@ -375,6 +375,17 @@ def _as_int(value, field: str) -> int:
     return int(value)
 
 
+def _as_float(value, field: str) -> float:
+    # float() of an integer beyond the float range raises OverflowError, which
+    # is no ValueError; range and sign stay the caller's checks
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{field} must be finite, got an integer beyond the float range"
+        ) from None
+
+
 def _integer_fleet(gamma: float, n: int) -> int:
     """The fleet gamma * n, which must be finite and within 1e-6 of an integer."""
     fleet_f = gamma * n
@@ -397,7 +408,8 @@ def _parse_choice(raw, path: str) -> ChoiceSpec:
     if param_key is None:
         return ChoiceSpec(kind=kind)
     _require(param_key in raw, f"{path}.{param_key} is required for kind {kind!r}")
-    return ChoiceSpec(kind=kind, param=raw[param_key])
+    param = _as_float(raw[param_key], f"{path}.{param_key}")
+    return ChoiceSpec(kind=kind, param=param)
 
 
 def _parse_arrival(raw, path: str) -> ArrivalModel:
@@ -415,19 +427,22 @@ def _parse_arrival(raw, path: str) -> ArrivalModel:
             isinstance(rate, (int, float)) and not isinstance(rate, bool),
             f"{path}.constant must be a number",
         )
-        return ArrivalModel(rate=float(rate))
+        return ArrivalModel(rate=_as_float(rate, f"{path}.constant"))
     f = raw["fourier"]
     _require(isinstance(f, Mapping), f"{path}.fourier must be a mapping")
     extra = set(f) - {"period", "intercept", "sin", "cos"}
     _require(not extra, f"unknown keys in {path}.fourier: {sorted(extra)}")
     _require("intercept" in f, f"{path}.fourier.intercept is required")
-    sin = tuple(f.get("sin", ()))
-    cos = tuple(f.get("cos", ()))
+    fourier = f"{path}.fourier"
+    sin = tuple(_as_float(v, f"{fourier}.sin[{j}]")
+                for j, v in enumerate(f.get("sin", ())))
+    cos = tuple(_as_float(v, f"{fourier}.cos[{j}]")
+                for j, v in enumerate(f.get("cos", ())))
     model = FourierRateModel(
-        intercept=f["intercept"],
+        intercept=_as_float(f["intercept"], f"{fourier}.intercept"),
         sin_coeffs=sin,
         cos_coeffs=cos,
-        period=f.get("period", 24.0),
+        period=_as_float(f.get("period", 24.0), f"{fourier}.period"),
     )
     return ArrivalModel(fourier=model)
 
@@ -447,7 +462,9 @@ def _parse_capacity(raw, path: str) -> tuple[tuple[int, ...], tuple[float, ...]]
     values = [
         _as_int(v, f"{path}.values[{i}]") for i, v in enumerate(raw["values"])
     ]
-    fractions = [float(v) for v in raw["fractions"]]
+    fractions = [
+        _as_float(v, f"{path}.fractions[{i}]") for i, v in enumerate(raw["fractions"])
+    ]
     _require(len(values) > 0, f"{path}.values must be non-empty")
     _require(
         len(values) == len(fractions),
@@ -497,19 +514,19 @@ def validate_params(raw) -> SystemParams:
         fleet = _as_int(raw["fleet"], "fleet")
         _require(fleet >= 0, f"fleet must be >= 0, got {fleet}")
         if "gamma" in raw:
-            g = float(raw["gamma"])
+            g = _as_float(raw["gamma"], "gamma")
             _require(
                 abs(g * n - fleet) <= 1e-6 * max(1.0, fleet),
                 f"fleet={fleet} and gamma={g} disagree for n_stations={n}",
             )
     else:
-        g = float(raw["gamma"])
+        g = _as_float(raw["gamma"], "gamma")
         _require(g >= 0, f"gamma must be >= 0, got {g}")
         fleet = _integer_fleet(g, n)
 
-    mu = float(raw["mu"])
+    mu = _as_float(raw["mu"], "mu")
     _require(math.isfinite(mu) and mu > 0, f"mu must be > 0, got {raw['mu']!r}")
-    p = float(raw["p"])
+    p = _as_float(raw["p"], "p")
     _require(0.0 <= p <= 1.0, f"p must be in [0, 1], got {raw['p']!r}")
 
     values, fractions = _parse_capacity(raw["capacity"], "capacity")

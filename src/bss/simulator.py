@@ -88,7 +88,6 @@ class NetworkState:
     counts: np.ndarray
     capacities: np.ndarray
     fleet: int
-    clock: float = 0.0
 
     def __post_init__(self) -> None:
         self.counts = np.asarray(self.counts, dtype=np.int64)

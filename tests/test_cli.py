@@ -84,10 +84,14 @@ def test_invalid_p_exits_one_and_names_field(tmp_path, capsys):
     assert "p" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("n_stations", math.inf),
-                                        ("n_stations", 10 ** 400),
-                                        ("gamma", math.inf), ("capacity", math.nan)],
-                         ids=lambda v: "10**400" if v == 10 ** 400 else None)
+@pytest.mark.parametrize("key, value", [
+    ("n_stations", math.inf), ("n_stations", 10 ** 400),
+    ("gamma", math.inf), ("gamma", 10 ** 400), ("capacity", math.nan),
+    ("capacity", {"values": [2, 4], "fractions": [0.5, 10 ** 400]}),
+    ("mu", 10 ** 400), ("p", 10 ** 400), ("arrival", {"constant": 10 ** 400}),
+    ("arrival", {"fourier": {"intercept": 10 ** 400, "sin": [1.0], "cos": [0.0]}}),
+    ("choice", {"kind": "exponential", "theta": 10 ** 400}),
+], ids=lambda v: "10**400" if v == 10 ** 400 else None)
 def test_non_finite_config_number_exits_one(tmp_path, capsys, key, value):
     # these escaped main as OverflowError or ValueError tracebacks
     cfg = write_config(tmp_path / "bad.json", **{key: value})
@@ -546,6 +550,17 @@ def test_verify_forward_bad_delta_exits_one(base_cfg, tmp_path, capsys, delta):
                  "--out", str(tmp_path / "rep.json")])
     assert code == 1
     assert "delta must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["-0.5", "nan", "inf"])
+def test_verify_forward_bad_t_exits_one(base_cfg, tmp_path, capsys, t):
+    # inf escaped main as an OverflowError traceback, and nan as a bare
+    # "cannot convert float NaN to integer"
+    code = main(["verify", "--suite", "forward", "--config", base_cfg,
+                 "--n", "20", "--reps", "4", "--t", t,
+                 "--out", str(tmp_path / "rep.json")])
+    assert code == 1
+    assert "t must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_verify_flln_zero_reps_exits_one(base_cfg, tmp_path, capsys):

@@ -19,13 +19,11 @@ from bss.equilibrium import (
     _log_rho,
     _moment_kernel,
     _solve_u,
-    birth_death_stationary,
     entropy,
-    lyapunov_derivative,
-    relative_entropy,
     solve_equilibrium,
     solve_equilibrium_hetero,
 )
+from entropy_oracle import relative_entropy
 
 
 def make_params(**overrides):
@@ -143,29 +141,25 @@ def inner_solves(s_values, params):
 
 
 class TestBirthDeathStationary:
+    """_birth_death on one class: y_n proportional to rho_0 ... rho_{n-1}."""
+
     def test_hand_example(self):
-        y = birth_death_stationary([0.5, 2.0])
+        y = _birth_death(np.log([0.5, 2.0]), (2,))[0]
         np.testing.assert_allclose(y, [0.4, 0.2, 0.4], atol=1e-14)
 
     def test_all_ones_gives_uniform(self):
-        y = birth_death_stationary(np.ones(20))
+        y = _birth_death(np.log(np.ones(20)), (20,))[0]
         np.testing.assert_allclose(y, 1 / 21, atol=1e-14)
 
     def test_vanishing_ratios_pile_on_empty(self):
-        y = birth_death_stationary(np.full(10, 1e-12))
+        y = _birth_death(np.log(np.full(10, 1e-12)), (10,))[0]
         assert y[0] == pytest.approx(1.0, abs=1e-11)
 
     def test_long_chain_stays_normalized(self):
         rng = np.random.default_rng(1)
-        y = birth_death_stationary(rng.uniform(0.5, 2.0, size=200))
+        y = _birth_death(np.log(rng.uniform(0.5, 2.0, size=200)), (200,))[0]
         assert y.sum() == pytest.approx(1.0, abs=1e-12)
         assert y.min() >= 0.0
-
-    def test_nonpositive_rho_rejected(self):
-        with pytest.raises(ValidationError):
-            birth_death_stationary([0.5, 0.0])
-        with pytest.raises(ValidationError):
-            birth_death_stationary([0.5, -1.0])
 
 
 class TestSolveEquilibrium:
@@ -366,7 +360,8 @@ class TestSolverInternals:
         y = interior_physical(np.random.default_rng(2), 4, 1.5)
         with np.errstate(over="raise", invalid="raise"):
             got, ref = solve_equilibrium(steep), solve_equilibrium(mild)
-            h_steep, h_mild = relative_entropy(y, steep), relative_entropy(y, mild)
+            h_steep = relative_entropy(y, steep).h
+            h_mild = relative_entropy(y, mild).h
         for field in ("table", "r_bar", "rho", "a", "residual", "iterations"):
             assert np.asarray(getattr(got, field)).tobytes() == \
                 np.asarray(getattr(ref, field)).tobytes(), field
@@ -440,11 +435,11 @@ class TestSolveEquilibriumHetero:
         assert res.iterations == res.stats["newton_iters"] > 0
 
     def test_single_class_embeds_uniform_solution(self):
-        # the one-class table is the birth-death measure of rho
+        # the one-class table is the birth-death measure of its own frozen rates
         params = make_params(gamma=5, capacity=10, choice={"kind": "exponential", "theta": 1.0})
         res = solve_equilibrium(params)
         np.testing.assert_array_equal(res.y_bar, res.table[0])
-        np.testing.assert_allclose(res.y_bar, birth_death_stationary(res.rho),
+        np.testing.assert_allclose(res.y_bar, relative_entropy(res.y_bar, params).nu,
                                    rtol=0, atol=1e-14)
         assert res.residual == np.max(np.abs(drift(res.y_bar, params)))
 
@@ -582,13 +577,13 @@ class TestRelativeEntropy:
     def test_zero_at_equilibrium(self):
         params = make_params(gamma=5, capacity=10, choice={"kind": "exponential", "theta": 1.0})
         res = solve_equilibrium(params)
-        assert abs(relative_entropy(res.y_bar, params)) <= 1e-10
+        assert abs(relative_entropy(res.y_bar, params).h) <= 1e-10
 
     def test_k1_hand_value(self):
         # a = 0.5 - 0.4 = 0.1, nu = (1/1.1, 0.1/1.1);
         # h = 0.6 ln(0.66) + 0.4 ln(4.4) recomputed independently
         params = make_params(gamma=0.5, capacity=1, p=0.0, choice={"kind": "none"})
-        h = relative_entropy(np.array([0.6, 0.4]), params)
+        h = relative_entropy(np.array([0.6, 0.4]), params).h
         expected = 0.6 * math.log(0.6 * 1.1) + 0.4 * math.log(0.4 * 11.0)
         assert h == pytest.approx(expected, abs=1e-12)
 
@@ -597,7 +592,7 @@ class TestRelativeEntropy:
         params = make_params(gamma=2.5, capacity=5, choice={"kind": "exponential", "theta": 1.0})
         for _ in range(25):
             y = interior_physical(rng, 6, params.gamma)
-            assert relative_entropy(y, params) > 0.0
+            assert relative_entropy(y, params).h > 0.0
 
     def test_boundary_rejected(self):
         params = make_params(gamma=2.5, capacity=5)
@@ -612,17 +607,20 @@ class TestRelativeEntropy:
 
 
 class TestLyapunovDerivative:
+    """The oracle's dh/dt along the flow and its first term, the entropy
+    production of the generator frozen at y."""
+
     def test_zero_at_equilibrium(self):
         params = make_params(gamma=5, capacity=10, choice={"kind": "exponential", "theta": 1.0})
         res = solve_equilibrium(params)
-        assert abs(lyapunov_derivative(res.y_bar, params)) <= 1e-10
+        assert abs(relative_entropy(res.y_bar, params).rate) <= 1e-10
 
     def test_strictly_negative_off_equilibrium(self):
         rng = np.random.default_rng(9)
         params = make_params(gamma=2.5, capacity=5, choice={"kind": "exponential", "theta": 1.0})
         for _ in range(100):
             y = interior_physical(rng, 6, params.gamma)
-            assert lyapunov_derivative(y, params) < 0.0
+            assert relative_entropy(y, params).production < 0.0
 
     def test_matches_direct_double_sum(self):
         # independent route: assemble the full q(m, n) = nu(m) B(m, n) matrix
@@ -638,9 +636,7 @@ class TestLyapunovDerivative:
             s = float(g @ y)
             down = lam * ((1 - params.p) + params.p * g / s)
             rho = params.mu * a / down[1:]
-            from bss.equilibrium import birth_death_stationary as bd
-
-            nu = bd(rho)
+            nu = _birth_death(np.log(rho), (6,))[0]
             size = 7
             b_mat = np.zeros((size, size))
             for n in range(size - 1):
@@ -657,7 +653,8 @@ class TestLyapunovDerivative:
                             * (f[m] - f[n]) * (math.log(f[m]) - math.log(f[n]))
                         )
             direct = -0.5 * total
-            assert lyapunov_derivative(y, params) == pytest.approx(direct, rel=1e-10)
+            got = relative_entropy(y, params).production
+            assert got == pytest.approx(direct, rel=1e-10)
 
     def test_scales_linearly_with_rates(self):
         # multiplying both lambda and mu by c leaves rho, nu, f unchanged and
@@ -670,8 +667,8 @@ class TestLyapunovDerivative:
         )
         for _ in range(10):
             y = interior_physical(rng, 6, base.gamma)
-            v1 = lyapunov_derivative(y, base)
-            v3 = lyapunov_derivative(y, scaled)
+            v1 = relative_entropy(y, base).production
+            v3 = relative_entropy(y, scaled).production
             assert v3 == pytest.approx(3.0 * v1, rel=1e-9)
             assert v3 < 0.0
 
@@ -681,4 +678,39 @@ class TestLyapunovDerivative:
         y0 /= y0.sum()
         path = integrate(y0, params, np.linspace(0.0, 30.0, 16), h=0.01)
         for frame in path:
-            assert lyapunov_derivative(frame, params) <= 1e-10
+            assert relative_entropy(frame, params).rate <= 1e-10
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    @pytest.mark.parametrize("theta, p", [(1.0, 0.5), (3.0, 0.5), (2.0, 1.0)])
+    def test_rate_matches_central_differences_along_paths(self, k, theta, p):
+        # the five-point central difference of h along an integrate path;
+        # its truncation error is near 1e-7 relative at this spacing
+        params = make_params(n_stations=10, gamma=k / 2, capacity=k, p=p,
+                             choice={"kind": "exponential", "theta": theta})
+        rng = np.random.default_rng(7)
+        d, offsets = 5e-4, np.arange(-2, 3)
+        times = np.concatenate(([0.0], 0.1 + d * offsets, 0.5 + d * offsets))
+        for _ in range(3):
+            path = integrate(interior_physical(rng, k + 1, params.gamma), params,
+                             times, h=1e-4)
+            for frames in (path[1:6], path[6:]):
+                h = [relative_entropy(y, params).h for y in frames]
+                fd = (h[0] - 8.0 * h[1] + 8.0 * h[3] - h[4]) / (12.0 * d)
+                assert relative_entropy(frames[2], params).rate == \
+                    pytest.approx(fd, rel=1e-5)
+
+    def test_rate_rises_where_production_falls(self):
+        # K=3 starts drawn as criterion 6 draws them, at theta = 3: the 14th
+        # path climbs near t = 0.68 while the frozen-rate production stays
+        # negative, so a check on the production alone cannot see the rise
+        params = make_params(n_stations=10, gamma=1.5, capacity=3,
+                             choice={"kind": "exponential", "theta": 3.0})
+        rng = np.random.default_rng(6)
+        y0 = [interior_physical(rng, 4, params.gamma) for _ in range(14)][-1]
+        d = 1e-3
+        path = integrate(y0, params, [0.0, 0.68 - d, 0.68, 0.68 + d])
+        got = relative_entropy(path[2], params)
+        assert got.rate > 0.0 > got.production
+        rise = (relative_entropy(path[3], params).h
+                - relative_entropy(path[1], params).h) / (2.0 * d)
+        assert rise == pytest.approx(got.rate, rel=1e-3)

@@ -318,10 +318,16 @@ class TestValidateParams:
         ("n_stations", 10 ** 400),
         ("arrival", {"fourier": {"intercept": math.inf, "sin": [1.0], "cos": [0.0]}}),
         ("arrival", {"fourier": {"intercept": -math.inf, "sin": [1.0], "cos": [0.0]}}),
+        ("gamma", 10 ** 400), ("mu", 10 ** 400), ("p", 10 ** 400),
+        ("arrival", {"constant": 10 ** 400}),
+        ("arrival", {"fourier": {"intercept": 10 ** 400, "sin": [1.0], "cos": [0.0]}}),
+        ("choice", {"kind": "exponential", "theta": 10 ** 400}),
+        ("capacity", {"values": [2, 4], "fractions": [0.5, 10 ** 400]}),
     ], ids=lambda v: "10**400" if v == 10 ** 400 else None)
     def test_non_finite_numbers_rejected(self, key, value):
         # these raised OverflowError or a bare ValueError, and an infinite
-        # Fourier intercept, even a negative one, validated
+        # Fourier intercept, even a negative one, validated; float() of an
+        # integer beyond the float range raises OverflowError
         cfg = base_config(**{key: value})
         if key == "fleet":
             del cfg["gamma"]
