@@ -72,12 +72,10 @@ def _write_csv(path: str, header, *columns) -> None:
 
     A str column is a literal repeated on every row. An array column is
     printed per value by its dtype: integers and bools with %d, floats with
-    FLOAT_FMT, strings with %s. Within a block, a float column whose values
-    repeat has each distinct bit pattern formatted once and its text
-    reused, so the bytes are those of the per-value writer (-0.0 keeps its
-    sign, as it would not if values were merged by equality).
+    FLOAT_FMT, strings with %s. A block is one % over a repeated row
+    template. The sample paths go through _write_frames.
     """
-    fields, arrays = [], []  # arrays: (field position, column)
+    fields, arrays = [], []
     for col in columns:
         if isinstance(col, str):
             fields.append(col.replace("%", "%%"))
@@ -90,30 +88,71 @@ def _write_csv(path: str, header, *columns) -> None:
         if arr.dtype.kind == "f":
             # FLOAT_FMT prints any float through its nearest double
             arr = arr.astype(np.float64, copy=False)
-        arrays.append((len(fields), arr))
+        arrays.append(arr)
         fields.append(_CSV_FIELDS[arr.dtype.kind])
-    sizes = {arr.size for _, arr in arrays}
+    sizes = {arr.size for arr in arrays}
     if len(sizes) != 1:
         raise ValueError(f"CSV columns need one common length, got {sorted(sizes)}")
     n_rows = sizes.pop()
     width = len(arrays)
+    row = ",".join(fields) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, CSV_BLOCK):
             hi = min(lo + CSV_BLOCK, n_rows)
             values = [None] * ((hi - lo) * width)
-            template = list(fields)
-            for q, (slot, arr) in enumerate(arrays):
-                block = arr[lo:hi]
-                if block.dtype.kind == "f":
-                    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-                    if bits.size < block.size:
-                        texts = [FLOAT_FMT % v for v in bits.view(np.float64).tolist()]
-                        block = np.array(texts, dtype=object)[inverse]
-                        template[slot] = "%s"
-                values[q::width] = block.tolist()
-            row = ",".join(template) + "\n"
+            for q, arr in enumerate(arrays):
+                values[q::width] = arr[lo:hi].tolist()
             fh.write(row * (hi - lo) % tuple(values))
+
+
+def _pooled_texts(floats: np.ndarray):
+    """The FLOAT_FMT text of each float64, each distinct bit pattern
+    formatted once (-0.0 keeps its sign, as it would not if repeats were
+    merged by equality); None when no bit pattern repeats."""
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    if bits.size == floats.size:
+        return None
+    texts = [FLOAT_FMT % v for v in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _write_frames(path: str, header, labels, keys, values) -> None:
+    """Long-format rows label,key,value, one frame per label, streamed in
+    blocks.
+
+    A frame is one sample instant: its label (a time) opens each of its
+    rows, keys are the literal middle fields of its rows in order ("y,3",
+    or "i,j" for a covariance) and values holds len(keys) floats per frame,
+    frame-major. A frame's rows are one join of its label's text over the
+    keys' row template, as FLOAT_FMT text never holds a %, and a block of
+    whole frames (at least one, about CSV_BLOCK rows) is one % over its
+    values. Each distinct label bit pattern is formatted once; so is each
+    of a block's values when any repeats, and otherwise FLOAT_FMT sits in
+    the template. The bytes are those of a per-value FLOAT_FMT writer.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64).ravel()
+    width = len(keys)
+    if values.size != labels.size * width:
+        raise ValueError(f"{labels.size} frames of {width} keys need "
+                         f"{labels.size * width} values, got {values.size}")
+    mids = ["," + key.replace("%", "%%") + "," for key in keys]
+    pooled = [""] + [mid + "%s\n" for mid in mids]
+    plain = [""] + [mid + FLOAT_FMT + "\n" for mid in mids]
+    label_texts = (_pooled_texts(labels)
+                   or [FLOAT_FMT % v for v in labels.tolist()])
+    step = max(1, CSV_BLOCK // width)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, labels.size, step):
+            block = values[lo * width:(lo + step) * width]
+            texts = _pooled_texts(block)
+            pieces, block = ((plain, block.tolist()) if texts is None
+                             else (pooled, texts))
+            template = "".join([text.join(pieces)
+                                for text in label_texts[lo:lo + step]])
+            fh.write(template % tuple(block))
 
 
 def _write_json(path: str, obj) -> None:
@@ -162,13 +201,10 @@ def _parse_y0(par: SystemParams, spec: str):
 # ---------------------------------------------------------------- handlers
 
 def _write_series(path: str, times, observable: str, table) -> None:
-    """Long-format rows t,observable,index,value of a (time, index) table."""
-    n_t, width = table.shape
-    _write_csv(
-        path, ("t", "observable", "index", "value"),
-        np.repeat(times, width), observable, np.tile(np.arange(width), n_t),
-        table.ravel(),
-    )
+    """Long-format rows t,observable,index,value of a (time, index) table,
+    one _write_frames frame per sample instant."""
+    _write_frames(path, ("t", "observable", "index", "value"), times,
+                  [f"{observable},{n}" for n in range(table.shape[1])], table)
 
 
 def _cmd_simulate(args) -> int:
@@ -224,14 +260,10 @@ def _cmd_diffusion(args) -> int:
         sigma = ratio_projection(sigma.reshape(*sigma.shape[:2], len(caps), -1),
                                  caps).swapaxes(1, 2)
     sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
-    n_t, dim = sigma.shape[:2]
-    _write_csv(
-        args.out, ("t", "i", "j", "sigma_ij"),
-        np.repeat([state.t for state in states], dim * dim),
-        np.tile(np.repeat(np.arange(dim), dim), n_t),
-        np.tile(np.arange(dim), n_t * dim),
-        sigma.ravel(),
-    )
+    dim = sigma.shape[1]
+    _write_frames(args.out, ("t", "i", "j", "sigma_ij"),
+                  [state.t for state in states],
+                  [f"{i},{j}" for i in range(dim) for j in range(dim)], sigma)
     _manifest(
         args.out, "diffusion", par.to_config(), None, [args.out], started,
         details={"horizon": args.horizon, "sample_dt": args.sample_dt,

@@ -58,6 +58,10 @@ MAX_STEP = 0.01
 MIN_STEP = 1e-6
 DEFAULT_STEP = 0.005
 
+# sample instants per grid (21M CSV rows at K=20): a tiny sample_dt is
+# refused before its grid is allocated
+MAX_SAMPLES = 1_000_000
+
 
 @lru_cache(maxsize=128)
 def _operators(capacities: tuple[int, ...], choice: ChoiceSpec) -> np.ndarray:
@@ -163,13 +167,20 @@ def drift(y, params: SystemParams, t: float = 0.0) -> np.ndarray:
 
 def _sample_grid(horizon: float, sample_dt: float) -> np.ndarray:
     """Sampling instants 0, dt, 2 dt, ... up to the horizon; a horizon of 0
-    gives the start alone."""
+    gives the start alone. More than MAX_SAMPLES instants are refused."""
     if not (0 <= horizon < math.inf and 0 < sample_dt < math.inf):
         raise ValidationError(
             f"horizon must be >= 0 and sample_dt > 0, both finite; got "
             f"{horizon} and {sample_dt}"
         )
-    return np.arange(math.floor(horizon / sample_dt + 1e-9) + 1) * sample_dt
+    # floor(span) + 1 instants; an overflowing span is inf and fails too
+    span = horizon / sample_dt + 1e-9
+    if not span < MAX_SAMPLES:
+        raise ValidationError(
+            f"horizon / sample_dt gives more than {MAX_SAMPLES} sample "
+            f"instants; got {horizon} and {sample_dt}"
+        )
+    return np.arange(math.floor(span) + 1) * sample_dt
 
 
 def _check_start(y0: np.ndarray, params: SystemParams) -> None:

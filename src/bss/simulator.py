@@ -81,6 +81,14 @@ def child_seed(master: int, index: int) -> int:
     return _splitmix64((int(master) + (index + 1) * GOLDEN) & _MASK)
 
 
+def _generator(seed) -> np.random.Generator:
+    """The generator np.random.default_rng(seed) builds, without its
+    dispatch; the seed must be a non-negative integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 @dataclass
 class NetworkState:
     """Per-station bike counts with capacities and the shared fleet size."""
@@ -309,7 +317,7 @@ def _run_engine(
     """
     state = _prepare_initial(params, initial)
     lump = _Lumped(params, state)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     p, mu = params.p, params.mu
     n, fleet, caps = lump.n, lump.fleet, lump.caps
     g, rows, prefix = lump.g, lump.w, lump.f
@@ -634,7 +642,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
                             else (picks, picks - 1))
     lam_bound, thinning = _rate_bound(params.arrival)
     lam_at = params.arrival.fourier.at if thinning else None
-    gens = [np.random.default_rng(s) for s in seeds]
+    gens = [_generator(s) for s in seeds]
     r = len(gens)
     samples = np.empty((r, len(times), len(caps) * (lump.k_max + 1)))
     # instants past the horizon are never due; the final fill covers them

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bss.cli import CSV_BLOCK, _write_csv, main
+from bss.cli import CSV_BLOCK, _write_csv, _write_frames, main
 from bss.diffusion import integrate_covariance
 from bss.equilibrium import solve_equilibrium
 from bss.harness import forward_equation_residual, sweep
@@ -813,6 +813,52 @@ def test_write_csv_rejects_unequal_or_unknown_columns(tmp_path):
         _write_csv(path, ("a",), np.ones(2, dtype=complex))
 
 
+def _frame_rows(labels, keys, values):
+    values = np.reshape(values, (len(labels), len(keys)))
+    return [(t, key, v) for t, row in zip(labels, values)
+            for key, v in zip(keys, row)]
+
+
+@pytest.mark.parametrize("block", [1, 7, CSV_BLOCK])
+def test_write_frames_match_row_oracle(tmp_path, monkeypatch, block):
+    # 9-key frames: wider than a block of 1 or 7 rows, and 455 to a default
+    # block. The first half of the frames draws from _POOL, so those blocks
+    # repeat values; the last frames are all distinct. Labels mix _POOL's
+    # edge floats, repeated, with a time grid; two keys hold a %
+    monkeypatch.setattr("bss.cli.CSV_BLOCK", block)
+    rng = np.random.default_rng(block)
+    keys = [f"y,{n}" for n in range(7)] + ["50%d,%s", "%"]
+    n_frames = 2 * CSV_BLOCK // len(keys) + 3
+    labels = np.where(rng.random(n_frames) < 0.3,
+                      _POOL[rng.integers(0, _POOL.size, n_frames)],
+                      np.arange(n_frames) * 0.01)
+    values = rng.standard_normal((n_frames, len(keys)))
+    values *= 10.0 ** rng.integers(-300, 300, values.shape)
+    half = n_frames // 2
+    values[:half] = _POOL[rng.integers(0, _POOL.size, (half, len(keys)))]
+    header = ("t", "observable", "index", "value")
+    path = tmp_path / "frames.csv"
+    _write_frames(str(path), header, labels, keys, values)
+    assert path.read_bytes() == oracle_csv(header,
+                                           _frame_rows(labels, keys, values))
+
+
+@pytest.mark.parametrize("values", [[0.25, -0.0, 0.25], [5e-324, 1.0, -1.0]],
+                         ids=["pooled", "distinct"])
+def test_write_frames_single_frame(tmp_path, values):
+    path = tmp_path / "one.csv"
+    keys = ["0,0", "0,1", "1,%d"]
+    _write_frames(str(path), ("t", "i", "j", "sigma_ij"), [-0.0], keys, values)
+    assert path.read_bytes() == oracle_csv(("t", "i", "j", "sigma_ij"),
+                                           _frame_rows([-0.0], keys, values))
+
+
+def test_write_frames_rejects_values_off_the_frames(tmp_path):
+    with pytest.raises(ValueError, match="2 frames of 3 keys need 6 values"):
+        _write_frames(str(tmp_path / "bad.csv"), ("t", "k", "v"), [0.0, 1.0],
+                      ["a", "b", "c"], np.zeros(5))
+
+
 def _grid(horizon, dt):
     # the sampling grid every site built before it had one builder
     return np.arange(int(math.floor(horizon / dt + 1e-9)) + 1) * dt
@@ -823,13 +869,18 @@ def _series_rows(times, observable, table):
             for t, row in zip(times, table) for n, v in enumerate(row)]
 
 
-def _simulate_case(par):
-    traj = simulate(par, 3.0, 0.5, 4)
+def _simulate_case(par, horizon="3", dt="0.5"):
+    traj = simulate(par, float(horizon), float(dt), 4)
     table = traj.y_series if par.is_uniform else traj.r_series
     obs = "y" if par.is_uniform else "r"
-    return (["simulate", "--horizon", "3", "--sample-dt", "0.5", "--seed", "4"],
+    return (["simulate", "--horizon", horizon, "--sample-dt", dt, "--seed", "4"],
             ("t", "observable", "index", "value"),
             _series_rows(traj.times, obs, table))
+
+
+def _simulate_blocks_case(par):
+    # 3,201 instants of 4 rows: the CSV spans four 4,096-row blocks
+    return _simulate_case(par, "400", "0.125")
 
 
 def _meanfield_case(par):
@@ -885,9 +936,10 @@ def _sweep_case(par):
     (_meanfield_case, 3), (_meanfield_case, MIX),
     (_diffusion_case, 3), (_diffusion_case, MIX),
     (_equilibrium_case, 3), (_equilibrium_case, MIX),
-    (_sweep_case, 3), (_sweep_case, MIX),
+    (_sweep_case, 3), (_sweep_case, MIX), (_simulate_blocks_case, 3),
 ], ids=["simulate", "simulate-mix", "meanfield", "meanfield-mix", "diffusion",
-        "diffusion-mix", "equilibrium", "equilibrium-mix", "sweep", "sweep-mix"])
+        "diffusion-mix", "equilibrium", "equilibrium-mix", "sweep", "sweep-mix",
+        "simulate-blocks"])
 def test_csv_bytes_match_row_oracle(tmp_path, case, capacity):
     cfg = write_config(tmp_path / "c.json", capacity=capacity)
     par = validate_params(json.loads((tmp_path / "c.json").read_text()))
@@ -921,3 +973,35 @@ def test_bad_horizon_or_sample_dt_exits_one(base_cfg, tmp_path, capsys, sub,
                  "--sample-dt", dt, "--out", str(tmp_path / "o.csv")])
     assert code == 1
     assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["simulate", "meanfield", "diffusion"])
+@pytest.mark.parametrize("horizon, dt", [("1e300", "1e-300"), ("1e9", "1e-9")])
+def test_grid_beyond_max_samples_exits_one(base_cfg, tmp_path, capsys, sub,
+                                           horizon, dt):
+    # an OverflowError and a 6.94 EiB allocation before the grid was bounded
+    code = main([sub, "--config", base_cfg, "--horizon", horizon,
+                 "--sample-dt", dt, "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert "horizon / sample_dt gives more than 1000000" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- seeds
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--horizon", "1"],
+    ["verify", "--suite", "interchange", "--n", "16", "--burn-in", "1",
+     "--horizon", "2"],
+], ids=["simulate", "verify-interchange"])
+def test_negative_seed_exits_one_naming_seed(base_cfg, tmp_path, capsys, argv):
+    code = main(argv + ["--config", base_cfg, "--seed", "-1",
+                        "--out", str(tmp_path / "o.out")])
+    assert code == 1
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_negative_master_seed_runs_through_child_seeds(base_cfg, tmp_path):
+    # the forward suite seeds its replicas with child_seed, which masks
+    assert main(["verify", "--suite", "forward", "--config", base_cfg,
+                 "--n", "20", "--reps", "4", "--t", "0.5", "--seed", "-1",
+                 "--out", str(tmp_path / "rep.json")]) in (0, 2)

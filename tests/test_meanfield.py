@@ -13,7 +13,9 @@ from bss.meanfield import (
     integrate_hetero,
     ratio_bins,
     ratio_projection,
+    MAX_SAMPLES,
     MIN_STEP,
+    _sample_grid,
     _check_grid_and_step,
     _rk4_buffered,
 )
@@ -662,3 +664,16 @@ class TestBuiltinMeasure:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             builtin_measure(make_params(), "gaussian")
+
+
+@pytest.mark.parametrize("horizon, dt", [(1e300, 1e-300), (1e9, 1e-9),
+                                         (MAX_SAMPLES, 1.0)])
+def test_sample_grid_refuses_more_than_max_samples(horizon, dt):
+    # the first overflowed to inf, the second asked for 6.94 EiB
+    with pytest.raises(ValidationError, match="horizon / sample_dt gives more"):
+        _sample_grid(horizon, dt)
+
+
+def test_sample_grid_holds_max_samples():
+    grid = _sample_grid(MAX_SAMPLES - 1, 1.0)
+    assert grid.size == MAX_SAMPLES and grid[-1] == MAX_SAMPLES - 1

@@ -16,6 +16,7 @@ from bss.meanfield import (TINY_DENOM, _informed_choice, _sample_grid, ratio_his
                            ratio_projection)
 from bss.simulator import (
     _Lumped,
+    _generator,
     _lockstep,
     _rank_cell,
     _first_over,
@@ -349,6 +350,29 @@ def test_child_seed_reference_vectors():
     assert child_seed(0, 2) == 0x06C45D188009454F
     seeds = {child_seed(99, i) for i in range(64)}
     assert len(seeds) == 64
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**80 + 5, np.int64(11),
+                                  np.uint64(13)])
+def test_generator_is_default_rng(seed):
+    assert (_generator(seed).bit_generator.state
+            == np.random.default_rng(seed).bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, None, "3"])
+def test_generator_refuses_bad_seed(seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative"):
+        _generator(seed)
+
+
+def test_negative_seed_refused_unless_a_master():
+    par = make_params()
+    with pytest.raises(ValidationError, match="seed"):
+        simulate(par, 1.0, 0.5, seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        stationary_average(par, 0.0, 1.0, seed=-1)
+    # replicas run on child_seed(-1, r), masked to 64 bits
+    assert np.isfinite(ensemble(par, 2, 1.0, 0.5, seed=-1).cov).all()
 
 
 # ---------------------------------------------------------------- simulate
@@ -920,6 +944,11 @@ def test_ensemble_requires_two_replications():
     par = make_params()
     with pytest.raises(ValidationError):
         ensemble(par, replications=1, horizon=1.0, sample_dt=0.5, seed=1)
+
+
+def test_ensemble_refuses_grid_beyond_max_samples():
+    with pytest.raises(ValidationError, match="horizon / sample_dt gives more"):
+        ensemble(make_params(), 2, 1e9, 1e-9, seed=1)
 
 
 def test_ensemble_forced_identical_seeds_zero_covariance(monkeypatch):
