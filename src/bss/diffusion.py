@@ -6,13 +6,13 @@ brackets of the CTMC. This module evaluates both matrices and integrates the
 resulting covariance ODE  Sigma' = J Sigma + Sigma J^T + A  alongside the
 mean-field trajectory.
 
-Both matrices come from the mean-field drift kernel z = M y over the shift
-operators of meanfield._operators, which gives the drift's block weights c:
-J is c times those operators less one product holding its two rank-one
-pieces, and A is c times a cached band operator applied to y. The packed
-system [y; Sigma] runs on the mean field's one RK4 stepper; its right-hand
-side writes into buffers made once per integration, and a stiffness guard
-halves every step that would leave RK4's stability interval for Sigma.
+Both matrices come from the mean-field drift kernel after one drift call
+on it, which leaves z = M y and the block weights c: J from
+meanfield._jacobian_into, and A, c times a cached band operator applied to
+y, from _bracket_bands. The packed system [y; Sigma] runs on the mean
+field's one RK4 stepper; its right-hand side writes into buffers made once
+per integration, and a stiffness guard halves every step that would leave
+RK4's stability interval for Sigma.
 
 J, A and Sigma are L x L over the flattened (class, count) table, a
 uniform capacity being its one-class case. J and A are exact zeros in the
@@ -30,8 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ChoiceSpec, SystemParams, ValidationError, arrival_rate
-from .meanfield import (TINY_DENOM, _as_measure, _check_start, _drift_into,
-                        _informed_choice, _Kernel, _operators, _rk4_buffered)
+from .meanfield import (_as_measure, _check_start, _denominator, _drift_into,
+                        _informed_choice, _jacobian_into, _Kernel, _operators,
+                        _rk4_buffered)
 
 __all__ = [
     "CovarianceState",
@@ -56,84 +57,66 @@ STIFF_LIMIT = 2.78
 
 @lru_cache(maxsize=128)
 def _covariance_operators(capacities: tuple[int, ...], choice: ChoiceSpec):
-    """The fixed parts of the packed covariance system: (band, at, ones).
+    """The bracket's fixed parts (band, at), both read-only.
 
-    With the kernel's block weights c, the bracket is A = c0 D diag(y) D^T
-    + c1 D diag(g y) D^T + c2 U diag(y) U^T over the rows D, DG = D diag(g)
-    and U of the drift stack. Each term is symmetric tridiagonal with
-    diagonal (P*Q) @ y and superdiagonal (P[:-1]*Q[1:]) @ y for (P, Q) =
-    (D, D), (D, DG), (U, U); band stacks those 3 (2L - 1) rows over the L
-    cells, 6L^2 doubles against 3L^3 for a dense map of y onto A. Dead
-    cells' columns, and rows that touch a dead cell or cross classes, are
-    exact zeros. at holds the offsets of A's three bands in the packed state
-    [y; Sigma], ones the guard's summing vector; all three are read-only.
+    With the block weights c, A = c0 D diag(y) D^T + c1 D diag(g y) D^T +
+    c2 U diag(y) U^T over the rows D, DG and U of the drift stack, each term
+    tridiagonal with diagonal (P*Q) @ y and superdiagonal (P[:-1]*Q[1:]) @ y
+    for (P, Q) = (D, D), (D, DG), (U, U). band stacks those 3 (2L - 1) rows;
+    at holds the flat offsets of A's three bands in an L x L matrix.
     """
     stack = _operators(capacities, choice)
     dim = stack.shape[1]
     d, dg, u = stack[: 3 * dim].reshape(3, dim, dim)
     band = np.vstack([a * b if diag else a[:-1] * b[1:]
                       for a, b in ((d, d), (d, dg), (u, u)) for diag in (True, False)])
-    diagonal = dim + (dim + 1) * np.arange(dim)
+    diagonal = (dim + 1) * np.arange(dim)
     at = np.concatenate([diagonal, diagonal[:-1] + 1, diagonal[1:] - 1])
-    fixed = band, at, np.ones(dim)
-    for arr in fixed:
+    for arr in (band, at):
         arr.setflags(write=False)
-    return fixed
+    return band, at
 
 
-def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
+def _bracket_bands(params: SystemParams, kern: _Kernel):
+    """A's one home: (bands, at). bands(y) returns A's diagonal, super- and
+    subdiagonal at y, the block weights of kern's last _drift_into call
+    times band @ y, in one buffer; at holds their flat offsets in A."""
+    band, at = _covariance_operators(params.capacity_values, _informed_choice(params))
+    dim = band.shape[1]
+    flat, a = np.empty(len(band)), np.empty(3 * dim - 2)
+    main, sup, sub = a[: 2 * dim - 1], a[dim : 2 * dim - 1], a[2 * dim - 1 :]
+    at_band, blocks, weigh = band.dot, flat.reshape(3, -1), kern.weigh
+
+    def bands(y):
+        at_band(y, flat)
+        weigh(blocks, main)
+        np.copyto(sub, sup)
+        return a
+
+    return bands, at
+
+
+def _packed_rhs(params: SystemParams):
     """rhs_into(lam, z, out) of z = [y; Sigma], J's buffer and the stiffness guard.
 
-    One kernel pass gives the drift and leaves z = M y and the block weights
-    c; a vanished choice normaliser raises, as J and A need the informed
-    term. J (see jacobian) is c times the cached operators less one
-    (L, 2) @ (2, L) product of both rank-one pieces; A is c times the cached
-    bands (_covariance_operators) applied to y, added onto dSigma's three
-    bands. All is written into buffers made here. guard(dt), on the J of
-    the last call, is True when 2 dt min(|J|_1, |J|_inf), which bounds dt
-    times the spectral radius of Sigma -> J Sigma + Sigma J^T, leaves RK4's
-    stability interval.
+    The drift, J (meanfield._jacobian_into) and A's bands (_bracket_bands)
+    fill buffers made here. guard(dt), on the J of the last call, is True
+    when 2 dt min(|J|_1, |J|_inf), which bounds dt times the spectral radius
+    of Sigma -> J Sigma + Sigma J^T, leaves RK4's stability interval.
     """
     kern = _Kernel(params)
     dim = kern.stack.shape[1]
-    stack, coef, z = kern.stack, kern.coef, kern.z
-    ops = stack[: 3 * dim].reshape(3, -1)
-    band, at, ones = _covariance_operators(params.capacity_values,
-                                           _informed_choice(params))
-    # (DGy) (c g)^T + (Uy) (mu n)^T, with c = lam p / s^2
-    g, cols, rows = stack[-2], kern.blocks[1:].T, np.empty((2, dim))
-    np.multiply(stack[-1], kern.mu, rows[1])
-    j, jsig, rank1 = (np.empty((dim, dim)) for _ in range(3))
-    # the blocks' bands, and A's diagonal, superdiagonal and subdiagonal
-    flat_bands, a = np.empty(3 * (2 * dim - 1)), np.empty(3 * dim - 2)
-    bands = flat_bands.reshape(3, -1)
-    a_main, a_sup, a_sub = a[: 2 * dim - 1], a[dim : 2 * dim - 1], a[2 * dim - 1 :]
-    c_rank = np.zeros(())  # a 0-d array, which numpy multiplies by faster
-    informed = params.p > 0.0
-    # bound products and views made once; a bound dot skips numpy's dispatch
-    weigh, at_band = kern.weigh, band.dot
-    rank_into, j_into, j_flat, row_g = cols.dot, j.dot, j.reshape(-1), rows[0]
+    bands, at = _bracket_bands(params, kern)
+    j, jsig, scratch = (np.empty((dim, dim)) for _ in range(3))
+    ones, j_into = np.ones(dim), j.dot
 
     def rhs_into(lam, x, out):
-        y = x[:dim]
+        y, dsig = x[:dim], out[dim:]
         _drift_into(kern, lam, y, out[:dim])
-        if informed and not (z[-2] > TINY_DENOM):
-            raise ValidationError(
-                "choice denominator vanished; interior measure required"
-            )
-        weigh(ops, j_flat)
-        c_rank[()] = coef[1] / z[-2]
-        np.multiply(g, c_rank, row_g)
-        rank_into(rows, rank1)
-        np.subtract(j, rank1, j)
+        _jacobian_into(kern, j, scratch)
         j_into(x[dim:].reshape(dim, dim), jsig)
-        np.add(jsig, jsig.T, out[dim:].reshape(dim, dim))
-        if zero_bracket:
-            return
-        at_band(y, flat_bands)
-        weigh(bands, a_main)
-        np.copyto(a_sub, a_sup)
-        out[at] += a
+        np.add(jsig, jsig.T, dsig.reshape(dim, dim))
+        dsig[at] += bands(y)
 
     def guard(dt):
         absj = np.abs(j, jsig)
@@ -143,27 +126,18 @@ def _packed_rhs(params: SystemParams, zero_bracket: bool = False):
     return rhs_into, j, guard
 
 
-def _linearized(y, params: SystemParams, t: float):
-    """J and A at y: the packed right-hand side at Sigma = 0 holds A."""
-    rhs_into, j, _ = _packed_rhs(params)
-    dim = len(j)
-    x = np.zeros(dim + dim * dim)
-    x[:dim] = _as_measure(y, params).ravel()
-    out = np.empty_like(x)
-    rhs_into(arrival_rate(params.arrival, t), x, out)
-    return j, out[dim:].reshape(dim, dim)
+def _kernel_at(y, params: SystemParams, t: float):
+    """A kernel after one drift evaluation at y, and y flattened."""
+    kern, y = _Kernel(params), _as_measure(y, params).ravel()
+    _drift_into(kern, arrival_rate(params.arrival, t), y, np.empty(y.size))
+    return kern, y
 
 
 def jacobian(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
-    """Drift Jacobian J[n, i] = d b_n / d y_i over the flattened table of
-    y (see meanfield._as_measure), L x L, assembled in closed form.
-
-    The drift b = lam(1-p) Dy + (lam p/s) DGy + a Uy is linear in y apart
-    from a = mu(gamma - n.y) and s = g.y, so J is the three shift operators
-    plus two dense rank-one pieces, -mu (Uy) n^T and -(lam p/s^2) (DGy) g^T,
-    formed as one (L, 2) @ (2, L) product.
-    """
-    return _linearized(y, params, t)[0]
+    """Drift Jacobian J[n, i] = d b_n / d y_i over the flattened table of y
+    (see meanfield._as_measure), L x L, in closed form (_jacobian_into)."""
+    kern, y = _kernel_at(y, params, t)
+    return _jacobian_into(kern, np.empty((y.size, y.size)), np.empty((y.size, y.size)))
 
 
 def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.ndarray:
@@ -175,7 +149,12 @@ def bracket_matrix(y: np.ndarray, params: SystemParams, t: float = 0.0) -> np.nd
     (e_to - e_from)^T, that is D diag(f) D^T + U diag(u) U^T over the pickup
     flows f and dropoff flows u: a tridiagonal matrix with zero row sums.
     """
-    return _linearized(y, params, t)[1]
+    kern, y = _kernel_at(y, params, t)
+    _denominator(kern)
+    bands, at = _bracket_bands(params, kern)
+    a = np.zeros((y.size, y.size))
+    a.reshape(-1)[at] += bands(y)
+    return a
 
 
 def integrate_covariance(
@@ -184,7 +163,6 @@ def integrate_covariance(
     params: SystemParams,
     t_grid,
     h: float = 0.005,
-    zero_bracket: bool = False,
     stats=None,
 ) -> list[CovarianceState]:
     """Co-integrate the mean-field path and its fluctuation covariance.
@@ -193,10 +171,9 @@ def integrate_covariance(
     system on the mean field's RK4 stepper: the covariance sees the order-4
     accurate mean at every stage, and the mean is the bytes of integrate's
     unless the stiffness guard of _packed_rhs halves steps (stiff_halvings
-    in stats, as in meanfield.integrate). zero_bracket drops the A(y) source
-    term: pure transport, a should-fail control next to Monte-Carlo
-    covariance estimates. Each y comes in the shape of y0, a measure as
-    integrate takes it; sigma0 and each sigma are L x L over its table.
+    in stats, as in meanfield.integrate). Each y comes in the shape of y0,
+    a measure as integrate takes it; sigma0 and each sigma are L x L over
+    its table.
     """
     y0 = _as_measure(y0, params)
     _check_start(y0, params)
@@ -208,7 +185,7 @@ def integrate_covariance(
         raise ValidationError("sigma0 must be finite and symmetric")
     # with Sigma exactly symmetric, Sigma J^T is the transpose of J Sigma
     sigma0 = 0.5 * (sigma0 + sigma0.T)
-    rhs_into, _, guard = _packed_rhs(params, zero_bracket)
+    rhs_into, _, guard = _packed_rhs(params)
     z0 = np.concatenate([y0.ravel(), sigma0.ravel()])
     path = _rk4_buffered(rhs_into, z0, params.arrival, t_grid, h, dim=dim,
                          guard=guard, stats=stats)

@@ -273,6 +273,9 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
     root must pass the drift residual gate.
     """
     lam = _require_constant(params)
+    if not params.fleet >= 1:
+        # all mass at n = 0 is the only fixed point, with a = 0 off the log scale
+        raise ValidationError(f"fleet must be >= 1, got {params.fleet}")
     caps, fracs, g = _class_structure(params)
     gamma, mu, p = params.gamma, params.mu, params.p
     g_lo, g_hi = float(g.min()), float(g.max())

@@ -97,6 +97,8 @@ class ExperimentReport:
 
 def _with_n(params: SystemParams, n: int) -> SystemParams:
     """Same model at a different network size; gamma must stay exact."""
+    if not n >= 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     return replace(params, n_stations=n, fleet=_integer_fleet(params.gamma, n))
 
 
@@ -174,22 +176,20 @@ def fclt_experiment(
     reps: int,
     t_check: float,
     seed: int,
-    zero_bracket: bool = False,
 ) -> ExperimentReport:
     """Sample covariance of sqrt(N)(Y^N - y) against the fluctuation ODE,
     both over the flattened (class, count) table.
 
     Passes when the relative Frobenius error is at most 15% and the scaled
-    mean is within 3 standard errors of zero componentwise. zero_bracket
-    integrates the covariance without its source term; that control must
-    fail, guarding against a vacuous comparison.
+    mean is within 3 standard errors of zero componentwise. The tests run
+    it with the bracket's source term dropped, a control that must fail,
+    guarding against a vacuous comparison.
     """
     par_n = _with_n(params, n)
     init = round_robin_state(par_n)
     y0 = empirical_measure(init)
 
-    states = integrate_covariance(y0, np.zeros((y0.size,) * 2), par_n, [0.0, t_check],
-                                  zero_bracket=zero_bracket)
+    states = integrate_covariance(y0, np.zeros((y0.size,) * 2), par_n, [0.0, t_check])
     sigma, ymf = states[-1].sigma, states[-1].y.ravel()
 
     res = ensemble(par_n, reps, horizon=t_check, sample_dt=t_check, seed=seed,
@@ -215,7 +215,6 @@ def fclt_experiment(
             "frobenius_tolerance": 0.15,
             "max_mean_z": mean_z,
             "mean_z_tolerance": 3.0,
-            "zero_bracket": zero_bracket,
             "rounds": res.stats["rounds"],
             "events": res.stats["events"],
         },
@@ -404,9 +403,10 @@ def sweep(plane: str, x_values, y_values, base: SystemParams):
         fleet, choice = base.fleet, base.choice
         try:
             if plane == "p-gamma":
-                if not y > 0:
-                    raise ValidationError("must be positive")
+                # a gamma that rounds to no bike has no equilibrium to solve
                 fleet = _integer_fleet(y, base.n_stations)
+                if not fleet >= 1:
+                    raise ValidationError(f"fleet must be >= 1, got {fleet}")
             else:
                 choice = ChoiceSpec(_SWEEP_KINDS[plane], y)
             if any(p > 0.0 for p in ps):

@@ -14,8 +14,10 @@ come.
 
 Every drift evaluation runs one kernel over the flattened table: the shift
 operators of each (capacities, choice) pair are cached (_operators), and
-_drift_into weights them in two bound BLAS calls; the diffusion layer
-builds the Jacobian and the jump bracket from the same operators. One
+_drift_into weights them in two bound BLAS calls. After a drift call,
+_jacobian_into builds the drift Jacobian J from the same operators and
+block weights, the one place J is assembled; the diffusion layer adds the
+jump bracket's bands from the same weights. One
 buffered RK4 stepper, _rk4_buffered, integrates any flat state that starts
 with a measure, setting its weights once per step size and reading a
 constant rate once: integrate runs it over _drift_into, the traced
@@ -112,15 +114,20 @@ class _Kernel:
     weights (lam(1-p), lam p/s, a), and both products bound once."""
 
     __slots__ = ("stack", "p", "mu", "gamma", "z", "blocks", "tail", "coef",
-                 "apply", "weigh")
+                 "apply", "weigh", "ops", "g", "rows", "row_g", "c_rank", "rank")
 
     def __init__(self, params: SystemParams):
-        self.stack = _operators(params.capacity_values, _informed_choice(params))
+        self.stack = m = _operators(params.capacity_values, _informed_choice(params))
         self.p, self.mu, self.gamma = params.p, params.mu, params.gamma
-        self.z = np.empty(self.stack.shape[0])
+        self.z = np.empty(m.shape[0])
         self.blocks, self.tail = self.z[:-2].reshape(3, -1), self.z[-2:]
-        self.coef = np.empty(3)
-        self.apply, self.weigh = self.stack.dot, self.coef.dot
+        self.coef, self.c_rank = np.empty(3), np.zeros(())
+        self.apply, self.weigh = m.dot, self.coef.dot
+        # J's parts: the shift operators as one (3, L^2) view, and the rows
+        # (c g, mu n) of (DGy, Uy) @ rows, c = lam p/s^2 set in the 0-d c_rank
+        self.rows, self.rank = np.empty((2, m.shape[1])), self.blocks[1:].T.dot
+        self.row_g, self.ops, self.g = self.rows[0], m[:-2].reshape(3, -1), m[-2]
+        np.multiply(m[-1], self.mu, self.rows[1])
 
 
 def _drift_into(kern: _Kernel, lam, y, out):
@@ -137,10 +144,31 @@ def _drift_into(kern: _Kernel, lam, y, out):
     return kern.weigh(kern.blocks, out)
 
 
+def _denominator(kern: _Kernel):
+    """s of the last _drift_into call; J and A need it above TINY_DENOM if p > 0."""
+    if kern.p > 0.0 and not (kern.z[-2] > TINY_DENOM):
+        raise ValidationError("choice denominator vanished; interior measure required")
+    return kern.z[-2]
+
+
+def _jacobian_into(kern: _Kernel, j, scratch):
+    """J[n, i] = d b_n / d y_i at the y of the last _drift_into call, into
+    the L x L array j (scratch is another). b = lam(1-p) Dy + (lam p/s) DGy
+    + a Uy is linear in y but for a = mu(gamma - n.y) and s = g.y, so J is
+    the block weights times the shift operators less the rank-one pieces
+    (lam p/s^2) (DGy) g^T + mu (Uy) n^T, one (L, 2) @ (2, L) product."""
+    kern.c_rank[()] = kern.coef[1] / _denominator(kern)
+    kern.weigh(kern.ops, j.reshape(-1))
+    np.multiply(kern.g, kern.c_rank, kern.row_g)
+    kern.rank(kern.rows, scratch)
+    return np.subtract(j, scratch, j)
+
+
 def _as_measure(y, params: SystemParams) -> np.ndarray:
     """y as a float measure, in the shape it came: the (C, k_max+1) table,
     or for a uniform capacity also the (K+1,) vector. A cell above its
-    class's capacity must hold an exact zero; NaN there fails too."""
+    class's capacity must hold an exact zero, NaN there failing too, and
+    every entry must be finite."""
     caps = params.capacity_values
     y = np.asarray(y, dtype=float)
     shape = (len(caps), caps[-1] + 1)
@@ -150,6 +178,9 @@ def _as_measure(y, params: SystemParams) -> np.ndarray:
     dead = np.arange(shape[1]) > np.asarray(caps)[:, None]
     if np.any(y.reshape(shape)[dead] != 0.0):
         raise ValidationError(f"mass above a class's capacity in {caps}")
+    if not np.isfinite(y).all():
+        raise ValidationError("measure must be finite: a NaN or inf entry is "
+                              "off the probability simplex")
     return y
 
 
@@ -189,7 +220,8 @@ def _check_start(y0: np.ndarray, params: SystemParams) -> None:
     gamma - n.y0 and runs the dropoff flow backwards. NaN fails both tests."""
     if not (abs(y0.sum() - 1.0) <= 1e-10 and y0.min() >= -1e-12):
         raise ValidationError("y0 must lie on the probability simplex")
-    docked = float(_Kernel(params).stack[-1] @ y0.ravel())
+    n = _operators(params.capacity_values, _informed_choice(params))[-1]
+    docked = float(n @ y0.ravel())
     if not (docked <= params.gamma + 1e-9):
         raise ValidationError(f"y0 docks {docked:.6g} bikes per station, more "
                               f"than the fleet's gamma = {params.gamma:.6g}")

@@ -31,6 +31,7 @@ from bss.equilibrium import (
 from bss.ingestion import RateSeries, fit_fourier
 from bss.harness import fclt_experiment, flln_experiment
 from bss.simulator import simulate, stationary_average
+from bracket_control import drop_bracket_source
 from entropy_oracle import relative_entropy
 
 
@@ -194,10 +195,11 @@ def test_criterion_04_fclt_covariance():
     assert elapsed <= 300.0
 
 
-def test_criterion_04_negative_control_fails():
+def test_criterion_04_negative_control_fails(monkeypatch):
     # with the source term forced to zero the comparison must break
+    drop_bracket_source(monkeypatch)
     rep = fclt_experiment(k3_config(), n=600, reps=600, t_check=2.0,
-                          seed=202, zero_bracket=True)
+                          seed=202)
     print(f"[criterion 4 control] rel Frobenius "
           f"{rep.metrics['rel_frobenius']} -> correctly FAILS")
     assert rep.passed is False

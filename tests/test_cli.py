@@ -182,6 +182,15 @@ def test_equilibrium_csv_and_manifest(base_cfg, tmp_path):
     assert stats["newton_iters"] == man["details"]["iterations"]
 
 
+def test_equilibrium_zero_fleet_exits_one(tmp_path, capsys):
+    # validate_params takes gamma = 0; the solver stopped on "math domain error"
+    cfg = write_config(tmp_path / "empty.json", gamma=0)
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 1
+    assert "fleet must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_equilibrium_at_p0_ignores_overflowing_choice(tmp_path):
     # without informed users g never enters; exp(1000 n) must not reach it
     steep = write_config(tmp_path / "steep.json", p=0.0,
@@ -471,6 +480,7 @@ def test_sweep_rejects_unknown_plane(tmp_path, capsys):
     ("p-c", "p=0:1:0.5,c=0", "c"),
     ("p-gamma", "p=0:1:0.5,gamma=-5:0:5", "gamma"),
     ("p-gamma", "p=0:1:0.5,gamma=0", "gamma"),
+    ("p-gamma", "p=0.5,gamma=1e-300", "gamma"),
 ])
 def test_sweep_rejects_bad_nodes_before_writing(tmp_path, capsys, plane, grid,
                                                 field):
@@ -561,6 +571,23 @@ def test_verify_forward_bad_t_exits_one(base_cfg, tmp_path, capsys, t):
                  "--out", str(tmp_path / "rep.json")])
     assert code == 1
     assert "t must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, size", [
+    ("interchange", ["--n", "0"]), ("interchange", ["--n", "-4"]),
+    ("fclt", ["--n", "0"]), ("forward", ["--n", "0"]),
+    ("flln", ["--n-list", "0,10"]),
+], ids=["interchange-0", "interchange-neg", "fclt-0", "forward-0", "flln-0"])
+def test_verify_station_count_below_one_exits_one(base_cfg, tmp_path, capsys,
+                                                  suite, size):
+    # interchange at n = 0 escaped main as a ZeroDivisionError traceback; the
+    # others printed numpy's complaint about negative or zero-size arrays
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--suite", suite, "--config", base_cfg, *size,
+                 "--out", str(out)])
+    assert code == 1
+    assert re.search(r"\bn must be >= 1, got -?\d", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_verify_flln_zero_reps_exits_one(base_cfg, tmp_path, capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bss.model import ArrivalModel, ConvergenceError, ValidationError, validate_params
-from bss.meanfield import _rk4_buffered, drift, integrate
+from bss.model import (ArrivalModel, ConvergenceError, ValidationError, arrival_rate,
+                       validate_params)
+from bss.meanfield import _rk4_buffered, builtin_measure, drift, integrate
 from bss.equilibrium import solve_equilibrium
 from bss.simulator import NetworkState, empirical_measure, ensemble, round_robin_state
 from bss.diffusion import (
@@ -14,6 +15,7 @@ from bss.diffusion import (
     integrate_covariance,
     jacobian,
 )
+from bracket_control import drop_bracket_source
 
 
 def make_params(**overrides):
@@ -97,6 +99,49 @@ def test_jacobian_rejects_vanished_denominator():
     y = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValidationError):
         jacobian(y, par)
+
+
+def test_bracket_rejects_vanished_denominator():
+    # A needs the informed term lam p / s as much as J does
+    par = make_params(capacity=3, gamma=1.0, p=0.5,
+                      choice={"kind": "polynomial", "alpha": 1.0})
+    with pytest.raises(ValidationError, match="denominator vanished"):
+        bracket_matrix(np.array([1.0, 0.0, 0.0, 0.0]), par)
+
+
+@pytest.mark.parametrize("capacity", [20, {"values": [10, 20], "fractions": [0.4, 0.6]}],
+                         ids=["uniform", "mix"])
+def test_jacobian_and_bracket_are_the_packed_kernels(capacity):
+    # one kernel: the public J and A are, bit for bit, the J buffer and the
+    # dSigma that the covariance ODE's right-hand side leaves at Sigma = 0
+    fourier = {"fourier": {"intercept": 1.0, "sin": [0.5], "cos": [0.3]}}
+    par = make_params(gamma=7.5, capacity=capacity, arrival=fourier,
+                      choice={"kind": "exponential", "theta": 0.3})
+    y = builtin_measure(par, "uniform")
+    y = y * np.random.default_rng(12).uniform(0.5, 1.5, y.shape)
+    y /= y.sum()
+    dim, t = y.size, 1.7
+    rhs_into, j, _ = _packed_rhs(par)
+    out = np.empty(dim + dim * dim)
+    rhs_into(arrival_rate(par.arrival, t), np.concatenate([y.ravel(), np.zeros(dim * dim)]),
+             out)
+    assert jacobian(y, par, t).tobytes() == j.tobytes()
+    assert bracket_matrix(y, par, t).tobytes() == out[dim:].tobytes()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+@pytest.mark.parametrize("y", [[np.nan, 0.5, 0.25, 0.25], [np.inf, 0.0, 0.0, 0.0]],
+                         ids=["nan", "inf"])
+def test_non_finite_measure_refused(p, y):
+    # each returned NaN, and jacobian of the NaN measure at p > 0 blamed the
+    # choice denominator
+    par = make_params(capacity=3, gamma=1.5, p=p)
+    y = np.array(y)
+    for f in (drift, jacobian, bracket_matrix):
+        with pytest.raises(ValidationError, match="measure must be finite"):
+            f(y, par)
+    with pytest.raises(ValidationError, match="measure must be finite"):
+        integrate_covariance(y, np.zeros((4, 4)), par, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("caps", [(2, 4), (3, 7, 12)])
@@ -190,7 +235,7 @@ def test_bracket_band_on_capacity_mix(caps):
     # the per-class sum over transitions for any block weights c
     par = make_params(gamma=1.0, capacity={"values": list(caps),
                                            "fractions": [1 / len(caps)] * len(caps)})
-    band, _, _ = _covariance_operators(par.capacity_values, par.choice)
+    band, _ = _covariance_operators(par.capacity_values, par.choice)
     width = caps[-1] + 1
     dim = len(caps) * width
     assert band.shape == (3 * (2 * dim - 1), dim)
@@ -315,13 +360,13 @@ def test_covariance_matches_monte_carlo():
     assert rel < 0.25
 
 
-def test_zero_bracket_control_departs_from_monte_carlo():
+def test_zero_bracket_control_departs_from_monte_carlo(monkeypatch):
     # dropping the source term must break the Monte-Carlo match decisively
     par = make_params(n_stations=800, capacity=3, gamma=1.5, p=0.5)
     y0 = np.full(4, 0.25)
     sig = integrate_covariance(y0, np.zeros((4, 4)), par, [0.0, 2.0])[-1].sigma
-    hollow = integrate_covariance(y0, np.zeros((4, 4)), par, [0.0, 2.0],
-                                  zero_bracket=True)[-1].sigma
+    drop_bracket_source(monkeypatch)
+    hollow = integrate_covariance(y0, np.zeros((4, 4)), par, [0.0, 2.0])[-1].sigma
     assert np.abs(hollow).max() == 0.0
     assert np.linalg.norm(hollow - sig) / np.linalg.norm(sig) > 0.9
 

@@ -242,6 +242,13 @@ class TestSolveEquilibrium:
         with pytest.raises(ValidationError, match="constant"):
             solve_equilibrium(params)
 
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_zero_fleet_rejected(self, p):
+        # validate_params takes gamma = 0; the solver took math.log(0) and
+        # failed with a bare "math domain error"
+        with pytest.raises(ValidationError, match="fleet must be >= 1, got 0"):
+            solve_equilibrium(make_params(gamma=0, p=p))
+
 
 class TestSolverInternals:
     """The Newton inner solve and the Brent outer refinement."""

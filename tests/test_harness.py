@@ -33,6 +33,7 @@ from bss.meanfield import (
 )
 from bss.simulator import (_lockstep, child_seed, ensemble, simulate,
                            stationary_average)
+from bracket_control import drop_bracket_source
 
 
 MIX = {"values": [2, 4], "fractions": [0.5, 0.5]}
@@ -165,12 +166,13 @@ def test_fclt_matches_fluctuation_covariance_on_capacity_mix():
     check_fclt_passes(make_params(capacity=MIX))
 
 
-def test_fclt_zero_bracket_control_fails():
+def test_fclt_zero_bracket_control_fails(monkeypatch):
     # dropping the source term must break the comparison, otherwise the
     # experiment could not distinguish the real covariance from noise
+    drop_bracket_source(monkeypatch)
     for capacity in (3, MIX):
         rep = fclt_experiment(make_params(capacity=capacity), n=600, reps=600,
-                              t_check=2.0, seed=29, zero_bracket=True)
+                              t_check=2.0, seed=29)
         assert rep.passed is False, capacity
         assert rep.metrics["rel_frobenius"] > 0.5
 
@@ -533,6 +535,8 @@ def test_sweep_gamma_plane_rejects_fractional_fleet():
     ("p-gamma", [0.0, 0.5], [1.5, 0.0], "gamma"),
     ("p-gamma", [0.0, 0.5], [1.5, math.inf], "gamma"),
     ("p-gamma", [0.0, 0.5], [1.5, math.nan], "gamma"),
+    # rounds to fleet 0, which aborted the sweep with "math domain error"
+    ("p-gamma", [0.0, 0.5], [1.5, 1e-300], "gamma"),
 ])
 def test_sweep_validates_every_node_before_solving(monkeypatch, plane, xs, ys,
                                                    field):
