@@ -35,6 +35,7 @@ from .diffusion import integrate_covariance
 from .equilibrium import entropy, solve_equilibrium
 from .ingestion import fit_fourier, load_rate_series, parse_gbfs, snapshot_histograms
 from .harness import (
+    SWEEP_PLANES,
     fclt_experiment,
     flln_experiment,
     forward_equation_residual,
@@ -58,52 +59,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# kind of an array column's dtype -> printf field; "%d" % v equals
-# str(int(v)) for integers and bools
+# kind of a column's dtype -> printf field; "%d" % v equals str(int(v)) for
+# integers and bools
 _CSV_FIELDS = {"b": "%d", "i": "%d", "u": "%d", "f": FLOAT_FMT, "U": "%s"}
 
-# rows formatted per write: one C-level % per block keeps the text of a
-# block, not of the whole file, in memory
+# rows formatted per write of _write_frames: one C-level % per block keeps
+# the text of a block, not of the whole file, in memory
 CSV_BLOCK = 4096
 
 
 def _write_csv(path: str, header, *columns) -> None:
-    """Write equal-length columns as CSV rows, streamed in blocks.
+    """Write equal-length 1-d array columns as CSV rows.
 
-    A str column is a literal repeated on every row. An array column is
-    printed per value by its dtype: integers and bools with %d, floats with
-    FLOAT_FMT, strings with %s. A block is one % over a repeated row
-    template. The sample paths go through _write_frames.
+    Each column prints per value by its dtype: integers and bools with %d,
+    floats with FLOAT_FMT, strings with %s. A row is one % over a row
+    template. It serves the short tables (equilibrium, sweep, gbfs-hist);
+    the sample paths go through _write_frames.
     """
-    fields, arrays = [], []
+    fields, lists = [], []
     for col in columns:
-        if isinstance(col, str):
-            fields.append(col.replace("%", "%%"))
-            continue
         arr = np.asarray(col)
         if arr.ndim != 1 or arr.dtype.kind not in _CSV_FIELDS:
             raise TypeError(
-                f"CSV column must be a str or a 1-d array, got {arr.dtype} {arr.shape}"
+                f"CSV column must be a 1-d array, got {arr.dtype} {arr.shape}"
             )
         if arr.dtype.kind == "f":
             # FLOAT_FMT prints any float through its nearest double
             arr = arr.astype(np.float64, copy=False)
-        arrays.append(arr)
         fields.append(_CSV_FIELDS[arr.dtype.kind])
-    sizes = {arr.size for arr in arrays}
+        lists.append(arr.tolist())
+    sizes = {len(values) for values in lists}
     if len(sizes) != 1:
         raise ValueError(f"CSV columns need one common length, got {sorted(sizes)}")
-    n_rows = sizes.pop()
-    width = len(arrays)
     row = ",".join(fields) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, CSV_BLOCK):
-            hi = min(lo + CSV_BLOCK, n_rows)
-            values = [None] * ((hi - lo) * width)
-            for q, arr in enumerate(arrays):
-                values[q::width] = arr[lo:hi].tolist()
-            fh.write(row * (hi - lo) % tuple(values))
+        fh.writelines(row % values for values in zip(*lists))
 
 
 def _pooled_texts(floats: np.ndarray):
@@ -411,7 +402,7 @@ def _cmd_verify(args) -> int:
     _write_json(args.out, report.to_dict())
     details = {"suite": args.suite, **{k: opt[k] for k in sorted(opt)}}
     # the engines' counters: rounds and events of the lockstep engine (fclt,
-    # forward), events of the scalar one (interchange)
+    # forward), events of the scalar one (flln, interchange)
     counters = {k: report.metrics[k] for k in ("rounds", "events")
                 if k in report.metrics}
     if counters:
@@ -426,18 +417,7 @@ def _cmd_fit_arrivals(args) -> int:
     started = time.perf_counter()
     series = load_rate_series(args.csv)
     model, r2 = fit_fourier(series, args.order, period=args.period)
-    _write_json(
-        args.out,
-        {
-            "model": {
-                "intercept": float(model.intercept),
-                "sin": [float(v) for v in model.sin_coeffs],
-                "cos": [float(v) for v in model.cos_coeffs],
-                "period": float(model.period),
-            },
-            "r_squared": float(r2),
-        },
-    )
+    _write_json(args.out, {"model": model.to_config(), "r_squared": float(r2)})
     _manifest(
         args.out, "fit-arrivals",
         {"csv": args.csv, "order": args.order, "period": args.period},
@@ -515,8 +495,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = add("sweep", _cmd_sweep, "equilibrium surface over a parameter grid")
-    p.add_argument("--plane", required=True,
-                   choices=("p-theta", "p-c", "p-alpha", "p-gamma"))
+    p.add_argument("--plane", required=True, choices=SWEEP_PLANES)
     p.add_argument("--grid", required=True,
                    help="e.g. 'p=0:1:0.05,theta=0:2:0.1' (endpoints inclusive)")
     p.add_argument("--config", required=True)

@@ -7,9 +7,11 @@ point over the table collapses to two scalars that every class shares: the
 spare-bike level a = gamma - sum(n y) and the choice normalizer
 s = sum(g(n) y). Given (a, s), class c holds its fraction q_c of the
 birth-death measure with ratios rho_k = mu*a / (lam*(1-p) + lam*p*g(k+1)/s),
-cut at its capacity K_c, so solving means closing the loop on (a, s). The
-equilibrium of the ratio process is that table projected onto the
-fill-ratio bins.
+cut at its capacity K_c. One builder makes that measure, the moment
+kernel's class weights exp(n log(mu a) - C_n(s)), C_n the summed logs of the
+pickup rates: they give every Newton round its moments, and at the root,
+normalized per class, they are the returned table. Its image on the
+fill-ratio bins is the equilibrium of the ratio process.
 
 For fixed s the spare-bike equation has exactly one root a(s), found by a
 safeguarded Newton iteration in log a on scalar moments of the mixture.
@@ -88,26 +90,6 @@ class EquilibriumResult:
     stats: dict
 
 
-def _birth_death(logrho, caps) -> np.ndarray:
-    """Birth-death measures of every capacity class from log-ratios.
-
-    logrho has shape (..., caps[-1]). Row c of the (..., C, caps[-1]+1)
-    result is the chain cut at caps[c]: y_n is proportional to the product
-    of rho_0..rho_{n-1} for n <= caps[c], normalized along the last axis,
-    and zero above. Products are carried in log space so K in the hundreds
-    cannot overflow.
-    """
-    logw = np.cumsum(logrho, axis=-1)
-    logw = np.concatenate((np.zeros(logw.shape[:-1] + (1,)), logw), axis=-1)
-    out = np.zeros(logw.shape[:-1] + (len(caps), logw.shape[-1]))
-    for c, k in enumerate(caps):
-        w = logw[..., : k + 1]
-        m = w.max(axis=-1, keepdims=True)
-        y = np.exp(w - (m + np.log(np.exp(w - m).sum(axis=-1, keepdims=True))))
-        out[..., c, : k + 1] = y / y.sum(axis=-1, keepdims=True)
-    return out
-
-
 def _require_constant(params: SystemParams) -> float:
     if not params.arrival.is_constant:
         raise ValidationError(
@@ -124,14 +106,6 @@ def _class_structure(params: SystemParams):
     return caps, np.asarray(fracs, dtype=float), g
 
 
-def _log_rho(a, s, lam, mu, p, g):
-    """log rho_k for k = 0..k_max-1, broadcasting over leading axes of a, s."""
-    a = np.asarray(a, dtype=float)
-    s = np.asarray(s, dtype=float)
-    down = lam * (1.0 - p) + (lam * p) * g[1:] / s[..., None]
-    return np.log(mu * a)[..., None] - np.log(down)
-
-
 def _log_down_sums(s, lam, p, g):
     """C_n(s) = sum_{k<n} log(lam(1-p) + lam p g_{k+1}/s) for n = 0..k_max."""
     c_n = np.zeros(len(g))
@@ -140,15 +114,16 @@ def _log_down_sums(s, lam, p, g):
 
 
 def _moment_kernel(mu, g, caps, fracs):
-    """Mixture moments at u = log a for one capacity mix.
+    """Class weights and mixture moments at u = log a for one capacity mix.
 
-    Returns moments(u, c_n) -> (m1, dm1, s): the mean count, its u-derivative
-    sum_c q_c Var_c(n) and sum(g y), with c_n = _log_down_sums(s, ...). Class
-    c's conditional is proportional to exp(w_n), w_n = n (log mu + u) - C_n,
-    for n <= K_c, so only w is redone per u. Each class is shifted by its
-    own maximum of w, so K in the hundreds cannot overflow or underflow, and
-    the class sums of [1, n, g, n^2] come from one product with a fixed
-    moment matrix. E(n^2) - E(n)^2 can round below 0, so dm1 is clipped there.
+    Returns (weights, moments), functions of (u, c_n), c_n =
+    _log_down_sums(s, ...). weights gives the (C, k_max+1) unnormalized class
+    conditionals, exp(w_n) with w_n = n (log mu + u) - C_n for n <= K_c and 0
+    above, each class shifted by its own maximum of w so K in the hundreds
+    cannot overflow or underflow. moments gives (m1, dm1, s): the mean count,
+    its u-derivative sum_c q_c Var_c(n) and sum(g y), from one product of the
+    weights with the moment basis [1, n, g, n^2]. E(n^2) - E(n)^2 can round
+    below 0, so dm1 is clipped there.
     """
     n = np.arange(caps[-1] + 1.0)
     basis = np.stack((np.ones_like(n), n, g, n * n), axis=1)
@@ -156,15 +131,18 @@ def _moment_kernel(mu, g, caps, fracs):
     above = np.where(n > top[:, None], -np.inf, 0.0)
     log_mu = math.log(mu)
 
-    def moments(u, c_n):
+    def weights(u, c_n):
         w = n * (log_mu + u) - c_n
-        z = np.exp(w - np.maximum.accumulate(w)[top, None] + above) @ basis
+        return np.exp(w - np.maximum.accumulate(w)[top, None] + above)
+
+    def moments(u, c_n):
+        z = weights(u, c_n) @ basis
         z = z[:, 1:] / z[:, :1]
         z[:, 2] -= z[:, 0] * z[:, 0]
         m1, s, dm1 = (fracs @ z).tolist()
         return m1, max(dm1, 0.0), s
 
-    return moments
+    return weights, moments
 
 
 def _solve_u(moments, c_n, u, gamma):
@@ -262,15 +240,12 @@ def _brent(f, xa, xb, fa, fb):
 def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
     """Equilibrium of the mean-field ODE for any capacity mix.
 
-    Finds (a, s) closing both consistency equations. With flat weights,
-    which p = 0 takes since the choice never enters, rho does not couple
-    back to s, so one inner solve settles a and s is the flat weight.
-    Otherwise the inner root a(s) is unique and continuous, so the
-    equilibrium is the root of phi(s) = sum(g y(a(s), s)) - s. sum(g y) is a
-    g-weighted average, so phi(g_min) >= 0 >= phi(g_max): the two ends
-    bracket the one root, and a single Brent search in log s finds it. Each
-    inner solve starts from the previous one's root. The table built at the
-    root must pass the drift residual gate.
+    Finds (a, s) closing both consistency equations by the Newton-in-Brent
+    route of the module docstring. With flat weights, which p = 0 takes
+    since the choice never enters, rho does not couple back to s, so one
+    inner solve settles a and s is the flat weight. Each inner solve starts
+    from the previous one's root. The table, the kernel's class weights at
+    the root, must pass the drift residual gate.
     """
     lam = _require_constant(params)
     if not params.fleet >= 1:
@@ -279,16 +254,18 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
     caps, fracs, g = _class_structure(params)
     gamma, mu, p = params.gamma, params.mu, params.p
     g_lo, g_hi = float(g.min()), float(g.max())
-    moments = _moment_kernel(mu, g, caps, fracs)
+    weights, moments = _moment_kernel(mu, g, caps, fracs)
     stats = {"route": "bracketed", "brent_evals": 0, "newton_iters": 0,
              "bisection_fallbacks": 0}
     u = math.log(0.5 * gamma)
+    c_n = None
 
     def sum_gy(s):
-        # sum(g y) at a(s); the root u is the next inner solve's start
-        nonlocal u
-        u, s_new, rounds, fallbacks = _solve_u(
-            moments, _log_down_sums(s, lam, p, g), u, gamma)
+        # sum(g y) at a(s); the root u is the next inner solve's start, and
+        # (u, c_n) is the last solve's root
+        nonlocal u, c_n
+        c_n = _log_down_sums(s, lam, p, g)
+        u, s_new, rounds, fallbacks = _solve_u(moments, c_n, u, gamma)
         stats["newton_iters"] += rounds
         stats["bisection_fallbacks"] += fallbacks
         return s_new
@@ -314,8 +291,8 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
         s = math.exp(_brent(phi, x_lo, x_hi, f_lo, f_hi))
     sum_gy(s)
     a = math.exp(u)
-    logrho = _log_rho(a, s, lam, mu, p, g)
-    table = fracs[:, None] * _birth_death(logrho, caps)
+    w = weights(u, c_n)
+    table = fracs[:, None] * (w / w.sum(axis=1, keepdims=True))
     residual = float(np.max(np.abs(drift(table, params))))
     if not (residual <= RESIDUAL_TOL):
         raise ConvergenceError(
@@ -323,7 +300,8 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
         )
     return EquilibriumResult(
         table=table, r_bar=ratio_projection(table, caps),
-        y_bar=table[0] if len(caps) == 1 else None, rho=np.exp(logrho),
+        y_bar=table[0] if len(caps) == 1 else None,
+        rho=np.exp(math.log(mu) + u - np.diff(c_n)),
         a=a, s=s, residual=residual,
         iterations=stats["newton_iters"], stats=stats,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (
+    CHOICE_PARAMS,
     ChoiceSpec,
     ConvergenceError,
     SystemParams,
@@ -46,8 +47,8 @@ __all__ = [
     "nonstationary_run",
 ]
 
-SWEEP_PLANES = ("p-theta", "p-c", "p-alpha", "p-gamma")
-_SWEEP_KINDS = {"p-theta": "exponential", "p-c": "minimum", "p-alpha": "polynomial"}
+_SWEEP_KINDS = {f"p-{key}": kind for kind, (key, _) in CHOICE_PARAMS.items()}
+SWEEP_PLANES = (*_SWEEP_KINDS, "p-gamma")
 # below this many replications the standard-error gates are meaningless
 MIN_REPS_FOR_VERDICT = 30
 
@@ -116,6 +117,7 @@ def flln_experiment(
 
     The error should shrink like 1/sqrt(N); the check is that each
     consecutive error ratio falls within a factor 2 of sqrt(N ratio).
+    metrics["events"] sums the event counts of every simulate run.
     """
     n_list = [int(n) for n in n_list]
     # equal neighbors are allowed: the expected ratio is then 1, a useful
@@ -126,7 +128,7 @@ def flln_experiment(
         raise ValidationError(f"reps must be >= 1, got {reps}")
     caps = params.capacity_values
     errors = []
-    counter = 0
+    counter = events = 0
     for n in n_list:
         par_n = _with_n(params, n)
         init = round_robin_state(par_n)
@@ -138,6 +140,7 @@ def flln_experiment(
         for _ in range(reps):
             traj = simulate(par_n, horizon, sample_dt, child_seed(seed, counter))
             counter += 1
+            events += traj.event_count
             sups.append(float(np.abs(traj.r_series - r_path).max()))
         errors.append(float(np.mean(sups)))
 
@@ -166,6 +169,7 @@ def flln_experiment(
             "ratio_bounds": bounds,
             "reps": reps,
             "horizon": horizon,
+            "events": events,
         },
     )
 
@@ -196,7 +200,10 @@ def fclt_experiment(
                    initial=init)
     mc = res.cov[-1] * n
     denom = float(np.linalg.norm(sigma))
-    rel = float(np.linalg.norm(mc - sigma) / denom) if denom > 1e-30 else math.inf
+    err = float(np.linalg.norm(mc - sigma))
+    # a zero Sigma (a zero fleet moves nothing) matches only a zero sample
+    # covariance: against a live one the relative error is infinite
+    rel = err / denom if denom > 1e-30 else (0.0 if err <= 1e-30 else math.inf)
     scaled_mean = math.sqrt(n) * (res.mean[-1] - ymf)
     se = np.sqrt(np.maximum(np.diag(mc), 0.0) / reps)
     mean_z = float(np.abs(scaled_mean / np.maximum(se, 1e-30)).max())

@@ -35,7 +35,10 @@ RATE_GRID_STEP = 0.01
 # negative, so a minimum of exactly zero passes despite rounding.
 RATE_DIP_RESOLUTION = 1e-9
 
-CHOICE_KINDS = ("exponential", "minimum", "polynomial", "none")
+# config key and JSON type of each choice kind's parameter; kind none has none
+CHOICE_PARAMS = {"exponential": ("theta", float), "minimum": ("c", int),
+                 "polynomial": ("alpha", float)}
+CHOICE_KINDS = (*CHOICE_PARAMS, "none")
 
 
 class ValidationError(ValueError):
@@ -72,10 +75,9 @@ class ChoiceSpec:
         p = float(self.param)
         if not math.isfinite(p):
             raise ValidationError(f"choice.param must be finite, got {p}")
-        if self.kind == "exponential" and p < 0:
-            raise ValidationError(f"choice theta must be >= 0, got {p}")
-        if self.kind == "polynomial" and p < 0:
-            raise ValidationError(f"choice alpha must be >= 0, got {p}")
+        if self.kind != "minimum" and p < 0:
+            raise ValidationError(
+                f"choice {CHOICE_PARAMS[self.kind][0]} must be >= 0, got {p}")
         if self.kind == "minimum":
             if p < 1 or p != int(p):
                 raise ValidationError(f"choice c must be an integer >= 1, got {self.param}")
@@ -114,6 +116,11 @@ class FourierRateModel:
     @property
     def order(self) -> int:
         return len(self.sin_coeffs)
+
+    def to_config(self) -> dict:
+        """The arrival.fourier block that validates back to this model."""
+        return {"period": self.period, "intercept": self.intercept,
+                "sin": list(self.sin_coeffs), "cos": list(self.cos_coeffs)}
 
     def at(self, t: float) -> float:
         """lambda(t) at one scalar instant: the path every ODE stage takes."""
@@ -231,22 +238,11 @@ class SystemParams:
         if self.arrival.is_constant:
             arr: dict = {"constant": float(self.arrival.rate)}
         else:
-            f = self.arrival.fourier
-            arr = {
-                "fourier": {
-                    "period": float(f.period),
-                    "intercept": float(f.intercept),
-                    "sin": [float(v) for v in f.sin_coeffs],
-                    "cos": [float(v) for v in f.cos_coeffs],
-                }
-            }
+            arr = {"fourier": self.arrival.fourier.to_config()}
         ch: dict = {"kind": self.choice.kind}
-        if self.choice.kind == "exponential":
-            ch["theta"] = float(self.choice.param)
-        elif self.choice.kind == "minimum":
-            ch["c"] = int(self.choice.param)
-        elif self.choice.kind == "polynomial":
-            ch["alpha"] = float(self.choice.param)
+        if self.choice.kind in CHOICE_PARAMS:
+            key, kind = CHOICE_PARAMS[self.choice.kind]
+            ch[key] = kind(self.choice.param)
         return {
             "n_stations": int(self.n_stations),
             "fleet": int(self.fleet),
@@ -402,8 +398,8 @@ def _parse_choice(raw, path: str) -> ChoiceSpec:
     _require(isinstance(raw, Mapping), f"{path} must be a mapping")
     kind = raw.get("kind")
     _require(kind in CHOICE_KINDS, f"{path}.kind must be one of {CHOICE_KINDS}, got {kind!r}")
-    param_key = {"exponential": "theta", "minimum": "c", "polynomial": "alpha"}.get(kind)
-    extra = set(raw) - {"kind", param_key} - {None}
+    param_key = CHOICE_PARAMS.get(kind, (None,))[0]
+    extra = set(raw) - {"kind", param_key}
     _require(not extra, f"unknown keys in {path}: {sorted(extra)}")
     if param_key is None:
         return ChoiceSpec(kind=kind)

@@ -10,7 +10,8 @@ from bss.cli import CSV_BLOCK, _write_csv, _write_frames, main
 from bss.diffusion import integrate_covariance
 from bss.equilibrium import solve_equilibrium
 from bss.harness import forward_equation_residual, sweep
-from bss.ingestion import parse_gbfs, snapshot_histograms
+from bss.ingestion import (fit_fourier, load_rate_series, parse_gbfs,
+                           snapshot_histograms)
 from bss.meanfield import (
     builtin_measure,
     integrate,
@@ -632,6 +633,30 @@ def test_verify_interchange_bad_tol_exits_one(base_cfg, tmp_path, capsys, tol):
     assert not out.exists()
 
 
+def test_verify_fclt_zero_fleet_passes(tmp_path, capsys):
+    # nothing moves: Sigma and the sample covariance are both exactly 0
+    cfg = write_config(tmp_path / "cfg.json", gamma=0, capacity=5)
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--suite", "fclt", "--config", cfg, "--n", "20",
+                 "--reps", "40", "--t-check", "0.5", "--out", str(out)])
+    assert code == 0
+    assert "fclt: pass" in capsys.readouterr().out
+    metrics = json.loads(out.read_text())["metrics"]
+    assert metrics["rel_frobenius"] == 0.0
+    assert metrics["events"] == 0
+
+
+def test_verify_flln_manifest_copies_events(base_cfg, tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--suite", "flln", "--config", base_cfg,
+                 "--n-list", "20,40", "--horizon", "2", "--reps", "2",
+                 "--seed", "3", "--out", str(out)]) in (0, 2)
+    metrics = json.loads(out.read_text())["metrics"]
+    man = json.loads((tmp_path / "rep.json.manifest.json").read_text())
+    assert man["details"]["stats"] == {"events": metrics["events"]}
+    assert metrics["events"] > 0
+
+
 def test_verify_failing_suite_exits_two(base_cfg, tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["verify", "--suite", "interchange", "--config", base_cfg,
@@ -695,6 +720,25 @@ def test_fit_arrivals_recovers_exact_model(tmp_path):
     assert doc["model"]["sin"][0] == pytest.approx(0.5, abs=1e-9)
     assert doc["model"]["cos"][0] == pytest.approx(0.0, abs=1e-9)
     assert doc["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fit_arrivals_model_is_an_arrival_fourier_block(tmp_path):
+    # the written model is the config block: it validates back to the fit
+    ts = np.arange(0.0, 48.0, 0.5)
+    rates = 3.0 + np.sin(ts) + 0.25 * np.cos(0.5 * ts)
+    csv_path = tmp_path / "rates.csv"
+    csv_path.write_text("t_hours,rate\n" + "".join(
+        f"{t!r},{r!r}\n" for t, r in zip(ts.tolist(), rates.tolist())))
+    out = tmp_path / "fit.json"
+    assert main(["fit-arrivals", "--csv", str(csv_path), "--order", "2",
+                 "--period", "12", "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["model"]
+    par = validate_params({"n_stations": 10, "gamma": 1.5, "capacity": 3,
+                           "mu": 1.0, "p": 0.0, "arrival": {"fourier": block},
+                           "choice": {"kind": "none"}})
+    model, _ = fit_fourier(load_rate_series(str(csv_path)), 2, period=12.0)
+    assert par.arrival.fourier == model
+    assert par.to_config()["arrival"]["fourier"] == block
 
 
 def test_fit_arrivals_bad_header_exits_one(tmp_path, capsys):
@@ -781,10 +825,10 @@ def test_write_csv_edge_values_match_row_oracle(tmp_path):
     ints = (np.arange(n, dtype=np.int64) - 3) * np.int64(2**52 + 1)
     flags = np.arange(n) % 3 == 0
     names = np.array([f"s{i}%d" for i in range(n)])
-    header = ("f", "lit", "i", "flag", "name", "pct")
+    header = ("f", "i", "flag", "name")
     path = tmp_path / "edge.csv"
-    _write_csv(str(path), header, floats, "50%d%s", ints, flags, names, "%")
-    rows = [(f, "50%d%s", i, bool(b), str(s), "%")
+    _write_csv(str(path), header, floats, ints, flags, names)
+    rows = [(f, i, bool(b), str(s))
             for f, i, b, s in zip(floats, ints, flags, names)]
     assert path.read_bytes() == oracle_csv(header, rows)
 
@@ -796,9 +840,9 @@ def test_write_csv_streams_every_block(tmp_path, n_rows):
     t = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     idx = rng.integers(-5, 1000, n_rows)
     path = tmp_path / "block.csv"
-    _write_csv(str(path), ("t", "observable", "index"), t, "y", idx)
-    rows = [(v, "y", i) for v, i in zip(t, idx)]
-    assert path.read_bytes() == oracle_csv(("t", "observable", "index"), rows)
+    _write_csv(str(path), ("t", "index"), t, idx)
+    rows = [(v, i) for v, i in zip(t, idx)]
+    assert path.read_bytes() == oracle_csv(("t", "index"), rows)
 
 
 # floats whose bit patterns differ while their values compare equal (the
@@ -812,8 +856,8 @@ _POOL = np.concatenate([
 
 
 def test_write_csv_formats_repeated_floats_by_bits(tmp_path):
-    # repeats within a block and across the block boundaries, next to an
-    # all-distinct column, a one-value column and float32 columns
+    # repeated bit patterns next to an all-distinct column, a one-value
+    # column and float32 columns
     n = 2 * CSV_BLOCK + 17
     rng = np.random.default_rng(7)
     pooled = _POOL[rng.integers(0, _POOL.size, n)]
@@ -822,11 +866,11 @@ def test_write_csv_formats_repeated_floats_by_bits(tmp_path):
     small = pooled.astype(np.float32)
     small_distinct = (rng.standard_normal(n)
                       * 10.0 ** rng.integers(-44, 38, n)).astype(np.float32)
-    header = ("pooled", "distinct", "lit", "single", "f32", "f32d")
+    header = ("pooled", "distinct", "single", "f32", "f32d")
     path = tmp_path / "pool.csv"
-    _write_csv(str(path), header, pooled, distinct, "y", single, small,
+    _write_csv(str(path), header, pooled, distinct, single, small,
                small_distinct)
-    rows = zip(pooled, distinct, ["y"] * n, single, small, small_distinct)
+    rows = zip(pooled, distinct, single, small, small_distinct)
     assert path.read_bytes() == oracle_csv(header, rows)
 
 

@@ -12,11 +12,9 @@ from bss.equilibrium import (
     MAX_NEWTON_ITER,
     NOISE_ULPS,
     RESIDUAL_TOL,
-    _birth_death,
     _brent,
     _class_structure,
     _log_down_sums,
-    _log_rho,
     _moment_kernel,
     _solve_u,
     entropy,
@@ -55,7 +53,35 @@ def interior_physical(rng, size, gamma):
 
 # The vectorized inner solve over stacks of s: the oracle of the scalar
 # moment kernel and Newton in bss.equilibrium. Every class conditional comes
-# from _birth_death, and the moments are plain sums over the table.
+# from _birth_death, a builder independent of the kernel's class weights, and
+# the moments are plain sums over the table.
+def _log_rho(a, s, lam, mu, p, g):
+    """log rho_k for k = 0..k_max-1, broadcasting over leading axes of a, s."""
+    a = np.asarray(a, dtype=float)
+    s = np.asarray(s, dtype=float)
+    down = lam * (1.0 - p) + (lam * p) * g[1:] / s[..., None]
+    return np.log(mu * a)[..., None] - np.log(down)
+
+
+def _birth_death(logrho, caps):
+    """Birth-death measures of every capacity class from log-ratios.
+
+    logrho has shape (..., caps[-1]). Row c of the (..., C, caps[-1]+1)
+    result is the chain cut at caps[c]: y_n is proportional to the product
+    of rho_0..rho_{n-1} for n <= caps[c], normalized along the last axis by
+    a log-sum-exp, and zero above.
+    """
+    logw = np.cumsum(logrho, axis=-1)
+    logw = np.concatenate((np.zeros(logw.shape[:-1] + (1,)), logw), axis=-1)
+    out = np.zeros(logw.shape[:-1] + (len(caps), logw.shape[-1]))
+    for c, k in enumerate(caps):
+        w = logw[..., : k + 1]
+        m = w.max(axis=-1, keepdims=True)
+        y = np.exp(w - (m + np.log(np.exp(w - m).sum(axis=-1, keepdims=True))))
+        out[..., c, : k + 1] = y / y.sum(axis=-1, keepdims=True)
+    return out
+
+
 def _mixture_moments(a, s, lam, mu, p, g, caps, fracs):
     """Mean count m1, its log-a derivative and refreshed normalizer sum(g y)."""
     conds = _birth_death(_log_rho(a, s, lam, mu, p, g), caps)
@@ -129,7 +155,7 @@ def inner_solves(s_values, params):
     sum(g y) and rounds. sum(g y) must be the kernel's value at the
     returned a, not at a stale iterate."""
     caps, fracs, g = _class_structure(params)
-    moments = _moment_kernel(params.mu, g, caps, fracs)
+    _, moments = _moment_kernel(params.mu, g, caps, fracs)
     out = []
     for s in s_values:
         c_n = _log_down_sums(s, params.arrival.rate, params.p, g)
@@ -140,26 +166,45 @@ def inner_solves(s_values, params):
     return tuple(map(np.array, zip(*out)))
 
 
+def kernel_conditionals(rho, caps):
+    """The moment kernel's class weights for ratios rho, each class
+    normalized as solve_equilibrium normalizes them. With mu = 1 and u = 0,
+    C_n = -sum_{k<n} log rho_k makes the kernel's ratios exactly rho."""
+    c_n = np.concatenate(([0.0], -np.cumsum(np.log(rho))))
+    weights, _ = _moment_kernel(1.0, np.ones(len(c_n)), caps, np.ones(len(caps)))
+    w = weights(0.0, c_n)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 class TestBirthDeathStationary:
-    """_birth_death on one class: y_n proportional to rho_0 ... rho_{n-1}."""
+    """The kernel's class weights on one class: y_n proportional to
+    rho_0 ... rho_{n-1}."""
 
     def test_hand_example(self):
-        y = _birth_death(np.log([0.5, 2.0]), (2,))[0]
+        y = kernel_conditionals([0.5, 2.0], (2,))[0]
         np.testing.assert_allclose(y, [0.4, 0.2, 0.4], atol=1e-14)
 
     def test_all_ones_gives_uniform(self):
-        y = _birth_death(np.log(np.ones(20)), (20,))[0]
+        y = kernel_conditionals(np.ones(20), (20,))[0]
         np.testing.assert_allclose(y, 1 / 21, atol=1e-14)
 
     def test_vanishing_ratios_pile_on_empty(self):
-        y = _birth_death(np.log(np.full(10, 1e-12)), (10,))[0]
+        y = kernel_conditionals(np.full(10, 1e-12), (10,))[0]
         assert y[0] == pytest.approx(1.0, abs=1e-11)
 
     def test_long_chain_stays_normalized(self):
         rng = np.random.default_rng(1)
-        y = _birth_death(np.log(rng.uniform(0.5, 2.0, size=200)), (200,))[0]
+        y = kernel_conditionals(rng.uniform(0.5, 2.0, size=200), (200,))[0]
         assert y.sum() == pytest.approx(1.0, abs=1e-12)
         assert y.min() >= 0.0
+
+    def test_classes_cut_at_their_capacity(self):
+        # each class is the one chain cut at its capacity and renormalized
+        rho = np.random.default_rng(2).uniform(0.5, 2.0, size=9)
+        conds = kernel_conditionals(rho, (3, 9))
+        np.testing.assert_allclose(conds, _birth_death(np.log(rho), (3, 9)),
+                                   rtol=1e-13, atol=0.0)
+        assert not conds[0, 4:].any()
 
 
 class TestSolveEquilibrium:
@@ -316,7 +361,7 @@ class TestSolverInternals:
             gamma=4.0, capacity={"values": [4, 8, 16], "fractions": [0.25, 0.5, 0.25]},
         )
         caps, fracs, g = _class_structure(params)
-        moments = _moment_kernel(params.mu, g, caps, fracs)
+        _, moments = _moment_kernel(params.mu, g, caps, fracs)
         c_n = _log_down_sums(50.0, 1.0, params.p, g)
         step = 1e-6
         for u in np.linspace(-3.0, 1.0, 9):
@@ -441,6 +486,30 @@ class TestSolveEquilibriumHetero:
         assert res.rho.shape == (caps[-1],)
         assert res.iterations == res.stats["newton_iters"] > 0
 
+    def test_table_is_the_kernel_conditional_at_the_root(self):
+        # the table is the moment kernel's own class weights at (a, s): its
+        # moments close the loop, and each class steps by the returned rho
+        params = make_params(
+            gamma=4.0, p=0.5,
+            capacity={"values": [4, 8, 16], "fractions": [0.25, 0.5, 0.25]},
+            choice={"kind": "exponential", "theta": 1.0},
+        )
+        res = solve_equilibrium(params)
+        caps, fracs, g = _class_structure(params)
+        weights, moments = _moment_kernel(params.mu, g, caps, fracs)
+        c_n = _log_down_sums(res.s, params.arrival.rate, params.p, g)
+        w = weights(math.log(res.a), c_n)
+        np.testing.assert_allclose(
+            res.table, fracs[:, None] * w / w.sum(axis=1, keepdims=True),
+            rtol=1e-12, atol=0.0)
+        m1, _, s = moments(math.log(res.a), c_n)
+        assert res.a + m1 == pytest.approx(params.gamma, rel=1e-12)
+        assert s == pytest.approx(res.s, rel=1e-12)
+        for c, k in enumerate(caps):
+            np.testing.assert_allclose(
+                res.table[c, 1:k + 1] / res.table[c, :k], res.rho[:k],
+                rtol=1e-12)
+
     def test_single_class_embeds_uniform_solution(self):
         # the one-class table is the birth-death measure of its own frozen rates
         params = make_params(gamma=5, capacity=10, choice={"kind": "exponential", "theta": 1.0})
@@ -500,7 +569,7 @@ def test_moment_kernel_matches_vectorized_oracle(caps, fracs, gamma):
                          {"values": list(caps), "fractions": list(fracs)},
                          choice={"kind": "exponential", "theta": 0.5})
     caps, fracs, g = _class_structure(params)
-    moments = _moment_kernel(params.mu, g, caps, fracs)
+    _, moments = _moment_kernel(params.mu, g, caps, fracs)
     for s in np.geomspace(g.min(), g.max(), 7):
         c_n = _log_down_sums(s, 1.0, params.p, g)
         u = np.linspace(-30.0, math.log(gamma), 9)

@@ -130,6 +130,16 @@ def test_flln_deterministic_model_zero_error():
     assert ratio == pytest.approx(math.sqrt(2.0))
 
 
+def test_flln_events_sum_the_replayed_simulate_runs():
+    # one child seed per run, counted across every N in order
+    par = make_params()
+    rep = flln_experiment(par, [20, 40], horizon=2.0, reps=3, seed=6,
+                          sample_dt=0.5)
+    want = sum(simulate(_with_n(par, n), 2.0, 0.5, child_seed(6, 3 * i + r)).event_count
+               for i, n in enumerate([20, 40]) for r in range(3))
+    assert rep.metrics["events"] == want > 0
+
+
 def test_flln_rejects_decreasing_n_list():
     with pytest.raises(ValidationError, match="non-decreasing"):
         flln_experiment(make_params(), [2000, 200], 1.0, 1, 0)
