@@ -30,7 +30,6 @@ from .equilibrium import entropy, solve_equilibrium
 from .simulator import (
     _lockstep,
     child_seed,
-    empirical_measure,
     ensemble,
     round_robin_state,
     simulate,
@@ -131,8 +130,7 @@ def flln_experiment(
     counter = events = 0
     for n in n_list:
         par_n = _with_n(params, n)
-        init = round_robin_state(par_n)
-        y0 = empirical_measure(init)
+        y0 = round_robin_state(par_n) / n
         grid = _sample_grid(horizon, sample_dt)
         path = integrate(y0, par_n, grid)
         r_path = ratio_projection(path.reshape(len(grid), len(caps), -1), caps)
@@ -190,14 +188,12 @@ def fclt_experiment(
     guarding against a vacuous comparison.
     """
     par_n = _with_n(params, n)
-    init = round_robin_state(par_n)
-    y0 = empirical_measure(init)
+    y0 = round_robin_state(par_n) / n
 
     states = integrate_covariance(y0, np.zeros((y0.size,) * 2), par_n, [0.0, t_check])
     sigma, ymf = states[-1].sigma, states[-1].y.ravel()
 
-    res = ensemble(par_n, reps, horizon=t_check, sample_dt=t_check, seed=seed,
-                   initial=init)
+    res = ensemble(par_n, reps, horizon=t_check, sample_dt=t_check, seed=seed)
     mc = res.cov[-1] * n
     denom = float(np.linalg.norm(sigma))
     err = float(np.linalg.norm(mc - sigma))

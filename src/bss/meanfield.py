@@ -414,8 +414,22 @@ def _observable(params: SystemParams) -> str:
 def ratio_histogram(counts, capacities, k_max: int) -> np.ndarray:
     """Fill-ratio histogram of stations: station i, holding counts[i] of
     capacities[i] docks, adds 1/N to bin ratio_bins(capacities[i], k_max)
-    [counts[i]], in station order."""
+    [counts[i]], in station order. Each count must be an integer in
+    0..capacities[i], each capacity an integer >= 1."""
     counts, capacities = np.asarray(counts), np.asarray(capacities)
+    if counts.ndim != 1 or counts.shape != capacities.shape or not counts.size:
+        raise ValidationError(
+            f"need equal-length, non-empty vectors of counts and capacities, got "
+            f"shapes {counts.shape} and {capacities.shape}")
+    ok = ((counts == np.trunc(counts)) & (capacities == np.trunc(capacities))
+          & (0 <= counts) & (counts <= capacities) & (capacities >= 1))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValidationError(
+            f"station {i} holds {counts[i]} bikes of {capacities[i]} docks; "
+            f"need integers 0 <= count <= capacity, capacity >= 1")
+    counts = counts.astype(np.int64, copy=False)
+    capacities = capacities.astype(np.int64, copy=False)
     bins = np.empty_like(counts)
     for k in np.unique(capacities).tolist():
         at = capacities == k

@@ -6,15 +6,17 @@ Stations with the same capacity and count are exchangeable, so the engine
 evolves the occupancy table W[class, n] = number of stations of that class
 holding n bikes; every observable here is a function of W and the table's
 transition rates depend on the state only through W, so trajectories have
-exactly the per-station law projected onto W. The ratio histogram of a
-sample, or of the occupancy integral behind a stationary average, is
-meanfield.ratio_projection of W / N.
+exactly the per-station law projected onto W. A run starts from such a
+table of counts (round_robin_state, or a caller's initial). The ratio
+histogram of a sample, or of the occupancy integral behind a stationary
+average, is meanfield.ratio_projection of W / N.
 
 One event law, two engines. _Lumped holds the table, its per-class prefix
 counts and the fresh sum of its rate aggregates; each engine keeps the
 aggregates itself and updates them per move. _run_engine steps one replica
 on Python scalars (simulate, stationary_average, flln_experiment), its
-aggregates in local variables and each cell's move precomputed. It reads
+aggregates in local variables and each cell's move read from _move_table,
+the one table of what a move changes, which _lockstep adds as is. It reads
 its stream as one iterator of (e, u1, u2) chained over the blocks, works
 out the rates right after each move (a thinned or empty candidate leaves
 them as they are) and derives its event count from the countdown to the
@@ -46,14 +48,14 @@ from itertools import accumulate, chain, repeat
 import numpy as np
 
 from .model import SystemParams, ValidationError, choice_weights
-from .meanfield import TINY_DENOM, _informed_choice, _sample_grid, ratio_projection
+from .meanfield import (TINY_DENOM, _as_measure, _informed_choice, _sample_grid,
+                        ratio_projection)
 
 __all__ = [
-    "NetworkState",
     "TrajectorySample",
     "EnsembleResult",
     "child_seed",
-    "empirical_measure",
+    "round_robin_state",
     "simulate",
     "stationary_average",
     "ensemble",
@@ -89,33 +91,6 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-@dataclass
-class NetworkState:
-    """Per-station bike counts with capacities and the shared fleet size."""
-
-    counts: np.ndarray
-    capacities: np.ndarray
-    fleet: int
-
-    def __post_init__(self) -> None:
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        self.capacities = np.asarray(self.capacities, dtype=np.int64)
-        if self.counts.shape != self.capacities.shape or self.counts.ndim != 1:
-            raise ValidationError("counts and capacities must be equal-length vectors")
-        if np.any(self.counts < 0) or np.any(self.counts > self.capacities):
-            raise ValidationError("station counts must satisfy 0 <= X_i <= K_i")
-        if int(self.counts.sum()) > self.fleet:
-            raise ValidationError("docked bikes exceed the fleet size")
-
-    @property
-    def n_stations(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def in_circulation(self) -> int:
-        return int(self.fleet - self.counts.sum())
-
-
 @dataclass(frozen=True)
 class TrajectorySample:
     """Sampled observables on a regular grid; y_series is None for capacity
@@ -141,37 +116,37 @@ class EnsembleResult:
     stats: dict = field(default_factory=dict)
 
 
-def round_robin_state(params: SystemParams) -> NetworkState:
-    """Deterministic start: deal bikes one per station until the fleet is out."""
-    caps = params.station_capacities()
+def round_robin_state(params: SystemParams) -> np.ndarray:
+    """Deterministic start: deal bikes one per station, stations grouped by
+    ascending class, until the fleet is out.
+
+    Returns the number of stations at each (class, count) cell, shaped as
+    builtin_measure gives a measure: (C, k_max+1) on a mix, (K+1,) on one
+    class. Divided by params.n_stations it is the measure integrate takes.
+    """
+    caps = np.asarray(params.capacity_values)
+    sizes = params.class_sizes()
     m = params.fleet
-    if m > int(caps.sum()):
+    if m > int(caps @ sizes):
         raise ValidationError("fleet exceeds total dock capacity")
-    # full passes first: after r passes station i holds min(K_i, r)
-    lo, hi = 0, int(caps.max())
+    # full passes first: after r passes a class-c station holds min(K_c, r)
+    lo, hi = 0, int(caps[-1])
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if int(np.minimum(caps, mid).sum()) <= m:
+        if int(np.minimum(caps, mid) @ sizes) <= m:
             lo = mid
         else:
             hi = mid - 1
-    counts = np.minimum(caps, lo)
-    left = m - int(counts.sum())
-    if left > 0:
-        takers = np.flatnonzero(caps > lo)[:left]
-        counts[takers] += 1
-    return NetworkState(counts, caps, m)
-
-
-def empirical_measure(state: NetworkState) -> np.ndarray:
-    """Fraction of stations at each (capacity class, count) cell: the
-    (C, k_max+1) table in the layout of meanfield._operators, or for a
-    uniform capacity the (K+1,) vector, as builtin_measure gives them."""
-    caps, cls = np.unique(state.capacities, return_inverse=True)
-    width = int(caps[-1]) + 1
-    table = np.bincount(cls * width + state.counts, minlength=caps.size * width)
-    table = table.reshape(caps.size, width) / state.n_stations
-    return table[0] if caps.size == 1 else table
+    # one more bike each to the first stations with room, class by class
+    left = m - int(np.minimum(caps, lo) @ sizes)
+    table = np.zeros((caps.size, caps[-1] + 1), dtype=np.int64)
+    for c, (k, size) in enumerate(zip(caps.tolist(), sizes.tolist())):
+        up = min(left, size) if k > lo else 0
+        left -= up
+        table[c, min(k, lo)] = size - up
+        if up:
+            table[c, lo + 1] = up
+    return table[0] if params.is_uniform else table
 
 
 class _Lumped:
@@ -185,20 +160,38 @@ class _Lumped:
     on them and updates them per move. The engines hold the rate aggregates
     themselves and update them per move; recompute() sums them afresh from
     the table.
+
+    The table starts from initial, a count table in the shape of
+    round_robin_state (its result when None). It must pass _as_measure
+    (shape, dead cells, finite entries) and hold non-negative integer
+    counts, params.class_sizes() stations per class and at most
+    params.fleet docked bikes.
     """
 
-    def __init__(self, params: SystemParams, state: NetworkState):
-        caps = tuple(int(k) for k in np.unique(state.capacities))
-        self.caps = caps
-        self.k_max = caps[-1]
-        self.n = state.n_stations
-        self.fleet = state.fleet
+    def __init__(self, params: SystemParams, initial=None):
+        self.caps = caps = params.capacity_values
+        self.k_max = params.k_max
+        self.n = params.n_stations
+        self.fleet = params.fleet
         self.g = choice_weights(_informed_choice(params), self.k_max).tolist()
-        self.w = [
-            np.bincount(state.counts[state.capacities == k],
-                        minlength=self.k_max + 1).tolist()
-            for k in caps
-        ]
+        if initial is None:
+            rows = round_robin_state(params).reshape(len(caps), -1)
+        else:
+            rows = _as_measure(initial, params).reshape(len(caps), -1)
+            if np.any(rows < 0) or np.any(rows != np.trunc(rows)):
+                raise ValidationError(
+                    "initial must hold non-negative integer station counts")
+            sizes = rows.sum(axis=1)
+            if not np.array_equal(sizes, params.class_sizes()):
+                raise ValidationError(
+                    f"initial holds {sizes.astype(np.int64).tolist()} stations "
+                    f"per class, params {params.class_sizes().tolist()}")
+            docked = float((rows @ np.arange(self.k_max + 1)).sum())
+            if docked > self.fleet:
+                raise ValidationError(
+                    f"initial docks {docked:.0f} bikes, more than the fleet "
+                    f"of {self.fleet}")
+        self.w = rows.astype(np.int64).tolist()
         self.f = _prefix_counts(self.w, caps)
 
     def recompute(self) -> tuple:
@@ -208,10 +201,8 @@ class _Lumped:
     def check(self, docked: int, nonempty: int, open_: int) -> None:
         """Raise unless a loop's integer aggregates and the prefix counts
         match the table and the table stays on its support."""
-        fresh = (sum(m * v for w in self.w for m, v in enumerate(w)),
-                 sum(sum(w[1:]) for w in self.w),
-                 sum(sum(w[:k]) for w, k in zip(self.w, self.caps)))
-        if fresh != (docked, nonempty, open_):
+        fresh, _, _, fresh_nonempty, fresh_open = self.recompute()
+        if (fresh, fresh_nonempty, fresh_open) != (docked, nonempty, open_):
             raise AssertionError("an aggregate counter drifted from the table")
         if self.f != _prefix_counts(self.w, self.caps):
             raise AssertionError("a prefix count drifted from the table")
@@ -241,18 +232,6 @@ def _aggregates(rows, g, caps) -> tuple:
         int(sum(int(w[1:].sum()) for w in ws)),
         int(sum(int(w[:k].sum()) for w, k in zip(ws, caps))),
     )
-
-
-def _prepare_initial(params: SystemParams, initial: NetworkState | None) -> NetworkState:
-    if initial is None:
-        return round_robin_state(params)
-    want = params.station_capacities()
-    have = np.sort(np.asarray(initial.capacities))
-    if initial.n_stations != params.n_stations or not np.array_equal(np.sort(want), have):
-        raise ValidationError("initial state capacities do not match params")
-    if initial.fleet != params.fleet:
-        raise ValidationError("initial state fleet does not match params")
-    return initial
 
 
 def _draws(rng) -> tuple[np.ndarray, np.ndarray]:
@@ -299,13 +278,14 @@ def _run_engine(
     params: SystemParams,
     horizon: float,
     seed: int,
-    initial: NetworkState | None,
+    initial: np.ndarray | None,
     on_grid=None,
     times: np.ndarray | None = None,
     occupancy_from: float | None = None,
     check_conservation: bool = False,
 ):
-    """Shared event loop; returns (stats, occ).
+    """Shared event loop from the count table initial (see _Lumped); returns
+    (stats, occ).
 
     on_grid(idx, lumped) fires at grid instants with the pre-event state.
     With occupancy_from=b, occ[c][m] is the integral over [b, horizon] of the
@@ -315,8 +295,7 @@ def _run_engine(
     skipped, as every timestamp is still b and they would credit zero.
     Every cell is credited once more up to the horizon at the end.
     """
-    state = _prepare_initial(params, initial)
-    lump = _Lumped(params, state)
+    lump = _Lumped(params, initial)
     rng = _generator(seed)
     p, mu = params.p, params.mu
     n, fleet, caps = lump.n, lump.fleet, lump.caps
@@ -331,26 +310,27 @@ def _run_engine(
     occ = [[0.0] * len(row) for row in rows]
     stamp = [[lo] * len(row) for row in rows]
 
-    def move(c, m, step):
-        # a class-c station at count m gains step bikes: the cells it leaves
-        # and enters, the class's occupancy and timestamp rows, the one
-        # prefix count that changes (f[c][min(m, m2)] by -step), and the
-        # changes of docked, big_g, g_pos, nonempty and open (_move_table's
-        # columns)
-        m2 = m + step
-        dg = g[m2] - g[m]
-        edge = min(m, m2) == 0
-        return (rows[c], m, m2, occ[c], stamp[c], prefix[c],
-                min(m, m2), step, dg, step * g[1] if edge else dg,
-                step if edge else 0, -step if max(m, m2) == caps[c] else 0)
+    # per cell, its move: the class's table row, the cells it leaves and
+    # enters, the class's occupancy, timestamp and prefix rows, the one
+    # prefix count that changes (f[c][m - 1] by -step for pickup cell m and
+    # the dropoff cell below it), then the changes of docked, big_g, g_pos,
+    # nonempty and open, read from the move's _move_table column
+    delta, picks = _move_table(np.asarray(g), caps)
+    n_p = picks.size
+    changes = delta[-6:-1].T.tolist()
+    picks_of, drops_of = [[None] for _ in caps], [[] for _ in caps]
+    width = lump.k_max + 1
+    for i, cell in enumerate(picks.tolist()):
+        c, m = divmod(cell, width)
+        for code, cells, src in ((i, picks_of, m), (n_p + 1 + i, drops_of, m - 1)):
+            step, dg, dg_pos, d_nonempty, d_open = changes[code]
+            step = int(step)
+            cells[c].append((rows[c], src, src + step, occ[c], stamp[c], prefix[c],
+                             m - 1, step, dg, dg_pos, int(d_nonempty), int(d_open)))
 
     # _rank_cell's classes: a pickup needs m >= 1 and a dropoff m < K_c
-    pick_classes = [
-        (prefix[c], k, [None] + [move(c, m, -1) for m in range(1, k + 1)])
-        for c, k in enumerate(caps)
-    ]
-    drop_classes = [(prefix[c], k - 1, [move(c, m, 1) for m in range(k)])
-                    for c, k in enumerate(caps)]
+    pick_classes = [(prefix[c], k, picks_of[c]) for c, k in enumerate(caps)]
+    drop_classes = [(prefix[c], k - 1, drops_of[c]) for c, k in enumerate(caps)]
     # the informed scan walks the pickup cells class-major
     pick_cells = [(rows[c], m, cells[m])
                   for c, (_, k, cells) in enumerate(pick_classes)
@@ -493,14 +473,16 @@ def simulate(
     horizon: float,
     sample_dt: float,
     seed: int,
-    initial: NetworkState | None = None,
+    initial: np.ndarray | None = None,
     check_conservation: bool = False,
 ) -> TrajectorySample:
     """One exact trajectory, sampled on a regular grid.
 
-    Returns the empirical-measure series (uniform capacities), the ratio
-    histogram series, and the number of state-changing events. Time-varying
-    arrival rates are simulated by thinning against the horizon-wide bound.
+    The run starts from initial, a count table as round_robin_state gives
+    it (that table when None). Returns the empirical-measure series (uniform
+    capacities), the ratio histogram series, and the number of
+    state-changing events. Time-varying arrival rates are simulated by
+    thinning against the horizon-wide bound.
     """
     times = _sample_grid(horizon, sample_dt)
     caps = params.capacity_values
@@ -527,7 +509,7 @@ def stationary_average(
     burn_in: float,
     horizon: float,
     seed: int,
-    initial: NetworkState | None = None,
+    initial: np.ndarray | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Time-weighted average of the natural observable over [burn_in, horizon].
@@ -591,28 +573,32 @@ def _move_table(g: np.ndarray, caps) -> tuple[np.ndarray, np.ndarray]:
 
     Code i < P is a pickup from pickup cell i, code P + 1 + i a dropoff into
     the cell below it, the dropoff cell in the same place of the walk; codes
-    P and 2P + 1 (no cell) move nothing. The aggregate changes are the float
-    differences the event loop of _run_engine adds per move, so adding a
-    column reproduces its arithmetic.
+    P and 2P + 1 (no cell) move nothing. This is the one definition of what
+    a move changes: _run_engine reads its per-cell moves from these columns
+    and _lockstep adds them to its state, so both do the same arithmetic.
     """
     width = caps[-1] + 1
     size = len(caps) * width
-    picks = [c * width + m for c, k in enumerate(caps) for m in range(1, k + 1)]
-    delta = np.zeros((size + 6, 2 * len(picks) + 2))
-    for i, f in enumerate(picks):
-        m, k = f % width, caps[f // width]
-        # a dropoff into f - 1 reverses a pickup from f: the station turns
-        # empty or nonempty at m = 1, and leaves or joins the open ones at K_c
-        for code, s in ((i, -1.0), (len(picks) + 1 + i, 1.0)):
-            dg = s * (g[m] - g[m - 1])
-            delta[[f - 1, f], code] = -s, s
-            delta[size:, code] = (s, dg, s * g[1] if m == 1 else dg,
-                                  s if m == 1 else 0, -s if m == k else 0, 1)
-    return delta, np.array(picks)
+    picks = np.array([c * width + m for c, k in enumerate(caps) for m in range(1, k + 1)])
+    m = picks % width
+    n_p = picks.size
+    full = m == np.asarray(caps)[picks // width]
+    delta = np.zeros((size + 6, 2 * n_p + 2))
+    # a dropoff into f - 1 reverses a pickup from f: the station turns empty
+    # or nonempty at m = 1, and leaves or joins the open ones at K_c
+    for first, s in ((0, -1.0), (n_p + 1, 1.0)):
+        codes = np.arange(first, first + n_p)
+        dg = s * (g[m] - g[m - 1])
+        delta[picks - 1, codes] = -s
+        delta[picks, codes] = s
+        delta[size:, codes] = (np.full(n_p, s), dg, np.where(m == 1, s * g[1], dg),
+                               np.where(m == 1, s, 0.0), np.where(full, -s, 0.0),
+                               np.ones(n_p))
+    return delta, picks
 
 
 def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
-              initial: NetworkState | None = None):
+              initial: np.ndarray | None = None):
     """_run_engine for many seeds at once.
 
     The state is cell-major, one float column per live replica: the L =
@@ -630,7 +616,7 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
     y_series on one class, and stats sums simulate's counters over replicas
     and adds rounds, the most candidate draws of any replica.
     """
-    lump = _Lumped(params, _prepare_initial(params, initial))
+    lump = _Lumped(params, initial)
     n, fleet, caps = lump.n, lump.fleet, lump.caps
     p, mu = params.p, params.mu
     g = np.asarray(lump.g)
@@ -749,7 +735,7 @@ def ensemble(
     horizon: float,
     sample_dt: float,
     seed: int,
-    initial: NetworkState | None = None,
+    initial: np.ndarray | None = None,
 ) -> EnsembleResult:
     """Mean and unbiased covariance of Y^N across independent replications.
 
@@ -758,8 +744,9 @@ def ensemble(
     r), initial), replayed bitwise by the lockstep engine. stats reports the
     engine's rounds and simulate's counters summed over replications.
     """
-    if replications < 2:
-        raise ValidationError("ensemble needs at least 2 replications")
+    if not (isinstance(replications, (int, np.integer)) and replications >= 2):
+        raise ValidationError(
+            f"replications must be an integer >= 2, got {replications!r}")
     times = _sample_grid(horizon, sample_dt)
     r = replications
     samples, stats = _lockstep(params, horizon, times,

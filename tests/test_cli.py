@@ -21,7 +21,6 @@ from bss.meanfield import (
 )
 from bss.model import ConvergenceError, validate_params
 from bss.simulator import (
-    empirical_measure,
     ensemble,
     round_robin_state,
     simulate,
@@ -1029,7 +1028,7 @@ def test_simulate_zero_horizon_writes_start_state(base_cfg, tmp_path):
     _, rows = read_csv(out)
     assert [r[0] for r in rows] == ["0"] * 4
     par = validate_params(json.loads((tmp_path / "cfg.json").read_text()))
-    start = empirical_measure(round_robin_state(par))
+    start = round_robin_state(par) / par.n_stations
     assert [float(r[3]) for r in rows] == start.tolist()
     man = json.loads((tmp_path / "z.csv.manifest.json").read_text())
     assert man["details"]["events"] == 0

@@ -5,7 +5,7 @@ from bss.model import (ArrivalModel, ConvergenceError, ValidationError, arrival_
                        validate_params)
 from bss.meanfield import _rk4_buffered, builtin_measure, drift, integrate
 from bss.equilibrium import solve_equilibrium
-from bss.simulator import NetworkState, empirical_measure, ensemble, round_robin_state
+from bss.simulator import ensemble, round_robin_state
 from bss.diffusion import (
     STIFF_LIMIT,
     CovarianceState,
@@ -352,9 +352,8 @@ def test_covariance_matches_monte_carlo():
     y0 = np.full(4, 0.25)
     states = integrate_covariance(y0, np.zeros((4, 4)), par, [0.0, 2.0])
     sig = states[-1].sigma
-    init = NetworkState(np.repeat([0, 1, 2, 3], 200), np.full(800, 3), par.fleet)
     res = ensemble(par, replications=800, horizon=2.0, sample_dt=1.0, seed=99,
-                   initial=init)
+                   initial=np.full(4, 200))
     mc = res.cov[-1] * 800
     rel = np.linalg.norm(mc - sig) / np.linalg.norm(sig)
     assert rel < 0.25
@@ -402,7 +401,7 @@ def test_stiff_covariance_halves_its_step():
     par = make_params(n_stations=60, gamma=10, capacity=20, p=0.25,
                       arrival={"constant": 10.0},
                       choice={"kind": "exponential", "theta": 0.5})
-    y0 = empirical_measure(round_robin_state(par))
+    y0 = round_robin_state(par) / par.n_stations
     grid = [0.0, 0.25, 0.5]
     stats, fine_stats = {}, {}
     coarse = integrate_covariance(y0, np.zeros((21, 21)), par, grid, stats=stats)
@@ -422,7 +421,7 @@ def test_stiffness_guard_bound():
     par = make_params(n_stations=60, gamma=10, capacity=20, p=0.25,
                       arrival={"constant": 10.0},
                       choice={"kind": "exponential", "theta": 0.5})
-    y = empirical_measure(round_robin_state(par))
+    y = round_robin_state(par) / par.n_stations
     j = jacobian(y, par)
     bound = min(np.abs(j).sum(axis=0).max(), np.abs(j).sum(axis=1).max())
     assert np.abs(np.linalg.eigvals(j)).max() <= bound

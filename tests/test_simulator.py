@@ -22,10 +22,8 @@ from bss.simulator import (
     _first_over,
     _totals,
     EnsembleResult,
-    NetworkState,
     TrajectorySample,
     child_seed,
-    empirical_measure,
     ensemble,
     round_robin_state,
     simulate,
@@ -47,60 +45,81 @@ def make_params(**overrides):
     return validate_params(cfg)
 
 
-def state_of(counts, caps, fleet):
-    return NetworkState(np.asarray(counts), np.asarray(caps), fleet)
+def count_table(counts, caps):
+    """Per-station counts binned into the engines' start table: stations per
+    (class, count) cell, (K+1,) on one capacity, as round_robin_state gives
+    it."""
+    values, cls = np.unique(caps, return_inverse=True)
+    width = int(values[-1]) + 1
+    table = np.bincount(cls * width + np.asarray(counts),
+                        minlength=values.size * width).reshape(values.size, width)
+    return table[0] if values.size == 1 else table
+
+
+def dealt_counts(params):
+    """Per-station counts and capacities of the round-robin deal: one bike
+    per station with room, in station order, until the fleet is out."""
+    caps = params.station_capacities()
+    counts = np.zeros_like(caps)
+    left = params.fleet
+    while left:
+        room = np.flatnonzero(counts < caps)[:left]
+        assert room.size, "fleet exceeds the docks"
+        counts[room] += 1
+        left -= room.size
+    return counts, caps
 
 
 # ---------------------------------------------------------------- rates
-# Per-station rates straight from the model's definition: the oracle the
-# engines' lumped aggregates are checked against.
+# Per-station rates straight from the model's definition, over a vector of
+# per-station counts: the oracle the engines' lumped aggregates are checked
+# against.
 
-def pickup_rate(state: NetworkState, i: int, params, t: float = 0.0) -> float:
+def pickup_rate(counts, i: int, params, t: float = 0.0) -> float:
     """Per-station pickup rate at time t; zero at an empty station."""
-    x = int(state.counts[i])
+    counts = np.asarray(counts)
+    x = int(counts[i])
     if x <= 0:
         return 0.0
     lam = arrival_rate(params.arrival, t)
-    g = choice_weights(_informed_choice(params), int(state.capacities.max()))
+    g = choice_weights(_informed_choice(params), params.k_max)
     rate = (1.0 - params.p) * lam
     if params.p > 0.0:
-        total = float(g[state.counts].sum())
+        total = float(g[counts].sum())
         if total > TINY_DENOM:
-            rate += params.p * lam * state.n_stations * float(g[x]) / total
+            rate += params.p * lam * counts.size * float(g[x]) / total
     return rate
 
 
-def dropoff_rate(state: NetworkState, i: int, params) -> float:
+def dropoff_rate(counts, caps, i: int, params) -> float:
     """Per-station dropoff rate; zero at a full station."""
-    if int(state.counts[i]) >= int(state.capacities[i]):
+    if int(counts[i]) >= int(caps[i]):
         return 0.0
-    return params.mu * (state.fleet - int(state.counts.sum())) / state.n_stations
+    return params.mu * (params.fleet - int(np.sum(counts))) / len(counts)
 
 
 def test_pickup_rate_hand_values():
     # two stations, X=(1,2), p=0.5, lam=1, exponential theta=1:
     # rate_i = 0.5 + 0.5*2*e^{X_i}/(e^1+e^2)
     par = make_params(n_stations=2, capacity=3, gamma=2.5, fleet=5)
-    st = state_of([1, 2], [3, 3], 5)
-    assert pickup_rate(st, 0, par) == pytest.approx(0.5 + 1 / (1 + np.e), abs=1e-12)
-    assert pickup_rate(st, 1, par) == pytest.approx(0.5 + np.e / (1 + np.e), abs=1e-12)
+    assert pickup_rate([1, 2], 0, par) == pytest.approx(0.5 + 1 / (1 + np.e), abs=1e-12)
+    assert pickup_rate([1, 2], 1, par) == pytest.approx(0.5 + np.e / (1 + np.e), abs=1e-12)
 
 
 def test_pickup_rate_zero_at_empty_station():
     par = make_params(n_stations=2, capacity=3, gamma=1.0)
-    st = state_of([0, 2], [3, 3], 2)
-    assert pickup_rate(st, 0, par) == 0.0
-    assert pickup_rate(st, 1, par) > 0.0
+    assert pickup_rate([0, 2], 0, par) == 0.0
+    assert pickup_rate([0, 2], 1, par) > 0.0
 
 
 def test_pickup_rate_uninformed():
     # p=0 kills the weighting entirely: every nonempty station sees lam
     par = make_params(n_stations=3, capacity=4, gamma=1.0, p=0.0,
                       arrival={"constant": 1.7})
-    st = state_of([1, 4, 0], [4, 4, 4], 5)
-    assert pickup_rate(st, 0, par) == pytest.approx(1.7)
-    assert pickup_rate(st, 1, par) == pytest.approx(1.7)
-    assert pickup_rate(st, 2, par) == 0.0
+    counts = [1, 4, 0]
+    assert pickup_rate(counts, 0, par) == pytest.approx(1.7)
+    assert pickup_rate(counts, 1, par) == pytest.approx(1.7)
+    assert pickup_rate(counts, 2, par) == 0.0
 
 
 def test_pickup_rate_time_varying():
@@ -109,24 +128,21 @@ def test_pickup_rate_time_varying():
         arrival={"fourier": {"intercept": 1.0, "sin": [0.5], "cos": [0.0],
                              "period": 24.0}},
     )
-    st = state_of([1, 1], [3, 3], 2)
     # t = 6 puts the first harmonic at its crest
-    assert pickup_rate(st, 0, par, t=6.0) == pytest.approx(1.5, abs=1e-12)
+    assert pickup_rate([1, 1], 0, par, t=6.0) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_dropoff_rate_hand_values():
     # mu=1, N=2, M=5, docked=3: every open station refills at (5-3)/2
     par = make_params(n_stations=2, capacity=3, gamma=2.5, fleet=5)
-    st = state_of([1, 2], [3, 3], 5)
-    assert dropoff_rate(st, 0, par) == pytest.approx(1.0)
-    assert dropoff_rate(st, 1, par) == pytest.approx(1.0)
+    assert dropoff_rate([1, 2], [3, 3], 0, par) == pytest.approx(1.0)
+    assert dropoff_rate([1, 2], [3, 3], 1, par) == pytest.approx(1.0)
 
 
 def test_dropoff_rate_zero_at_full_station():
     par = make_params(n_stations=2, capacity=3, gamma=2.0)
-    st = state_of([3, 0], [3, 3], 4)
-    assert dropoff_rate(st, 0, par) == 0.0
-    assert dropoff_rate(st, 1, par) == pytest.approx(0.5)
+    assert dropoff_rate([3, 0], [3, 3], 0, par) == 0.0
+    assert dropoff_rate([3, 0], [3, 3], 1, par) == pytest.approx(0.5)
 
 
 def test_rate_conservation_totals():
@@ -135,10 +151,10 @@ def test_rate_conservation_totals():
     rng = np.random.default_rng(5)
     par = make_params(n_stations=30, capacity=6, gamma=3.0, p=0.7)
     counts = rng.integers(1, 6, size=30)
-    st = state_of(counts, np.full(30, 6), 90)
-    tot_pick = sum(pickup_rate(st, i, par) for i in range(30))
+    caps = np.full(30, 6)
+    tot_pick = sum(pickup_rate(counts, i, par) for i in range(30))
     assert tot_pick == pytest.approx(1.0 * 30, rel=1e-9)
-    tot_drop = sum(dropoff_rate(st, i, par) for i in range(30))
+    tot_drop = sum(dropoff_rate(counts, caps, i, par) for i in range(30))
     assert tot_drop == pytest.approx(90 - counts.sum(), rel=1e-12)
 
 
@@ -160,11 +176,12 @@ def test_rate_sums_match_engine_totals(p):
         counts = rng.integers(0, 6, size=40)
         while counts.sum() > 80:
             counts[rng.integers(40)] = 0
-        st = state_of(counts, np.full(40, 5), 80)
-        aggs = np.array(_Lumped(par, st).recompute(), dtype=float)[:, None]
+        caps = np.full(40, 5)
+        lump = _Lumped(par, count_table(counts, caps))
+        aggs = np.array(lump.recompute(), dtype=float)[:, None]
         _, _, pick, drop = _totals(lam, par.p, par.mu, 40, 80, *aggs)
-        want_pick = sum(pickup_rate(st, i, par, t) for i in range(40))
-        want_drop = sum(dropoff_rate(st, i, par) for i in range(40))
+        want_pick = sum(pickup_rate(counts, i, par, t) for i in range(40))
+        want_drop = sum(dropoff_rate(counts, caps, i, par) for i in range(40))
         assert pick[0] == pytest.approx(want_pick, rel=1e-12, abs=1e-12)
         assert drop[0] == pytest.approx(want_drop, rel=1e-12, abs=1e-12)
 
@@ -245,6 +262,9 @@ def _scan_cell(rows, caps, target, pickup):
 def test_rank_cell_matches_class_major_scan(caps):
     rng = np.random.default_rng(sum(caps))
     per_class = np.repeat(caps, 6)
+    par = make_params(n_stations=per_class.size, gamma=float(caps[-1]),
+                      capacity={"values": list(caps),
+                                "fractions": [1 / len(caps)] * len(caps)})
     for _ in range(150):
         # sparse random counts; a class is emptied outright a quarter of
         # the time
@@ -253,7 +273,7 @@ def test_rank_cell_matches_class_major_scan(caps):
         for k in caps:
             if rng.random() < 0.25:
                 counts[per_class == k] = 0
-        lump = _Lumped(make_params(), state_of(counts, per_class, 10**6))
+        lump = _Lumped(par, count_table(counts, per_class))
         assert lump.f == [list(accumulate(w[: k + 1]))
                           for w, k in zip(lump.w, caps)]
         for pickup in (True, False):
@@ -282,22 +302,15 @@ def test_conservation_check_catches_a_corrupted_prefix_count():
         lump.check(docked, nonempty, open_)
 
 
-# ------------------------------------------------------ states and measures
-
-def test_network_state_validation():
-    with pytest.raises(ValidationError):
-        state_of([4, 0], [3, 3], 10)  # count above capacity
-    with pytest.raises(ValidationError):
-        state_of([-1, 0], [3, 3], 10)
-    with pytest.raises(ValidationError):
-        state_of([2, 2], [3, 3], 3)  # docked exceeds fleet
-
+# ------------------------------------------------------ start tables
 
 def test_round_robin_state_deals_evenly():
+    # 6 bikes over 4 stations of 3 docks: two hold 1 and two hold 2, and
+    # every bike is docked
     par = make_params(n_stations=4, capacity=3, gamma=1.5)
-    st = round_robin_state(par)
-    assert sorted(st.counts.tolist()) == [1, 1, 2, 2]
-    assert st.in_circulation == 0
+    table = round_robin_state(par)
+    assert table.tolist() == [0, 2, 2, 0]
+    assert table @ np.arange(4) == par.fleet
 
 
 def test_round_robin_state_respects_capacity_mix():
@@ -305,9 +318,32 @@ def test_round_robin_state_respects_capacity_mix():
         n_stations=4, gamma=2.0,
         capacity={"values": [1, 4], "fractions": [0.5, 0.5]},
     )
-    st = round_robin_state(par)
-    assert st.counts.sum() == 8
-    assert np.all(st.counts <= st.capacities)
+    table = round_robin_state(par)
+    assert table.tolist() == [[0, 2, 0, 0, 0], [0, 0, 0, 2, 0]]
+    assert (table @ np.arange(5)).sum() == 8
+    assert table.sum(axis=1).tolist() == par.class_sizes().tolist()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_stations": 7, "capacity": 3, "gamma": 13 / 7},
+    {"n_stations": 5, "capacity": 4, "gamma": 0.0},
+    {"n_stations": 5, "capacity": 4, "gamma": 4.0},
+    {"n_stations": 50, "capacity": {"values": [1, 4, 9], "fractions": [0.4, 0.3, 0.3]},
+     "gamma": 0.5},
+    {"n_stations": 9, "capacity": {"values": [1, 4, 9], "fractions": [0.4, 0.3, 0.3]},
+     "gamma": 31 / 9},
+    # class sizes 3 and 0: the K=4 class holds no station
+    {"n_stations": 3, "capacity": {"values": [2, 4], "fractions": [0.9, 0.1]},
+     "gamma": 5 / 3},
+])
+def test_round_robin_state_bins_the_dealt_stations(overrides):
+    par = make_params(**overrides)
+    counts, caps = dealt_counts(par)
+    table = round_robin_state(par).reshape(len(par.capacity_values), -1)
+    want = np.zeros_like(table)
+    for k, n in zip(caps, counts):
+        want[par.capacity_values.index(k), n] += 1
+    assert table.tolist() == want.tolist()
 
 
 def test_round_robin_state_overfull_fleet_rejected():
@@ -316,31 +352,113 @@ def test_round_robin_state_overfull_fleet_rejected():
         round_robin_state(par)
 
 
-def test_empirical_measure_counts():
-    st = state_of([0, 2, 2, 3], [3, 3, 3, 3], 8)
-    np.testing.assert_allclose(empirical_measure(st), [0.25, 0.0, 0.5, 0.25])
+def test_initial_table_counts():
+    # the start table over N is the first sample
+    par = make_params(n_stations=4, capacity=3, gamma=2.0)
+    traj = simulate(par, 1.0, 1.0, seed=1, initial=count_table([0, 2, 2, 3], [3] * 4))
+    np.testing.assert_allclose(traj.y_series[0], [0.25, 0.0, 0.5, 0.25])
 
 
-def test_empirical_measure_capacity_mix_table():
-    # a capacity mix gives the (class, count) table, zero above each capacity
-    st = state_of([0, 2, 1, 4], [2, 4, 2, 4], 7)
-    np.testing.assert_array_equal(empirical_measure(st),
-                                  [[0.25, 0.25, 0.0, 0.0, 0.0],
-                                   [0.0, 0.0, 0.25, 0.0, 0.25]])
+def test_initial_table_capacity_mix():
+    # a capacity mix takes the (class, count) table, zero above each
+    # capacity; its first sample is the ratio histogram of its stations
+    par = make_params(n_stations=4, gamma=1.75,
+                      capacity={"values": [2, 4], "fractions": [0.5, 0.5]})
+    counts, caps = [0, 2, 1, 4], [2, 4, 2, 4]
+    table = count_table(counts, caps)
+    assert table.tolist() == [[1, 1, 0, 0, 0], [0, 0, 1, 0, 1]]
+    traj = simulate(par, 1.0, 1.0, seed=1, initial=table)
+    np.testing.assert_array_equal(traj.r_series[0], ratio_histogram(counts, caps, 4))
+
+
+# a uniform K=3 network of 4 stations and 6 bikes, and a {2, 4} mix of 2 + 2
+# stations and 5 bikes
+START_PARAMS = {
+    "uniform": {"n_stations": 4, "capacity": 3, "gamma": 1.5},
+    "mix": {"n_stations": 4, "gamma": 1.25,
+            "capacity": {"values": [2, 4], "fractions": [0.5, 0.5]}},
+}
+
+
+def test_initial_table_validation():
+    # every engine refuses each malformed start table
+    bad_starts = [
+        ("uniform", [1, 1, 1, 1, 0], "does not match capacities"),  # K=4 stations
+        ("uniform", [[0, 2, 2, 0]] * 2, "does not match capacities"),
+        ("mix", [0, 2, 2, 0, 0], "does not match capacities"),
+        ("uniform", [1, 1, 1, 0], "stations per class"),  # 3 stations
+        ("mix", [[1, 0, 0, 0, 0], [0, 1, 1, 1, 0]], "stations per class"),
+        ("uniform", [0, 0, 1, 3], "more than the fleet"),  # 11 bikes docked
+        ("uniform", [5, -1, 0, 0], "non-negative integer"),
+        ("uniform", [0.5, 3.5, 0, 0], "non-negative integer"),
+        # refused, not truncated to four empty stations
+        ("uniform", [0.5, 0, 0, 0], "non-negative integer"),
+        ("uniform", [np.nan, 4, 0, 0], "finite"),
+        # a class-2 station at count 3: a count above its capacity
+        ("mix", [[1, 0, 0, 1, 0], [0, 1, 1, 0, 0]], "above a class's capacity"),
+    ]
+    for key, initial, match in bad_starts:
+        par = make_params(**START_PARAMS[key])
+        with pytest.raises(ValidationError, match=match):
+            simulate(par, 1.0, 0.5, 1, initial=initial)
+        with pytest.raises(ValidationError, match=match):
+            stationary_average(par, 0.0, 1.0, 1, initial=initial)
+        with pytest.raises(ValidationError, match=match):
+            ensemble(par, 2, 1.0, 0.5, 1, initial=initial)
+
+
+@pytest.mark.parametrize("key", list(START_PARAMS))
+def test_engines_take_a_float_or_int_table(key):
+    # integer-valued floats are counts too, with the same path as the ints
+    par = make_params(**START_PARAMS[key])
+    table = round_robin_state(par)
+    a = simulate(par, 2.0, 0.5, 3, initial=table)
+    b = simulate(par, 2.0, 0.5, 3, initial=table.astype(float))
+    c = simulate(par, 2.0, 0.5, 3)
+    assert a.r_series.tobytes() == b.r_series.tobytes() == c.r_series.tobytes()
+    assert a.stats == b.stats == c.stats
+
+
+def test_engines_run_a_mix_with_an_empty_class():
+    # 3 stations split 3 + 0 over the {2, 4} mix: the K=4 row stays empty
+    par = make_params(n_stations=3, gamma=1.0, p=0.5,
+                      capacity={"values": [2, 4], "fractions": [0.9, 0.1]})
+    assert par.class_sizes().tolist() == [3, 0]
+    traj = simulate(par, 2.0, 0.5, seed=1, check_conservation=True)
+    assert traj.r_series.shape == (5, 5)
+    assert np.abs(traj.r_series.sum(axis=1) - 1.0).max() <= 1e-12
+    avg = stationary_average(par, 0.0, 2.0, seed=1)
+    assert avg.shape == (5,) and avg.sum() == pytest.approx(1.0, abs=1e-12)
+    res = ensemble(par, 3, 2.0, 0.5, seed=1)
+    assert res.mean.shape == (5, 10)
+    assert not res.mean[:, 5:].any()
 
 
 def test_ratio_histogram_bin_placement():
     # n=3 of k=5 lands in bin floor(3*60/5) = 36
-    st = state_of([3], [5], 3)
-    r = ratio_histogram(st.counts, st.capacities, 60)
+    r = ratio_histogram([3], [5], 60)
     assert r[36] == pytest.approx(1.0)
     assert r.sum() == pytest.approx(1.0)
 
 
 def test_ratio_histogram_rejects_small_k_max():
-    st = state_of([3], [5], 3)
     with pytest.raises(ValidationError):
-        ratio_histogram(st.counts, st.capacities, 4)
+        ratio_histogram([3], [5], 4)
+
+
+@pytest.mark.parametrize("counts, caps, match", [
+    # a -1 count must not index the full bin from the end
+    ([-1, 2], [3, 3], "station 0 "),
+    ([2, 4], [3, 3], "station 1 "),
+    ([1, 1.5], [3, 3], "station 1 "),
+    ([1, np.nan], [3, 3], "station 1 "),
+    ([1, 0], [3, 0], "station 1 "),
+    ([], [], "non-empty"),
+    ([1, 2], [3], "equal-length"),
+])
+def test_ratio_histogram_refuses_bad_counts(counts, caps, match):
+    with pytest.raises(ValidationError, match=match):
+        ratio_histogram(counts, caps, 3)
 
 
 def test_child_seed_reference_vectors():
@@ -379,11 +497,11 @@ def test_negative_seed_refused_unless_a_master():
 
 def test_simulate_grid_and_initial_sample():
     par = make_params()
-    st0 = round_robin_state(par)
+    counts, caps = dealt_counts(par)
     traj = simulate(par, horizon=2.0, sample_dt=0.5, seed=1)
     np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-    np.testing.assert_allclose(traj.y_series[0], empirical_measure(st0))
-    np.testing.assert_allclose(traj.r_series[0], ratio_histogram(st0.counts, st0.capacities, 5))
+    np.testing.assert_allclose(traj.y_series[0], round_robin_state(par) / 50)
+    np.testing.assert_allclose(traj.r_series[0], ratio_histogram(counts, caps, 5))
     assert traj.event_count > 0
 
 
@@ -400,10 +518,10 @@ def test_simulate_uniform_ratio_series_is_measure_series(sample_dt):
 def test_simulate_capacity_mix_start_matches_station_histogram():
     par = make_params(capacity={"values": [2, 5, 6, 9], "fractions": [0.25] * 4},
                       gamma=2.0, n_stations=40)
-    st0 = round_robin_state(par)
+    counts, caps = dealt_counts(par)
     traj = simulate(par, horizon=1.0, sample_dt=0.5, seed=3)
     np.testing.assert_allclose(
-        traj.r_series[0], ratio_histogram(st0.counts, st0.capacities, par.k_max),
+        traj.r_series[0], ratio_histogram(counts, caps, par.k_max),
         rtol=0, atol=1e-12)
 
 
@@ -453,19 +571,17 @@ def test_simulate_reports_engine_stats():
 
 def test_simulate_custom_initial_state():
     par = make_params(n_stations=4, capacity=3, gamma=1.5)
-    init = state_of([3, 3, 0, 0], [3, 3, 3, 3], 6)
+    init = count_table([3, 3, 0, 0], [3, 3, 3, 3])
     traj = simulate(par, horizon=0.0001, sample_dt=0.0001, seed=2, initial=init)
     np.testing.assert_allclose(traj.y_series[0], [0.5, 0.0, 0.0, 0.5])
 
 
 def test_simulate_initial_state_mismatch_errors():
+    # tables for 3 stations, for 4 docks a station, and docking 11 of 6 bikes
     par = make_params(n_stations=4, capacity=3, gamma=1.5)
-    with pytest.raises(ValidationError):
-        simulate(par, 1.0, 0.5, 1, initial=state_of([1, 1, 1], [3, 3, 3], 6))
-    with pytest.raises(ValidationError):
-        simulate(par, 1.0, 0.5, 1, initial=state_of([1, 1, 1, 1], [3, 3, 3, 3], 5))
-    with pytest.raises(ValidationError):
-        simulate(par, 1.0, 0.5, 1, initial=state_of([1, 1, 1, 1], [4, 4, 4, 4], 6))
+    for table in ([0, 3, 0, 0], [0, 4, 0, 0, 0], [0, 0, 1, 3]):
+        with pytest.raises(ValidationError):
+            simulate(par, 1.0, 0.5, 1, initial=table)
 
 
 def test_simulate_no_arrivals_only_fills():
@@ -473,7 +589,7 @@ def test_simulate_no_arrivals_only_fills():
     # the fleet once every bike finds a dock
     par = make_params(n_stations=10, capacity=4, gamma=2.0, p=0.0,
                       arrival={"constant": 0.0})
-    init = state_of(np.zeros(10, dtype=int), np.full(10, 4), 20)
+    init = count_table(np.zeros(10, dtype=int), np.full(10, 4))
     traj = simulate(par, horizon=50.0, sample_dt=1.0, seed=3, initial=init)
     docked = traj.y_series @ np.arange(5) * 10
     assert np.all(np.diff(docked) >= -1e-9)
@@ -556,7 +672,7 @@ def test_transient_law_matches_matrix_exponential():
         if x > 0:
             q[x, x - 1] = 1.0
         q[x, x] = -q[x].sum()
-    x0 = int(round_robin_state(par).counts[0])
+    x0 = int(np.flatnonzero(round_robin_state(par))[0])
     want = expm(q * 1.0)[x0]
     res = ensemble(par, replications=10_000, horizon=1.0, sample_dt=1.0, seed=123)
     got = res.mean[-1]
@@ -573,7 +689,7 @@ def test_thinning_tracks_time_varying_rate():
         arrival={"fourier": {"intercept": 0.5, "sin": [0.3], "cos": [0.2],
                              "period": 8.0}},
     )
-    init = state_of(np.full(300, 2), np.full(300, 4), 600)
+    init = count_table(np.full(300, 2), np.full(300, 4))
     traj = simulate(par, horizon=4.0, sample_dt=0.01, seed=21, initial=init)
     counts = np.arange(5)
     docked = traj.y_series @ counts * 300
@@ -632,9 +748,9 @@ def test_stationary_average_split_window_additive(capacity):
         parts = integral(b, h1) + integral(h1, h2)
         assert np.abs(whole - parts).max() <= 1e-12
     # nothing happens within the first 1e-9 h: the average is the start state
-    st0 = round_robin_state(par)
+    counts, caps = dealt_counts(par)
     np.testing.assert_allclose(stationary_average(par, 0.0, 1e-9, seed),
-                               ratio_histogram(st0.counts, st0.capacities, par.k_max), rtol=0, atol=1e-12)
+                               ratio_histogram(counts, caps, par.k_max), rtol=0, atol=1e-12)
 
 
 def test_stationary_average_rejects_bad_window():
@@ -676,7 +792,7 @@ def test_stationary_average_quiet_start_is_the_start_measure():
                       arrival={"constant": 0.0})
     stats = {}
     avg = stationary_average(par, 1.0, 3.0, seed=4, stats=stats)
-    assert np.array_equal(avg, empirical_measure(round_robin_state(par)))
+    assert np.array_equal(avg, round_robin_state(par) / par.n_stations)
     assert stats == {"events": 0, "thinning_rejections": 0, "empty_draws": 0,
                      "recomputes": 0}
 
@@ -687,7 +803,7 @@ def test_stationary_average_credits_the_absorbed_table_to_the_horizon():
     # horizon; the absorbed table still counts up to the horizon
     overrides, _, _, counts = REPLAY_CASES["absorbing"]
     par = make_params(**overrides)
-    init = state_of(counts, np.full(50, 5), 100)
+    init = count_table(counts, np.full(50, 5))
     runs = {}
     for b, h in [(0.0, 2.0), (2.0, 4.0), (0.0, 4.0)]:
         stats = {}
@@ -751,7 +867,7 @@ def test_lockstep_replays_simulate(case, recompute_every, monkeypatch):
     monkeypatch.setattr(bss.simulator, "RECOMPUTE_EVERY", recompute_every)
     overrides, horizon, dt, counts = REPLAY_CASES[case]
     par = make_params(**overrides)
-    init = None if counts is None else state_of(counts, np.full(50, 5), 100)
+    init = None if counts is None else count_table(counts, np.full(50, 5))
     seeds = [child_seed(13, r) for r in range(8)]
     times = _sample_grid(horizon, dt)
     samples, stats = _lockstep(par, horizon, times, seeds, init)
@@ -925,7 +1041,7 @@ def test_lockstep_golden_bytes(case):
     (overrides, (reps, horizon, dt), counts, (n, f_spec),
      want_ens, ens_stats, want_fwd, fwd_stats) = LOCKSTEP_GOLDEN[case]
     par = make_params(**overrides)
-    init = None if counts is None else state_of(counts, np.full(50, 5), 100)
+    init = None if counts is None else count_table(counts, np.full(50, 5))
     res = ensemble(par, reps, horizon, dt, seed=17, initial=init)
     assert _sha256(res.times, res.mean, res.cov) == want_ens
     keys = ("rounds", "events", "thinning_rejections", "empty_draws",
@@ -944,6 +1060,12 @@ def test_ensemble_requires_two_replications():
     par = make_params()
     with pytest.raises(ValidationError):
         ensemble(par, replications=1, horizon=1.0, sample_dt=0.5, seed=1)
+
+
+@pytest.mark.parametrize("replications", [2.5, 3.0, "3", None, True])
+def test_ensemble_refuses_non_integer_replications(replications):
+    with pytest.raises(ValidationError, match="replications must be an integer >= 2"):
+        ensemble(make_params(), replications, horizon=1.0, sample_dt=0.5, seed=1)
 
 
 def test_ensemble_refuses_grid_beyond_max_samples():
