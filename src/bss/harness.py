@@ -8,7 +8,7 @@ the measured values next to the thresholds so drift stays visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class ExperimentReport:
     name: str
     passed: bool | None
     metrics: dict
-    artifacts: list = field(default_factory=list)
 
     @property
     def status(self) -> str:
@@ -91,7 +90,6 @@ class ExperimentReport:
             "status": self.status,
             "metrics": {k: finite(k, v) for k, v in self.metrics.items()},
             "non_finite": non_finite,
-            "artifacts": list(self.artifacts),
         }
 
 

@@ -34,7 +34,6 @@ class GbfsSnapshot:
     station_ids: tuple[str, ...]
     bikes: np.ndarray
     capacities: np.ndarray
-    timestamps: np.ndarray
     dropped: int = 0
     clamped: int = 0
 
@@ -90,17 +89,17 @@ def parse_gbfs(status_doc, info_doc) -> GbfsSnapshot:
     fill ratio stays in [0, 1]. Stations reporting capacity < 1 are dropped:
     they carry no dock information.
     """
-    default_ts = status_doc.get("last_updated", 0) if isinstance(status_doc, dict) else 0
     caps = {}
     for i, entry in enumerate(_stations_list(info_doc, "information")):
         path = f"information.data.stations[{i}]"
         sid = _field(entry, "station_id", path)
         cap = _field(entry, "capacity", path)
-        if not isinstance(cap, int) or isinstance(cap, bool):
-            raise ValidationError(f"{path}.capacity must be an integer")
+        # the capacities array is int64
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap >= 2**63:
+            raise ValidationError(f"{path}.capacity must be an integer below 2**63")
         caps[str(sid)] = cap
 
-    ids, bikes, kk, ts = [], [], [], []
+    ids, bikes, kk = [], [], []
     dropped = 0
     clamped = 0
     for i, entry in enumerate(_stations_list(status_doc, "status")):
@@ -122,7 +121,6 @@ def parse_gbfs(status_doc, info_doc) -> GbfsSnapshot:
         ids.append(sid)
         bikes.append(n)
         kk.append(cap)
-        ts.append(int(entry.get("last_reported", default_ts)))
     dropped += len(caps)  # info-side stations with no status record
     if not ids:
         raise ValidationError("no stations survived the status/information join")
@@ -130,7 +128,6 @@ def parse_gbfs(status_doc, info_doc) -> GbfsSnapshot:
         station_ids=tuple(ids),
         bikes=np.array(bikes, dtype=np.int64),
         capacities=np.array(kk, dtype=np.int64),
-        timestamps=np.array(ts, dtype=np.int64),
         dropped=dropped,
         clamped=clamped,
     )
@@ -138,10 +135,14 @@ def parse_gbfs(status_doc, info_doc) -> GbfsSnapshot:
 
 def snapshot_histograms(snapshot: GbfsSnapshot, k_max: int):
     """Count histogram over 0..max capacity and the fill-ratio histogram
-    (meanfield.ratio_histogram), which resolves capacity differences."""
+    (meanfield.ratio_histogram), which resolves capacity differences; no
+    capacity may exceed k_max."""
     if len(snapshot) == 0:
         raise ValidationError("empty snapshot")
     top = int(snapshot.capacities.max())
+    # before the count histogram, which is top + 1 entries long
+    if top > k_max:
+        raise ValidationError(f"capacity {top} exceeds k_max {k_max}")
     count_hist = np.bincount(snapshot.bikes, minlength=top + 1) / len(snapshot)
     return count_hist, ratio_histogram(snapshot.bikes, snapshot.capacities, k_max)
 

@@ -220,10 +220,6 @@ class SystemParams:
             base[order[:short]] += 1
         return base
 
-    def station_capacities(self) -> np.ndarray:
-        """Per-station capacities, stations grouped by ascending class."""
-        return np.repeat(np.asarray(self.capacity_values), self.class_sizes())
-
     def to_config(self) -> dict:
         """JSON-able config that validates back to these parameters: rates
         and coefficients as floats, counts, capacities and c as ints."""

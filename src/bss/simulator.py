@@ -11,12 +11,13 @@ table of counts (round_robin_state, or a caller's initial). The ratio
 histogram of a sample, or of the occupancy integral behind a stationary
 average, is meanfield.ratio_projection of W / N.
 
-One event law, two engines. _Lumped holds the table, its per-class prefix
-counts and the fresh sum of its rate aggregates; each engine keeps the
-aggregates itself and updates them per move. _run_engine steps one replica
-on Python scalars (simulate, stationary_average, flln_experiment), its
-aggregates in local variables and each cell's move read from _move_table,
-the one table of what a move changes, which _lockstep adds as is. It reads
+One event law, two engines, both from _start_table's count table. Each
+keeps the rate aggregates itself, updates them per move and sums them
+afresh from the table (_aggregates) at its recomputes. _run_engine steps
+one replica on Python scalars (simulate, stationary_average,
+flln_experiment), its aggregates in local variables and each cell's move
+read from _move_table, the one table of what a move changes, which
+_lockstep adds as is; it fills simulate's sample tables itself. It reads
 its stream as one iterator of (e, u1, u2) chained over the blocks, works
 out the rates right after each move (a thinned or empty candidate leaves
 them as they are) and derives its event count from the countdown to the
@@ -149,68 +150,32 @@ def round_robin_state(params: SystemParams) -> np.ndarray:
     return table[0] if params.is_uniform else table
 
 
-class _Lumped:
-    """Occupancy table of one replica, its prefix counts and the fresh sum of
-    its aggregates.
+def _start_table(params: SystemParams, initial=None) -> np.ndarray:
+    """The int64 (C, k_max+1) count table a run starts from: initial, a
+    table in the shape of round_robin_state, or that table when None.
 
-    The rows of w are lists of Python ints and g a list of Python floats: the
-    event loop reads single cells, which is much cheaper on plain scalars than
-    on numpy ones, and float64 arithmetic gives the same bits on either.
-    f holds the prefix counts (_prefix_counts); _run_engine ranks stations
-    on them and updates them per move. The engines hold the rate aggregates
-    themselves and update them per move; recompute() sums them afresh from
-    the table.
-
-    The table starts from initial, a count table in the shape of
-    round_robin_state (its result when None). It must pass _as_measure
-    (shape, dead cells, finite entries) and hold non-negative integer
-    counts, params.class_sizes() stations per class and at most
-    params.fleet docked bikes.
+    initial must pass _as_measure (shape, dead cells, finite entries) and
+    hold non-negative integer counts, params.class_sizes() stations per
+    class and at most params.fleet docked bikes.
     """
-
-    def __init__(self, params: SystemParams, initial=None):
-        self.caps = caps = params.capacity_values
-        self.k_max = params.k_max
-        self.n = params.n_stations
-        self.fleet = params.fleet
-        self.g = choice_weights(_informed_choice(params), self.k_max).tolist()
-        if initial is None:
-            rows = round_robin_state(params).reshape(len(caps), -1)
-        else:
-            rows = _as_measure(initial, params).reshape(len(caps), -1)
-            if np.any(rows < 0) or np.any(rows != np.trunc(rows)):
-                raise ValidationError(
-                    "initial must hold non-negative integer station counts")
-            sizes = rows.sum(axis=1)
-            if not np.array_equal(sizes, params.class_sizes()):
-                raise ValidationError(
-                    f"initial holds {sizes.astype(np.int64).tolist()} stations "
-                    f"per class, params {params.class_sizes().tolist()}")
-            docked = float((rows @ np.arange(self.k_max + 1)).sum())
-            if docked > self.fleet:
-                raise ValidationError(
-                    f"initial docks {docked:.0f} bikes, more than the fleet "
-                    f"of {self.fleet}")
-        self.w = rows.astype(np.int64).tolist()
-        self.f = _prefix_counts(self.w, caps)
-
-    def recompute(self) -> tuple:
-        """(docked, big_g, g_pos, nonempty, open) summed from the table."""
-        return _aggregates(self.w, self.g, self.caps)
-
-    def check(self, docked: int, nonempty: int, open_: int) -> None:
-        """Raise unless a loop's integer aggregates and the prefix counts
-        match the table and the table stays on its support."""
-        fresh, _, _, fresh_nonempty, fresh_open = self.recompute()
-        if (fresh, fresh_nonempty, fresh_open) != (docked, nonempty, open_):
-            raise AssertionError("an aggregate counter drifted from the table")
-        if self.f != _prefix_counts(self.w, self.caps):
-            raise AssertionError("a prefix count drifted from the table")
-        if not (0 <= self.fleet - docked <= self.fleet):
-            raise AssertionError("bikes in circulation out of range")
-        for w, k in zip(self.w, self.caps):
-            if min(w) < 0 or any(w[k + 1 :]):
-                raise AssertionError("occupancy table escaped its support")
+    caps = params.capacity_values
+    if initial is None:
+        return round_robin_state(params).reshape(len(caps), -1)
+    rows = _as_measure(initial, params).reshape(len(caps), -1)
+    if np.any(rows < 0) or np.any(rows != np.trunc(rows)):
+        raise ValidationError(
+            "initial must hold non-negative integer station counts")
+    sizes = rows.sum(axis=1)
+    if not np.array_equal(sizes, params.class_sizes()):
+        raise ValidationError(
+            f"initial holds {sizes.astype(np.int64).tolist()} stations "
+            f"per class, params {params.class_sizes().tolist()}")
+    docked = float((rows @ np.arange(params.k_max + 1)).sum())
+    if docked > params.fleet:
+        raise ValidationError(
+            f"initial docks {docked:.0f} bikes, more than the fleet "
+            f"of {params.fleet}")
+    return rows.astype(np.int64)
 
 
 def _prefix_counts(rows, caps) -> list:
@@ -232,6 +197,21 @@ def _aggregates(rows, g, caps) -> tuple:
         int(sum(int(w[1:].sum()) for w in ws)),
         int(sum(int(w[:k].sum()) for w, k in zip(ws, caps))),
     )
+
+
+def _check_table(rows, prefix, g, caps, fleet, docked, nonempty, open_) -> None:
+    """Raise unless a loop's integer aggregates and the prefix counts
+    match the table rows and the table stays on its support."""
+    fresh, _, _, fresh_nonempty, fresh_open = _aggregates(rows, g, caps)
+    if (fresh, fresh_nonempty, fresh_open) != (docked, nonempty, open_):
+        raise AssertionError("an aggregate counter drifted from the table")
+    if prefix != _prefix_counts(rows, caps):
+        raise AssertionError("a prefix count drifted from the table")
+    if not (0 <= fleet - docked <= fleet):
+        raise AssertionError("bikes in circulation out of range")
+    for w, k in zip(rows, caps):
+        if min(w) < 0 or any(w[k + 1 :]):
+            raise AssertionError("occupancy table escaped its support")
 
 
 def _draws(rng) -> tuple[np.ndarray, np.ndarray]:
@@ -279,15 +259,18 @@ def _run_engine(
     horizon: float,
     seed: int,
     initial: np.ndarray | None,
-    on_grid=None,
     times: np.ndarray | None = None,
+    tables: np.ndarray | None = None,
     occupancy_from: float | None = None,
     check_conservation: bool = False,
 ):
-    """Shared event loop from the count table initial (see _Lumped); returns
-    (stats, occ).
+    """Shared event loop from the count table initial (see _start_table);
+    returns (stats, occ).
 
-    on_grid(idx, lumped) fires at grid instants with the pre-event state.
+    With times, tables[i] receives the (C, k_max+1) station counts at
+    times[i], the state before any event there; instants no candidate
+    reaches (a quiet tail, or past the horizon by rounding) get the final
+    state.
     With occupancy_from=b, occ[c][m] is the integral over [b, horizon] of the
     number of class-c stations holding m bikes (occ is None otherwise). An
     event changes two cells, so only those are credited before it, each from
@@ -295,11 +278,14 @@ def _run_engine(
     skipped, as every timestamp is still b and they would credit zero.
     Every cell is credited once more up to the horizon at the end.
     """
-    lump = _Lumped(params, initial)
+    rows = _start_table(params, initial).tolist()
     rng = _generator(seed)
     p, mu = params.p, params.mu
-    n, fleet, caps = lump.n, lump.fleet, lump.caps
-    g, rows, prefix = lump.g, lump.w, lump.f
+    n, fleet, caps = params.n_stations, params.fleet, params.capacity_values
+    # plain Python scalars: the loop reads single cells, which is much
+    # cheaper than on numpy ones, and float64 gives the same bits on either
+    g = choice_weights(_informed_choice(params), params.k_max).tolist()
+    prefix = _prefix_counts(rows, caps)
     lam_bound, thinning = _rate_bound(params.arrival)
     lam_at = params.arrival.fourier.at if thinning else None
     # leading factors of the rate expressions, multiplied in the same order
@@ -319,7 +305,7 @@ def _run_engine(
     n_p = picks.size
     changes = delta[-6:-1].T.tolist()
     picks_of, drops_of = [[None] for _ in caps], [[] for _ in caps]
-    width = lump.k_max + 1
+    width = params.k_max + 1
     for i, cell in enumerate(picks.tolist()):
         c, m = divmod(cell, width)
         for code, cells, src in ((i, picks_of, m), (n_p + 1 + i, drops_of, m - 1)):
@@ -339,13 +325,12 @@ def _run_engine(
     # grid instants, then a sentinel; a candidate takes the slow path only
     # once it reaches stop, the earlier of the next instant and the horizon
     grid = ([] if times is None else times.tolist()) + [np.inf]
-    n_grid = len(grid) - 1
     grid_idx = 0
     stop = min(grid[0], horizon)
     t = 0.0
     rejections = empty_draws = recomputes = 0
     every = countdown = RECOMPUTE_EVERY
-    docked, big_g, g_pos, nonempty, open_ = lump.recompute()
+    docked, big_g, g_pos, nonempty, open_ = _aggregates(rows, g, caps)
     informed, tiny = p > 0.0, TINY_DENOM
     # (e, u1, u2) per candidate, the next block drawn once one runs out
     stream = chain.from_iterable(zip(exps.tolist(), *unis.T.tolist())
@@ -371,7 +356,9 @@ def _run_engine(
             if t >= stop:
                 reach = min(t, horizon)
                 while grid[grid_idx] <= reach:
-                    on_grid(grid_idx, lump)
+                    # via int64: filling from the lists measured 0.3 MiB
+                    # more peak RSS
+                    tables[grid_idx] = np.asarray(rows)
                     grid_idx += 1
                 if t >= horizon:
                     break
@@ -440,18 +427,18 @@ def _run_engine(
             nonempty += d_nonempty
             open_ += d_open
             if check_conservation:
-                lump.check(docked, nonempty, open_)
+                _check_table(rows, prefix, g, caps, fleet, docked, nonempty, open_)
             countdown -= 1
             if not countdown:
-                docked, big_g, g_pos, nonempty, open_ = lump.recompute()
+                docked, big_g, g_pos, nonempty, open_ = _aggregates(rows, g, caps)
                 recomputes += 1
                 countdown = every
             break
 
     # grid instants no candidate reached (absorbing or quiet tail), and a
     # last instant that rounding puts past the horizon, see the final state
-    for idx in range(grid_idx, n_grid):
-        on_grid(idx, lump)
+    if times is not None:
+        tables[grid_idx:] = np.asarray(rows)
     if occupancy_from is None:
         occ = None
     else:
@@ -487,16 +474,8 @@ def simulate(
     times = _sample_grid(horizon, sample_dt)
     caps = params.capacity_values
     tables = np.zeros((len(times), len(caps), params.k_max + 1))
-
-    def on_grid(idx, lump):
-        # via int64: filling from the lists measured 0.3 MiB more peak RSS
-        tables[idx] = np.asarray(lump.w)
-
-    stats, _ = _run_engine(
-        params, horizon, seed, initial,
-        on_grid=on_grid, times=times,
-        check_conservation=check_conservation,
-    )
+    stats, _ = _run_engine(params, horizon, seed, initial, times, tables,
+                           check_conservation=check_conservation)
     # station fractions; for a uniform capacity the ratio bins are the identity
     tables /= params.n_stations
     y_series = tables[:, 0] if params.is_uniform else None
@@ -616,10 +595,10 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
     y_series on one class, and stats sums simulate's counters over replicas
     and adds rounds, the most candidate draws of any replica.
     """
-    lump = _Lumped(params, initial)
-    n, fleet, caps = lump.n, lump.fleet, lump.caps
+    table = _start_table(params, initial)
+    n, fleet, caps = params.n_stations, params.fleet, params.capacity_values
     p, mu = params.p, params.mu
-    g = np.asarray(lump.g)
+    g = choice_weights(_informed_choice(params), params.k_max)
     delta, picks = _move_table(g, caps)
     n_p = picks.size
     g_cells = np.tile(g, len(caps))[picks, None]
@@ -630,13 +609,14 @@ def _lockstep(params: SystemParams, horizon: float, times: np.ndarray, seeds,
     lam_at = params.arrival.fourier.at if thinning else None
     gens = [_generator(s) for s in seeds]
     r = len(gens)
-    samples = np.empty((r, len(times), len(caps) * (lump.k_max + 1)))
+    samples = np.empty((r, len(times), table.size))
     # instants past the horizon are never due; the final fill covers them
     grid = np.append(np.where(times <= horizon, times, np.inf), np.inf)
 
     # per live replica: index, state column, clock, next grid instant, its time
     ids = np.arange(r)
-    state = np.tile(np.array([*sum(lump.w, []), *lump.recompute(), 0.0])[:, None], r)
+    start = [*table.ravel(), *_aggregates(table, g, caps), 0.0]
+    state = np.tile(np.array(start)[:, None], r)
     t = np.zeros(r)
     nxt = np.zeros(r, dtype=np.int64)
     due = np.full(r, grid[0])

@@ -799,6 +799,36 @@ def test_gbfs_hist_small_kmax_exits_one(tmp_path, capsys):
     assert "k_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reported", ["null", "1e400", '"soon"'])
+def test_gbfs_hist_ignores_last_reported(tmp_path, reported):
+    # nothing reads a station's last_reported, so no value of it fails a run
+    sp = tmp_path / "status.json"
+    ip = tmp_path / "info.json"
+    sp.write_text('{"data": {"stations": [{"station_id": "a", '
+                  f'"num_bikes_available": 1, "last_reported": {reported}}}]}}}}')
+    ip.write_text(json.dumps({"data": {"stations": [
+        {"station_id": "a", "capacity": 4}]}}))
+    assert main(["gbfs-hist", "--status", str(sp), "--info", str(ip),
+                 "--k-max", "4", "--out", str(tmp_path / "h.csv")]) == 0
+
+
+@pytest.mark.parametrize("capacity, message", [(10**20, "capacity must be an integer"),
+                                               (10**11, "exceeds k_max 20")])
+def test_gbfs_hist_huge_capacity_exits_one(tmp_path, capsys, capacity, message):
+    # refused by name: neither an int64 overflow nor a histogram of
+    # capacity + 1 bins
+    sp = tmp_path / "status.json"
+    ip = tmp_path / "info.json"
+    sp.write_text(json.dumps({"data": {"stations": [
+        {"station_id": "a", "num_bikes_available": 1}]}}))
+    ip.write_text(json.dumps({"data": {"stations": [
+        {"station_id": "a", "capacity": capacity}]}}))
+    code = main(["gbfs-hist", "--status", str(sp), "--info", str(ip),
+                 "--k-max", "20", "--out", str(tmp_path / "h.csv")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- CSV writer
 # The per-value row loop the CLI wrote CSVs with before it wrote whole
 # columns. It is the oracle every CSV is compared with, byte for byte.

@@ -63,13 +63,12 @@ def test_report_status_strings():
 
 
 def test_report_to_dict_keys():
-    rep = ExperimentReport("flln", True, {"a": 1.0}, artifacts=["out.csv"])
+    rep = ExperimentReport("flln", True, {"a": 1.0})
     d = rep.to_dict()
     assert d["name"] == "flln"
     assert d["pass"] is True
     assert d["status"] == "pass"
     assert d["metrics"] == {"a": 1.0}
-    assert d["artifacts"] == ["out.csv"]
     assert d["non_finite"] == {}
 
 

@@ -66,20 +66,17 @@ def test_parse_gbfs_clamps_overfilled_racks():
     assert snap.clamped == 1
 
 
-def test_parse_gbfs_per_station_timestamps():
+@pytest.mark.parametrize("reported", [None, float("inf"), "soon"])
+def test_parse_gbfs_ignores_last_reported(reported):
+    # the join reads counts and capacities only; a null, overflowing (JSON
+    # 1e400) or non-numeric timestamp is no reason to refuse the record
     snap = parse_gbfs(
-        status_doc(
-            [{"station_id": "s1", "num_bikes_available": 1, "last_reported": 5}],
-            ts=99,
-        ),
+        status_doc([{"station_id": "s1", "num_bikes_available": 1,
+                     "last_reported": reported}]),
         info_doc([{"station_id": "s1", "capacity": 2}]),
     )
-    assert snap.timestamps.tolist() == [5]
-    snap2 = parse_gbfs(
-        status_doc([{"station_id": "s1", "num_bikes_available": 1}], ts=99),
-        info_doc([{"station_id": "s1", "capacity": 2}]),
-    )
-    assert snap2.timestamps.tolist() == [99]
+    assert snap.bikes.tolist() == [1]
+    assert snap.capacities.tolist() == [2]
 
 
 def test_parse_gbfs_malformed_documents_name_the_path():
@@ -94,6 +91,12 @@ def test_parse_gbfs_malformed_documents_name_the_path():
         parse_gbfs(
             status_doc([{"station_id": "s1", "num_bikes_available": -2}]),
             info_doc([{"station_id": "s1", "capacity": 4}]),
+        )
+    # a capacity past int64 would overflow the capacities array
+    with pytest.raises(ValidationError, match=r"information.data.stations\[0\].capacity"):
+        parse_gbfs(
+            status_doc([{"station_id": "s1", "num_bikes_available": 1}]),
+            info_doc([{"station_id": "s1", "capacity": 10**20}]),
         )
 
 
@@ -128,7 +131,6 @@ def make_snapshot(bikes, caps):
         station_ids=tuple(f"s{i}" for i in range(n)),
         bikes=np.array(bikes),
         capacities=np.array(caps),
-        timestamps=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -171,6 +173,10 @@ def test_snapshot_histograms_checks_k_max():
     snap = make_snapshot([1], [10])
     with pytest.raises(ValidationError):
         snapshot_histograms(snap, 5)
+    # refused before the count histogram, which would be 10**11 + 1 bins
+    snap = make_snapshot([1, 2], [4, 10**11])
+    with pytest.raises(ValidationError, match=f"capacity {10**11} exceeds k_max 20"):
+        snapshot_histograms(snap, 20)
 
 
 # ------------------------------------------------------------ rate series

@@ -15,10 +15,13 @@ from bss.equilibrium import solve_equilibrium
 from bss.meanfield import (TINY_DENOM, _informed_choice, _sample_grid, ratio_histogram,
                            ratio_projection)
 from bss.simulator import (
-    _Lumped,
+    _aggregates,
+    _check_table,
     _generator,
     _lockstep,
+    _prefix_counts,
     _rank_cell,
+    _start_table,
     _first_over,
     _totals,
     EnsembleResult,
@@ -59,7 +62,7 @@ def count_table(counts, caps):
 def dealt_counts(params):
     """Per-station counts and capacities of the round-robin deal: one bike
     per station with room, in station order, until the fleet is out."""
-    caps = params.station_capacities()
+    caps = np.repeat(np.asarray(params.capacity_values), params.class_sizes())
     counts = np.zeros_like(caps)
     left = params.fleet
     while left:
@@ -177,8 +180,10 @@ def test_rate_sums_match_engine_totals(p):
         while counts.sum() > 80:
             counts[rng.integers(40)] = 0
         caps = np.full(40, 5)
-        lump = _Lumped(par, count_table(counts, caps))
-        aggs = np.array(lump.recompute(), dtype=float)[:, None]
+        table = _start_table(par, count_table(counts, caps))
+        g = choice_weights(_informed_choice(par), par.k_max)
+        aggs = np.array(_aggregates(table, g, par.capacity_values),
+                        dtype=float)[:, None]
         _, _, pick, drop = _totals(lam, par.p, par.mu, 40, 80, *aggs)
         want_pick = sum(pickup_rate(counts, i, par, t) for i in range(40))
         want_drop = sum(dropoff_rate(counts, caps, i, par) for i in range(40))
@@ -273,33 +278,37 @@ def test_rank_cell_matches_class_major_scan(caps):
         for k in caps:
             if rng.random() < 0.25:
                 counts[per_class == k] = 0
-        lump = _Lumped(par, count_table(counts, per_class))
-        assert lump.f == [list(accumulate(w[: k + 1]))
-                          for w, k in zip(lump.w, caps)]
+        rows = _start_table(par, count_table(counts, per_class)).tolist()
+        prefix = _prefix_counts(rows, caps)
+        assert prefix == [list(accumulate(w[: k + 1]))
+                          for w, k in zip(rows, caps)]
         for pickup in (True, False):
             classes = [(f, k if pickup else k - 1,
                         [(c, m) for m in range(k + 1)])
-                       for c, (f, k) in enumerate(zip(lump.f, caps))]
+                       for c, (f, k) in enumerate(zip(prefix, caps))]
             total = sum(sum(w[1 : k + 1]) if pickup else sum(w[:k])
-                        for w, k in zip(lump.w, caps))
+                        for w, k in zip(rows, caps))
             targets = ([float(v) for v in range(total + 2)]
                        + [v + 0.5 for v in range(total + 1)]
                        + [np.nextafter(float(total), 0.0), total + 1e-9,
                           2.0 * total + 3.0, rng.random() * total])
             for target in targets:
-                want = _scan_cell(lump.w, caps, target, pickup)
+                want = _scan_cell(rows, caps, target, pickup)
                 got = _rank_cell(classes, int(target), pickup)
                 assert got == want, (counts.tolist(), pickup, target)
 
 
 def test_conservation_check_catches_a_corrupted_prefix_count():
     par = make_params(capacity={"values": [2, 6], "fractions": [0.5, 0.5]})
-    lump = _Lumped(par, round_robin_state(par))
-    docked, _, _, nonempty, open_ = lump.recompute()
-    lump.check(docked, nonempty, open_)
-    lump.f[1][3] += 1
+    caps = par.capacity_values
+    rows = _start_table(par, round_robin_state(par)).tolist()
+    prefix = _prefix_counts(rows, caps)
+    g = choice_weights(_informed_choice(par), par.k_max)
+    docked, _, _, nonempty, open_ = _aggregates(rows, g, caps)
+    _check_table(rows, prefix, g, caps, par.fleet, docked, nonempty, open_)
+    prefix[1][3] += 1
     with pytest.raises(AssertionError, match="prefix count"):
-        lump.check(docked, nonempty, open_)
+        _check_table(rows, prefix, g, caps, par.fleet, docked, nonempty, open_)
 
 
 # ------------------------------------------------------ start tables
