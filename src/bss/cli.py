@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 One binary, eight subcommands: simulate / meanfield / diffusion /
-equilibrium / sweep / verify / fit-arrivals / gbfs-hist. Every run writes
-its outputs plus a JSON manifest (resolved config, seed, version, wall
-time) next to them, and identical (argv, config, seed) produce
-byte-identical CSV files.
+equilibrium / sweep / verify / fit-arrivals / gbfs-hist. A subcommand's
+handler only computes, writes its output and returns its details. main
+loads the config, times the run and writes every manifest,
+<out>.manifest.json (resolved config, seed, version, wall time, details),
+once the handler has returned, so a failed run leaves none. Identical
+(argv, config, seed) produce byte-identical CSV files.
 
 Exit codes: 0 success, 1 validation or input error, 2 runtime or
 convergence failure. A failing verify suite exits 2; an insufficient
@@ -25,6 +27,7 @@ import numpy as np
 from . import __version__
 from .model import ConvergenceError, SystemParams, ValidationError, validate_params
 from .meanfield import (
+    DEFAULT_STEP,
     _observable,
     _sample_grid,
     builtin_measure,
@@ -156,37 +159,25 @@ def _write_json(path: str, obj) -> None:
 
 def _load_params(path: str) -> SystemParams:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return validate_params(raw)
+        return validate_params(json.load(fh))
 
 
-def _manifest(
-    out: str, subcommand: str, config, seed, outputs, started: float, details=None
-) -> str:
-    path = out + ".manifest.json"
-    _write_json(
-        path,
-        {
-            "subcommand": subcommand,
-            "config": config,
-            "seed": seed,
-            "version": __version__,
-            "outputs": list(outputs),
-            "duration_seconds": round(time.perf_counter() - started, 3),
-            "details": details or {},
-        },
-    )
-    return path
-
-
-def _parse_y0(par: SystemParams, spec: str):
-    """builtin:<name>, or a CSV file holding the (class, count) table: one
-    comma-separated row of k_max+1 values per capacity class, ascending, with
-    zeros above each class's capacity. On one class the file may also hold
-    one value per line. The integrators check the shape (_as_measure)."""
-    if spec.startswith("builtin:"):
-        return builtin_measure(par, spec.split(":", 1)[1])
-    return np.loadtxt(spec, delimiter=",", dtype=float, ndmin=1)
+def _manifest(args, par, started: float, details) -> None:
+    """Write <out>.manifest.json: the resolved model config, or a
+    subcommand's input arguments where it reads no config, the seed where
+    it takes one, and the handler's details."""
+    config = (par.to_config() if par is not None else
+              {k: v for k, v in vars(args).items()
+               if k not in ("subcommand", "func", "out")})
+    _write_json(args.out + ".manifest.json", {
+        "subcommand": args.subcommand,
+        "config": config,
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "outputs": [args.out],
+        "duration_seconds": round(time.perf_counter() - started, 3),
+        "details": details,
+    })
 
 
 # ---------------------------------------------------------------- handlers
@@ -198,50 +189,41 @@ def _write_series(path: str, times, observable: str, table) -> None:
                   [f"{observable},{n}" for n in range(table.shape[1])], table)
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    par = _load_params(args.config)
+def _cmd_simulate(args, par) -> dict:
     traj = simulate(par, args.horizon, args.sample_dt, args.seed)
     _write_series(args.out, traj.times, _observable(par), traj.r_series)
-    _manifest(
-        args.out, "simulate", par.to_config(), args.seed, [args.out],
-        started,
-        details={
-            "horizon": args.horizon,
-            "sample_dt": args.sample_dt,
-            "events": traj.event_count,
-            "stats": traj.stats,
-        },
-    )
-    return 0
+    return {"horizon": args.horizon, "sample_dt": args.sample_dt,
+            "events": traj.event_count, "stats": traj.stats}
 
 
-def _cmd_meanfield(args) -> int:
-    started = time.perf_counter()
-    par = _load_params(args.config)
+def _path_inputs(args, par):
+    """The sample grid, start measure and details (with the stepper's stats
+    dict, still empty) of meanfield and diffusion. --y0 is builtin:<name> or
+    a CSV file of the (class, count) table: one row of k_max+1 values per
+    class, ascending, zeros above each class's capacity, or on one class one
+    value per line. The integrators check the shape (_as_measure)."""
     grid = _sample_grid(args.horizon, args.sample_dt)
-    y0 = _parse_y0(par, args.y0)
-    stats: dict = {}
-    path = integrate(y0, par, grid, args.step, stats)
+    if args.y0.startswith("builtin:"):
+        y0 = builtin_measure(par, args.y0.split(":", 1)[1])
+    else:
+        y0 = np.loadtxt(args.y0, delimiter=",", dtype=float, ndmin=1)
+    return grid, y0, {"horizon": args.horizon, "sample_dt": args.sample_dt,
+                      "y0": args.y0, "step": args.step, "stats": {}}
+
+
+def _cmd_meanfield(args, par) -> dict:
+    grid, y0, details = _path_inputs(args, par)
+    path = integrate(y0, par, grid, args.step, details["stats"])
     caps = par.capacity_values
     _write_series(args.out, grid, _observable(par),
                   ratio_projection(path.reshape(len(grid), len(caps), -1), caps))
-    _manifest(
-        args.out, "meanfield", par.to_config(), None, [args.out], started,
-        details={"horizon": args.horizon, "sample_dt": args.sample_dt,
-                 "y0": args.y0, "step": args.step, "stats": stats},
-    )
-    return 0
+    return details
 
 
-def _cmd_diffusion(args) -> int:
-    started = time.perf_counter()
-    par = _load_params(args.config)
-    grid = _sample_grid(args.horizon, args.sample_dt)
-    y0 = np.asarray(_parse_y0(par, args.y0), dtype=float)
-    stats: dict = {}
+def _cmd_diffusion(args, par) -> dict:
+    grid, y0, details = _path_inputs(args, par)
     states = integrate_covariance(y0, np.zeros((y0.size, y0.size)), par, grid,
-                                  h=args.step, stats=stats)
+                                  h=args.step, stats=details["stats"])
     caps = par.capacity_values
     sigma = np.array([state.sigma for state in states])
     # the ratio covariance P Sigma P^T, P the table projection (the identity
@@ -255,17 +237,10 @@ def _cmd_diffusion(args) -> int:
     _write_frames(args.out, ("t", "i", "j", "sigma_ij"),
                   [state.t for state in states],
                   [f"{i},{j}" for i in range(dim) for j in range(dim)], sigma)
-    _manifest(
-        args.out, "diffusion", par.to_config(), None, [args.out], started,
-        details={"horizon": args.horizon, "sample_dt": args.sample_dt,
-                 "y0": args.y0, "step": args.step, "stats": stats},
-    )
-    return 0
+    return details
 
 
-def _cmd_equilibrium(args) -> int:
-    started = time.perf_counter()
-    par = _load_params(args.config)
+def _cmd_equilibrium(args, par) -> dict:
     eq = solve_equilibrium(par)
     # one row per (class, count) cell with count <= capacity, class-major
     caps = np.asarray(par.capacity_values)
@@ -274,18 +249,8 @@ def _cmd_equilibrium(args) -> int:
         args.out, ("capacity", "n", "mass"),
         np.repeat(caps, caps + 1), np.nonzero(live)[1], eq.table[live],
     )
-    _manifest(
-        args.out, "equilibrium", par.to_config(), None, [args.out], started,
-        details={
-            "residual": float(eq.residual),
-            "iterations": int(eq.iterations),
-            "a": float(eq.a),
-            "s": float(eq.s),
-            "entropy": float(entropy(eq.r_bar)),
-            "stats": eq.stats,
-        },
-    )
-    return 0
+    return {"residual": float(eq.residual), "a": float(eq.a), "s": float(eq.s),
+            "entropy": float(entropy(eq.r_bar)), "stats": eq.stats}
 
 
 # values per sweep axis; a node takes milliseconds, so no grid near this
@@ -339,25 +304,20 @@ def _parse_grid_spec(spec: str, plane: str):
     return axes["p"], axes[second]
 
 
-def _cmd_sweep(args) -> int:
-    started = time.perf_counter()
-    par = _load_params(args.config)
+def _cmd_sweep(args, par) -> dict:
     x_values, y_values = _parse_grid_spec(args.grid, args.plane)
     # a node solve holds the interpreter lock almost throughout, so threads
     # only added overhead; the thread count given is validated and recorded
     if args.threads is not None and args.threads < 1:
         raise ValidationError(f"threads must be >= 1, got {args.threads}")
-    rows = sweep(args.plane, x_values, y_values, par)
+    stats: dict = {}
+    rows = sweep(args.plane, x_values, y_values, par, stats)
     header = ("x", "y", "ybar0", "ybar1", "ybarKm1", "ybarK", "entropy",
               "converged")
     _write_csv(args.out, header, *(np.array([row[h] for row in rows]) for h in header))
-    failed = sum(1 for row in rows if row["converged"] == 0)
-    _manifest(
-        args.out, "sweep", par.to_config(), None, [args.out], started,
-        details={"plane": args.plane, "grid": args.grid, "threads": args.threads,
-                 "nodes": len(rows), "failed_nodes": failed},
-    )
-    return 0
+    return {"plane": args.plane, "grid": args.grid, "threads": args.threads,
+            "nodes": len(rows), "failed_nodes": len(stats["failures"]),
+            "stats": stats}
 
 
 _SUITE_DEFAULTS = {
@@ -370,9 +330,7 @@ _SUITE_DEFAULTS = {
 }
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    par = _load_params(args.config)
+def _cmd_verify(args, par) -> tuple[dict, int]:
     opt = dict(_SUITE_DEFAULTS[args.suite])
     for key in opt:
         given = getattr(args, key, None)
@@ -407,28 +365,18 @@ def _cmd_verify(args) -> int:
                 if k in report.metrics}
     if counters:
         details["stats"] = counters
-    _manifest(args.out, "verify", par.to_config(), args.seed, [args.out],
-              started, details=details)
     print(f"{args.suite}: {report.status}")
-    return 2 if report.passed is False else 0
+    return details, 2 if report.passed is False else 0
 
 
-def _cmd_fit_arrivals(args) -> int:
-    started = time.perf_counter()
+def _cmd_fit_arrivals(args, par) -> dict:
     series = load_rate_series(args.csv)
     model, r2 = fit_fourier(series, args.order, period=args.period)
     _write_json(args.out, {"model": model.to_config(), "r_squared": float(r2)})
-    _manifest(
-        args.out, "fit-arrivals",
-        {"csv": args.csv, "order": args.order, "period": args.period},
-        None, [args.out], started,
-        details={"samples": len(series.times), "r_squared": float(r2)},
-    )
-    return 0
+    return {"samples": len(series.times), "r_squared": float(r2)}
 
 
-def _cmd_gbfs_hist(args) -> int:
-    started = time.perf_counter()
+def _cmd_gbfs_hist(args, par) -> dict:
     with open(args.status, "r", encoding="utf-8") as fh:
         status_doc = json.load(fh)
     with open(args.info, "r", encoding="utf-8") as fh:
@@ -441,14 +389,8 @@ def _cmd_gbfs_hist(args) -> int:
         np.concatenate([np.arange(counts.size), np.arange(ratios.size)]),
         np.concatenate([counts, ratios]),
     )
-    _manifest(
-        args.out, "gbfs-hist",
-        {"status": args.status, "info": args.info, "k_max": args.k_max},
-        None, [args.out], started,
-        details={"stations": len(snap), "dropped": snap.dropped,
-                 "clamped": snap.clamped},
-    )
-    return 0
+    return {"stations": len(snap), "dropped": snap.dropped,
+            "clamped": snap.clamped}
 
 
 # ---------------------------------------------------------------- parser
@@ -464,51 +406,65 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    def add_config(p):
+        p.add_argument("--config", required=True, help="model config JSON")
+
     p = add("simulate", _cmd_simulate,
             "event-level CTMC run from a round-robin start")
-    p.add_argument("--config", required=True, help="model config JSON")
+    add_config(p)
     p.add_argument("--horizon", type=float, required=True, help="hours")
     p.add_argument("--sample-dt", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="CSV path")
 
-    p = add("meanfield", _cmd_meanfield, "integrate the mean-field ODE")
-    p.add_argument("--config", required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--sample-dt", type=float, default=1.0)
-    p.add_argument("--y0", default="builtin:uniform",
-                   help="builtin:uniform, builtin:mass@n, or a CSV path")
-    p.add_argument("--step", type=float, default=0.005, help="RK4 step, hours")
-    p.add_argument("--out", required=True)
+    for name, func, help_text in (
+        ("meanfield", _cmd_meanfield, "integrate the mean-field ODE"),
+        ("diffusion", _cmd_diffusion,
+         "integrate the fluctuation covariance along the mean-field path"),
+    ):
+        p = add(name, func, help_text)
+        add_config(p)
+        p.add_argument("--horizon", type=float, required=True, help="hours")
+        p.add_argument("--sample-dt", type=float, default=1.0)
+        p.add_argument("--y0", default="builtin:uniform",
+                       help="builtin:uniform, builtin:mass@n, or a CSV path")
+        p.add_argument("--step", type=float, default=DEFAULT_STEP,
+                       help="RK4 step, hours")
 
-    p = add("diffusion", _cmd_diffusion,
-            "integrate the fluctuation covariance along the mean-field path")
-    p.add_argument("--config", required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--sample-dt", type=float, default=1.0)
-    p.add_argument("--y0", default="builtin:uniform")
-    p.add_argument("--step", type=float, default=0.005)
-    p.add_argument("--out", required=True)
-
-    p = add("equilibrium", _cmd_equilibrium, "solve the mean-field fixed point")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    add_config(add("equilibrium", _cmd_equilibrium,
+                   "solve the mean-field fixed point"))
 
     p = add("sweep", _cmd_sweep, "equilibrium surface over a parameter grid")
     p.add_argument("--plane", required=True, choices=SWEEP_PLANES)
     p.add_argument("--grid", required=True,
                    help="e.g. 'p=0:1:0.05,theta=0:2:0.1' (endpoints inclusive)")
-    p.add_argument("--config", required=True)
+    add_config(p)
     p.add_argument("--threads", type=int, default=None,
                    help="recorded in the manifest; the sweep runs serially")
-    p.add_argument("--out", required=True)
 
     p = add("verify", _cmd_verify, "run one verification experiment")
     p.add_argument("--suite", required=True,
                    choices=("flln", "fclt", "interchange", "forward"))
-    p.add_argument("--config", required=True)
+    add_config(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="report JSON path")
+
+    p = add("fit-arrivals", _cmd_fit_arrivals,
+            "least-squares Fourier fit of an arrival-rate series")
+    p.add_argument("--csv", required=True, help="CSV with header t_hours,rate")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--period", type=float, default=24.0)
+
+    p = add("gbfs-hist", _cmd_gbfs_hist,
+            "bike-count and fill-ratio histograms from a GBFS snapshot")
+    p.add_argument("--status", required=True, help="station_status JSON")
+    p.add_argument("--info", required=True, help="station_information JSON")
+    p.add_argument("--k-max", dest="k_max", type=int, default=20)
+
+    # after every option above and before verify's suite overrides, where
+    # the usage lines have always shown it
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True,
+                       help="output path; the manifest is <out>.manifest.json")
+    p = sub.choices["verify"]
     p.add_argument("--n", type=int, default=None, help="station count")
     p.add_argument("--n-list", dest="n_list", default=None,
                    help="flln sizes, e.g. 200,2000")
@@ -520,21 +476,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--f-spec", dest="f_spec", default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-
-    p = add("fit-arrivals", _cmd_fit_arrivals,
-            "least-squares Fourier fit of an arrival-rate series")
-    p.add_argument("--csv", required=True, help="CSV with header t_hours,rate")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--period", type=float, default=24.0)
-    p.add_argument("--out", required=True, help="JSON path")
-
-    p = add("gbfs-hist", _cmd_gbfs_hist,
-            "bike-count and fill-ratio histograms from a GBFS snapshot")
-    p.add_argument("--status", required=True, help="station_status JSON")
-    p.add_argument("--info", required=True, help="station_information JSON")
-    p.add_argument("--k-max", dest="k_max", type=int, default=20)
-    p.add_argument("--out", required=True)
-
     return parser
 
 
@@ -547,14 +488,21 @@ def main(argv=None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 1
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        par = _load_params(args.config) if hasattr(args, "config") else None
+        details = args.func(args, par)
+        code = 0
+        if isinstance(details, tuple):  # verify's (details, exit code)
+            details, code = details
+        _manifest(args, par, started, details)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

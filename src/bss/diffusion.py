@@ -30,9 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 from .model import ChoiceSpec, SystemParams, ValidationError, arrival_rate
-from .meanfield import (_as_measure, _check_start, _denominator, _drift_into,
-                        _informed_choice, _jacobian_into, _Kernel, _operators,
-                        _rk4_buffered)
+from .meanfield import (DEFAULT_STEP, _as_measure, _check_start, _denominator,
+                        _drift_into, _informed_choice, _jacobian_into, _Kernel,
+                        _operators, _rk4_buffered)
 
 __all__ = [
     "CovarianceState",
@@ -162,7 +162,7 @@ def integrate_covariance(
     sigma0: np.ndarray,
     params: SystemParams,
     t_grid,
-    h: float = 0.005,
+    h: float = DEFAULT_STEP,
     stats=None,
 ) -> list[CovarianceState]:
     """Co-integrate the mean-field path and its fluctuation covariance.

@@ -23,8 +23,8 @@ from .model import (
     arrival_rate,
     choice_weights,
 )
-from .meanfield import (TINY_DENOM, _informed_choice, _observable, _sample_grid,
-                        integrate, ratio_projection)
+from .meanfield import (DEFAULT_STEP, TINY_DENOM, _informed_choice, _observable,
+                        _sample_grid, integrate, ratio_projection)
 from .diffusion import integrate_covariance
 from .equilibrium import entropy, solve_equilibrium
 from .simulator import (
@@ -181,7 +181,8 @@ def fclt_experiment(
     both over the flattened (class, count) table.
 
     Passes when the relative Frobenius error is at most 15% and the scaled
-    mean is within 3 standard errors of zero componentwise. The tests run
+    mean is within 3 standard errors of zero componentwise; a cell with no
+    sample variance takes its standard error from Sigma. The tests run
     it with the bracket's source term dropped, a control that must fail,
     guarding against a vacuous comparison.
     """
@@ -199,8 +200,13 @@ def fclt_experiment(
     # covariance: against a live one the relative error is infinite
     rel = err / denom if denom > 1e-30 else (0.0 if err <= 1e-30 else math.inf)
     scaled_mean = math.sqrt(n) * (res.mean[-1] - ymf)
-    se = np.sqrt(np.maximum(np.diag(mc), 0.0) / reps)
-    mean_z = float(np.abs(scaled_mean / np.maximum(se, 1e-30)).max())
+    # a cell no replica moved has no sample variance: its standard error
+    # comes from the model's; where both vanish only a zero mean passes
+    var = np.maximum(np.diag(mc), 0.0)
+    se = np.sqrt(np.where(var > 0.0, var, np.maximum(np.diag(sigma), 0.0)) / reps)
+    z = np.divide(np.abs(scaled_mean), se, where=se > 0.0,
+                  out=np.where(scaled_mean == 0.0, 0.0, math.inf))
+    mean_z = float(z.max())
 
     passed = (rel <= 0.15) and (mean_z <= 3.0)
     if reps < MIN_REPS_FOR_VERDICT:
@@ -379,13 +385,16 @@ def forward_equation_residual(
     )
 
 
-def sweep(plane: str, x_values, y_values, base: SystemParams):
+def sweep(plane: str, x_values, y_values, base: SystemParams, stats=None):
     """Equilibrium surface over a (p, second-parameter) grid.
 
     Returns one row dict per node with bins 0, 1, k_max-1 and k_max of the
     ratio histogram r_bar (y-bar on one class) as ybar0, ybar1, ybarKm1 and
     ybarK, its entropy, and a converged flag; solver failures leave NaN
-    metrics so the surface stays rectangular.
+    metrics so the surface stays rectangular. A stats dict, if given,
+    receives the solver counters brent_evals, newton_iters and
+    bisection_fallbacks summed over the solved nodes, and failures, one
+    {x, y, error} per node whose solve raised ConvergenceError.
     """
     if plane not in SWEEP_PLANES:
         raise ValidationError(f"plane must be one of {SWEEP_PLANES}")
@@ -415,20 +424,29 @@ def sweep(plane: str, x_values, y_values, base: SystemParams):
         except ValidationError as exc:
             raise ValidationError(f"sweep {name}={y!r}: {exc}") from None
         columns.append((y, fleet, choice))
+    counters = ("brent_evals", "newton_iters", "bisection_fallbacks")
+    totals = {"failures": [], **dict.fromkeys(counters, 0)}
     rows = []
     for p in ps:
         for y, fleet, choice in columns:
             par = replace(base, fleet=fleet, p=p, choice=choice)
             row = {"x": p, "y": y}
             try:
-                rb = solve_equilibrium(par).r_bar
+                eq = solve_equilibrium(par)
+            except ConvergenceError as exc:
+                totals["failures"].append({"x": p, "y": y, "error": str(exc)})
+                row.update(ybar0=math.nan, ybar1=math.nan, ybarKm1=math.nan,
+                           ybarK=math.nan, entropy=math.nan, converged=0)
+            else:
+                rb = eq.r_bar
                 row.update(ybar0=float(rb[0]), ybar1=float(rb[1]),
                            ybarKm1=float(rb[k - 1]), ybarK=float(rb[k]),
                            entropy=entropy(rb), converged=1)
-            except ConvergenceError:
-                row.update(ybar0=math.nan, ybar1=math.nan, ybarKm1=math.nan,
-                           ybarK=math.nan, entropy=math.nan, converged=0)
+                for key in counters:
+                    totals[key] += eq.stats[key]
             rows.append(row)
+    if stats is not None:
+        stats.update(totals)
     return rows
 
 
@@ -436,7 +454,7 @@ def nonstationary_run(
     params: SystemParams,
     y0: np.ndarray,
     t_grid,
-    h: float = 0.005,
+    h: float = DEFAULT_STEP,
     with_covariance: bool = False,
 ):
     """Mean-field frames for a time-varying arrival model.

@@ -389,8 +389,6 @@ def _integer_fleet(gamma: float, n: int) -> int:
 
 
 def _parse_choice(raw, path: str) -> ChoiceSpec:
-    if isinstance(raw, ChoiceSpec):
-        return raw
     _require(isinstance(raw, Mapping), f"{path} must be a mapping")
     kind = raw.get("kind")
     _require(kind in CHOICE_KINDS, f"{path}.kind must be one of {CHOICE_KINDS}, got {kind!r}")
@@ -405,8 +403,6 @@ def _parse_choice(raw, path: str) -> ChoiceSpec:
 
 
 def _parse_arrival(raw, path: str) -> ArrivalModel:
-    if isinstance(raw, ArrivalModel):
-        return raw
     _require(isinstance(raw, Mapping), f"{path} must be a mapping")
     keys = set(raw)
     _require(

@@ -158,6 +158,65 @@ def test_usage_error_after_good_call_exits_one(base_cfg, tmp_path, capsys):
     assert main(["equilibrium", "--config", base_cfg, "--out", out]) == 0
 
 
+def test_main_writes_every_manifest(base_cfg, tmp_path, capsys):
+    # main is the one writer of the run record: the same keys, outputs and
+    # subcommand for every handler, and the seed only where one is taken
+    rates = tmp_path / "rates.csv"
+    rates.write_text("t_hours,rate\n" + "".join(
+        f"{t},{2.0 + math.sin(t)}\n" for t in range(24)))
+    status, info = tmp_path / "status.json", tmp_path / "info.json"
+    status.write_text(json.dumps({"data": {"stations": [
+        {"station_id": "a", "num_bikes_available": 2}]}}))
+    info.write_text(json.dumps({"data": {"stations": [
+        {"station_id": "a", "capacity": 4}]}}))
+    model = ["--config", base_cfg]
+    argvs = [
+        ["simulate", *model, "--horizon", "1", "--seed", "7"],
+        ["meanfield", *model, "--horizon", "0.5", "--sample-dt", "0.25"],
+        ["diffusion", *model, "--horizon", "0.5", "--sample-dt", "0.25"],
+        ["equilibrium", *model],
+        ["sweep", "--plane", "p-theta", "--grid", "p=0:1:0.5,theta=1", *model],
+        ["verify", "--suite", "forward", *model, "--seed", "5", "--n", "10",
+         "--reps", "3"],
+        ["fit-arrivals", "--csv", str(rates), "--order", "1"],
+        ["gbfs-hist", "--status", str(status), "--info", str(info),
+         "--k-max", "4"],
+    ]
+    config = validate_params(json.loads((tmp_path / "cfg.json").read_text())
+                             ).to_config()
+    inputs = {
+        "fit-arrivals": {"csv": str(rates), "order": 1, "period": 24.0},
+        "gbfs-hist": {"status": str(status), "info": str(info), "k_max": 4},
+    }
+    for argv in argvs:
+        out = str(tmp_path / f"{argv[0]}.out")
+        assert main(argv + ["--out", out]) == 0, argv
+        man = json.loads((tmp_path / f"{argv[0]}.out.manifest.json").read_text())
+        assert set(man) == {"subcommand", "config", "seed", "version",
+                            "outputs", "duration_seconds", "details"}
+        assert man["subcommand"] == argv[0]
+        assert man["outputs"] == [out]
+        assert man["seed"] == {"simulate": 7, "verify": 5}.get(argv[0])
+        assert man["config"] == inputs.get(argv[0], config)
+        assert man["details"]
+    capsys.readouterr()
+
+
+def test_no_manifest_when_the_handler_raises(base_cfg, tmp_path, monkeypatch,
+                                             capsys):
+    import bss.cli as climod
+
+    def boom(*args, **kwargs):
+        raise ConvergenceError("solver did not settle")
+
+    monkeypatch.setattr(climod, "sweep", boom)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--plane", "p-theta", "--grid", "p=0,theta=1",
+                 "--config", base_cfg, "--out", str(out)]) == 2
+    assert "settle" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv.manifest.json").exists()
+
+
 # ---------------------------------------------------------------- equilibrium
 
 def test_equilibrium_csv_and_manifest(base_cfg, tmp_path):
@@ -179,7 +238,8 @@ def test_equilibrium_csv_and_manifest(base_cfg, tmp_path):
     stats = man["details"]["stats"]
     assert stats["route"] == "bracketed"
     assert 2 < stats["brent_evals"] <= 20
-    assert stats["newton_iters"] == man["details"]["iterations"]
+    assert stats["newton_iters"] == solve_equilibrium(
+        validate_params(json.loads((tmp_path / "cfg.json").read_text()))).iterations
 
 
 def test_equilibrium_zero_fleet_exits_one(tmp_path, capsys):
@@ -253,9 +313,10 @@ def test_equilibrium_capacity_mix_rows_per_class(tmp_path):
     assert sum(float(r[2]) for r in rows) == pytest.approx(1.0, abs=1e-9)
     # a mix reports what the solve did, as a uniform capacity does
     details = json.loads((tmp_path / "eq.csv.manifest.json").read_text())["details"]
-    assert set(details) == {"residual", "iterations", "a", "s", "entropy", "stats"}
+    assert set(details) == {"residual", "a", "s", "entropy", "stats"}
     assert details["residual"] <= 1e-10
-    assert details["stats"]["newton_iters"] == details["iterations"]
+    assert details["stats"]["newton_iters"] == solve_equilibrium(
+        validate_params(json.loads((tmp_path / "h.json").read_text()))).iterations
 
 
 # ---------------------------------------------------------------- simulate
@@ -432,6 +493,23 @@ def test_sweep_surface_schema_and_endpoints(tmp_path):
     # no --threads given: the manifest records none
     man = json.loads((tmp_path / "s.csv.manifest.json").read_text())
     assert man["details"]["threads"] is None
+
+
+def test_sweep_manifest_reports_solver_counters_and_failures(tmp_path):
+    # at p = 1 with g(0) = 0, gamma = 0.5 has no interior equilibrium
+    cfg = write_config(tmp_path / "c.json", n_stations=20, gamma=10.0,
+                       capacity=20, choice={"kind": "polynomial", "alpha": 2.0})
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--plane", "p-gamma", "--grid", "p=1,gamma=0.5:1.5:1",
+                 "--config", cfg, "--out", str(out)]) == 0
+    details = json.loads((tmp_path / "s.csv.manifest.json").read_text())["details"]
+    stats = {}
+    sweep("p-gamma", [1.0], [0.5, 1.5],
+          validate_params(json.loads((tmp_path / "c.json").read_text())), stats)
+    assert details["stats"] == stats
+    assert details["failed_nodes"] == len(stats["failures"]) == 1
+    assert stats["failures"][0]["y"] == 0.5
+    assert stats["newton_iters"] > 0
 
 
 def test_sweep_thread_count_does_not_change_bytes(tmp_path):

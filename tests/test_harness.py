@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -184,6 +185,33 @@ def test_fclt_zero_bracket_control_fails(monkeypatch):
                               t_check=2.0, seed=29)
         assert rep.passed is False, capacity
         assert rep.metrics["rel_frobenius"] > 0.5
+
+
+def test_fclt_unvisited_cell_takes_the_model_standard_error():
+    # by t=0.25 no replica has a station at 3 bikes, so that cell's sample
+    # variance is 0, while the mean-field path gives it mass 3.5e-5; its z
+    # read about 1e26 against a floor of 1e-30 on the standard error
+    par = make_params(gamma=0.5)
+    rep = fclt_experiment(par, n=20, reps=400, t_check=0.25, seed=0)
+    assert rep.metrics["max_mean_z"] <= 3.0
+    assert rep.passed is True
+
+
+def test_fclt_shifted_mean_without_variance_fails(monkeypatch):
+    # a zero fleet has Sigma = 0 and no sample variance: a mean off the
+    # mean-field path there has no standard error to hide behind
+    import bss.harness as hmod
+
+    def shifted(*args, **kwargs):
+        res = ensemble(*args, **kwargs)
+        res.mean[-1, 1] += 0.01
+        return res
+
+    monkeypatch.setattr(hmod, "ensemble", shifted)
+    rep = fclt_experiment(make_params(gamma=0), n=20, reps=40, t_check=0.5,
+                          seed=0)
+    assert rep.metrics["max_mean_z"] == math.inf
+    assert rep.passed is False
 
 
 def test_fclt_two_reps_is_insufficient():
@@ -583,9 +611,18 @@ def test_sweep_flags_node_without_interior_equilibrium():
     # at p = 1 with g(0) = 0, gamma = 0.5 has no interior equilibrium and
     # raises ConvergenceError, so its row is flagged; gamma = 1.5 solves
     base = big_base(capacity=20, choice={"kind": "polynomial", "alpha": 2.0})
-    rows = sweep("p-gamma", [1.0], [0.5, 1.5], base)
+    stats = {}
+    rows = sweep("p-gamma", [1.0], [0.5, 1.5], base, stats)
     assert [row["converged"] for row in rows] == [0, 1]
     assert math.isnan(rows[0]["ybar0"])
+    # the counters are the solved node's; the failed one leaves its reason
+    solved = solve_equilibrium(dataclasses.replace(base, fleet=30, p=1.0)).stats
+    for key in ("brent_evals", "newton_iters", "bisection_fallbacks"):
+        assert stats[key] == solved[key], key
+    assert stats["brent_evals"] > 0
+    [failure] = stats["failures"]
+    assert (failure["x"], failure["y"]) == (1.0, 0.5)
+    assert failure["error"].startswith("no interior equilibrium")
 
 
 @pytest.mark.parametrize("plane, ys", [("p-theta", [0.5, 2.0]),
