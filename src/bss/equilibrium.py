@@ -90,12 +90,17 @@ class EquilibriumResult:
     stats: dict
 
 
-def _require_constant(params: SystemParams) -> float:
+def _equilibrium_rate(params: SystemParams) -> float:
+    """The arrival rate, constant and positive, or there is no unique fixed point."""
     if not params.arrival.is_constant:
         raise ValidationError(
             "equilibrium requires a constant arrival rate; "
             "time-varying systems have no fixed point"
         )
+    if not params.arrival.rate > 0.0:
+        raise ValidationError(
+            f"equilibrium requires arrival.constant > 0, got {params.arrival.rate}: "
+            "with no pickups every bike docks and the fixed point is not unique")
     return float(params.arrival.rate)
 
 
@@ -247,7 +252,7 @@ def solve_equilibrium(params: SystemParams) -> EquilibriumResult:
     from the previous one's root. The table, the kernel's class weights at
     the root, must pass the drift residual gate.
     """
-    lam = _require_constant(params)
+    lam = _equilibrium_rate(params)
     if not params.fleet >= 1:
         # all mass at n = 0 is the only fixed point, with a = 0 off the log scale
         raise ValidationError(f"fleet must be >= 1, got {params.fleet}")

@@ -26,7 +26,7 @@ from .model import (
 from .meanfield import (DEFAULT_STEP, TINY_DENOM, _informed_choice, _observable,
                         _sample_grid, integrate, ratio_projection)
 from .diffusion import integrate_covariance
-from .equilibrium import entropy, solve_equilibrium
+from .equilibrium import _equilibrium_rate, entropy, solve_equilibrium
 from .simulator import (
     _lockstep,
     child_seed,
@@ -398,8 +398,7 @@ def sweep(plane: str, x_values, y_values, base: SystemParams, stats=None):
     """
     if plane not in SWEEP_PLANES:
         raise ValidationError(f"plane must be one of {SWEEP_PLANES}")
-    if not base.arrival.is_constant:
-        raise ValidationError("sweep needs a constant arrival rate")
+    _equilibrium_rate(base)  # refused before any node is solved
     k = base.k_max
     # every node is checked before any is solved: replace() skips
     # validate_params

@@ -256,7 +256,7 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
     returns its input bytes, or those of two steps back (a last-bit
     2-cycle), the grid interval ends on the state the parity of its
     remaining steps picks, the bytes of stepping through. stats, a dict,
-    receives the counts of what was done.
+    receives the counts of what was done, also when a step raises.
     """
     t_grid = _check_grid_and_step(t_grid, h)
     size = z0.size
@@ -322,32 +322,39 @@ def _rk4_buffered(rhs_into, z0, arrival, t_grid, h: float, dim=None,
     y = np.array(z0, dtype=float)
     out[0] = y
     grid = t_grid.tolist()
-    for i in range(t_grid.size - 1):
-        t0, t1 = grid[i], grid[i + 1]
-        nsub = max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
-        dt = (t1 - t0) / nsub
-        t = t0
-        before, back = y.tobytes(), None
-        for j in range(nsub):
-            accept(t, y, dt, acc)
-            y, acc = acc, y
-            if autonomous:
-                after = y.tobytes()
-                if after == before:
-                    count["fixed_point_exits"] += 1
-                    break
-                if after == back:
-                    # acc holds the cycle's other state
-                    count["cycle_exits"] += 1
-                    if (nsub - 1 - j) % 2:
-                        y, acc = acc, y
-                    break
-                back, before = before, after
-            t += dt
-        count["steps"] += j + 1
-        out[i + 1] = y
-    if stats is not None:
-        stats.update(count)
+    j = None
+    try:
+        for i in range(t_grid.size - 1):
+            t0, t1 = grid[i], grid[i + 1]
+            nsub = max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
+            dt = (t1 - t0) / nsub
+            t = t0
+            before, back = y.tobytes(), None
+            for j in range(nsub):
+                accept(t, y, dt, acc)
+                y, acc = acc, y
+                if autonomous:
+                    after = y.tobytes()
+                    if after == before:
+                        count["fixed_point_exits"] += 1
+                        break
+                    if after == back:
+                        # acc holds the cycle's other state
+                        count["cycle_exits"] += 1
+                        if (nsub - 1 - j) % 2:
+                            y, acc = acc, y
+                        break
+                    back, before = before, after
+                t += dt
+            count["steps"] += j + 1
+            j = None
+            out[i + 1] = y
+    finally:
+        # a raise in sub-step j of an interval leaves the j before it accepted
+        if j is not None:
+            count["steps"] += j
+        if stats is not None:
+            stats.update(count)
     return out
 
 

@@ -22,9 +22,9 @@ its stream as one iterator of (e, u1, u2) chained over the blocks, works
 out the rates right after each move (a thinned or empty candidate leaves
 them as they are) and derives its event count from the countdown to the
 next recompute. Uninformed pickups and dropoffs weigh stations equally, so
-it finds their cell by rank, with an inline bisection of the prefix counts
-(_rank_cell takes a rank that rounding puts past the eligible total);
-informed pickups weigh them by g and keep a sequential scan. _lockstep
+it finds their cell by an inline bisection of the prefix counts; informed
+pickups weigh them by g and keep a sequential scan. Past the end of either
+(float rounding), _last_cell gives the last non-empty cell. _lockstep
 advances many replicas at once (ensemble, forward_equation_residual): each
 round, every live replica takes the next candidate event of its own scalar
 run, on its own clock t_r += e_r / total_r with its own total rate, so
@@ -228,30 +228,15 @@ def _rate_bound(arrival) -> tuple[float, bool]:
     return arrival.max_rate(), True
 
 
-def _rank_cell(classes, j: int, pickup: bool):
-    """The cell of the station with rank j among the eligible ones, or None.
-
-    Cells are ranked class-major, each weighted by its station count; a
-    pickup is eligible at counts 1..K_c and a dropoff at 0..K_c - 1. classes
-    holds (f, top, cells) per class: f the class's prefix counts, top the
-    last eligible count and cells[m] what to return for count m. A rank at or
-    past the eligible total (float rounding of the target) gets the last
-    non-empty eligible cell. This is the cell a class-major scan picks that
-    adds the counts until they exceed any target in [j, j + 1).
-    """
-    last = None
-    for f, top, cells in classes:
-        base = f[0] if pickup else 0
-        size = f[top] - base
-        if j < size:
-            return cells[bisect_right(f, j + base, 0, top + 1)]
-        if size:
-            last = f, top, cells
-        j -= size
-    if last is None:
-        return None
-    f, top, cells = last
-    return cells[bisect_left(f, f[top], 0, top + 1)]
+def _last_cell(classes, pickup: bool):
+    """The class-major last non-empty eligible cell, or None: the draw when a
+    rank rounds to the eligible total or past it, or an informed scan never
+    passes its target. classes holds _run_engine's (prefix counts, last
+    eligible count, cells) per class; a pickup needs a count >= 1."""
+    for f, top, cells in reversed(classes):
+        if f[top] > (f[0] if pickup else 0):
+            return cells[bisect_left(f, f[top], 0, top + 1)]
+    return None
 
 
 def _run_engine(
@@ -314,7 +299,7 @@ def _run_engine(
             cells[c].append((rows[c], src, src + step, occ[c], stamp[c], prefix[c],
                              m - 1, step, dg, dg_pos, int(d_nonempty), int(d_open)))
 
-    # _rank_cell's classes: a pickup needs m >= 1 and a dropoff m < K_c
+    # per class (f, top, cells): a pickup needs m >= 1 and a dropoff m < K_c
     pick_classes = [(prefix[c], k, picks_of[c]) for c, k in enumerate(caps)]
     drop_classes = [(prefix[c], k - 1, drops_of[c]) for c, k in enumerate(caps)]
     # the informed scan walks the pickup cells class-major
@@ -364,8 +349,8 @@ def _run_engine(
                     break
                 stop = min(grid[grid_idx], horizon)
 
-            # uninformed pickups and dropoffs find their cell as _rank_cell
-            # does, inline; it serves a rank rounded past the eligible total
+            # uninformed pickups and dropoffs find their cell by rank, the
+            # first class whose eligible stations outnumber it
             x = u1 * total
             if x < pick_bound:
                 # x/pick_bound is uniform given the branch; accept at lam(t)/bound
@@ -385,20 +370,21 @@ def _run_engine(
                             break
                         j -= size
                     else:
-                        hit = _rank_cell(pick_classes, nonempty, True)
+                        hit = _last_cell(pick_classes, True)
                 else:
                     # float weights: a sequential scan, whose partial sums
                     # _lockstep's cumsum reproduces
                     target = (y - w_un) / w_in * g_pos
-                    hit = None
                     acc = 0.0
                     for row, m, cell in pick_cells:
                         wv = row[m]
                         if wv:
                             acc += wv * g[m]
-                            hit = cell
                             if acc > target:
+                                hit = cell
                                 break
+                    else:
+                        hit = _last_cell(pick_classes, True)
             else:
                 j = int((x - pick_bound) / drop_tot * open_)
                 for f, top, cells in drop_classes:
@@ -408,7 +394,7 @@ def _run_engine(
                         break
                     j -= size
                 else:
-                    hit = _rank_cell(drop_classes, open_, False)
+                    hit = _last_cell(drop_classes, False)
             if hit is None:
                 empty_draws += 1
                 continue
@@ -535,7 +521,7 @@ def _first_over(cells, cum, target) -> np.ndarray:
     none does (float rounding of the target), the last non-empty cell; k if
     all are empty. That first cell is the count of sums <= target, as the
     target is >= 0 and cum never decreases down a column. For count weights
-    this is _rank_cell's cell, for choice weights the informed scan's."""
+    this is the rank search's cell, for choice weights the informed scan's."""
     k = len(cells)
     cell = np.add.reduce(cum <= target)
     miss = cell == k

@@ -101,13 +101,18 @@ print(f"ERR {{err}} ELAPSED {{time.perf_counter() - started}}")
 """
 
 
-@pytest.mark.parametrize("p", [0.25, 0.5, 1.0])
-@pytest.mark.xfail(
-    strict=True,
-    reason="steep exponential weighting: top-level pickup rates grow past "
-    "the explicit integrator's stable step at theta=2, so the T=2000 "
-    "integration cannot finish inside the 10s budget",
-)
+# theta=2 makes the drift stiff: at y-bar the largest |eigenvalue| of J is
+# about 1e8 to 1e9, so explicit RK4's stable step lies far below MIN_STEP
+_STIFF = "theta=2 is too stiff for explicit RK4: the T=2000 integration "
+_KILLED = pytest.mark.xfail(strict=True, reason=_STIFF + (
+    "is still running when the test's 15s subprocess timeout kills it"))
+_RAISES = pytest.mark.xfail(strict=True, reason=_STIFF + (
+    "raises ConvergenceError after about 6s: step size fell below 1e-06 at t=1.83"))
+
+
+@pytest.mark.parametrize("p", [pytest.param(0.25, marks=_KILLED),
+                               pytest.param(0.5, marks=_KILLED),
+                               pytest.param(1.0, marks=_RAISES)])
 def test_criterion_01_two_path_equilibrium_informed(p):
     try:
         proc = subprocess.run(

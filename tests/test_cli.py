@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -249,6 +250,22 @@ def test_equilibrium_zero_fleet_exits_one(tmp_path, capsys):
     assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 1
     assert "fleet must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["equilibrium"],
+    ["sweep", "--plane", "p-theta", "--grid", "p=0:1:0.5,theta=1"],
+    ["verify", "--suite", "interchange", "--n", "10", "--burn-in", "1",
+     "--horizon", "5"],
+], ids=["equilibrium", "sweep", "interchange"])
+def test_zero_arrival_rate_exits_one(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path / "c.json", arrival={"constant": 0.0})
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 1
+    assert "arrival.constant > 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "out.manifest.json").exists()
 
 
 def test_equilibrium_at_p0_ignores_overflowing_choice(tmp_path):
@@ -764,7 +781,7 @@ def _strict_json(text):
 @pytest.mark.parametrize("suite,extra,non_finite", [
     ("flln", ["--n-list", "20,20", "--horizon", "1", "--reps", "1"], {}),
     ("fclt", ["--n", "20", "--reps", "3", "--t-check", "0.5"], {}),
-    ("interchange", ["--n", "10", "--burn-in", "1", "--horizon", "5"], {}),
+    ("interchange", ["--n", "10", "--burn-in", "1", "--horizon", "20", "--tol", "0.5"], {}),
     # one replica has no sample spread: the standard error is infinite
     ("forward", ["--n", "10", "--reps", "1", "--t", "0.5"],
      {"standard_error": "inf"}),
@@ -1183,3 +1200,126 @@ def test_negative_master_seed_runs_through_child_seeds(base_cfg, tmp_path):
     assert main(["verify", "--suite", "forward", "--config", base_cfg,
                  "--n", "20", "--reps", "4", "--t", "0.5", "--seed", "-1",
                  "--out", str(tmp_path / "rep.json")]) in (0, 2)
+
+
+# ------------------------------------------------------------- golden bytes
+
+def _golden_inputs(tmp_path):
+    # seeded inputs of the two subcommands that read no model config: a
+    # noisy daily arrival-rate series and a GBFS snapshot with a clamped
+    # station and one without station information
+    rng = np.random.default_rng(31)
+    ts = np.arange(0.0, 48.0, 0.5)
+    rates = 2.0 + np.sin(2 * math.pi * ts / 24.0) + 0.1 * rng.standard_normal(ts.size)
+    (tmp_path / "rates.csv").write_text("t_hours,rate\n" + "".join(
+        f"{t!r},{r!r}\n" for t, r in zip(ts.tolist(), rates.tolist())))
+    caps = rng.integers(1, 9, size=12).tolist()
+    bikes = [int(rng.integers(0, k + 2)) for k in caps] + [1]
+    (tmp_path / "status.json").write_text(json.dumps({"data": {"stations": [
+        {"station_id": f"s{i}", "num_bikes_available": b}
+        for i, b in enumerate(bikes)]}}))
+    (tmp_path / "info.json").write_text(json.dumps({"data": {"stations": [
+        {"station_id": f"s{i}", "capacity": k} for i, k in enumerate(caps)]}}))
+
+
+_GOLDEN_RUNS = {
+    "simulate": ["simulate", "--horizon", "10", "--sample-dt", "0.5", "--seed", "3"],
+    "meanfield": ["meanfield", "--horizon", "2", "--sample-dt", "0.25"],
+    "diffusion": ["diffusion", "--horizon", "0.5", "--sample-dt", "0.25"],
+    "equilibrium": ["equilibrium"],
+    "sweep": ["sweep", "--plane", "p-theta", "--grid", "p=0:1:0.5,theta=1:2:1"],
+    "flln": ["verify", "--suite", "flln", "--seed", "3", "--n-list", "10,20",
+             "--horizon", "1", "--reps", "4"],
+    "fclt": ["verify", "--suite", "fclt", "--seed", "3", "--n", "10",
+             "--reps", "5", "--t-check", "0.5"],
+    "interchange": ["verify", "--suite", "interchange", "--seed", "3", "--n",
+                    "10", "--burn-in", "1", "--horizon", "20", "--tol", "0.5"],
+    "forward": ["verify", "--suite", "forward", "--seed", "3", "--n", "10",
+                "--reps", "30"],
+}
+_GOLDEN_INPUT_RUNS = {
+    "fit-arrivals": ["fit-arrivals", "--csv", "rates.csv", "--order", "2"],
+    "gbfs-hist": ["gbfs-hist", "--status", "status.json", "--info", "info.json",
+                  "--k-max", "8"],
+}
+
+CLI_GOLDEN = {
+    # run: (sha256 of the output file, sha256 of its manifest without
+    # duration_seconds)
+    "simulate-uniform": ("178f1a5ffd3ab327d6f0a104fa8991a2b030e7ca7d32cdfb2ac82ad673f5b784",
+                         "93b027c1554d0e721751771ecf680143f732c0651bdf3c33043fe775dfb074af"),
+    "meanfield-uniform": ("842979bb44ca9ed804b677af10290b9fdd8a1835323209d7583a0fd52d0bc330",
+                          "199c7a76976fc483ab054585634e51760cf01cf02de8f83adde61d2f66e9da54"),
+    "diffusion-uniform": ("0a313ab63a3dd194ef71626b70276255087d6f26d3f17f548f5b3075a4848d39",
+                          "41ab7da10ccac614789005d13fed4a966055374ef33d742bfd5360c5faf8f493"),
+    "equilibrium-uniform": ("4705d1e1daf2ff6dc6ebf63797aa31a360197f844c563cc1cd0c0b71e47f40c1",
+                            "04b8fc70f70e486c8f24914a0b63b8e6d33db90a6a1441a8f26485e05d2a7358"),
+    "sweep-uniform": ("4da73edd36a7becfb82fa386ed5ac9b512d25590543ca894aa76c1c5c542de68",
+                      "cec8ea295fef0332ec35df8f17ad6830fc5f689674559d92464bfb3858c0243a"),
+    "flln-uniform": ("635dbb9c84f0e770ba48e3a534e1fc51aa5cf886163d7f1086c46647e0ec6408",
+                     "4c56c482d875a9c52cd489c09810f1579f1440e8987ed18029353534daf95ddb"),
+    "fclt-uniform": ("dd31defada122bd242402a0a05b553190071ba74a6ae6495da537e99a55559df",
+                     "e575df6a603e10f43971949724ee5f9ed179f541b251a5dda79817906662ca23"),
+    "interchange-uniform": ("33c87380a776333b6dd3a7dda642fbf64f45ca541cab8fb362efc973d2408e78",
+                            "f254c5fb9f8c383336f85e62e6036bfd0d9a2431e02a658f7706e4034fa75905"),
+    "forward-uniform": ("010002b2777d35d9e3131d0f20f3dea540a8e65310a503f0fd309f025d4dd3cf",
+                        "d50af96480e7ab597202d75b682ccd43bba27b160a25b616372f0891e2bbd74f"),
+    "simulate-mix": ("eea6cd5db246874c103afbca26286840956f1f2be67cd5b336d8a9474a5d9e18",
+                     "c5209114a03438f6b52d25520329b6f3e695366896347ee88aa329a28cf98e23"),
+    "meanfield-mix": ("678edfa889044dab92035ab6788bb51c5083857d37450e5029f90b620c34c779",
+                      "febf714d686763987abbc35f4977c0e4aafc02b189c79601f3cf32b85fdba9bb"),
+    "diffusion-mix": ("424b55e7d7c521a6dcd70fba5b3767daf3d54eafbd58a1510bd2efbe985216ff",
+                      "f5fe1ef5e94febe98f2e81c6b4d8c4c42f0aae4126139da2a5d3d12f5572bd58"),
+    "equilibrium-mix": ("4f5486e5f6ec0b1989659ed75dd791272f93c97b906499f13953983d9bb67a68",
+                        "ddc4bb629f1fae9290cdd4bc8748482e7d837e2dc90fe8b3a6e119d5b00bb575"),
+    "sweep-mix": ("d0729c3a0e87c8cad045b1b57673fdc247dfc13f7386196e080ffe59174e8600",
+                  "145041486a16727aa49bc4db376c0f88b98724461d734f024c53a6d82da0df78"),
+    "flln-mix": ("84998a88f38bb4c13c432274b5345629c2bf3d8629dbc7f4282e35c6ff35cb4c",
+                 "9f6818eea4dbfe2eff28e4b9fd0eb369fdd41a11fcebacc26f5d88c0498e18f1"),
+    "fclt-mix": ("70c44307d6831deb7684cecf5dc2c06f62c253f8ee9e21249e7cc40ab48a4f85",
+                 "56cbdfd3dcc541a3d46f331175d610294f257f10dc89bbdd261f25db20e89ca5"),
+    "interchange-mix": ("6776a4f65b6ae620827e4f0af664a41ec7b63ae4fac760e05f6f1d304ce7573e",
+                        "94c2f7623b3ec2a40827ed161e246354550eb9256ec5fb33a463d1f49c8c8206"),
+    "forward-mix": ("b53ad5789379f2ffaaf6813bb5bf2df38836090df3444eeb5775f2ac5f5a79ae",
+                    "1c136027356e4da638c59c12ecb1ea2f682fc4c762f5d461310c93fecfc990a0"),
+    "fit-arrivals": ("512ebe452203bf0c2f3fbba01ba0e6a295224c927455ae7e43d6098d70d7044d",
+                     "afa0ab2a787a7ee3dd5da8f6aa0f421f4714fcbeaff0a0608b3d24826e966015"),
+    "gbfs-hist": ("3cd8c66538f4578c51f04c3e84536626a30f97ee3caf2c1190f3d0ebc2922203",
+                  "51552efa4d55427968d13b041ebc913d692b14836162b795a9ab1d89f7be6c43"),
+}
+
+
+def _golden_cases():
+    for capacity, tag in ((3, "uniform"), (MIX, "mix")):
+        for run, argv in _GOLDEN_RUNS.items():
+            yield f"{run}-{tag}", argv, capacity
+    for run, argv in _GOLDEN_INPUT_RUNS.items():
+        yield run, argv, None
+
+
+def _golden_digests(tmp_path, argv, capacity):
+    _golden_inputs(tmp_path)
+    if capacity is not None:
+        argv = argv + ["--config", write_config(tmp_path / "cfg.json",
+                                                capacity=capacity)]
+    assert main(argv + ["--out", "out"]) == 0
+    man = json.loads((tmp_path / "out.manifest.json").read_text())
+    del man["duration_seconds"]
+    text = json.dumps(man, indent=2, sort_keys=True) + "\n"
+    return ((tmp_path / "out").read_bytes(), text.encode())
+
+
+@pytest.mark.parametrize("case, argv, capacity", list(_golden_cases()),
+                         ids=[case for case, _, _ in _golden_cases()])
+def test_cli_outputs_golden_bytes(case, argv, capacity, tmp_path, monkeypatch,
+                                  capsys):
+    # pins the bytes of every subcommand's output and manifest, the four
+    # verify suites included, on the uniform K=3 config and the {2, 4} mix;
+    # paths are relative, so the manifests do not name the test's directory.
+    # Recorded on x86-64 with numpy 2.4.6 on OpenBLAS 0.3.31 (DYNAMIC_ARCH):
+    # other BLAS kernels may round the drift and covariance differently
+    monkeypatch.chdir(tmp_path)
+    out, manifest = _golden_digests(tmp_path, argv, capacity)
+    capsys.readouterr()
+    assert (hashlib.sha256(out).hexdigest(),
+            hashlib.sha256(manifest).hexdigest()) == CLI_GOLDEN[case]

@@ -415,6 +415,19 @@ def test_stiff_covariance_halves_its_step():
     assert 0.1 < np.abs(coarse[-1].sigma).max() < 1.0
 
 
+def test_stiff_covariance_failure_reports_its_halvings():
+    # theta=2 from the round-robin deal is stiff from the first step: the
+    # guard halves until the step falls below MIN_STEP, and the caller's
+    # stats dict says so instead of staying empty
+    par = make_params(n_stations=100, choice={"kind": "exponential", "theta": 2.0})
+    y0 = round_robin_state(par) / par.n_stations
+    stats = {}
+    with pytest.raises(ConvergenceError, match="step size fell below"):
+        integrate_covariance(y0, np.zeros((21, 21)), par, [0.0, 1.0], stats=stats)
+    assert stats["stiff_halvings"] >= 1
+    assert stats["steps"] == 0
+
+
 def test_stiffness_guard_bound():
     # the guard compares 2 dt min(|J|_1, |J|_inf), which bounds dt times the
     # spectral radius of Sigma -> J Sigma + Sigma J^T, with RK4's limit

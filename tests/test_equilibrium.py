@@ -294,6 +294,17 @@ class TestSolveEquilibrium:
         with pytest.raises(ValidationError, match="fleet must be >= 1, got 0"):
             solve_equilibrium(make_params(gamma=0, p=p))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("capacity", [
+        20, {"values": [10, 20], "fractions": [0.5, 0.5]}])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_zero_arrival_rate_rejected(self, p, capacity):
+        # with no pickups every bike docks and the fixed point is not
+        # unique; the solver used to take log(0) and raise ConvergenceError
+        params = make_params(p=p, capacity=capacity, arrival={"constant": 0.0})
+        with pytest.raises(ValidationError, match=r"arrival\.constant > 0, got 0\.0"):
+            solve_equilibrium(params)
+
 
 class TestSolverInternals:
     """The Newton inner solve and the Brent outer refinement."""

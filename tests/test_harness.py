@@ -32,8 +32,8 @@ from bss.meanfield import (
     integrate,
     integrate_hetero,
 )
-from bss.simulator import (_lockstep, child_seed, ensemble, simulate,
-                           stationary_average)
+from bss.simulator import (_lockstep, child_seed, ensemble, round_robin_state,
+                           simulate, stationary_average)
 from bracket_control import drop_bracket_source
 
 
@@ -548,6 +548,45 @@ def test_sweep_gamma_plane_scales_fleet():
     lean = [r for r in rows if r["y"] == 0.5]
     rich = [r for r in rows if r["y"] == 1.5]
     assert all(a["ybar0"] > b["ybar0"] for a, b in zip(lean, rich))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("capacity", [3, MIX])
+def test_zero_arrival_rate_refused_before_any_solve(capacity, monkeypatch):
+    # no equilibrium exists at lam = 0: sweep refuses before its first node
+    # (it used to return an all-NaN surface), and so does the interchange
+    # check, which solves before it simulates
+    import bss.harness as harness
+
+    def no_solve(par):
+        raise AssertionError("a node was solved")
+
+    par = make_params(capacity=capacity, arrival={"constant": 0.0})
+    with pytest.raises(ValidationError, match=r"arrival\.constant > 0"):
+        interchange_experiment(par, 10, 1.0, 5.0, seed=0)
+    monkeypatch.setattr(harness, "solve_equilibrium", no_solve)
+    with pytest.raises(ValidationError, match=r"arrival\.constant > 0"):
+        sweep("p-theta", [0.0, 0.5, 1.0], [1.0], par)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("capacity", [3, MIX])
+def test_zero_arrival_rate_paths_still_run(capacity):
+    # the CTMC and the ODEs are well defined without arrivals: from empty
+    # stations nothing is picked up, so the docked mass only grows
+    par = make_params(capacity=capacity, arrival={"constant": 0.0})
+    empty = np.zeros_like(round_robin_state(par))
+    empty.reshape(len(par.capacity_values), -1)[:, 0] = par.class_sizes()
+    grid = [0.0, 0.5, 1.0]
+    y0 = empty / par.n_stations
+    path = integrate(y0, par, grid)
+    states = integrate_covariance(y0, np.zeros((y0.size, y0.size)), par, grid)
+    traj = simulate(par, 1.0, 0.5, seed=0, initial=empty)
+    assert np.isfinite(path).all() and np.isfinite(states[-1].sigma).all()
+    assert traj.stats["events"] > 0
+    counts = np.arange(path.shape[-1])
+    docked = [float((row * counts).sum()) for row in path]
+    assert docked[0] < docked[1] < docked[2]
 
 
 def test_sweep_gamma_plane_rejects_fractional_fleet():

@@ -674,6 +674,26 @@ def test_sample_grid_refuses_more_than_max_samples(horizon, dt):
         _sample_grid(horizon, dt)
 
 
+def test_rk4_stats_count_the_accepted_steps_of_a_failing_interval():
+    # stats are written when a step raises: five sub-steps of the first
+    # interval, two of the second before the guard fires on every try
+    calls = []
+
+    def guard(dt):
+        calls.append(dt)
+        return len(calls) > 7
+
+    def rhs_into(lam, x, out):
+        out[0], out[1] = x[1] - x[0], x[0] - x[1]
+
+    stats = {}
+    with pytest.raises(ConvergenceError, match="step size fell below"):
+        _rk4_buffered(rhs_into, np.array([1.0, 0.0]), ArrivalModel(rate=1.0),
+                      [0.0, 0.05, 0.1], 0.01, guard=guard, stats=stats)
+    assert stats["steps"] == 7
+    assert stats["stiff_halvings"] == math.floor(math.log2(0.01 / MIN_STEP))
+
+
 def test_sample_grid_holds_max_samples():
     grid = _sample_grid(MAX_SAMPLES - 1, 1.0)
     assert grid.size == MAX_SAMPLES and grid[-1] == MAX_SAMPLES - 1

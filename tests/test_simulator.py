@@ -18,9 +18,9 @@ from bss.simulator import (
     _aggregates,
     _check_table,
     _generator,
+    _last_cell,
     _lockstep,
     _prefix_counts,
-    _rank_cell,
     _start_table,
     _first_over,
     _totals,
@@ -264,20 +264,18 @@ def _scan_cell(rows, caps, target, pickup):
 
 
 @pytest.mark.parametrize("caps", [(1,), (5,), (2, 6), (1, 4, 9)])
-def test_rank_cell_matches_class_major_scan(caps):
+def test_last_cell_matches_class_major_scan(caps):
+    # _last_cell is the scalar engine's draw wherever the scan would run off
+    # its end: a rank at or past the eligible total; ranks below it are the
+    # engine's inline search, which the replay of simulate by _lockstep
+    # (_first_over) checks
     rng = np.random.default_rng(sum(caps))
     per_class = np.repeat(caps, 6)
     par = make_params(n_stations=per_class.size, gamma=float(caps[-1]),
                       capacity={"values": list(caps),
                                 "fractions": [1 / len(caps)] * len(caps)})
-    for _ in range(150):
-        # sparse random counts; a class is emptied outright a quarter of
-        # the time
-        counts = rng.integers(0, per_class + 1)
-        counts[rng.random(counts.size) < 0.4] = 0
-        for k in caps:
-            if rng.random() < 0.25:
-                counts[per_class == k] = 0
+
+    def check(counts):
         rows = _start_table(par, count_table(counts, per_class)).tolist()
         prefix = _prefix_counts(rows, caps)
         assert prefix == [list(accumulate(w[: k + 1]))
@@ -288,14 +286,27 @@ def test_rank_cell_matches_class_major_scan(caps):
                        for c, (f, k) in enumerate(zip(prefix, caps))]
             total = sum(sum(w[1 : k + 1]) if pickup else sum(w[:k])
                         for w, k in zip(rows, caps))
-            targets = ([float(v) for v in range(total + 2)]
-                       + [v + 0.5 for v in range(total + 1)]
-                       + [np.nextafter(float(total), 0.0), total + 1e-9,
-                          2.0 * total + 3.0, rng.random() * total])
-            for target in targets:
+            got = _last_cell(classes, pickup)
+            for target in (float(total), total + 0.5, total + 1e-9,
+                           2.0 * total + 3.0, total * (1.0 + rng.random())):
                 want = _scan_cell(rows, caps, target, pickup)
-                got = _rank_cell(classes, int(target), pickup)
                 assert got == want, (counts.tolist(), pickup, target)
+            if not total:
+                assert got is None
+
+    for _ in range(150):
+        # sparse random counts; a class is emptied outright a quarter of
+        # the time
+        counts = rng.integers(0, per_class + 1)
+        counts[rng.random(counts.size) < 0.4] = 0
+        for k in caps:
+            if rng.random() < 0.25:
+                counts[per_class == k] = 0
+        check(counts)
+    # no pickup is eligible with every station empty, no dropoff with
+    # every station full
+    for counts in (np.zeros_like(per_class), per_class):
+        check(counts)
 
 
 def test_conservation_check_catches_a_corrupted_prefix_count():
