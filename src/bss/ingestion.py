@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meanfield import ratio_histogram
-from .model import FourierRateModel, ValidationError
+from .model import FourierRateModel, ValidationError, _check_period
 
 __all__ = [
     "GbfsSnapshot",
@@ -157,8 +157,7 @@ def fit_fourier(series: RateSeries, order: int, period: float = 24.0):
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
-    if not (period > 0) or not math.isfinite(period):
-        raise ValidationError(f"period must be positive, got {period}")
+    _check_period(period, "period")
     m = series.times.size
     dim = 2 * order + 1
     if m < dim:

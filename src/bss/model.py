@@ -27,8 +27,13 @@ __all__ = [
     "validate_params",
 ]
 
-# Grid step (hours) for the non-negativity scan of time-varying rates.
+# Grid step (hours) for the non-negativity scan of time-varying rates, and
+# the most cells a period grid holds: periods up to 10^4 h keep the step,
+# longer ones spread the cells out, so no period asks for more memory
 RATE_GRID_STEP = 0.01
+PERIOD_GRID_CELLS = 1_000_000
+# the most cells of a rate envelope, the thinning tests' per-cell bounds
+ENVELOPE_CELLS = 4096
 
 # Resolution of the non-negativity check of Fourier rates, as a fraction of
 # |c0| + sum_j(|b_j| + |c_j|): only a value below minus this counts as
@@ -84,6 +89,12 @@ class ChoiceSpec:
             object.__setattr__(self, "param", int(p))
 
 
+def _check_period(period: float, name: str) -> None:
+    """The period check of a Fourier rate: finite and > 0, named by name."""
+    if not (math.isfinite(period) and period > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {period}")
+
+
 @dataclass(frozen=True)
 class FourierRateModel:
     """Periodic rate lambda(t) = intercept + sum_j b1_j sin(2pi t j/w) + b2_j cos(2pi t j/w)."""
@@ -107,8 +118,7 @@ class FourierRateModel:
                 "fourier sin and cos coefficient lists must have equal length, got "
                 f"{len(self.sin_coeffs)} and {len(self.cos_coeffs)}"
             )
-        if not (self.period > 0):
-            raise ValidationError(f"fourier period must be > 0, got {self.period}")
+        _check_period(self.period, "arrival.fourier.period")
         object.__setattr__(self, "_terms", tuple(
             (j, b, c) for j, b, c in zip(range(1, self.order + 1), self.sin_coeffs,
                                          self.cos_coeffs) if b or c))
@@ -299,9 +309,11 @@ def _harmonic_sum(f: FourierRateModel, tt: np.ndarray) -> np.ndarray:
     return f.intercept + np.sin(w) @ b + np.cos(w) @ c
 
 
-def _period_grid(f: FourierRateModel) -> np.ndarray:
-    """One period sampled at a step of at most RATE_GRID_STEP, ends included."""
-    return np.linspace(0.0, f.period, int(math.ceil(f.period / RATE_GRID_STEP)) + 1)
+def _period_grid(f: FourierRateModel, cells: int = PERIOD_GRID_CELLS) -> np.ndarray:
+    """One period sampled at a step of at most RATE_GRID_STEP, ends included,
+    in at most cells equal steps."""
+    return np.linspace(0.0, f.period,
+                       min(int(math.ceil(f.period / RATE_GRID_STEP)), cells) + 1)
 
 
 def _rate_bounds(f: FourierRateModel) -> tuple[float, float]:
@@ -310,6 +322,34 @@ def _rate_bounds(f: FourierRateModel) -> tuple[float, float]:
     mags = [abs(b) + abs(c) for b, c in zip(f.sin_coeffs, f.cos_coeffs)]
     slope = 2.0 * math.pi / f.period * sum(j * m for j, m in enumerate(mags, 1))
     return abs(f.intercept) + sum(mags), slope
+
+
+@lru_cache(maxsize=32)
+def _rate_envelope(f: FourierRateModel, horizon: float):
+    """(inv, lo, hi): bounds of the value f.at(t) returns, for every t in
+    [0, horizon], by the cell int(t * inv) % len(lo) of one period.
+
+    The cells are those of the period grid, at most ENVELOPE_CELLS of them.
+    No instant of a cell lies further than step/2 from one of its ends and
+    the rate moves by at most L per hour, so on the cell it stays within
+    L*step/2 of the range of its end values. A pad widens that further, by
+    16 machine epsilons times (order + 2) |lambda|'s bound plus L (horizon +
+    period): it covers the rounding of the grid values, of the cell index
+    and of at's phase 2pi t j / period, whose error grows with t. Read-only
+    arrays, cached per rate model and horizon.
+    """
+    ts = _period_grid(f, ENVELOPE_CELLS)
+    vals = _harmonic_sum(f, ts)
+    scale, slope = _rate_bounds(f)
+    cells = ts.size - 1
+    pad = 16 * np.finfo(float).eps * ((f.order + 2) * scale
+                                      + slope * (horizon + f.period))
+    widen = slope * (f.period / cells) / 2.0 + pad
+    lo = np.minimum(vals[:-1], vals[1:]) - widen
+    hi = np.maximum(vals[:-1], vals[1:]) + widen
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return cells / f.period, lo, hi
 
 
 def _first_negative(model: ArrivalModel):

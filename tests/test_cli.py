@@ -92,6 +92,8 @@ def test_invalid_p_exits_one_and_names_field(tmp_path, capsys):
     ("mu", 10 ** 400), ("p", 10 ** 400), ("arrival", {"constant": 10 ** 400}),
     ("arrival", {"fourier": {"intercept": 10 ** 400, "sin": [1.0], "cos": [0.0]}}),
     ("choice", {"kind": "exponential", "theta": 10 ** 400}),
+    ("arrival", {"fourier": {"intercept": 1.0, "sin": [0.5], "cos": [0.0],
+                             "period": math.inf}}),
 ], ids=lambda v: "10**400" if v == 10 ** 400 else None)
 def test_non_finite_config_number_exits_one(tmp_path, capsys, key, value):
     # these escaped main as OverflowError or ValueError tracebacks

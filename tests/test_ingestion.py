@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,15 @@ def test_fit_fourier_needs_enough_samples():
     series = RateSeries(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]))
     with pytest.raises(ValidationError, match="samples"):
         fit_fourier(series, order=2)
+
+
+@pytest.mark.parametrize("period", [math.inf, math.nan, 0.0, -24.0])
+def test_fit_fourier_refuses_a_bad_period(period):
+    # the rate model's period check, named by the argument, before the
+    # design matrix: an infinite period read as rank deficient
+    t = np.linspace(0.0, 48.0, 97)
+    with pytest.raises(ValidationError, match="^period must be finite and > 0"):
+        fit_fourier(RateSeries(t, 1.0 + np.sin(t)), order=1, period=period)
 
 
 def test_fit_fourier_rank_deficient_aliasing():

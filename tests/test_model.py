@@ -1,15 +1,20 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bss.model import (
+    ENVELOPE_CELLS,
+    PERIOD_GRID_CELLS,
     ArrivalModel,
     ChoiceSpec,
     FourierRateModel,
     ValidationError,
+    _period_grid,
+    _rate_envelope,
     arrival_rate,
     choice_weight,
     validate_params,
@@ -323,16 +328,41 @@ class TestValidateParams:
         ("arrival", {"fourier": {"intercept": 10 ** 400, "sin": [1.0], "cos": [0.0]}}),
         ("choice", {"kind": "exponential", "theta": 10 ** 400}),
         ("capacity", {"values": [2, 4], "fractions": [0.5, 10 ** 400]}),
+        ("arrival", {"fourier": {"intercept": 1.0, "sin": [0.5], "cos": [0.0],
+                                 "period": math.inf}}),
+        ("arrival", {"fourier": {"intercept": 1.0, "sin": [0.5], "cos": [0.0],
+                                 "period": math.nan}}),
     ], ids=lambda v: "10**400" if v == 10 ** 400 else None)
     def test_non_finite_numbers_rejected(self, key, value):
         # these raised OverflowError or a bare ValueError, and an infinite
         # Fourier intercept, even a negative one, validated; float() of an
-        # integer beyond the float range raises OverflowError
+        # integer beyond the float range raises OverflowError. An infinite
+        # Fourier period raised OverflowError from the period grid
         cfg = base_config(**{key: value})
         if key == "fleet":
             del cfg["gamma"]
         with pytest.raises(ValidationError, match=key):
             validate_params(cfg)
+
+    @pytest.mark.parametrize("period", [1e4 + 1.0, 1e12, 1e300])
+    def test_huge_period_validates_on_a_capped_grid(self, period):
+        # 1e12 asked numpy for 728 TiB and 1e300 for more than it allows;
+        # the grid keeps PERIOD_GRID_CELLS cells, which the slope bounds of
+        # max_rate and the dip search take at their actual step
+        cfg = base_config(arrival={"fourier": {
+            "intercept": 1.0, "sin": [0.5, 0.2], "cos": [0.3, 0.0], "period": period}})
+        start = time.perf_counter()
+        params = validate_params(cfg)
+        assert time.perf_counter() - start < 0.5
+        f = params.arrival.fourier
+        assert _period_grid(f).size == PERIOD_GRID_CELLS + 1
+        assert 1.0 + math.hypot(0.5, 0.3) <= params.arrival.max_rate() <= 2.0
+
+    @pytest.mark.parametrize("period, cells", [(24.0, 2400), (1e4, PERIOD_GRID_CELLS),
+                                               (0.005, 1)])
+    def test_period_grid_keeps_its_step_up_to_the_cap(self, period, cells):
+        ts = _period_grid(FourierRateModel(1.0, (0.5,), (0.0,), period))
+        assert ts.size == cells + 1 and ts[-1] == period
 
     def test_mu_positive(self):
         with pytest.raises(ValidationError, match="mu"):
@@ -356,3 +386,77 @@ class TestValidateParams:
         params = validate_params(cfg)
         sizes = params.class_sizes()
         assert sizes.sum() == params.n_stations
+
+
+def _envelope_cell(inv, lo, t):
+    # the cell the engines read for instant t
+    return int(t * inv) % lo.size
+
+
+@st.composite
+def non_negative_rates(draw):
+    """Fourier rates of order 1-6, some a lone top harmonic, made
+    non-negative by an intercept of at least the harmonics' bound."""
+    order = draw(st.integers(1, 6))
+    coef = st.floats(-2.0, 2.0, allow_subnormal=False)
+    sin = draw(st.lists(coef, min_size=order, max_size=order))
+    cos = draw(st.lists(coef, min_size=order, max_size=order))
+    if draw(st.booleans()):
+        sin[:-1] = cos[:-1] = [0.0] * (order - 1)
+    bound = sum(abs(b) + abs(c) for b, c in zip(sin, cos))
+    # up to 1e16 times the bound, where the rounding of the sum, not the
+    # slope, sets how far at strays from the grid values
+    intercept = bound * draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.1, 3.0, 1e16]))
+    period = draw(st.floats(0.01, 1000.0))
+    return FourierRateModel(intercept, tuple(sin), tuple(cos), period)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=non_negative_rates(), laps=st.integers(0, 10 ** 6), seed=st.integers(0, 2 ** 32))
+def test_rate_envelope_bounds_at(f, laps, seed):
+    # lo <= at(t) <= hi in the cell the engines index: on a dense grid of
+    # one period, at every cell edge and its neighbouring floats, and up to
+    # 10^6 periods out, where at's phase carries the most rounding
+    horizon = (10 ** 6 + 1) * f.period
+    inv, lo, hi = _rate_envelope(f, horizon)
+    assert lo.size <= ENVELOPE_CELLS and not lo.flags.writeable
+    edges = np.arange(lo.size + 1) / inv
+    ts = np.concatenate([
+        np.linspace(0.0, f.period, 4 * lo.size + 1),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        np.random.default_rng(seed).uniform(0.0, f.period, 512) + laps * f.period,
+    ])
+    ts = ts[(ts >= 0.0) & (ts <= horizon)]
+    for t in ts.tolist():
+        c = _envelope_cell(inv, lo, t)
+        assert lo[c] <= f.at(t) <= hi[c], (t, c)
+
+
+@pytest.mark.parametrize("f", [
+    FourierRateModel(1.0, (0.5, 0.2), (0.3, 0.0), 24.0),
+    FourierRateModel(1.0, (0.0,) * 5 + (0.9,), (0.0,) * 6, 0.37),
+    FourierRateModel(3.0, (1.0,), (1.0,), 1000.0),
+])
+def test_rate_envelope_pads_the_phase_rounding_of_long_horizons(f):
+    # at t ~ 1e14 h and beyond, the rounding of at's phase outgrows the
+    # slope allowance L*step/2; the pad's L * horizon term covers it
+    rng = np.random.default_rng(3)
+    for horizon in (1e13, 1e14, 1e15, 1e16):
+        inv, lo, hi = _rate_envelope(f, horizon)
+        for t in rng.uniform(horizon / 2, horizon, 2000).tolist():
+            c = _envelope_cell(inv, lo, t)
+            assert lo[c] <= f.at(t) <= hi[c], (horizon, t)
+
+
+def test_rate_envelope_is_cached_per_model_and_horizon():
+    f = FourierRateModel(1.0, (0.5, 0.2), (0.3, 0.0), 24.0)
+    inv, lo, hi = _rate_envelope(f, 25.0)
+    assert _rate_envelope(FourierRateModel(1.0, (0.5, 0.2), (0.3, 0.0), 24.0),
+                          25.0)[1] is lo
+    # the benchmark's rate: 2,400 cells of 0.01 h, each band under 0.006
+    # wide against a bound of 1.77
+    assert inv == 100.0 and lo.size == 2400
+    assert (hi - lo).max() < 0.006
+    # a longer horizon widens the pad, never the other way round
+    _, lo_far, hi_far = _rate_envelope(f, 1e9)
+    assert np.all(lo_far < lo) and np.all(hi_far > hi)

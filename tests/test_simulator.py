@@ -9,8 +9,8 @@ from scipy.stats import chi2_contingency
 
 import bss.simulator
 from bss.harness import forward_equation_residual
-from bss.model import (ChoiceSpec, ValidationError, arrival_rate,
-                       choice_weights, validate_params)
+from bss.model import (ChoiceSpec, FourierRateModel, ValidationError, _rate_envelope,
+                       arrival_rate, choice_weights, validate_params)
 from bss.equilibrium import solve_equilibrium
 from bss.meanfield import (TINY_DENOM, _informed_choice, _sample_grid, ratio_histogram,
                            ratio_projection)
@@ -18,9 +18,11 @@ from bss.simulator import (
     _aggregates,
     _check_table,
     _generator,
+    _generators,
     _last_cell,
     _lockstep,
     _prefix_counts,
+    _seed_words,
     _start_table,
     _first_over,
     _totals,
@@ -495,6 +497,25 @@ def test_child_seed_reference_vectors():
 def test_generator_is_default_rng(seed):
     assert (_generator(seed).bit_generator.state
             == np.random.default_rng(seed).bit_generator.state)
+
+
+@pytest.mark.filterwarnings("error")
+def test_seed_words_are_seed_sequence_state():
+    # the vectorized hash against NumPy's own, on child seeds and the edges
+    # of one and two 32-bit words of entropy
+    seeds = [child_seed(29, r) for r in range(10_000)] + [0, 1, 2**32 - 1, 2**32,
+                                                          2**64 - 1]
+    words = _seed_words(np.array(seeds, dtype=np.uint64))
+    want = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds]
+    assert words.dtype == np.uint64 and np.array_equal(words, want)
+
+
+def test_generators_are_default_rng():
+    seeds = [child_seed(3, r) for r in range(4)] + [0, 2**64 - 1]
+    gens = _generators(seeds)
+    assert ([g.bit_generator.state for g in gens]
+            == [np.random.default_rng(s).bit_generator.state for s in seeds])
+    assert [g.random() for g in gens] == [_generator(s).random() for s in seeds]
 
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, None, "3"])
@@ -1072,6 +1093,59 @@ def test_lockstep_golden_bytes(case):
     assert _sha256(np.array([m["mean_residual"], m["standard_error"],
                              m["z"]])) == want_fwd
     assert (m["rounds"], m["events"]) == fwd_stats
+
+
+# ------------------------------------------------------------ rate envelope
+
+# nearly constant: a 5% ripple of the sixth harmonic on a 0.01 h period.
+# Its one envelope cell is widened by L*step/2 = 0.94, so the band catches
+# nearly every candidate and at decides it
+FLAT_RATE = {"fourier": {"intercept": 1.0, "sin": [0.0] * 5 + [0.05],
+                         "cos": [0.0] * 6, "period": 0.01}}
+
+ENVELOPE_CASES = {
+    # name: (params overrides, whether at decides most candidates)
+    "fourier": ({"arrival": FOURIER_RATE}, False),
+    "mix_fourier": ({"capacity": GOLDEN_MIX, "gamma": 7.5, "arrival": FOURIER_RATE},
+                    False),
+    "mix3_fourier": ({"capacity": GOLDEN_MIX3, "gamma": 0.5, "arrival": FOURIER_RATE},
+                     False),
+    "flat": ({"arrival": FLAT_RATE}, True),
+}
+
+
+def _all_in_band(f, horizon):
+    inv, lo, hi = _rate_envelope(f, horizon)
+    return inv, np.full_like(lo, -np.inf), np.full_like(hi, np.inf)
+
+
+@pytest.mark.parametrize("case", list(ENVELOPE_CASES))
+def test_envelope_thins_as_at_does(case, monkeypatch):
+    # an envelope of -inf/+inf sends every pickup candidate to at, the
+    # plain thinning test; the real one must give the same bytes and counters
+    overrides, at_decides = ENVELOPE_CASES[case]
+    par = make_params(**overrides)
+    calls = []
+    at = FourierRateModel.at
+    monkeypatch.setattr(FourierRateModel, "at",
+                        lambda f, t: calls.append(t) or at(f, t))
+
+    def outputs():
+        traj = simulate(par, 20.0, 0.5, seed=5)
+        stats = {}
+        avg = stationary_average(par, 5.0, 40.0, seed=6, stats=stats)
+        times = _sample_grid(2.0, 0.5)
+        samples, lock = _lockstep(par, 2.0, times, [child_seed(13, r) for r in range(8)])
+        return [traj.r_series.tobytes(), traj.stats, avg.tobytes(), stats,
+                samples.tobytes(), lock]
+
+    real = outputs()
+    in_band = len(calls)
+    calls.clear()
+    monkeypatch.setattr(bss.simulator, "_rate_envelope", _all_in_band)
+    assert outputs() == real
+    assert real[1]["thinning_rejections"] > 0 and real[5]["thinning_rejections"] > 0
+    assert (in_band > len(calls) / 2) if at_decides else (in_band < len(calls) / 10)
 
 
 # ---------------------------------------------------------------- ensemble
