@@ -90,9 +90,13 @@ class ChoiceSpec:
 
 
 def _check_period(period: float, name: str) -> None:
-    """The period check of a Fourier rate: finite and > 0, named by name."""
-    if not (math.isfinite(period) and period > 0):
-        raise ValidationError(f"{name} must be finite and > 0, got {period}")
+    """The period check of a Fourier rate, named by name: finite and > 0,
+    with a finite angular frequency 2 pi / period (a period below about
+    3.5e-308 overflows it, and every phase would be NaN)."""
+    if not (math.isfinite(period) and period > 0
+            and math.isfinite(2.0 * math.pi / period)):
+        raise ValidationError(
+            f"{name} must be finite and > 0 with 2 pi / {name} finite, got {period}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,14 @@ class FourierRateModel:
                 f"{len(self.sin_coeffs)} and {len(self.cos_coeffs)}"
             )
         _check_period(self.period, "arrival.fourier.period")
+        # finite coefficients and periods can still overflow the bounds of
+        # |lambda| and |lambda'|, which the dip search (an infinite slope
+        # bound halves every cell without end) and the thinning envelope use
+        scale, slope = _rate_bounds(self)
+        if not (math.isfinite(scale) and math.isfinite(slope)):
+            raise ValidationError(
+                "arrival.fourier coefficients and period must give finite bounds "
+                f"on the rate and its slope, got {scale} and {slope}")
         object.__setattr__(self, "_terms", tuple(
             (j, b, c) for j, b, c in zip(range(1, self.order + 1), self.sin_coeffs,
                                          self.cos_coeffs) if b or c))
@@ -397,25 +409,25 @@ def _require_finite_weights(n: int, choice: ChoiceSpec, k_max: int) -> None:
     )
 
 
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{field} must be a number, got {value!r}")
+def _number(value, path: str, integer: bool = False):
+    """A config number named by path: an int or a float, not a bool, that is
+    finite, and integral when integer is set. Returns an int when integer
+    is set, else a float."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{path} must be a number, got {value!r}")
     # an exact comparison for ints: NaN, infinities and huge ints all fail
-    _require(abs(value) <= sys.float_info.max, f"{field} must be finite")
-    if float(value) != int(value):
-        raise ValidationError(f"{field} must be an integer, got {value!r}")
+    _require(abs(value) <= sys.float_info.max, f"{path} must be finite")
+    if not integer:
+        return float(value)
+    _require(float(value) == int(value), f"{path} must be an integer, got {value!r}")
     return int(value)
 
 
-def _as_float(value, field: str) -> float:
-    # float() of an integer beyond the float range raises OverflowError, which
-    # is no ValueError; range and sign stay the caller's checks
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(
-            f"{field} must be finite, got an integer beyond the float range"
-        ) from None
+def _numbers(raw, path: str, integer: bool = False) -> list:
+    """A config list named by path, each entry read by _number as path[i]:
+    a JSON list, or a tuple from a Python caller."""
+    _require(isinstance(raw, (list, tuple)), f"{path} must be a list, got {raw!r}")
+    return [_number(v, f"{path}[{i}]", integer) for i, v in enumerate(raw)]
 
 
 def _integer_fleet(gamma: float, n: int) -> int:
@@ -438,8 +450,7 @@ def _parse_choice(raw, path: str) -> ChoiceSpec:
     if param_key is None:
         return ChoiceSpec(kind=kind)
     _require(param_key in raw, f"{path}.{param_key} is required for kind {kind!r}")
-    param = _as_float(raw[param_key], f"{path}.{param_key}")
-    return ChoiceSpec(kind=kind, param=param)
+    return ChoiceSpec(kind=kind, param=_number(raw[param_key], f"{path}.{param_key}"))
 
 
 def _parse_arrival(raw, path: str) -> ArrivalModel:
@@ -450,34 +461,25 @@ def _parse_arrival(raw, path: str) -> ArrivalModel:
         f"{path} must have exactly one of 'constant' or 'fourier', got {sorted(keys)}",
     )
     if "constant" in raw:
-        rate = raw["constant"]
-        _require(
-            isinstance(rate, (int, float)) and not isinstance(rate, bool),
-            f"{path}.constant must be a number",
-        )
-        return ArrivalModel(rate=_as_float(rate, f"{path}.constant"))
+        return ArrivalModel(rate=_number(raw["constant"], f"{path}.constant"))
     f = raw["fourier"]
     _require(isinstance(f, Mapping), f"{path}.fourier must be a mapping")
     extra = set(f) - {"period", "intercept", "sin", "cos"}
     _require(not extra, f"unknown keys in {path}.fourier: {sorted(extra)}")
     _require("intercept" in f, f"{path}.fourier.intercept is required")
     fourier = f"{path}.fourier"
-    sin = tuple(_as_float(v, f"{fourier}.sin[{j}]")
-                for j, v in enumerate(f.get("sin", ())))
-    cos = tuple(_as_float(v, f"{fourier}.cos[{j}]")
-                for j, v in enumerate(f.get("cos", ())))
     model = FourierRateModel(
-        intercept=_as_float(f["intercept"], f"{fourier}.intercept"),
-        sin_coeffs=sin,
-        cos_coeffs=cos,
-        period=_as_float(f.get("period", 24.0), f"{fourier}.period"),
+        intercept=_number(f["intercept"], f"{fourier}.intercept"),
+        sin_coeffs=_numbers(f.get("sin", ()), f"{fourier}.sin"),
+        cos_coeffs=_numbers(f.get("cos", ()), f"{fourier}.cos"),
+        period=_number(f.get("period", 24.0), f"{fourier}.period"),
     )
     return ArrivalModel(fourier=model)
 
 
 def _parse_capacity(raw, path: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        k = _as_int(raw, path)
+        k = _number(raw, path, integer=True)
         _require(k >= 1, f"{path} must be >= 1, got {k}")
         return (k,), (1.0,)
     _require(isinstance(raw, Mapping), f"{path} must be an integer or a mapping")
@@ -487,12 +489,8 @@ def _parse_capacity(raw, path: str) -> tuple[tuple[int, ...], tuple[float, ...]]
         "values" in raw and "fractions" in raw,
         f"{path} mapping needs 'values' and 'fractions'",
     )
-    values = [
-        _as_int(v, f"{path}.values[{i}]") for i, v in enumerate(raw["values"])
-    ]
-    fractions = [
-        _as_float(v, f"{path}.fractions[{i}]") for i, v in enumerate(raw["fractions"])
-    ]
+    values = _numbers(raw["values"], f"{path}.values", integer=True)
+    fractions = _numbers(raw["fractions"], f"{path}.fractions")
     _require(len(values) > 0, f"{path}.values must be non-empty")
     _require(
         len(values) == len(fractions),
@@ -517,6 +515,8 @@ def _parse_capacity(raw, path: str) -> tuple[tuple[int, ...], tuple[float, ...]]
 def validate_params(raw) -> SystemParams:
     """Validate a raw configuration tree (or re-validate a SystemParams).
 
+    Every number must be a finite int or float (not a bool, string or null)
+    and every list a list; an error names the field, e.g. capacity.fractions[0].
     Reconciles fleet and gamma, normalizes the capacity distribution, and
     checks the arrival rate is non-negative over one period: on a dense
     grid, then between grid points wherever the rate's slope bound leaves
@@ -531,7 +531,7 @@ def validate_params(raw) -> SystemParams:
     for key in ("n_stations", "capacity", "mu", "p", "arrival", "choice"):
         _require(key in raw, f"missing config key: {key}")
 
-    n = _as_int(raw["n_stations"], "n_stations")
+    n = _number(raw["n_stations"], "n_stations", integer=True)
     _require(n >= 1, f"n_stations must be >= 1, got {n}")
 
     _require(
@@ -539,22 +539,22 @@ def validate_params(raw) -> SystemParams:
         "one of fleet or gamma is required",
     )
     if "fleet" in raw:
-        fleet = _as_int(raw["fleet"], "fleet")
+        fleet = _number(raw["fleet"], "fleet", integer=True)
         _require(fleet >= 0, f"fleet must be >= 0, got {fleet}")
         if "gamma" in raw:
-            g = _as_float(raw["gamma"], "gamma")
+            g = _number(raw["gamma"], "gamma")
             _require(
                 abs(g * n - fleet) <= 1e-6 * max(1.0, fleet),
                 f"fleet={fleet} and gamma={g} disagree for n_stations={n}",
             )
     else:
-        g = _as_float(raw["gamma"], "gamma")
+        g = _number(raw["gamma"], "gamma")
         _require(g >= 0, f"gamma must be >= 0, got {g}")
         fleet = _integer_fleet(g, n)
 
-    mu = _as_float(raw["mu"], "mu")
-    _require(math.isfinite(mu) and mu > 0, f"mu must be > 0, got {raw['mu']!r}")
-    p = _as_float(raw["p"], "p")
+    mu = _number(raw["mu"], "mu")
+    _require(mu > 0, f"mu must be > 0, got {raw['mu']!r}")
+    p = _number(raw["p"], "p")
     _require(0.0 <= p <= 1.0, f"p must be in [0, 1], got {raw['p']!r}")
 
     values, fractions = _parse_capacity(raw["capacity"], "capacity")
@@ -570,9 +570,6 @@ def validate_params(raw) -> SystemParams:
             raise ValidationError(
                 f"arrival rate is negative at t={neg[0]:.6g} h (value {neg[1]:.6g})"
             )
-        # an infinite intercept passes the dip search, whose resolution it sets
-        _require(math.isfinite(_rate_bounds(arrival.fourier)[0]),
-                 "arrival.fourier coefficients must be finite")
 
     return SystemParams(
         n_stations=n,

@@ -104,6 +104,24 @@ def test_non_finite_config_number_exits_one(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("mu", None, "mu"), ("p", True, "p"), ("mu", "1.5", "mu"),
+    ("capacity", {"values": 5, "fractions": [1.0]}, "capacity.values"),
+    ("capacity", {"values": [3], "fractions": "1"}, "capacity.fractions"),
+    ("arrival", {"fourier": {"intercept": 1.0, "sin": [None], "cos": [0.0]}},
+     "arrival.fourier.sin[0]"),
+])
+def test_wrong_type_config_value_exits_one(tmp_path, capsys, key, value, field):
+    # a null mu and a number for a list escaped main as TypeError tracebacks;
+    # p true, mu "1.5" and fractions "1" validated as 1.0, 1.5 and [1.0]
+    cfg = write_config(tmp_path / "bad.json", **{key: value})
+    code = main(["equilibrium", "--config", cfg,
+                 "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {field} ") and "Traceback" not in err
+
+
 def test_missing_config_exits_one(tmp_path, capsys):
     code = main(["equilibrium", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o.csv")])
@@ -729,6 +747,23 @@ def test_verify_interchange_bad_tol_exits_one(base_cfg, tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite, extra, named", [
+    ("flln", ["--n-list", "10,20", "--tol", "0.5", "--delta", "9",
+              "--f-spec", "cube@3"], "--delta, --f-spec, --tol"),
+    ("forward", ["--n", "10", "--burn-in", "1"], "--burn-in"),
+], ids=["flln", "forward"])
+def test_verify_refuses_an_option_its_suite_does_not_read(base_cfg, tmp_path,
+                                                          capsys, suite, extra,
+                                                          named):
+    # such an option was dropped: the run exited 0 and recorded none of them
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--suite", suite, "--config", base_cfg, *extra,
+                 "--out", str(out)])
+    assert code == 1
+    assert f"suite {suite} does not read {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_fclt_zero_fleet_passes(tmp_path, capsys):
     # nothing moves: Sigma and the sample covariance are both exactly 0
     cfg = write_config(tmp_path / "cfg.json", gamma=0, capacity=5)
@@ -844,6 +879,19 @@ def test_fit_arrivals_bad_header_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "f.json")])
     assert code == 1
     assert "t_hours" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("period", ["5e-324", "1e-310"])
+def test_fit_arrivals_tiny_period_exits_one(tmp_path, capsys, period):
+    # 2 pi / period overflows; numpy's invalid-value warning escaped first
+    csv_path = tmp_path / "rates.csv"
+    csv_path.write_text("t_hours,rate\n" + "".join(f"{t},1.0\n" for t in range(6)))
+    code = main(["fit-arrivals", "--csv", str(csv_path), "--order", "1",
+                 "--period", period, "--out", str(tmp_path / "f.json")])
+    assert code == 1
+    assert ("error: period must be finite and > 0 with 2 pi / period finite"
+            in capsys.readouterr().err)
 
 
 def test_gbfs_hist_counts_and_manifest(tmp_path):

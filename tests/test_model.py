@@ -258,7 +258,7 @@ class TestValidateParams:
 
     def test_nan_fourier_rate_rejected(self):
         cfg = base_config(arrival={"fourier": {"intercept": 1.0, "sin": [math.nan], "cos": [0.0]}})
-        with pytest.raises(ValidationError, match="value nan"):
+        with pytest.raises(ValidationError, match=r"arrival\.fourier\.sin\[0\]"):
             validate_params(cfg)
 
     def test_idempotent(self):
@@ -344,6 +344,34 @@ class TestValidateParams:
         with pytest.raises(ValidationError, match=key):
             validate_params(cfg)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("period", [5e-324, 1e-310])
+    def test_tiny_period_refused_by_its_frequency(self, period):
+        # 2 pi / period overflowed: refused as a rate negative at t=0 with
+        # value nan, after numpy's invalid-value warning
+        cfg = base_config(arrival={"fourier": {
+            "intercept": 1.0, "sin": [0.5], "cos": [0.0], "period": period}})
+        with pytest.raises(ValidationError, match=r"^arrival\.fourier\.period must be "
+                           r"finite and > 0 with 2 pi / arrival\.fourier\.period finite"):
+            validate_params(cfg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fourier", [
+        # the slope bound overflows: the dip search halved every cell
+        # without end, doubling its instants each round
+        {"intercept": 10.0, "sin": [3.0], "cos": [0.0], "period": 1e-307},
+        {"intercept": 0.0, "sin": [1e307] * 10, "cos": [0.0] * 10},
+        # the bound of |lambda| overflows
+        {"intercept": 1e308, "sin": [1e308], "cos": [0.0]},
+    ], ids=["tiny-period", "slope", "scale"])
+    def test_overflowing_rate_bounds_refused(self, fourier):
+        with pytest.raises(ValidationError, match="^arrival.fourier coefficients"):
+            validate_params(base_config(arrival={"fourier": fourier}))
+        # also for a model built in Python
+        with pytest.raises(ValidationError, match="^arrival.fourier coefficients"):
+            FourierRateModel(fourier["intercept"], tuple(fourier["sin"]),
+                             tuple(fourier["cos"]), fourier.get("period", 24.0))
+
     @pytest.mark.parametrize("period", [1e4 + 1.0, 1e12, 1e300])
     def test_huge_period_validates_on_a_capped_grid(self, period):
         # 1e12 asked numpy for 728 TiB and 1e300 for more than it allows;
@@ -386,6 +414,61 @@ class TestValidateParams:
         params = validate_params(cfg)
         sizes = params.class_sizes()
         assert sizes.sum() == params.n_stations
+
+
+# A uniform config under a Fourier rate and a capacity mix given by its
+# fleet: between them they hold every field validate_params reads
+FOURIER_CONFIG = base_config(arrival={"fourier": {
+    "period": 24.0, "intercept": 3.0, "sin": [1.0, 0.5], "cos": [0.5, 0.0]}})
+MIX_CONFIG = {k: v for k, v in base_config().items() if k != "gamma"} | {
+    "fleet": 1000, "capacity": {"values": [10, 20], "fractions": [0.25, 0.75]},
+    "choice": {"kind": "minimum", "c": 3}}
+WRONG_VALUES = [None, True, "1", [], {}, 10 ** 400, math.nan, math.inf]
+
+
+def _fields(node, keys=()):
+    """(key path, value) of every list and every scalar in a config tree."""
+    if isinstance(node, dict):
+        return [f for key, v in node.items() for f in _fields(v, keys + (key,))]
+    if isinstance(node, list):
+        return [(keys, node)] + [f for i, v in enumerate(node)
+                                 for f in _fields(v, keys + (i,))]
+    return [(keys, node)]
+
+
+def _field_name(keys):
+    """The name validation gives a key path, such as capacity.fractions[0]."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+def _with_field(cfg, keys, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return cfg
+
+
+_WRONG_FIELD_CASES = [
+    pytest.param(cfg, keys, [5, "ab"] if isinstance(node, list) else WRONG_VALUES,
+                 id=f"{name}-{_field_name(keys)}")
+    for name, cfg in (("fourier", FOURIER_CONFIG), ("mix", MIX_CONFIG))
+    for keys, node in _fields(cfg)
+]
+
+
+@pytest.mark.parametrize("cfg, keys, values", _WRONG_FIELD_CASES)
+def test_wrong_field_value_is_refused_by_name(cfg, keys, values):
+    # every scalar replaced by each wrong type or non-finite number, every
+    # list by a number and a string: a null escaped as TypeError, a bool, a
+    # numeric string or a string list validated, as 1, a float or its chars
+    validate_params(cfg)
+    name = _field_name(keys)
+    for value in values:
+        with pytest.raises(ValidationError) as err:
+            validate_params(_with_field(cfg, keys, value))
+        assert str(err.value).startswith(name + " "), (value, str(err.value))
 
 
 def _envelope_cell(inv, lo, t):
